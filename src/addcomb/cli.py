@@ -184,12 +184,6 @@ def _cmd_rectify(args) -> int:
 def _cmd_torsion_cover(args) -> int:
     A = _load_set(args)
     cert = torsion_cover(A, witness_budget=args.budget)
-    ok = (
-        cert.contains_a
-        and cert.gen_inclusion_holds
-        and cert.size_factor_holds
-        and cert.bound_b_holds
-    )
     human = (
         f"subgroup of size {cert.subgroup_size} (doubling {cert.doubling}, "
         f"difference ratio {cert.diff_ratio}, route {cert.route})\n"
@@ -199,7 +193,7 @@ def _cmd_torsion_cover(args) -> int:
         f"size factor: {cert.size_factor_holds}"
     )
     _emit(args, cert, human)
-    return 0 if ok else 1
+    return 0 if cert.ok else 1
 
 
 def _cmd_bounds(args) -> int:

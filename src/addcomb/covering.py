@@ -21,8 +21,6 @@ from .groups import (
     GSet,
     difference_set,
     is_subset,
-    iterated_sum,
-    negate,
     sumset,
 )
 
@@ -296,23 +294,9 @@ class GrowthBoundReport:
     ratio_bound_holds: Optional[bool]
 
 
-def growth_bound_check(B: GSet, T: GSet, m: int, _j: Optional[int] = None) -> GrowthBoundReport:
+def growth_bound_check(B: GSet, T: GSet, m: int) -> GrowthBoundReport:
     """Certify |(m+1)B| against the covering growth bounds for a k-covering pair."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    if not is_k_covering(B, T):
-        raise ValueError("B is not covered by T: B+B is not inside B+(T-T)")
-    k = len(T)
-    j = j_count(k, m) if _j is None else _j
-    grown = len(iterated_sum(B, m + 1))
-    j_ok = grown <= len(B) * j
-    if m >= k:
-        bound = Fraction(14 * m, k) ** k
-        ratio_ok = grown < bound * len(B)
-    else:
-        bound = None
-        ratio_ok = None
-    return GrowthBoundReport(m, k, grown, j, j_ok, bound, ratio_ok)
+    return growth_table(B, T, m)[-1]
 
 
 def growth_table(B: GSet, T: GSet, m_max: int) -> Tuple[GrowthBoundReport, ...]:

@@ -18,7 +18,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .covering import is_k_covering
-from .groups import Element, GSet, iterated_sum
+from .groups import Element, GSet
 
 __all__ = [
     "SpectrumReport",
@@ -68,23 +68,13 @@ def _transform(B: GSet) -> np.ndarray:
     return np.conj(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
 
 
+def _magnitudes(B: GSet) -> np.ndarray:
+    """|B^(chi)| for every character chi, flat in packed index order, by FFT."""
+    return np.abs(_transform(B))
+
+
 def _transform_direct(B: GSet) -> np.ndarray:
-    g = B.group
-    n = g.order
-    out = np.zeros(n, dtype=np.complex128)
-    if g.kind == "cyclic":
-        N = g.modulus
-        for r in range(n):
-            out[r] = sum(cmath.exp(2j * math.pi * ((b * r) % N) / N) for b in B.elements)
-        return out
-    r_mod = g.exponent
-    packed = [g.element_at(i) for i in range(n)]
-    for i, chi in enumerate(packed):
-        out[i] = sum(
-            cmath.exp(2j * math.pi * (sum(c * x for c, x in zip(chi, b)) % r_mod) / r_mod)
-            for b in B.elements
-        )
-    return out
+    return np.array([character_sum(B, chi) for chi in B.group.elements()], dtype=np.complex128)
 
 
 def spectrum(B: GSet, method: str = "fft", top: int = 8) -> SpectrumReport:
@@ -95,12 +85,11 @@ def spectrum(B: GSet, method: str = "fft", top: int = 8) -> SpectrumReport:
     """
     n = _require_finite(B)
     if method == "fft":
-        coeffs = _transform(B)
+        mags = _magnitudes(B)
     elif method == "direct":
-        coeffs = _transform_direct(B)
+        mags = np.abs(_transform_direct(B))
     else:
         raise ValueError(f"unknown method {method!r}")
-    mags = np.abs(coeffs)
     size = len(B)
     power = float(np.sum(mags * mags))
     residual = abs(power - n * size) / (n * size)
@@ -228,13 +217,12 @@ def moment_lower_bound_check(B: GSet, m: int, tol: float = 1e-9) -> MomentChainR
     size = len(B)
     sum_sq = int((conv.counts.astype(object) ** 2).sum())
     cs = R * sum_sq >= size ** (2 * m + 2)
-    rep = spectrum(B)
-    mags = rep.magnitudes if rep.magnitudes is not None else np.abs(_transform(B))
+    mags = _magnitudes(B)
     moment = float(np.sum(mags ** (2 * m + 2)))
     target = n * sum_sq
     parseval_res = abs(moment - target) / target
     parseval_ok = parseval_res <= tol
-    max_mag = rep.max_magnitude
+    max_mag = float(mags[1:].max()) if n > 1 else float(size)
     rhs = (Fraction(1, R) - Fraction(1, n)) * Fraction(size) ** (2 * m + 1)
     rhs_f = float(rhs)
     max_ok = max_mag ** (2 * m) >= rhs_f * (1.0 - tol)

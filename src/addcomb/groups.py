@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator, Sequence, Tuple, Union
+from typing import ClassVar, Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -350,9 +350,12 @@ def _torsion_index_add(a: np.ndarray, b: np.ndarray, r: int, n: int) -> np.ndarr
     return out
 
 
-def _unique_int64(chunks: list) -> np.ndarray:
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
+def _pairwise(pa: np.ndarray, pb: np.ndarray, combine) -> np.ndarray:
+    """Sorted distinct values of combine(a, b) over all pairs, in memory-bounded blocks."""
+    chunks = []
+    step = max(1, _OUTER_BLOCK // max(1, len(pa)))
+    for i in range(0, len(pb), step):
+        chunks.append(np.unique(combine(pa[None, :], pb[i : i + step, None]).ravel()))
     return np.unique(np.concatenate(chunks))
 
 
@@ -369,58 +372,28 @@ def _sumset_cyclic(A: GSet, B: GSet) -> GSet:
         for x in small.elements:
             acc |= _rotl(lm, x, N, full)
         return _mask_to_gset(g, acc)
-    pa, pb = large.packed(), small.packed()
-    chunks = []
-    step = max(1, _OUTER_BLOCK // max(1, len(pa)))
-    for i in range(0, len(pb), step):
-        s = (pa[None, :] + pb[i : i + step, None]) % N
-        chunks.append(np.unique(s.ravel()))
-    idx = _unique_int64(chunks)
+    idx = _pairwise(large.packed(), small.packed(), lambda a, b: (a + b) % N)
     return GSet._from_sorted(g, tuple(int(i) for i in idx))
-
-
-def _sumset_window(A: GSet, B: GSet) -> GSet:
-    pa, pb = A.packed(), B.packed()
-    chunks = []
-    step = max(1, _OUTER_BLOCK // max(1, len(pa)))
-    for i in range(0, len(pb), step):
-        s = pa[None, :] + pb[i : i + step, None]
-        chunks.append(np.unique(s.ravel()))
-    vals = _unique_int64(chunks)
-    elems = tuple(int(v) for v in vals)
-    win = IntegerWindow(int(vals[0]), int(vals[-1]))
-    return GSet._from_sorted(win, elems)
-
-
-def _sumset_torsion(A: GSet, B: GSet) -> GSet:
-    g: TorsionGroup = A.group  # type: ignore[assignment]
-    r, n = g.exponent, g.rank
-    pa, pb = A.packed(), B.packed()
-    chunks = []
-    step = max(1, _OUTER_BLOCK // max(1, len(pa)))
-    for i in range(0, len(pb), step):
-        s = _torsion_index_add(pa[None, :], pb[i : i + step, None], r, n)
-        chunks.append(np.unique(s.ravel()))
-    idx = _unique_int64(chunks)
-    elems = tuple(g.element_at(int(i)) for i in idx)
-    return GSet._from_sorted(g, elems)
 
 
 def sumset(A: GSet, B: GSet) -> GSet:
     """Minkowski sum {a + b : a in A, b in B}."""
     _require_same_ambient(A, B)
+    g = A.group
     if not A.elements or not B.elements:
-        if A.group.kind == "window":
-            lo = A.group.lo + B.group.lo  # type: ignore[union-attr]
-            hi = A.group.hi + B.group.hi  # type: ignore[union-attr]
+        if g.kind == "window":
+            lo = g.lo + B.group.lo  # type: ignore[union-attr]
+            hi = g.hi + B.group.hi  # type: ignore[union-attr]
             return GSet._from_sorted(IntegerWindow(lo, hi), ())
-        return GSet._from_sorted(A.group, ())
-    kind = A.group.kind
-    if kind == "cyclic":
+        return GSet._from_sorted(g, ())
+    if g.kind == "cyclic":
         return _sumset_cyclic(A, B)
-    if kind == "window":
-        return _sumset_window(A, B)
-    return _sumset_torsion(A, B)
+    if g.kind == "window":
+        vals = tuple(int(v) for v in _pairwise(A.packed(), B.packed(), np.add))
+        return GSet._from_sorted(IntegerWindow(vals[0], vals[-1]), vals)
+    r, n = g.exponent, g.rank  # type: ignore[union-attr]
+    idx = _pairwise(A.packed(), B.packed(), lambda a, b: _torsion_index_add(a, b, r, n))
+    return GSet._from_sorted(g, tuple(g.element_at(int(i)) for i in idx))
 
 
 def negate(A: GSet) -> GSet:

@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .fourier import character_sum, spectrum
+from .fourier import _magnitudes, character_sum
 from .groups import (
     CyclicGroup,
     Element,
@@ -140,6 +140,20 @@ def diameter(A: GSet) -> DiameterWitness:
     return DiameterWitness(length, d, a, normalized, searched)
 
 
+def _window_counts(B: GSet, l: int) -> np.ndarray:
+    """counts[s] = number of points of B in {s, s+1, ..., s+l} mod N, for every start s.
+
+    One prefix sum over the indicator, extended by its first l entries so that
+    windows wrap; needs 0 <= l < N.
+    """
+    N = B.group.modulus  # type: ignore[union-attr]
+    ind = np.zeros(N + l, dtype=np.int64)
+    ind[B.packed()] = 1
+    ind[N:] = ind[:l]
+    prefix = np.concatenate(([0], np.cumsum(ind)))
+    return prefix[l + 1 :] - prefix[:N]
+
+
 @dataclass(frozen=True)
 class LevWindow:
     """Outcome of the concentration step at frequency one."""
@@ -175,9 +189,7 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     if coeff < threshold:
         return LevWindow(False, coeff, threshold)
     length = max(0, math.ceil(delta * N) - 1)
-    ind = np.zeros(N, dtype=np.int64)
-    ind[B.packed()] = 1
-    window = np.convolve(np.concatenate([ind, ind[: length]]), np.ones(length + 1, dtype=np.int64), mode="valid")[:N]
+    window = _window_counts(B, length)
     start = int(np.argmax(window))
     inside = int(window[start])
     exceptions = size - inside
@@ -253,11 +265,7 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
     D = difference_set(A, A)
     m = len(D)
     threshold = m - 4 * delta * delta * n
-    rep = spectrum(D)
-    if rep.magnitudes is not None:
-        mags = rep.magnitudes
-    else:
-        mags = np.array([abs(character_sum(D, r)) for r in range(N)])
+    mags = _magnitudes(D)
     best_r: Optional[int] = None
     best_mag = -1.0
     nz = mags[1:]

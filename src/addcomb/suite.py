@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .covering import (
     CoveringCertificate,
     covering_certificate,
@@ -25,7 +23,7 @@ from .covering import (
 )
 from .fourier import moment_lower_bound_check, spectrum
 from .groups import BudgetError, GSet, difference_set
-from .rectify import diam_from_spectrum, gap_cover, lev_interval, rectify
+from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
 from .torsion import torsion_cover
 from .primes import is_prime
 from .serialize import gset_to_obj
@@ -185,18 +183,13 @@ def _check_cover(A: GSet, cfg: SuiteConfig, cache: dict):
         return SKIP, None
     N = A.group.modulus
     D = difference_set(A, A)
-    ind = np.zeros(N, dtype=np.int64)
-    ind[D.packed()] = 1
     ran = False
     for delta in cfg.delta_grid:
         l = max(0, math.ceil(delta * N) - 1)
         if 3 * l >= N:
             continue
         ran = True
-        window = np.convolve(
-            np.concatenate([ind, ind[:l]]), np.ones(l + 1, dtype=np.int64), mode="valid"
-        )[:N]
-        b = int(np.argmax(window))
+        b = int(_window_counts(D, l).argmax())
         try:
             gap_cover(A, b, l)
         except RuntimeError as exc:
@@ -253,16 +246,9 @@ def _check_torsion(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind != "torsion":
         return SKIP, None
     cert = torsion_cover(A, witness_budget=cfg.witness_budget)
-    flags = {
-        "contains_a": cert.contains_a,
-        "gen_inclusion": cert.gen_inclusion_holds,
-        "size_factor": cert.size_factor_holds,
-        "bound_a": cert.bound_a_holds,
-        "bound_b": cert.bound_b_holds,
-    }
-    if all(flags.values()):
+    if cert.ok:
         return PASS, None
-    return FAIL, flags
+    return FAIL, cert.checks
 
 
 INSTANCE_CHECKS: Dict[str, Callable] = {

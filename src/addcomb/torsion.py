@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -87,6 +87,22 @@ class SubgroupCosetCertificate:
     witness_used: bool
     route: str                # covering ran on (A, A, A) or (A, -A, -A)
     covering: CoveringCertificate
+
+    @property
+    def checks(self) -> Dict[str, bool]:
+        """The five verified claims, by name."""
+        return {
+            "contains_a": self.contains_a,
+            "gen_inclusion": self.gen_inclusion_holds,
+            "size_factor": self.size_factor_holds,
+            "bound_a": self.bound_a_holds,
+            "bound_b": self.bound_b_holds,
+        }
+
+    @property
+    def ok(self) -> bool:
+        """Whether every claim of the certificate holds."""
+        return all(self.checks.values())
 
 
 def torsion_cover(A: GSet, use_witness: bool = True, witness_budget: int = 18) -> SubgroupCosetCertificate:

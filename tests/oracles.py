@@ -76,6 +76,12 @@ def dirichlet_magnitude(length, r, N):
     return abs(num / den)
 
 
+def brute_window_counts(B, N, l):
+    """For every start s, how many points of B lie in {s, s+1, ..., s+l} mod N."""
+    pts = set(x % N for x in B)
+    return [sum(1 for j in range(l + 1) if (s + j) % N in pts) for s in range(N)]
+
+
 def brute_freiman(A, mapping, k, add_domain, add_image):
     """Quadratic check over all pairs of k-multisets from A.
 

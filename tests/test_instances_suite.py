@@ -1,10 +1,12 @@
 """Instance generators, JSON serialization, the check suite, and the CLI."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+import addcomb.cli as cli_mod
 import addcomb.suite as suite_mod
 from addcomb import (
     CHECK_NAMES,
@@ -341,6 +343,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "subgroup of size 8" in out
         assert "contains A: True" in out
+
+    def test_torsion_cover_failed_bound_a_exits_one(self, capsys, monkeypatch):
+        real = cli_mod.torsion_cover
+        monkeypatch.setattr(
+            cli_mod,
+            "torsion_cover",
+            lambda A, **kw: dataclasses.replace(real(A, **kw), bound_a_holds=False),
+        )
+        rc = main(
+            ["torsion-cover", "--group", "torsion:2:3",
+             "--elements", "0,0,0;1,0,0;0,1,0;0,0,1"]
+        )
+        assert rc == 1
 
     def test_bounds_calculator(self, capsys):
         rc = main(["bounds", "--alpha", "1/16", "--doubling", "1"])

@@ -21,9 +21,12 @@ from addcomb import (
     minimal_integer_model,
     rectify,
     spectrum,
+    character_sum,
+    difference_set,
     translate,
 )
-from oracles import brute_diameter, brute_freiman
+from addcomb.rectify import _window_counts
+from oracles import brute_diameter, brute_freiman, brute_window_counts
 
 
 class TestDiameter:
@@ -143,6 +146,28 @@ class TestLevInterval:
             assert res.conclusion_ok
 
 
+@st.composite
+def window_cases(draw):
+    N = draw(st.integers(1, 60))
+    elems = draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=N))
+    l = draw(st.integers(0, max(0, (N - 1) // 2)))
+    return N, elems, l
+
+
+class TestWindowCounts:
+    @given(window_cases())
+    @settings(max_examples=300)
+    def test_matches_brute_force(self, case):
+        N, elems, l = case
+        got = _window_counts(GSet(CyclicGroup(N), elems), l)
+        assert got.tolist() == brute_window_counts(elems, N, l)
+
+    def test_wrapping_window(self):
+        # starts 8 and 9 of Z/10 reach across 0
+        got = _window_counts(GSet(CyclicGroup(10), [0, 1, 9]), 2)
+        assert got.tolist() == [2, 1, 0, 0, 0, 0, 0, 1, 2, 3]
+
+
 class TestGapCover:
     def test_concentrated_set(self):
         A = GSet(CyclicGroup(31), [0, 1, 2])
@@ -202,6 +227,19 @@ class TestDiamFromSpectrum:
         res = diam_from_spectrum(A, delta=0.1)
         assert not res.hypothesis_met
         assert res.conclusion_ok is None
+
+    @pytest.mark.parametrize("elems", [(0, 1, 2), (0, 5, 40000)])
+    def test_large_prime_matches_direct_sums(self, elems):
+        """Above 2^16 the spectrum keeps no magnitude array; the chosen frequency must still be the true maximum."""
+        N, delta = 65537, 0.3
+        A = GSet(CyclicGroup(N), elems)
+        D = difference_set(A, A)
+        best = max(abs(character_sum(D, r)) for r in range(1, N))
+        res = diam_from_spectrum(A, delta)
+        assert res.hypothesis_met == (best >= res.threshold)
+        if res.hypothesis_met:
+            assert res.coefficient == pytest.approx(best, abs=1e-9)
+            assert abs(character_sum(D, res.frequency)) == pytest.approx(best, abs=1e-9)
 
     def test_delta_gate(self):
         A = GSet(CyclicGroup(101), [0, 1])

@@ -1,5 +1,6 @@
 """Subgroup generation and coset covers in bounded-exponent groups."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -89,6 +90,17 @@ class TestTorsionCover:
         assert cert.gen_inclusion_holds
         assert cert.size_factor_holds
         assert cert.bound_a_holds and cert.bound_b_holds
+        assert cert.ok
+
+    @pytest.mark.parametrize(
+        "field",
+        ["contains_a", "gen_inclusion_holds", "size_factor_holds", "bound_a_holds", "bound_b_holds"],
+    )
+    def test_ok_needs_every_claim(self, field):
+        A = GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        cert = dataclasses.replace(torsion_cover(A), **{field: False})
+        assert not cert.ok
+        assert list(cert.checks.values()).count(False) == 1
 
     def test_single_pair(self):
         g = TorsionGroup(2, 4)
