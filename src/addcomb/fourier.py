@@ -180,13 +180,7 @@ def convolution_counts(B: GSet, m: int) -> ConvolutionCounts:
     expected = len(B) ** (m + 1)
     if total != expected:
         raise RuntimeError(f"count mass {total} != |B|^(m+1) = {expected}")
-    nz = np.nonzero(counts)[0]
-    g = B.group
-    if g.kind == "torsion":
-        elems = tuple(g.element_at(int(i)) for i in nz)
-    else:
-        elems = tuple(int(i) for i in nz)
-    support = GSet._from_sorted(g, elems)
+    support = GSet._from_indices(B.group, np.flatnonzero(counts))
     return ConvolutionCounts(m + 1, counts, support, total)
 
 

@@ -37,9 +37,13 @@ __all__ = [
 
 Element = Union[int, Tuple[int, ...]]
 
-# Above this order the dense cyclic representation (one bit per residue) is
-# not built and sumsets fall back to pairwise enumeration.
+# Largest group order for dense index-space arrays: sumsets mark their sums in
+# a boolean array of this length, and indicators and torsion groups stop here.
 DENSE_ORDER_LIMIT = 1 << 24
+
+# Marking sums densely costs O(order) however few the pairs; below one pair
+# per this many residues np.unique of the pair sums is the faster dedup.
+_DENSE_PAIR_FACTOR = 256
 
 # Cap on |A|*|B| for a single pairwise-enumeration block; larger products are
 # processed in chunks to bound memory.
@@ -64,6 +68,9 @@ class CyclicGroup:
     def __post_init__(self) -> None:
         if self.modulus < 1:
             raise ValueError(f"modulus must be positive, got {self.modulus}")
+        # int64 headroom for vectorized sums of two residues
+        if self.modulus > (1 << 62):
+            raise ValueError(f"modulus {self.modulus} exceeds the supported 2^62")
 
     @property
     def order(self) -> int:
@@ -201,11 +208,12 @@ class GSet:
     """An immutable finite subset of an ambient group.
 
     Elements are stored sorted (lexicographically for tuples), which is also
-    the canonical serialization order.  Dense views (a bitmask over the index
-    space, a numpy index array) are built lazily and cached.
+    the canonical serialization order and the order of the group's index
+    space.  The sorted int64 index array (``packed``) and the frozenset used
+    for membership are built lazily and cached.
     """
 
-    __slots__ = ("group", "elements", "_set", "_packed", "_mask")
+    __slots__ = ("group", "elements", "_set", "_packed")
 
     def __init__(self, group: Group, elements: Iterable[Element] = ()):
         norm = {group.normalize(x) for x in elements}
@@ -213,7 +221,6 @@ class GSet:
         object.__setattr__(self, "elements", tuple(sorted(norm)))
         object.__setattr__(self, "_set", None)
         object.__setattr__(self, "_packed", None)
-        object.__setattr__(self, "_mask", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GSet is immutable")
@@ -226,7 +233,17 @@ class GSet:
         object.__setattr__(obj, "elements", elements)
         object.__setattr__(obj, "_set", None)
         object.__setattr__(obj, "_packed", None)
-        object.__setattr__(obj, "_mask", None)
+        return obj
+
+    @classmethod
+    def _from_indices(cls, group: Group, idx: np.ndarray) -> "GSet":
+        # internal fast path: idx is the sorted, distinct index array of the set
+        if group.kind == "torsion":
+            elements = tuple(map(group.element_at, idx.tolist()))
+        else:
+            elements = tuple(idx.tolist())
+        obj = cls._from_sorted(group, elements)
+        object.__setattr__(obj, "_packed", idx.astype(np.int64, copy=False))
         return obj
 
     def __len__(self) -> int:
@@ -286,24 +303,6 @@ class GSet:
             object.__setattr__(self, "_packed", arr)
         return self._packed
 
-    def bitmask(self) -> int:
-        """Indicator of the set as a python int over the group's index space."""
-        g = self.group
-        if g.kind == "window":
-            raise ValueError("bitmask is only defined for finite groups")
-        if g.order > DENSE_ORDER_LIMIT:
-            raise BudgetError(f"group order {g.order} too large for a dense bitmask")
-        if self._mask is None:
-            m = 0
-            if g.kind == "cyclic":
-                for x in self.elements:
-                    m |= 1 << x
-            else:
-                for x in self.elements:
-                    m |= 1 << g.index(x)
-            object.__setattr__(self, "_mask", m)
-        return self._mask
-
     def indicator(self) -> np.ndarray:
         """Dense 0/1 indicator array (cyclic: length N; torsion: shape (r,)*n)."""
         g = self.group
@@ -318,26 +317,6 @@ class GSet:
         return ind
 
 
-def _mask_to_gset(group: Group, mask: int) -> GSet:
-    n = group.order
-    nbytes = (n + 7) // 8
-    raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:n]
-    idx = np.nonzero(bits)[0]
-    if group.kind == "cyclic":
-        elems = tuple(int(i) for i in idx)
-    else:
-        elems = tuple(group.element_at(int(i)) for i in idx)
-    return GSet._from_sorted(group, elems)
-
-
-def _rotl(mask: int, shift: int, n: int, full: int) -> int:
-    shift %= n
-    if shift == 0:
-        return mask
-    return ((mask << shift) | (mask >> (n - shift))) & full
-
-
 def _torsion_index_add(a: np.ndarray, b: np.ndarray, r: int, n: int) -> np.ndarray:
     """Digitwise (mod r) sum of packed torsion indices; shapes broadcast."""
     out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
@@ -350,30 +329,39 @@ def _torsion_index_add(a: np.ndarray, b: np.ndarray, r: int, n: int) -> np.ndarr
     return out
 
 
-def _pairwise(pa: np.ndarray, pb: np.ndarray, combine) -> np.ndarray:
-    """Sorted distinct values of combine(a, b) over all pairs, in memory-bounded blocks."""
-    chunks = []
-    step = max(1, _OUTER_BLOCK // max(1, len(pa)))
-    for i in range(0, len(pb), step):
-        chunks.append(np.unique(combine(pa[None, :], pb[i : i + step, None]).ravel()))
-    return np.unique(np.concatenate(chunks))
+def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Sorted distinct indices of a + b over all pairs, in memory-bounded blocks.
 
+    In a finite group of order at most DENSE_ORDER_LIMIT the sums are marked
+    in a boolean array over the index space once there are enough pairs to pay
+    for it; otherwise they are deduplicated with np.unique.
+    """
+    if g.kind == "cyclic":
+        N = g.modulus
 
-def _sumset_cyclic(A: GSet, B: GSet) -> GSet:
-    g: CyclicGroup = A.group  # type: ignore[assignment]
-    N = g.modulus
-    small, large = (A, B) if len(A) <= len(B) else (B, A)
-    pair_cost = len(A) * len(B)
-    mask_cost = len(small) * (N // 64 + 1)
-    if N <= DENSE_ORDER_LIMIT and mask_cost < pair_cost:
-        full = (1 << N) - 1
-        lm = large.bitmask()
-        acc = 0
-        for x in small.elements:
-            acc |= _rotl(lm, x, N, full)
-        return _mask_to_gset(g, acc)
-    idx = _pairwise(large.packed(), small.packed(), lambda a, b: (a + b) % N)
-    return GSet._from_sorted(g, tuple(int(i) for i in idx))
+        def combine(a, b):
+            s = a + b
+            np.subtract(s, N, out=s, where=s >= N)  # a, b < N, and cheaper than % N
+            return s
+    elif g.kind == "torsion":
+        combine = lambda a, b: _torsion_index_add(a, b, g.exponent, g.rank)
+    else:
+        combine = np.add
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    step = max(1, _OUTER_BLOCK // len(pa))
+    starts = range(0, len(pb), step)
+
+    def block(i):  # built on use, so only one block of pair sums is alive at a time
+        return combine(pa[None, :], pb[i : i + step, None])
+
+    order = g.order
+    if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * len(pa) * len(pb)):
+        seen = np.zeros(order, dtype=bool)
+        for i in starts:
+            seen[block(i)] = True
+        return np.flatnonzero(seen)
+    return np.unique(np.concatenate([np.unique(block(i)) for i in starts]))
 
 
 def sumset(A: GSet, B: GSet) -> GSet:
@@ -386,14 +374,10 @@ def sumset(A: GSet, B: GSet) -> GSet:
             hi = g.hi + B.group.hi  # type: ignore[union-attr]
             return GSet._from_sorted(IntegerWindow(lo, hi), ())
         return GSet._from_sorted(g, ())
-    if g.kind == "cyclic":
-        return _sumset_cyclic(A, B)
+    idx = _pairwise(g, A.packed(), B.packed())
     if g.kind == "window":
-        vals = tuple(int(v) for v in _pairwise(A.packed(), B.packed(), np.add))
-        return GSet._from_sorted(IntegerWindow(vals[0], vals[-1]), vals)
-    r, n = g.exponent, g.rank  # type: ignore[union-attr]
-    idx = _pairwise(A.packed(), B.packed(), lambda a, b: _torsion_index_add(a, b, r, n))
-    return GSet._from_sorted(g, tuple(g.element_at(int(i)) for i in idx))
+        g = IntegerWindow(int(idx[0]), int(idx[-1]))
+    return GSet._from_indices(g, idx)
 
 
 def negate(A: GSet) -> GSet:

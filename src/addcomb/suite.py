@@ -111,8 +111,10 @@ def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
 def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
     try:
         cert = _cert(A, cfg, cache)
-    except (BudgetError, RuntimeError):
+    except BudgetError:
         return SKIP, None
+    except RuntimeError as exc:
+        return FAIL, {"error": str(exc)}
     reached = verify_incm(A, cert.translates, cfg.m_max)
     if reached == cfg.m_max:
         return PASS, None

@@ -55,7 +55,7 @@ def subgroup_generated(X: GSet) -> GSet:
                 member[new] = True
                 grown.append(new)
         frontier = np.unique(np.concatenate(grown)) if grown else np.array([], dtype=np.int64)
-    return GSet(g, tuple(g.element_at(int(i)) for i in np.flatnonzero(member)))
+    return GSet._from_indices(g, np.flatnonzero(member))
 
 
 @dataclass(frozen=True)

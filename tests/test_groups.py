@@ -6,12 +6,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addcomb.groups as groups_mod
 from addcomb import (
     CyclicGroup,
     GroupMismatchError,
     GSet,
     IntegerWindow,
     TorsionGroup,
+    convolution_counts,
     difference_ratio,
     difference_set,
     dilate,
@@ -20,9 +22,11 @@ from addcomb import (
     iterated_sum,
     min_growth_ratio,
     negate,
+    subgroup_generated,
     sumset,
     translate,
 )
+from addcomb.cli import main
 from oracles import naive_iterated_mod, naive_sumset_int, naive_sumset_mod, naive_sumset_vec
 
 Z7 = CyclicGroup(7)
@@ -226,3 +230,105 @@ class TestSubsetAndPacking:
     def test_indicator(self):
         A = GSet(CyclicGroup(4), [0, 3])
         assert A.indicator().tolist() == [1, 0, 0, 1]
+
+
+# _DENSE_PAIR_FACTOR values that force each path of the sumset kernel: 0 never
+# marks densely, 2^40 always does when the order is at most DENSE_ORDER_LIMIT.
+KERNEL_PATHS = {"unique": 0, "dense": 1 << 40}
+
+
+def packed_by_index(S):
+    g = S.group
+    if g.kind == "torsion":
+        return np.asarray([g.index(x) for x in S.elements], dtype=np.int64)
+    return np.asarray(S.elements, dtype=np.int64)
+
+
+def torsion_subsets(r, n, max_size=10):
+    elem = st.tuples(*[st.integers(0, r - 1)] * n)
+    return st.lists(elem, min_size=1, max_size=max_size)
+
+
+class TestSumsetKernel:
+    @pytest.mark.parametrize("path", sorted(KERNEL_PATHS))
+    @pytest.mark.parametrize("N", [1, 2, 63, 64, 65, 101, 65537, groups_mod.DENSE_ORDER_LIMIT + 1])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_cyclic_oracle(self, N, path, data):
+        elems = st.sets(st.integers(0, N - 1), min_size=1, max_size=20)
+        a, b = data.draw(elems), data.draw(elems)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS[path])
+            S = sumset(GSet(CyclicGroup(N), a), GSet(CyclicGroup(N), b))
+        assert list(S.elements) == naive_sumset_mod(a, b, N)
+        assert np.array_equal(S.packed(), packed_by_index(S))
+
+    @pytest.mark.parametrize("path", sorted(KERNEL_PATHS))
+    @pytest.mark.parametrize("r,n", [(2, 6), (3, 4), (5, 2)])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_torsion_oracle(self, r, n, path, data):
+        g = TorsionGroup(r, n)
+        a, b = data.draw(torsion_subsets(r, n)), data.draw(torsion_subsets(r, n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS[path])
+            S = sumset(GSet(g, a), GSet(g, b))
+        assert list(S.elements) == naive_sumset_vec(set(a), set(b), r)
+        assert np.array_equal(S.packed(), packed_by_index(S))
+
+    @pytest.mark.parametrize("path", sorted(KERNEL_PATHS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sets(st.integers(0, 96), min_size=1, max_size=30),
+        st.sets(st.integers(0, 96), min_size=1, max_size=30),
+        torsion_subsets(3, 3, max_size=20),
+        torsion_subsets(3, 3, max_size=20),
+    )
+    def test_many_blocks(self, path, a, b, ta, tb):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_OUTER_BLOCK", 7)
+            mp.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS[path])
+            cyc = sumset(GSet(CyclicGroup(97), a), GSet(CyclicGroup(97), b))
+            win = sumset(GSet(W, a), GSet(W, b))
+            tor = sumset(GSet(TorsionGroup(3, 3), ta), GSet(TorsionGroup(3, 3), tb))
+        assert list(cyc.elements) == naive_sumset_mod(a, b, 97)
+        assert list(win.elements) == naive_sumset_int(a, b)
+        assert list(tor.elements) == naive_sumset_vec(set(ta), set(tb), 3)
+
+    def test_packed_of_window_sumset(self):
+        S = sumset(GSet(W, [-5, 0, 7]), GSet(W, [1, 2]))
+        assert S.group == IntegerWindow(-4, 9)
+        assert S.packed().dtype == np.int64
+        assert np.array_equal(S.packed(), packed_by_index(S))
+
+    def test_packed_of_closure_and_support(self):
+        g = TorsionGroup(3, 2)
+        H = subgroup_generated(GSet(g, [(1, 2)]))
+        assert H.elements == ((0, 0), (1, 2), (2, 1))
+        assert np.array_equal(H.packed(), packed_by_index(H))
+        support = convolution_counts(GSet(CyclicGroup(10), [0, 3]), 2).support
+        assert support.elements == (0, 3, 6, 9)
+        assert np.array_equal(support.packed(), packed_by_index(support))
+
+
+class TestModulusCap:
+    CAP = 1 << 62
+
+    def test_constructor(self):
+        assert CyclicGroup(self.CAP).modulus == self.CAP
+        for N in (self.CAP + 1, self.CAP + 135, 1 << 63, 1 << 70):
+            with pytest.raises(ValueError):
+                CyclicGroup(N)
+
+    def test_sumset_below_cap(self):
+        N = self.CAP - 3
+        a = [3, N - 1, N - 2, 1 << 61]
+        b = [0, N - 1, 1 << 61, (1 << 61) + 5]
+        S = sumset(GSet(CyclicGroup(N), a), GSet(CyclicGroup(N), b))
+        assert list(S.elements) == naive_sumset_mod(a, b, N)
+
+    def test_cli_exits_2(self, capsys):
+        for N in (self.CAP + 135, 1 << 63):
+            rc = main(["sumset", "--group", f"cyclic:{N}", "--elements", "3,400"])
+            assert rc == 2
+            assert "error:" in capsys.readouterr().err

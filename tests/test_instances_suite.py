@@ -291,6 +291,18 @@ class TestSuite:
         assert ce["detail"] == {"planted": True}
         assert gset_from_obj(ce["instance"]).elements == (0, 1)
 
+    def test_certificate_error_fails_incm(self, monkeypatch):
+        # a RuntimeError is a library bug, not "not applicable or over budget"
+        def broken(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(suite_mod, "covering_certificate", broken)
+        report = run_suite([GSet(CyclicGroup(11), [0, 1])], SuiteConfig(checks=("inc", "incm")))
+        for check in ("inc", "incm"):
+            assert report.tallies[check].failed == 1
+            assert report.tallies[check].skipped == 0
+        assert [ce["detail"] for ce in report.counterexamples] == [{"error": "planted"}] * 2
+
     def test_tiny_budget_falls_back_cleanly(self):
         # above the witness budget the counting bound takes over; no failure
         big = GSet(CyclicGroup(101), range(20))
