@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .groups import (
     BudgetError,
@@ -137,6 +137,16 @@ class CoveringCertificate:
     size_bound: int
     inclusion_verified: bool
     m_checked: int = 0
+
+    @property
+    def checks(self) -> Dict[str, bool]:
+        """The two verified claims, by name."""
+        return {"inclusion": self.inclusion_verified, "size_bound": len(self.translates) <= self.size_bound}
+
+    @property
+    def ok(self) -> bool:
+        """Whether every claim of the certificate holds."""
+        return all(self.checks.values())
 
 
 def covering_certificate(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
@@ -20,6 +21,7 @@ import numpy as np
 
 from .fourier import _magnitudes, character_sum
 from .groups import (
+    _OUTER_BLOCK,
     CyclicGroup,
     Element,
     GSet,
@@ -70,26 +72,13 @@ class DiameterWitness:
         return tuple((self.start + j * self.step) % N for j in range(self.length + 1))
 
 
-def _min_cover_for_unit(vals: np.ndarray, N: int) -> Tuple[int, int]:
-    """(interval length, start value) of the shortest circular interval holding vals."""
-    vals = np.sort(vals)
-    if len(vals) == 1:
-        return 0, int(vals[0])
-    gaps = np.diff(vals)
-    wrap = N - int(vals[-1]) + int(vals[0])
-    i = int(np.argmax(gaps)) if len(gaps) else 0
-    best_gap = int(gaps[i]) if len(gaps) else 0
-    if wrap >= best_gap:
-        return N - wrap, int(vals[0])
-    return N - best_gap, int(vals[i + 1])
-
-
 def diameter(A: GSet) -> DiameterWitness:
     """Exhaustive minimal-diameter search over all dilations.
 
     For each unit u the shortest interval containing u*A is N minus the
     largest circular gap; u and N-u give mirror intervals, so only half the
-    units are visited.  Returns the first witness among the smallest.
+    units are visited, in increasing order and in doubling blocks.  Returns
+    the first witness among the smallest; the scan stops at the floor |A| - 1.
     """
     g = _require_cyclic(A)
     N = g.modulus
@@ -97,40 +86,28 @@ def diameter(A: GSet) -> DiameterWitness:
         raise ValueError("diameter of the empty set is undefined")
     if N == 1 or len(A) == 1:
         return DiameterWitness(0, 1 % N, A.elements[0], dilate(translate(A, -A.elements[0]), 1), 1)
+    arr, width = A.packed(), 8  # bytes per product
+    if (N - 1) * (N // 2) >= 1 << 63:  # u * x would overflow int64
+        arr, width = arr.astype(object), 8 + sys.getsizeof(N * N)  # a pointer and a boxed int
+    cap = max(1, _OUTER_BLOCK * 8 // (width * len(A)))  # the bytes of _OUTER_BLOCK int64 products
     best = (N, 1, 0)  # (length, unit, start in dilated coordinates)
     searched = 0
     floor = len(A) - 1  # cannot do better than a full progression
-    if len(A) <= 64:
-        xs = A.elements
-        for u in range(1, N // 2 + 1):
-            if math.gcd(u, N) != 1:
-                continue
-            searched += 1
-            vals = sorted((u * x) % N for x in xs)
-            # largest circular gap; ties prefer the wraparound gap
-            gap = vals[0] + N - vals[-1]
-            start = vals[0]
-            prev = vals[0]
-            for v in vals[1:]:
-                if v - prev > gap:
-                    gap = v - prev
-                    start = v
-                prev = v
-            if N - gap < best[0]:
-                best = (N - gap, u, start)
-                if N - gap == floor:
-                    break
-    else:
-        arr = A.packed()
-        for u in range(1, N // 2 + 1):
-            if math.gcd(u, N) != 1:
-                continue
-            searched += 1
-            length, start = _min_cover_for_unit((u * arr) % N, N)
-            if length < best[0]:
-                best = (length, u, start)
-                if length == floor:
-                    break
+    lo, step = 1, min(64, cap)  # blocks double from 64 units, so N <= 128 is one block
+    while lo <= N // 2:
+        u = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
+        lo, step = lo + step, min(2 * step, cap)
+        u = u[np.gcd(u, N) == 1].astype(arr.dtype, copy=False)
+        if not u.size:
+            continue
+        lengths, starts = _shortest_arcs(u[:, None] * arr % N, N)
+        i = int(np.argmin(lengths))  # first minimum, so the first unit at the floor if any
+        if lengths[i] < best[0]:
+            best = (int(lengths[i]), int(u[i]), int(starts[i]))
+        if lengths[i] == floor:
+            searched += i + 1
+            break
+        searched += len(u)
     length, u, start = best
     d = pow(u, -1, N)
     a = (d * start) % N
@@ -138,6 +115,21 @@ def diameter(A: GSet) -> DiameterWitness:
     if any(x > length for x in normalized.elements):
         raise RuntimeError("diameter witness failed its own containment check")
     return DiameterWitness(length, d, a, normalized, searched)
+
+
+def _shortest_arcs(rows: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(length, start) of the shortest circular interval of Z/N holding each row.
+
+    It starts where the row's largest circular gap ends; the wraparound gap is
+    column 0, so argmax prefers it on ties, then the first largest inner gap.
+    """
+    rows = np.sort(rows, axis=1)
+    gaps = np.empty_like(rows)
+    gaps[:, 0] = rows[:, 0] - rows[:, -1] + N
+    np.subtract(rows[:, 1:], rows[:, :-1], out=gaps[:, 1:])
+    i = gaps.argmax(axis=1)
+    r = np.arange(len(rows))
+    return N - gaps[r, i], rows[r, i]
 
 
 def _window_counts(B: GSet, l: int) -> np.ndarray:
@@ -226,7 +218,7 @@ def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
     threshold = Fraction(len(A), 2)
     if outside >= threshold:
         return GapCoverResult(False, outside, threshold, l)
-    _, start = _min_cover_for_unit(A.packed(), N)
+    start = int(_shortest_arcs(A.packed()[None, :], N)[1][0])
     span = max((x - start) % N for x in A.elements)
     if span > l:
         raise RuntimeError("gap normalization exceeded the certified length")
@@ -392,17 +384,13 @@ def rectify(
         return RectifyOutcome(None, diam, required)
     u = pow(diam.step, -1, N)
     shift = (u * diam.start) % N
-    image_elems = tuple(sorted((u * x - shift) % N for x in A.elements))
-    image = GSet(IntegerWindow(0, max(diam.length, 0)), image_elems)
     mapping = {x: (u * x - shift) % N for x in A.elements}
-    verified: Optional[bool]
+    image = GSet(IntegerWindow(0, max(diam.length, 0)), mapping.values())
+    verified: Optional[bool] = None
     if math.comb(len(A) + k - 1, k) <= iso_budget:
-        check = freiman_iso_check(A, image, mapping, k)
-        if not check.ok:
+        if not freiman_iso_check(A, image, mapping, k).ok:
             raise RuntimeError("rectification witness failed the multiset check")
         verified = True
-    else:
-        verified = None
     witness = RectificationWitness(k, u, shift, diam.length, image, verified)
     return RectifyOutcome(witness, diam, required)
 

@@ -99,7 +99,7 @@ def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
         return SKIP, None
     except RuntimeError as exc:
         return FAIL, {"error": str(exc)}
-    if cert.inclusion_verified and len(cert.translates) <= cert.size_bound:
+    if cert.ok:
         return PASS, None
     return FAIL, {
         "translates": gset_to_obj(cert.translates),

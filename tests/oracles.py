@@ -53,6 +53,47 @@ def brute_diameter(A, N):
     return best
 
 
+def brute_shortest_arc(vals, N):
+    """(length, start) of the shortest circular interval of Z/N holding vals.
+
+    The interval starts where the largest circular gap ends; the wraparound
+    gap wins ties, then the first of the inner gaps.
+    """
+    vals = sorted(vals)
+    gap, start = vals[0] + N - vals[-1], vals[0]
+    for prev, v in zip(vals, vals[1:]):
+        if v - prev > gap:
+            gap, start = v - prev, v
+    return N - gap, start
+
+
+def brute_diameter_witness(A, N):
+    """(length, step, start, units_searched) of the documented diameter search.
+
+    Units u = 1..N//2 coprime to N are tried in increasing order; the first
+    unit with the least interval length wins, and the search stops at the
+    first unit whose length reaches the floor |A| - 1.  The progression is
+    {start + j*step}, with step = u^-1 and start = u^-1 * (interval start).
+    """
+    A = sorted(set(x % N for x in A))
+    if N == 1 or len(A) == 1:
+        return 0, 1 % N, A[0], 1
+    best = None
+    searched = 0
+    for u in range(1, N // 2 + 1):
+        if math.gcd(u, N) != 1:
+            continue
+        searched += 1
+        length, start = brute_shortest_arc([(u * x) % N for x in A], N)
+        if best is None or length < best[0]:
+            best = (length, u, start)
+        if length == len(A) - 1:
+            break
+    length, u, start = best
+    step = pow(u, -1, N)
+    return length, step, (step * start) % N, searched
+
+
 def brute_j_count(k, m):
     count = 0
     for t in itertools.product(range(-m, m + 1), repeat=k):

@@ -1,5 +1,7 @@
 """Translate covers, the subset witness search, and the growth counts."""
 
+import dataclasses
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -178,6 +180,16 @@ class TestCertificate:
         cert = covering_certificate(A, A, A, check_m=3)
         assert cert.m_checked == 3
 
+    def test_ok_needs_every_check(self):
+        A = GSet(W, [0, 1, 3])
+        cert = covering_certificate(A, A, A)
+        assert cert.checks == {"inclusion": True, "size_bound": True}
+        assert cert.ok
+        unverified = dataclasses.replace(cert, inclusion_verified=False)
+        assert unverified.checks["inclusion"] is False and not unverified.ok
+        too_many = dataclasses.replace(cert, size_bound=len(cert.translates) - 1)
+        assert too_many.checks["size_bound"] is False and not too_many.ok
+
     @given(st.sets(st.integers(0, 60), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_random_certificates_verify(self, elems):
@@ -186,6 +198,7 @@ class TestCertificate:
         cert = covering_certificate(A, A, A)
         assert cert.inclusion_verified
         assert len(cert.translates) <= cert.size_bound
+        assert cert.ok
 
 
 class TestIncm:

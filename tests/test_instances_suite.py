@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import addcomb.cli as cli_mod
+import addcomb.covering as covering_mod
 import addcomb.suite as suite_mod
 from addcomb import (
     CHECK_NAMES,
@@ -303,6 +304,21 @@ class TestSuite:
             assert report.tallies[check].skipped == 0
         assert [ce["detail"] for ce in report.counterexamples] == [{"error": "planted"}] * 2
 
+    def test_failed_certificate_fails_inc_with_its_payload(self, monkeypatch):
+        real = suite_mod.covering_certificate
+        monkeypatch.setattr(
+            suite_mod,
+            "covering_certificate",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), size_bound=0),
+        )
+        A = GSet(CyclicGroup(11), [0, 1])
+        report = run_suite([A], SuiteConfig(checks=("inc",)))
+        assert report.tallies["inc"].failed == 1
+        cert = real(A, A, A)
+        assert [ce["detail"] for ce in report.counterexamples] == [
+            {"translates": gset_to_obj(cert.translates), "size_bound": 0, "inclusion_verified": True}
+        ]
+
     def test_tiny_budget_falls_back_cleanly(self):
         # above the witness budget the counting bound takes over; no failure
         big = GSet(CyclicGroup(101), range(20))
@@ -338,6 +354,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "bound 7" in out
         assert "inclusion verified: True" in out
+
+    def test_cover_short_iterated_inclusion_exits_one(self, capsys, monkeypatch):
+        # 2(A-A) <= (A-A)+(T-T) gives every m by induction, so a shortfall is a bug
+        monkeypatch.setattr(covering_mod, "verify_incm", lambda A, T, m_max: 0)
+        rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", "--check-m", "3"])
+        assert rc == 1
+        assert "iterated inclusion verified up to m = 0" in capsys.readouterr().out
+
+    def test_cover_check_m_with_other_b_keeps_verdict(self, capsys):
+        # with B != A the certificate does not imply 2(A-A) <= (A-A)+(T-T)
+        rc = main(
+            ["cover", "--group", "cyclic:31", "--elements", "0,1,3", "--elements-b", "0", "--check-m", "1"]
+        )
+        assert rc == 0
+        assert "iterated inclusion verified up to m = 0" in capsys.readouterr().out
+
+    def test_cover_check_m_exits_zero(self, capsys):
+        rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", "--check-m", "3"])
+        assert rc == 0
+        assert "iterated inclusion verified up to m = 3" in capsys.readouterr().out
 
     def test_rectify(self, capsys):
         rc = main(

@@ -1,10 +1,11 @@
 """Diameter search, concentration windows, and rectification to integer models."""
 
+import importlib
 import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import (
@@ -26,7 +27,16 @@ from addcomb import (
     translate,
 )
 from addcomb.rectify import _window_counts
-from oracles import brute_diameter, brute_freiman, brute_window_counts
+from oracles import (
+    brute_diameter,
+    brute_diameter_witness,
+    brute_freiman,
+    brute_shortest_arc,
+    brute_window_counts,
+)
+
+# the package re-exports the function rectify under the submodule's name
+rectify_mod = importlib.import_module("addcomb.rectify")
 
 
 class TestDiameter:
@@ -92,6 +102,72 @@ class TestDiameter:
         A = GSet(g, elems)
         moved = translate(dilate(A, lam), shift)
         assert diameter(moved).length == diameter(A).length
+
+
+@st.composite
+def diameter_cases(draw):
+    """A set in Z/N, N <= 150, of any size up to N: random, a progression, or most of one."""
+    N = draw(st.integers(1, 150))
+    size = draw(st.integers(1, N))
+    kind = draw(st.sampled_from(["random", "progression", "gapped"]))
+    if kind == "random":
+        elems = draw(st.permutations(range(N)))[:size]
+    else:
+        a = draw(st.integers(0, N - 1))
+        d = draw(st.integers(1, max(1, N - 1)))
+        elems = [(a + j * d) % N for j in range(size)]
+        if kind == "gapped" and len(elems) > 2:
+            elems.pop(draw(st.integers(1, len(elems) - 2)))
+    return N, elems
+
+
+def _witness_fields(N, elems):
+    w = diameter(GSet(CyclicGroup(N), elems))
+    assert max(w.normalized.elements) == w.length
+    return w.length, w.step, w.start, w.units_searched
+
+
+class TestDiameterScan:
+    """Every field of the blocked dilation scan against the plain-loop search."""
+
+    @given(diameter_cases())
+    @example((120, list(range(0, 120, 7))))
+    @example((150, list(range(1, 150, 2))))
+    @example((144, list(range(90))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_plain_search(self, case):
+        N, elems = case
+        assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+
+    @given(diameter_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_search_in_small_blocks(self, case):
+        # blocks of max(1, 7 // |A|) units, so the floor is met in a later block
+        N, elems = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rectify_mod, "_OUTER_BLOCK", 7)
+            got = _witness_fields(N, elems)
+        assert got == brute_diameter_witness(elems, N)
+
+    @pytest.mark.parametrize("N", [1009, 4096])
+    @pytest.mark.parametrize("floor_unit", [1, 63, 65, 191, 193, 451, None])
+    def test_matches_plain_search_across_growing_blocks(self, N, floor_unit):
+        # blocks 1-64, 65-192, 193-448, ...: the floor falls at either edge of a block, or nowhere
+        if floor_unit is None:
+            elems = [0, 3, 4, 11, 40, 41, 97]
+        else:
+            d = pow(floor_unit, -1, N)
+            elems = [(5 + j * d) % N for j in range(6)]
+        assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+
+    @pytest.mark.parametrize("size", [4, 70])
+    def test_exact_above_int64_products(self, size):
+        # u * x exceeds 2^63 here; the floor is reached at the fifth unit
+        N = (1 << 62) - 57
+        step = pow(5, -1, N)
+        w = diameter(GSet(CyclicGroup(N), [(step * j) % N for j in range(size)]))
+        assert (w.length, w.step, w.start, w.units_searched) == (size - 1, step, 0, 5)
+        assert w.normalized.elements == tuple(range(size))
 
 
 class TestLevInterval:
@@ -202,6 +278,26 @@ class TestGapCover:
         if res.hypothesis_met:
             span = {(res.start + j) % 31 for j in range(res.length + 1)}
             assert set(A.elements) <= span
+
+
+@st.composite
+def concentrated_cases(draw):
+    """A set inside an arc of length m of Z/N with 2m < N/3, so gap_cover's hypothesis holds."""
+    N = draw(st.integers(4, 150))
+    m = draw(st.integers(0, (N - 1) // 6))
+    c = draw(st.integers(0, N - 1))
+    offsets = draw(st.sets(st.integers(0, m), min_size=1))
+    return N, m, [(c + o) % N for o in offsets]
+
+
+class TestGapCoverStart:
+    @given(concentrated_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_start_is_the_unit_one_arc_start(self, case):
+        N, m, elems = case
+        res = gap_cover(GSet(CyclicGroup(N), elems), b=-m, l=2 * m)
+        assert res.hypothesis_met
+        assert res.start == brute_shortest_arc(elems, N)[1]
 
 
 class TestDiamFromSpectrum:
