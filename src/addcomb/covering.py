@@ -16,9 +16,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .groups import (
     BudgetError,
     GSet,
+    _index_add,
     difference_set,
     is_subset,
     sumset,
@@ -42,6 +45,13 @@ __all__ = [
 ]
 
 
+def _translate_ids(core: GSet, shifts: GSet) -> np.ndarray:
+    """Row i holds the elements of core + (i-th shift) as ids into their sorted union."""
+    sums = _index_add(core.group, shifts.packed()[:, None], core.packed()[None, :])
+    _, ids = np.unique(sums, return_inverse=True)
+    return ids.reshape(sums.shape)
+
+
 def greedy_translates(core: GSet, candidates: GSet) -> GSet:
     """Greedy maximal T <= candidates whose translates of core each add >= |core|/2 new points.
 
@@ -52,23 +62,17 @@ def greedy_translates(core: GSet, candidates: GSet) -> GSet:
     if not core.elements:
         raise ValueError("core set must be nonempty")
     n = len(core)
-    add = core.group.add
-    trans = {u: frozenset(add(a, u) for a in core.elements) for u in candidates.elements}
-    covered: set = set()
+    ids = _translate_ids(core, candidates)
+    covered = np.zeros(ids.size, dtype=bool)  # compact ids are below ids.size
     chosen = []
-    while True:
-        best_u = None
-        best_gain = -1
-        for u in candidates.elements:
-            gain = len(trans[u] - covered)
-            if 2 * gain >= n and gain > best_gain:
-                best_gain = gain
-                best_u = u
-        if best_u is None:
+    while len(chosen) < len(ids):
+        gains = n - covered[ids].sum(axis=1)
+        best = int(np.argmax(gains))  # the first largest gain
+        if 2 * gains[best] < n:
             break
-        chosen.append(best_u)
-        covered |= trans[best_u]
-    return GSet(candidates.group, chosen)
+        chosen.append(best)
+        covered[ids[best]] = True
+    return GSet._from_indices(candidates.group, candidates.packed()[sorted(chosen)])
 
 
 @dataclass(frozen=True)
@@ -93,16 +97,9 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     if n > budget:
         raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
     sigma = sumset(B1, B2)
-    universe = sumset(A, sigma)
-    bit_of = {x: i for i, x in enumerate(universe.elements)}
-    g = A.group
-    masks = {}
-    for a in A.elements:
-        m = 0
-        for s in sigma.elements:
-            v = a + s if g.kind == "window" else g.add(a, s)
-            m |= 1 << bit_of[v]
-        masks[a] = m
+    # one bit per element of the universe A + B1 + B2
+    rows = _translate_ids(sigma, A).tolist()
+    masks = {a: sum(1 << i for i in row) for a, row in zip(A.elements, rows)}
 
     best_ratio: Optional[Fraction] = None
     best_subset: Tuple = ()
@@ -120,7 +117,7 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
             if best_ratio is None or ratio < best_ratio:
                 best_ratio = ratio
                 best_subset = combo
-    return PluenneckeWitness(GSet(g, best_subset), best_ratio, searched)
+    return PluenneckeWitness(GSet(A.group, best_subset), best_ratio, searched)
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,6 @@ def covering_certificate(
     A: GSet,
     B1: GSet,
     B2: GSet,
-    use_witness: bool = True,
     witness_budget: int = 18,
     check_m: int = 0,
 ) -> CoveringCertificate:
@@ -169,7 +165,7 @@ def covering_certificate(
     k1 = Fraction(len(sumset(A, B1)), n)
     k2 = Fraction(len(sumset(A, B2)), n)
     sigma = sumset(B1, B2)
-    if use_witness and n <= witness_budget:
+    if n <= witness_budget:
         found = pluennecke_witness(A, B1, B2, budget=witness_budget)
         core, ratio, optimal = found.subset, found.ratio, True
         if ratio > k1 * k2:

@@ -2,9 +2,9 @@
 
 The transform convention is B^(r) = sum over b in B of e(b*r/N) with
 e(x) = exp(2*pi*i*x); for torsion products the character indexed by c is
-e((c.x)/r).  numpy's FFT computes the conjugate convention, so the fast
-path conjugates its output.  A direct summation path exists for
-cross-validation.
+e((c.x)/r).  Only the direct sums (character_sum and the reference path of
+spectrum) carry this sign convention.  The fast path computes magnitudes by
+FFT, and a magnitude is the same under either sign.
 """
 
 from __future__ import annotations
@@ -61,16 +61,9 @@ class SpectrumReport:
     top: Tuple[Tuple[Element, float], ...]
 
 
-def _transform(B: GSet) -> np.ndarray:
-    g = B.group
-    if g.kind == "cyclic":
-        return np.conj(np.fft.fft(B.indicator().astype(np.float64)))
-    return np.conj(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
-
-
 def _magnitudes(B: GSet) -> np.ndarray:
     """|B^(chi)| for every character chi, flat in packed index order, by FFT."""
-    return np.abs(_transform(B))
+    return np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
 
 
 def _transform_direct(B: GSet) -> np.ndarray:
@@ -98,16 +91,13 @@ def spectrum(B: GSet, method: str = "fft", top: int = 8) -> SpectrumReport:
         max_mag = float(mags[idx])
     else:
         idx, max_mag = 0, float(size)
-    g = B.group
-    def unpack(i: int) -> Element:
-        return g.element_at(i) if g.kind == "torsion" else i
     order_desc = np.argsort(-mags[1:], kind="stable")[: max(0, top)] + 1 if n > 1 else []
-    top_list = tuple((unpack(int(i)), float(mags[i])) for i in order_desc)
+    top_list = tuple((B.group.element_at(int(i)), float(mags[i])) for i in order_desc)
     return SpectrumReport(
         order=n,
         size=size,
         density=Fraction(size, n),
-        max_index=unpack(idx),
+        max_index=B.group.element_at(idx),
         max_magnitude=max_mag,
         eta_achieved=1.0 - max_mag / size,
         parseval_residual=residual,
@@ -142,8 +132,7 @@ class ConvolutionCounts:
     total: int                 # |B|^{m+1}, verified against the count sum
 
     def count_at(self, x: Element) -> int:
-        g = self.support.group
-        return int(self.counts[g.index(x) if g.kind == "torsion" else x])
+        return int(self.counts[self.support.group.index(x)])
 
 
 def _fold_once(counts: np.ndarray, B: GSet) -> np.ndarray:

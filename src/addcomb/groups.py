@@ -317,16 +317,29 @@ class GSet:
         return ind
 
 
-def _torsion_index_add(a: np.ndarray, b: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Digitwise (mod r) sum of packed torsion indices; shapes broadcast."""
-    out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    place = r ** (n - 1)
-    for _ in range(n):
-        da = (a // place) % r
-        db = (b // place) % r
-        out += ((da + db) % r) * place
-        place //= r
-    return out
+def _index_add(g: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Indices of a + b for index arrays of the group g; shapes broadcast.
+
+    The one place that knows how two indices add: Z/N subtracts N where
+    a + b >= N (a, b < N, and cheaper than % N), (Z/r)^n adds digitwise mod r
+    with one temporary of the broadcast shape per digit, and a window adds
+    plainly.
+    """
+    if g.kind == "cyclic":
+        s = a + b
+        np.subtract(s, g.modulus, out=s, where=s >= g.modulus)
+        return s
+    if g.kind == "torsion":
+        r = g.exponent
+        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        place = r ** (g.rank - 1)
+        for _ in range(g.rank):
+            da = (a // place) % r
+            db = (b // place) % r
+            out += ((da + db) % r) * place
+            place //= r
+        return out
+    return a + b
 
 
 def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -336,24 +349,13 @@ def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     in a boolean array over the index space once there are enough pairs to pay
     for it; otherwise they are deduplicated with np.unique.
     """
-    if g.kind == "cyclic":
-        N = g.modulus
-
-        def combine(a, b):
-            s = a + b
-            np.subtract(s, N, out=s, where=s >= N)  # a, b < N, and cheaper than % N
-            return s
-    elif g.kind == "torsion":
-        combine = lambda a, b: _torsion_index_add(a, b, g.exponent, g.rank)
-    else:
-        combine = np.add
     if len(pa) < len(pb):
         pa, pb = pb, pa
     step = max(1, _OUTER_BLOCK // len(pa))
     starts = range(0, len(pb), step)
 
     def block(i):  # built on use, so only one block of pair sums is alive at a time
-        return combine(pa[None, :], pb[i : i + step, None])
+        return _index_add(g, pa[None, :], pb[i : i + step, None])
 
     order = g.order
     if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * len(pa) * len(pb)):

@@ -21,7 +21,7 @@ from .groups import (
     Element,
     GSet,
     TorsionGroup,
-    _torsion_index_add,
+    _pairwise,
     difference_set,
     is_subset,
     negate,
@@ -39,22 +39,23 @@ def _require_torsion(A: GSet) -> TorsionGroup:
 
 
 def subgroup_generated(X: GSet) -> GSet:
-    """Smallest subgroup containing X, by breadth-first closure under the generators."""
+    """Smallest subgroup of (Z/rZ)^n containing X.
+
+    Every element has finite order, so the subgroup is the closure of {0}
+    under adding elements of X.  The closure grows level by level: each level
+    adds all of X to the elements the previous level first reached, in one
+    call of the sumset kernel, and keeps the sums not reached before.  An
+    empty X generates {0}.
+    """
     g = _require_torsion(X)
-    r, n = g.exponent, g.rank
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     frontier = np.array([0], dtype=np.int64)
     gens = X.packed()
     while frontier.size and gens.size:
-        grown = []
-        for gi in gens:
-            cand = np.unique(_torsion_index_add(frontier, gi, r, n))
-            new = cand[~member[cand]]
-            if new.size:
-                member[new] = True
-                grown.append(new)
-        frontier = np.unique(np.concatenate(grown)) if grown else np.array([], dtype=np.int64)
+        reached = _pairwise(g, frontier, gens)
+        frontier = reached[~member[reached]]
+        member[frontier] = True
     return GSet._from_indices(g, np.flatnonzero(member))
 
 
@@ -105,7 +106,7 @@ class SubgroupCosetCertificate:
         return all(self.checks.values())
 
 
-def torsion_cover(A: GSet, use_witness: bool = True, witness_budget: int = 18) -> SubgroupCosetCertificate:
+def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate:
     """Certified subgroup-coset cover of A in (Z/rZ)^n.
 
     Runs the covering construction with summands A and, when A is not
@@ -127,14 +128,13 @@ def torsion_cover(A: GSet, use_witness: bool = True, witness_budget: int = 18) -
         routes.append(("difference", neg_a))
     route, cert = None, None
     for name, B in routes:
-        c = covering_certificate(A, B, B, use_witness=use_witness, witness_budget=witness_budget)
+        c = covering_certificate(A, B, B, witness_budget=witness_budget)
         if cert is None or len(c.translates) < len(cert.translates):
             route, cert = name, c
     T = cert.translates
     t0 = T.elements[0]
     gens = tuple(g.add(t, g.neg(t0)) for t in T.elements[1:])
-    zero = (0,) * g.rank
-    h_t = subgroup_generated(GSet(g, gens)) if gens else GSet(g, (zero,))
+    h_t = subgroup_generated(GSet(g, gens))
     subgroup = subgroup_generated(D)
     size = len(subgroup)
     e_a = math.floor(2 * k_double * k_double - 2)

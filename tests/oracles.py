@@ -167,5 +167,58 @@ def naive_subgroup(gens, r, n):
     return sorted(members)
 
 
+def span_subgroup(gens, r, n):
+    """All combinations c_1*g_1 + ... + c_k*g_k with 0 <= c_i < r, sorted.
+
+    In (Z/r)^n every element has order dividing r, so this set of
+    combinations is the subgroup generated by gens.
+    """
+    members = {(0,) * n}
+    for g in gens:
+        members = {
+            tuple((x + c * y) % r for x, y in zip(m, g)) for m in members for c in range(r)
+        }
+    return sorted(members)
+
+
+def brute_greedy_translates(core, candidates, add):
+    """Greedy translate selection, as sorted chosen candidates.
+
+    Each round scans the candidates in sorted order and takes the first with
+    the largest number of points of core + u outside the union so far, as
+    long as that number is at least |core|/2.
+    """
+    core = sorted(set(core))
+    covered = set()
+    chosen = []
+    while True:
+        best = None
+        for u in sorted(set(candidates)):
+            gain = len({add(a, u) for a in core} - covered)
+            if 2 * gain >= len(core) and (best is None or gain > best[0]):
+                best = (gain, u)
+        if best is None:
+            return sorted(chosen)
+        chosen.append(best[1])
+        covered |= {add(a, best[1]) for a in core}
+
+
+def sum_ratio(S, B1, B2, add):
+    """|S + B1 + B2| / |S| for a nonempty S."""
+    S = set(S)
+    sums = {add(add(a, b1), b2) for a in S for b1 in B1 for b2 in B2}
+    return Fraction(len(sums), len(S))
+
+
+def brute_witness_ratio(A, B1, B2, add):
+    """Least |A' + B1 + B2| / |A'| over every nonempty subset A' of A."""
+    A = sorted(set(A))
+    return min(
+        sum_ratio(sub, B1, B2, add)
+        for size in range(1, len(A) + 1)
+        for sub in itertools.combinations(A, size)
+    )
+
+
 def naive_doubling(A, N):
     return Fraction(len(naive_sumset_mod(A, A, N)), len(set(x % N for x in A)))

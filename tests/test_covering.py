@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from addcomb import (
     CyclicGroup,
     GSet,
     IntegerWindow,
+    TorsionGroup,
     covering_certificate,
     difference_set,
     greedy_translates,
@@ -26,9 +28,39 @@ from addcomb import (
     sumset,
     verify_incm,
 )
-from oracles import brute_j_count
+from oracles import brute_greedy_translates, brute_j_count, brute_witness_ratio, sum_ratio
 
 W = IntegerWindow(-2000, 2000)
+
+# prime and composite moduli, and (Z/r)^n for r in {2, 3, 5, 7}
+FINITE_GROUPS = [CyclicGroup(N) for N in (1, 2, 12, 31, 60, 97)] + [
+    TorsionGroup(r, n) for r, n in ((2, 1), (2, 6), (3, 4), (5, 2), (7, 2))
+]
+
+
+def element_add(g):
+    """Plain-Python addition in the ambient group of g."""
+    if g.kind == "cyclic":
+        return lambda a, b: (a + b) % g.modulus
+    if g.kind == "torsion":
+        return lambda a, b: tuple((x + y) % g.exponent for x, y in zip(a, b))
+    return lambda a, b: a + b
+
+
+@st.composite
+def sets_in_one_group(draw, *sizes):
+    """Subsets with the given (min, max) sizes of one finite group, or of distinct windows of Z."""
+    g = draw(st.sampled_from(FINITE_GROUPS + [None]))
+    if g is None:
+        starts = draw(st.lists(st.integers(-60, 60), min_size=len(sizes), max_size=len(sizes), unique=True))
+        groups = [IntegerWindow(lo, lo + 30) for lo in starts]
+    else:
+        groups = [g] * len(sizes)
+    out = []
+    for h, (lo, hi) in zip(groups, sizes):
+        space = range(h.lo, h.hi + 1) if h.kind == "window" else [h.element_at(i) for i in range(h.order)]
+        out.append(GSet(h, draw(st.lists(st.sampled_from(space), min_size=lo, max_size=hi))))
+    return out
 
 
 def greedy_is_maximal(core, candidates, T):
@@ -88,6 +120,21 @@ class TestGreedy:
         assert 2 * len(union) >= (1 + len(T)) * len(core)
         assert greedy_is_maximal(core, cand, T)
 
+    @given(sets_in_one_group((1, 6), (0, 14)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle(self, sets):
+        core, cand = sets
+        T = greedy_translates(core, cand)
+        assert T.group == cand.group
+        assert list(T.elements) == brute_greedy_translates(core, cand, element_add(core.group))
+        assert np.array_equal(T.packed(), GSet(T.group, T.elements).packed())
+
+    @pytest.mark.parametrize("g", FINITE_GROUPS + [W], ids=repr)
+    def test_empty_candidates(self, g):
+        zero = (0,) * g.rank if g.kind == "torsion" else 0
+        T = greedy_translates(GSet(g, [zero]), GSet(g, []))
+        assert T.elements == () and T.group == g
+
 
 class TestWitness:
     def test_trivial_singleton(self):
@@ -126,6 +173,16 @@ class TestWitness:
         B = GSet(g, [0, 1])
         k = Fraction(len(sumset(A, B)), len(A))
         assert pluennecke_witness(A, B, B).ratio <= k * k
+
+    @given(sets_in_one_group((1, 6), (0, 4), (0, 4)))
+    @settings(max_examples=200, deadline=None)
+    def test_ratio_matches_oracle(self, sets):
+        A, B1, B2 = sets
+        add = element_add(A.group)
+        w = pluennecke_witness(A, B1, B2)
+        assert w.ratio == brute_witness_ratio(A, B1, B2, add)
+        assert w.subset.elements and is_subset(w.subset, A)
+        assert sum_ratio(w.subset, B1, B2, add) == w.ratio
 
 
 class TestCertificate:
@@ -171,7 +228,7 @@ class TestCertificate:
     def test_fallback_bound_never_below_one(self):
         g = CyclicGroup(7)
         A = GSet(g, [0])
-        cert = covering_certificate(A, A, A, use_witness=False)
+        cert = covering_certificate(A, A, A, witness_budget=0)
         assert cert.size_bound >= 1
         assert len(cert.translates) == 1
 

@@ -295,6 +295,23 @@ class TestSumsetKernel:
         assert list(win.elements) == naive_sumset_int(a, b)
         assert list(tor.elements) == naive_sumset_vec(set(ta), set(tb), 3)
 
+    @pytest.mark.parametrize(
+        "g", [CyclicGroup(1), CyclicGroup(97), CyclicGroup(1 << 62), TorsionGroup(2, 6), TorsionGroup(7, 3), W], ids=repr
+    )
+    def test_index_add_matches_group_add(self, g):
+        rng = np.random.default_rng(0)
+        if g.kind == "window":
+            a, b = rng.integers(g.lo, g.hi + 1, 9), rng.integers(g.lo, g.hi + 1, 7)
+            expected = [[x + y for y in b.tolist()] for x in a.tolist()]
+        else:
+            a, b = rng.integers(0, g.order, 9), rng.integers(0, g.order, 7)
+            a[0], b[0] = g.order - 1, g.order - 1
+            at = g.element_at
+            expected = [[g.index(g.add(at(x), at(y))) for y in b.tolist()] for x in a.tolist()]
+        out = groups_mod._index_add(g, a[:, None], b[None, :])
+        assert out.dtype == np.int64
+        assert out.tolist() == expected
+
     def test_packed_of_window_sumset(self):
         S = sumset(GSet(W, [-5, 0, 7]), GSet(W, [1, 2]))
         assert S.group == IntegerWindow(-4, 9)

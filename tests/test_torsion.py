@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +12,16 @@ from hypothesis import strategies as st
 from addcomb import (
     GSet,
     TorsionGroup,
+    covering_certificate,
     difference_set,
     is_subset,
+    negate,
     subgroup_generated,
     sumset,
     torsion_cover,
     translate,
 )
-from oracles import naive_subgroup
+from oracles import naive_subgroup, span_subgroup
 
 
 def torsion_sets(r, n, max_size):
@@ -65,6 +68,29 @@ class TestSubgroupGenerated:
 
         with pytest.raises(ValueError):
             subgroup_generated(GSet(CyclicGroup(8), [2]))
+
+    @given(
+        st.sampled_from([(2, 6), (3, 4), (5, 3), (7, 2)]).flatmap(
+            lambda rn: st.tuples(st.just(rn), st.lists(st.tuples(*[st.integers(0, rn[0] - 1)] * rn[1]), max_size=5))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_span(self, case):
+        (r, n), gens = case
+        H = subgroup_generated(GSet(TorsionGroup(r, n), gens))
+        assert list(H.elements) == span_subgroup(gens, r, n)
+        assert np.array_equal(H.packed(), GSet(H.group, H.elements).packed())
+
+    @pytest.mark.parametrize("r,n", [(2, 6), (3, 4), (5, 3), (7, 2)])
+    def test_empty_generators(self, r, n):
+        H = subgroup_generated(GSet(TorsionGroup(r, n), []))
+        assert H.elements == ((0,) * n,)
+
+    def test_full_basis_z2_16(self):
+        basis = [tuple(int(i == j) for j in range(16)) for i in range(16)]
+        H = subgroup_generated(GSet(TorsionGroup(2, 16), basis))
+        assert len(H) == 1 << 16
+        assert list(H.elements) == span_subgroup(basis, 2, 16)
 
     @given(torsion_sets(2, 5, 4))
     @settings(max_examples=60)
@@ -135,15 +161,25 @@ class TestTorsionCover:
 
     def test_route_uses_smaller_t(self):
         g = TorsionGroup(4, 2)
-        A = GSet(g, [(0, 0), (1, 0), (3, 1)])
-        cert = torsion_cover(A)
-        assert cert.route in ("sum", "negated")
-        assert len(cert.covering.translates) >= 1
+        cases = [
+            ([(0, 0), (1, 0), (3, 1)], "sum"),  # both routes give 4 translates
+            ([(0, 0), (1, 1), (2, 1), (3, 3)], "difference"),  # 4 against 3
+        ]
+        for elems, route in cases:
+            A = GSet(g, elems)
+            cert = torsion_cover(A)
+            plus = covering_certificate(A, A, A, witness_budget=18)
+            minus = covering_certificate(A, negate(A), negate(A), witness_budget=18)
+            assert cert.route == route
+            assert cert.covering == (plus if route == "sum" else minus)
+            assert len(cert.covering.translates) <= len(minus.translates)
+            # the sum route is tried first and kept on a tie
+            assert (route == "sum") == (len(plus.translates) <= len(minus.translates))
 
     def test_witness_flag_propagates(self):
         g = TorsionGroup(2, 3)
         A = GSet(g, [(0, 0, 0), (1, 1, 0)])
-        cert = torsion_cover(A, use_witness=True)
+        cert = torsion_cover(A)
         assert cert.witness_used == cert.covering.witness_is_optimal
 
     def test_empty_rejected(self):
