@@ -170,7 +170,7 @@ def theorem1_pipeline(A: GSet, delta: Optional[float] = None) -> PipelineReport:
     N = A.group.modulus
     if not is_prime(N):
         raise ValueError(f"modulus {N} is not prime")
-    if not A.elements:
+    if not len(A):
         raise ValueError("pipeline needs a nonempty set")
     n = len(A)
     alpha = Fraction(n, N)

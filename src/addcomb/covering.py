@@ -59,7 +59,7 @@ def greedy_translates(core: GSet, candidates: GSet) -> GSet:
     element order.  The comparison 2*gain >= |core| is exact integer
     arithmetic.
     """
-    if not core.elements:
+    if not len(core):
         raise ValueError("core set must be nonempty")
     n = len(core)
     ids = _translate_ids(core, candidates)
@@ -98,26 +98,25 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
         raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
     sigma = sumset(B1, B2)
     # one bit per element of the universe A + B1 + B2
-    rows = _translate_ids(sigma, A).tolist()
-    masks = {a: sum(1 << i for i in row) for a, row in zip(A.elements, rows)}
+    masks = [sum(1 << i for i in row) for row in _translate_ids(sigma, A).tolist()]
 
     best_ratio: Optional[Fraction] = None
-    best_subset: Tuple = ()
+    best_subset: Tuple[int, ...] = ()  # positions in A
     searched = 0
     floor_size = len(sigma)
     for size in range(n, 0, -1):
         if best_ratio is not None and Fraction(floor_size, size) >= best_ratio:
             break
-        for combo in itertools.combinations(A.elements, size):
+        for combo in itertools.combinations(range(n), size):
             searched += 1
             m = 0
-            for a in combo:
-                m |= masks[a]
+            for i in combo:
+                m |= masks[i]
             ratio = Fraction(m.bit_count(), size)
             if best_ratio is None or ratio < best_ratio:
                 best_ratio = ratio
                 best_subset = combo
-    return PluenneckeWitness(GSet(A.group, best_subset), best_ratio, searched)
+    return PluenneckeWitness(GSet._from_indices(A.group, A.packed()[list(best_subset)]), best_ratio, searched)
 
 
 @dataclass(frozen=True)
@@ -159,8 +158,10 @@ def covering_certificate(
     it the weaker counting bound 2*|A+B1+B2|/|A| - 1 applies.  The inclusion
     B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.
     """
-    if not A.elements:
+    if not len(A):
         raise ValueError("base set must be nonempty")
+    if not len(B1) or not len(B2):
+        raise ValueError("summands must be nonempty")
     n = len(A)
     k1 = Fraction(len(sumset(A, B1)), n)
     k2 = Fraction(len(sumset(A, B2)), n)

@@ -2,9 +2,9 @@
 
 The transform convention is B^(r) = sum over b in B of e(b*r/N) with
 e(x) = exp(2*pi*i*x); for torsion products the character indexed by c is
-e((c.x)/r).  Only the direct sums (character_sum and the reference path of
-spectrum) carry this sign convention.  The fast path computes magnitudes by
-FFT, and a magnitude is the same under either sign.
+e((c.x)/r).  Only the direct sum character_sum carries this sign
+convention.  Magnitudes are computed by FFT, and a magnitude is the same
+under either sign.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def _require_finite(B: GSet) -> int:
     order = B.group.order
     if order is None:
         raise ValueError("spectral operations need a finite ambient group")
-    if not B.elements:
+    if not len(B):
         raise ValueError("spectral operations need a nonempty set")
     return order
 
@@ -66,23 +66,10 @@ def _magnitudes(B: GSet) -> np.ndarray:
     return np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
 
 
-def _transform_direct(B: GSet) -> np.ndarray:
-    return np.array([character_sum(B, chi) for chi in B.group.elements()], dtype=np.complex128)
-
-
-def spectrum(B: GSet, method: str = "fft", top: int = 8) -> SpectrumReport:
-    """All character magnitudes of the indicator of B, with the Parseval residual.
-
-    method="direct" evaluates the defining sums termwise; it is the slow
-    reference the fast path is tested against.
-    """
+def spectrum(B: GSet, top: int = 8) -> SpectrumReport:
+    """All character magnitudes of the indicator of B, with the Parseval residual."""
     n = _require_finite(B)
-    if method == "fft":
-        mags = _magnitudes(B)
-    elif method == "direct":
-        mags = np.abs(_transform_direct(B))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    mags = _magnitudes(B)
     size = len(B)
     power = float(np.sum(mags * mags))
     residual = abs(power - n * size) / (n * size)

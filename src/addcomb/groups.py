@@ -96,9 +96,6 @@ class CyclicGroup:
     def element_at(self, i: int) -> int:
         return i
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.modulus))
-
 
 @dataclass(frozen=True)
 class IntegerWindow:
@@ -135,6 +132,12 @@ class IntegerWindow:
 
     def neg(self, a: int) -> int:
         return -a
+
+    def index(self, x: int) -> int:
+        return x
+
+    def element_at(self, i: int) -> int:
+        return i
 
 
 @dataclass(frozen=True)
@@ -190,9 +193,6 @@ class TorsionGroup:
             coords.append(c)
         return tuple(reversed(coords))
 
-    def elements(self) -> Iterator[Tuple[int, ...]]:
-        return (self.element_at(i) for i in range(self.order))
-
 
 Group = Union[CyclicGroup, IntegerWindow, TorsionGroup]
 
@@ -207,73 +207,70 @@ def _require_same_ambient(a: "GSet", b: "GSet") -> None:
 class GSet:
     """An immutable finite subset of an ambient group.
 
-    Elements are stored sorted (lexicographically for tuples), which is also
-    the canonical serialization order and the order of the group's index
-    space.  The sorted int64 index array (``packed``) and the frozenset used
-    for membership are built lazily and cached.
+    The set is its sorted, distinct int64 index array (``packed``, read-only):
+    the index of x is ``group.index(x)``, which is x itself in Z/N and in a
+    window and the base-r number of the coordinates in (Z/r)^n, so index
+    order is also the canonical serialization order.  ``elements`` is the
+    tuple view in that order, built on first use; ``as_set()`` is an uncached
+    frozenset view.
     """
 
-    __slots__ = ("group", "elements", "_set", "_packed")
+    __slots__ = ("group", "_idx", "_elements")
 
     def __init__(self, group: Group, elements: Iterable[Element] = ()):
-        norm = {group.normalize(x) for x in elements}
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "elements", tuple(sorted(norm)))
-        object.__setattr__(self, "_set", None)
-        object.__setattr__(self, "_packed", None)
+        norm = tuple(sorted({group.normalize(x) for x in elements}))
+        self._store(group, np.array(list(map(group.index, norm)), dtype=np.int64), norm)
 
     def __setattr__(self, name, value):
         raise AttributeError("GSet is immutable")
 
     @classmethod
-    def _from_sorted(cls, group: Group, elements: tuple) -> "GSet":
-        # internal fast path: elements already normalized, deduped, sorted
+    def _from_indices(cls, group: Group, idx: np.ndarray) -> "GSet":
+        # internal constructor: idx is the sorted, distinct index array of the set
         obj = object.__new__(cls)
-        object.__setattr__(obj, "group", group)
-        object.__setattr__(obj, "elements", elements)
-        object.__setattr__(obj, "_set", None)
-        object.__setattr__(obj, "_packed", None)
+        obj._store(group, idx, None)
         return obj
 
-    @classmethod
-    def _from_indices(cls, group: Group, idx: np.ndarray) -> "GSet":
-        # internal fast path: idx is the sorted, distinct index array of the set
-        if group.kind == "torsion":
-            elements = tuple(map(group.element_at, idx.tolist()))
-        else:
-            elements = tuple(idx.tolist())
-        obj = cls._from_sorted(group, elements)
-        object.__setattr__(obj, "_packed", idx.astype(np.int64, copy=False))
-        return obj
+    def _store(self, group: Group, idx: np.ndarray, elements) -> None:
+        # freezes idx, copying it first only when it views a writable base
+        idx = idx.astype(np.int64, copy=idx.flags.writeable and not idx.flags.owndata)
+        idx.flags.writeable = False
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "_idx", idx)
+        object.__setattr__(self, "_elements", elements)
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            object.__setattr__(self, "_elements", tuple(map(self.group.element_at, self._idx.tolist())))
+        return self._elements
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._idx)
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
 
     def __contains__(self, x: object) -> bool:
         try:
-            x = self.group.normalize(x)  # type: ignore[arg-type]
+            i = self.group.index(self.group.normalize(x))  # type: ignore[arg-type]
         except ValueError:
             return False
-        return x in self.as_set()
+        j = int(self._idx.searchsorted(i))
+        return j < len(self._idx) and int(self._idx[j]) == i
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GSet):
             return NotImplemented
-        return (
-            self.group.ambient() == other.group.ambient()
-            and self.elements == other.elements
-        )
+        return self.group.ambient() == other.group.ambient() and self._idx.tobytes() == other._idx.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.group.ambient(), self.elements))
+        return hash((self.group.ambient(), tuple(self._idx.tolist())))
 
     def __repr__(self) -> str:
         shown = ", ".join(map(str, self.elements[:8]))
-        if len(self.elements) > 8:
-            shown += f", ... ({len(self.elements)} elements)"
+        if len(self) > 8:
+            shown += f", ... ({len(self)} elements)"
         return f"GSet({self.group!r}, {{{shown}}})"
 
     def __add__(self, other: "GSet") -> "GSet":
@@ -286,22 +283,11 @@ class GSet:
         return negate(self)
 
     def as_set(self) -> frozenset:
-        if self._set is None:
-            object.__setattr__(self, "_set", frozenset(self.elements))
-        return self._set
+        return frozenset(self.elements)
 
     def packed(self) -> np.ndarray:
-        """Element indices as a sorted int64 array (not for windows with huge spread)."""
-        if self._packed is None:
-            g = self.group
-            if g.kind == "torsion":
-                arr = np.fromiter(
-                    (g.index(x) for x in self.elements), dtype=np.int64, count=len(self)
-                )
-            else:
-                arr = np.asarray(self.elements, dtype=np.int64)
-            object.__setattr__(self, "_packed", arr)
-        return self._packed
+        """The sorted int64 index array that is the set (read-only)."""
+        return self._idx
 
     def indicator(self) -> np.ndarray:
         """Dense 0/1 indicator array (cyclic: length N; torsion: shape (r,)*n)."""
@@ -311,7 +297,7 @@ class GSet:
         if g.order > DENSE_ORDER_LIMIT:
             raise BudgetError(f"group order {g.order} too large for an indicator")
         ind = np.zeros(g.order, dtype=np.uint8)
-        ind[self.packed()] = 1
+        ind[self._idx] = 1
         if g.kind == "torsion":
             return ind.reshape((g.exponent,) * g.rank)
         return ind
@@ -366,16 +352,41 @@ def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate([np.unique(block(i)) for i in starts]))
 
 
+def _widen(idx: np.ndarray, N: int, lam: int) -> np.ndarray:
+    """idx, as object dtype when a product x*f with x < N and |f| <= lam could leave int64."""
+    return idx.astype(object) if (N - 1) * lam >= 1 << 63 else idx
+
+
+def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
+    """Sorted distinct indices of lam*x over the index array idx.
+
+    Z/N multiplies by lam reduced to |lam| <= N/2, in object dtype where int64
+    could overflow; (Z/r)^n scales each base-r digit; a window multiplies
+    plainly, so its caller bounds every product first.
+    """
+    if g.kind == "cyclic":
+        N = g.modulus
+        lam %= N
+        if 2 * lam > N:
+            lam -= N
+        out = (_widen(idx, N, abs(lam)) * lam % N).astype(np.int64, copy=False)
+    elif g.kind == "torsion":
+        r = g.exponent
+        place = r ** np.arange(g.rank - 1, -1, -1, dtype=np.int64)
+        out = (idx[:, None] // place % r * (lam % r) % r) @ place
+    else:
+        out = idx * lam
+    return np.unique(out)
+
+
 def sumset(A: GSet, B: GSet) -> GSet:
     """Minkowski sum {a + b : a in A, b in B}."""
     _require_same_ambient(A, B)
     g = A.group
-    if not A.elements or not B.elements:
+    if not len(A) or not len(B):
         if g.kind == "window":
-            lo = g.lo + B.group.lo  # type: ignore[union-attr]
-            hi = g.hi + B.group.hi  # type: ignore[union-attr]
-            return GSet._from_sorted(IntegerWindow(lo, hi), ())
-        return GSet._from_sorted(g, ())
+            g = IntegerWindow(g.lo + B.group.lo, g.hi + B.group.hi)  # type: ignore[union-attr]
+        return GSet._from_indices(g, np.empty(0, dtype=np.int64))
     idx = _pairwise(g, A.packed(), B.packed())
     if g.kind == "window":
         g = IntegerWindow(int(idx[0]), int(idx[-1]))
@@ -386,9 +397,8 @@ def negate(A: GSet) -> GSet:
     """The set {-a : a in A}."""
     g = A.group
     if g.kind == "window":
-        win = IntegerWindow(-g.hi, -g.lo)  # type: ignore[union-attr]
-        return GSet._from_sorted(win, tuple(-x for x in reversed(A.elements)))
-    return GSet._from_sorted(g, tuple(sorted(g.neg(x) for x in A.elements)))
+        g = IntegerWindow(-g.hi, -g.lo)  # type: ignore[union-attr]
+    return GSet._from_indices(g, _index_scale(A.group, A.packed(), -1))
 
 
 def difference_set(A: GSet, B: GSet) -> GSet:
@@ -414,54 +424,49 @@ def translate(A: GSet, c: Element) -> GSet:
     g = A.group
     if g.kind == "window":
         c = int(c)
-        win = IntegerWindow(g.lo + c, g.hi + c)  # type: ignore[union-attr]
-        return GSet._from_sorted(win, tuple(x + c for x in A.elements))
-    c = g.normalize(c)
-    return GSet._from_sorted(g, tuple(sorted(g.add(x, c) for x in A.elements)))
+        # raises before A + c can leave the window range
+        g = IntegerWindow(g.lo + c, g.hi + c)  # type: ignore[union-attr]
+    else:
+        c = g.index(g.normalize(c))
+    return GSet._from_indices(g, np.sort(_index_add(g, A.packed(), c)))
 
 
 def dilate(A: GSet, lam: int, require_unit: bool = False) -> GSet:
     """The set lam*A = {lam*a : a in A}."""
     lam = int(lam)
     g = A.group
-    if g.kind == "cyclic":
-        if require_unit and math.gcd(lam, g.modulus) != 1:
-            raise ValueError(f"{lam} is not invertible mod {g.modulus}")
-        return GSet._from_sorted(
-            g, tuple(sorted({(lam * x) % g.modulus for x in A.elements}))
-        )
     if g.kind == "window":
         if require_unit and lam == 0:
             raise ValueError("dilation by 0 is not injective on Z")
-        if not A.elements:
-            b1, b2 = sorted((lam * g.lo, lam * g.hi))
-            return GSet._from_sorted(IntegerWindow(b1, b2), ())
-        vals = sorted({lam * x for x in A.elements})
-        return GSet._from_sorted(IntegerWindow(vals[0], vals[-1]), tuple(vals))
-    if require_unit and math.gcd(lam, g.exponent) != 1:
-        raise ValueError(f"{lam} is not invertible mod {g.exponent}")
-    r = g.exponent
-    return GSet._from_sorted(
-        g, tuple(sorted({tuple((lam * c) % r for c in x) for x in A.elements}))
-    )
+        ends = A.packed()[[0, -1]].tolist() if len(A) else [g.lo, g.hi]
+        # raises before any lam*x leaves the window range; then |lam*x| <= 2^61, so
+        # |lam| > 2^61 meets only x = 0 and clamping lam to int64 changes no product
+        win = IntegerWindow(*sorted(lam * x for x in ends))
+        lam = max(-1 << 61, min(lam, 1 << 61))
+        return GSet._from_indices(win, _index_scale(g, A.packed(), lam))
+    m = g.modulus if g.kind == "cyclic" else g.exponent
+    if require_unit and math.gcd(lam, m) != 1:
+        raise ValueError(f"{lam} is not invertible mod {m}")
+    return GSet._from_indices(g, _index_scale(g, A.packed(), lam))
 
 
 def is_subset(A: GSet, B: GSet) -> bool:
     """True when every element of A lies in B."""
     _require_same_ambient(A, B)
-    return A.as_set() <= B.as_set()
+    a, b = A.packed(), B.packed()
+    return len(a) <= len(b) and bool((b.take(b.searchsorted(a), mode="clip") == a).all())
 
 
 def doubling_ratio(A: GSet) -> Fraction:
     """|A+A| / |A| as an exact rational."""
-    if not A.elements:
+    if not len(A):
         raise ValueError("doubling ratio of the empty set is undefined")
     return Fraction(len(sumset(A, A)), len(A))
 
 
 def difference_ratio(A: GSet) -> Fraction:
     """|A-A| / |A| as an exact rational."""
-    if not A.elements:
+    if not len(A):
         raise ValueError("difference ratio of the empty set is undefined")
     return Fraction(len(difference_set(A, A)), len(A))
 

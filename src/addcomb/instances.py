@@ -7,6 +7,8 @@ import math
 import random
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .groups import (
     CyclicGroup,
     Element,
@@ -14,6 +16,7 @@ from .groups import (
     Group,
     IntegerWindow,
     TorsionGroup,
+    translate,
 )
 from .torsion import subgroup_generated
 
@@ -31,15 +34,10 @@ __all__ = [
 
 
 def _pool(group: Group) -> Sequence:
+    """The group's index space, in increasing order."""
     if group.kind == "window":
         return range(group.lo, group.hi + 1)
     return range(group.order)
-
-
-def _from_index(group: Group, i: int):
-    if group.kind == "window":
-        return i
-    return group.element_at(i)
 
 
 def exhaustive_sets(
@@ -57,7 +55,7 @@ def exhaustive_sets(
     pool = _pool(group)
     for size in range(min_size, max_size + 1):
         for combo in itertools.combinations(pool, size):
-            s = GSet(group, tuple(_from_index(group, i) for i in combo))
+            s = GSet._from_indices(group, np.array(combo, dtype=np.int64))
             if normalize and size > 0 and s != canonical_affine_form(s):
                 continue
             yield s
@@ -69,13 +67,14 @@ def canonical_affine_form(A: GSet) -> GSet:
     if g.kind != "cyclic":
         raise ValueError("affine canonical form is defined for cyclic groups only")
     N = g.modulus
-    if not A.elements:
+    if not len(A):
         return A
     best: Optional[Tuple[int, ...]] = None
+    xs = A.elements
     for u in range(1, N):
         if math.gcd(u, N) != 1:
             continue
-        vals = [(u * x) % N for x in A.elements]
+        vals = [(u * x) % N for x in xs]
         # the lex-least translate always sends some element to 0
         for v in vals:
             cand = tuple(sorted((x - v) % N for x in vals))
@@ -91,7 +90,7 @@ def random_sets(group: Group, size: int, count: int, seed: int) -> List[GSet]:
         raise ValueError(f"cannot sample {size} distinct elements from {len(pool)}")
     rng = random.Random(seed)
     return [
-        GSet(group, tuple(_from_index(group, i) for i in rng.sample(pool, size)))
+        GSet._from_indices(group, np.sort(np.array(rng.sample(pool, size), dtype=np.int64)))
         for _ in range(count)
     ]
 
@@ -126,10 +125,7 @@ def subspace_coset(
 ) -> GSet:
     """shift + span(basis) inside (Z/rZ)^n."""
     span = subgroup_generated(GSet(group, basis))
-    if shift is None:
-        return span
-    s = group.normalize(shift)
-    return GSet(group, tuple(group.add(x, s) for x in span.elements))
+    return span if shift is None else translate(span, shift)
 
 
 def parse_group(spec: str) -> Group:

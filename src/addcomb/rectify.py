@@ -26,6 +26,7 @@ from .groups import (
     Element,
     GSet,
     IntegerWindow,
+    _widen,
     difference_set,
     dilate,
     translate,
@@ -82,13 +83,12 @@ def diameter(A: GSet) -> DiameterWitness:
     """
     g = _require_cyclic(A)
     N = g.modulus
-    if not A.elements:
+    if not len(A):
         raise ValueError("diameter of the empty set is undefined")
-    if N == 1 or len(A) == 1:
-        return DiameterWitness(0, 1 % N, A.elements[0], dilate(translate(A, -A.elements[0]), 1), 1)
-    arr, width = A.packed(), 8  # bytes per product
-    if (N - 1) * (N // 2) >= 1 << 63:  # u * x would overflow int64
-        arr, width = arr.astype(object), 8 + sys.getsizeof(N * N)  # a pointer and a boxed int
+    if len(A) == 1:
+        return DiameterWitness(0, 1 % N, int(A.packed()[0]), GSet._from_indices(g, np.zeros(1, dtype=np.int64)), 1)
+    arr = _widen(A.packed(), N, N // 2)
+    width = 8 if arr.dtype == np.int64 else 8 + sys.getsizeof(N * N)  # bytes per product: int64, or a pointer and a boxed int
     cap = max(1, _OUTER_BLOCK * 8 // (width * len(A)))  # the bytes of _OUTER_BLOCK int64 products
     best = (N, 1, 0)  # (length, unit, start in dilated coordinates)
     searched = 0
@@ -111,10 +111,16 @@ def diameter(A: GSet) -> DiameterWitness:
     length, u, start = best
     d = pow(u, -1, N)
     a = (d * start) % N
-    normalized = translate(dilate(A, u), -start)
-    if any(x > length for x in normalized.elements):
+    row = np.sort(_affine_row(A, u, start))
+    if row[-1] > length:
         raise RuntimeError("diameter witness failed its own containment check")
-    return DiameterWitness(length, d, a, normalized, searched)
+    return DiameterWitness(length, d, a, GSet._from_indices(g, row), searched)
+
+
+def _affine_row(A: GSet, u: int, s: int) -> np.ndarray:
+    """(u*x - s) mod N for every x in A <= Z/N, in A's order, for 0 <= u, s < N."""
+    N = A.group.modulus  # type: ignore[union-attr]
+    return ((_widen(A.packed(), N, u) * u - s) % N).astype(np.int64)
 
 
 def _shortest_arcs(rows: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -168,7 +174,7 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     a value: hypothesis_met=False with the measured coefficient.
     """
     g = _require_cyclic(B)
-    if not B.elements:
+    if not len(B):
         raise ValueError("empty set has no concentration interval")
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
@@ -208,18 +214,18 @@ def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
     """
     g = _require_cyclic(A)
     N = g.modulus
-    if not A.elements:
+    if not len(A):
         raise ValueError("empty set has no gap cover")
     if 3 * l >= N:
         raise ValueError(f"interval length {l} must satisfy l < N/3 = {N}/3")
     D = difference_set(A, A)
     b = b % N
-    outside = sum(1 for x in D.elements if (x - b) % N > l)
+    outside = int(np.count_nonzero((D.packed() - b) % N > l))
     threshold = Fraction(len(A), 2)
     if outside >= threshold:
         return GapCoverResult(False, outside, threshold, l)
     start = int(_shortest_arcs(A.packed()[None, :], N)[1][0])
-    span = max((x - start) % N for x in A.elements)
+    span = int(((A.packed() - start) % N).max())
     if span > l:
         raise RuntimeError("gap normalization exceeded the certified length")
     return GapCoverResult(True, outside, threshold, l, start)
@@ -384,10 +390,14 @@ def rectify(
         return RectifyOutcome(None, diam, required)
     u = pow(diam.step, -1, N)
     shift = (u * diam.start) % N
-    mapping = {x: (u * x - shift) % N for x in A.elements}
-    image = GSet(IntegerWindow(0, max(diam.length, 0)), mapping.values())
+    row = _affine_row(A, u, shift)
+    idx = np.sort(row)
+    if len(idx) and idx[-1] > diam.length:
+        raise ValueError(f"element {int(idx[-1])} outside window [0, {diam.length}]")
+    image = GSet._from_indices(IntegerWindow(0, max(diam.length, 0)), idx)
     verified: Optional[bool] = None
     if math.comb(len(A) + k - 1, k) <= iso_budget:
+        mapping = dict(zip(A.elements, row.tolist()))
         if not freiman_iso_check(A, image, mapping, k).ok:
             raise RuntimeError("rectification witness failed the multiset check")
         verified = True
@@ -405,7 +415,7 @@ def minimal_integer_model(A: GSet, k: int, rounds: int = 8, iso_budget: int = 20
     """
     if A.group.kind != "window":
         raise ValueError("minimal model reduction starts from an integer set")
-    if not A.elements:
+    if not len(A):
         raise ValueError("empty set has no minimal model")
     if k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")

@@ -115,7 +115,7 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     and size comparison is re-verified on the actual sets.
     """
     g = _require_torsion(A)
-    if not A.elements:
+    if not len(A):
         raise ValueError("cover of the empty set is undefined")
     r = g.exponent
     n = len(A)

@@ -108,6 +108,19 @@ def dft_coefficient(B, N, r):
     return sum(cmath.exp(2j * math.pi * b * r / N) for b in B)
 
 
+def direct_transform(B, r, n):
+    """B^(c) = sum over b in B of e((c.b)/r) for every c in (Z/r)^n, in index order.
+
+    The defining sums, term by term.  Elements are coordinate tuples, or
+    plain ints for Z/N (r = N, n = 1); characters run lexicographically.
+    """
+    B = [(b,) if isinstance(b, int) else b for b in B]
+    return [
+        sum(cmath.exp(2j * math.pi * (sum(x * y for x, y in zip(c, b)) % r) / r) for b in B)
+        for c in itertools.product(range(r), repeat=n)
+    ]
+
+
 def dirichlet_magnitude(length, r, N):
     """|B^(r)| for the interval {0, ..., length-1} in Z/N, in closed form."""
     if r % N == 0:

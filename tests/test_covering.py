@@ -258,6 +258,15 @@ class TestCertificate:
         assert cert.ok
 
 
+    @pytest.mark.parametrize("budget", [18, 0])
+    def test_empty_summand_rejected(self, budget):
+        g = CyclicGroup(11)
+        A, E = GSet(g, [0, 1]), GSet(g, [])
+        for B1, B2 in ((E, A), (A, E), (E, E)):
+            with pytest.raises(ValueError, match="summands must be nonempty"):
+                covering_certificate(A, B1, B2, witness_budget=budget)
+
+
 class TestIncm:
     def test_trivial(self):
         g = CyclicGroup(7)

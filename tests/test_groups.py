@@ -1,5 +1,8 @@
 """Set arithmetic against naive pairwise enumeration."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -18,16 +21,26 @@ from addcomb import (
     difference_set,
     dilate,
     doubling_ratio,
+    exhaustive_sets,
+    greedy_translates,
     is_subset,
     iterated_sum,
     min_growth_ratio,
     negate,
+    random_sets,
     subgroup_generated,
     sumset,
     translate,
 )
 from addcomb.cli import main
-from oracles import naive_iterated_mod, naive_sumset_int, naive_sumset_mod, naive_sumset_vec
+from oracles import (
+    brute_greedy_translates,
+    naive_iterated_mod,
+    naive_subgroup,
+    naive_sumset_int,
+    naive_sumset_mod,
+    naive_sumset_vec,
+)
 
 Z7 = CyclicGroup(7)
 Z11 = CyclicGroup(11)
@@ -57,6 +70,19 @@ class TestGSet:
         A = GSet(Z7, [1])
         with pytest.raises(AttributeError):
             A.elements = (2,)
+
+    def test_packed_is_read_only(self):
+        A = GSet(Z7, [1, 2])
+        for S in (A, A + A, translate(A, 3)):
+            with pytest.raises(ValueError):
+                S.packed()[0] = 5
+        assert A.elements == (1, 2) and A == GSet(Z7, [2, 1])
+
+    def test_from_indices_does_not_share_a_writable_base(self):
+        base = np.array([0, 1, 2, 3], dtype=np.int64)
+        A = GSet._from_indices(Z7, base[1:3])
+        base[1] = 6
+        assert A.packed().tolist() == [1, 2] and A.elements == (1, 2)
 
     def test_membership_and_eq(self):
         A = GSet(Z7, [1, 2])
@@ -349,3 +375,251 @@ class TestModulusCap:
             rc = main(["sumset", "--group", f"cyclic:{N}", "--elements", "3,400"])
             assert rc == 2
             assert "error:" in capsys.readouterr().err
+
+
+# Plain-Python definitions of the index operations: one element at a time,
+# with window bounds as the group arithmetic states them.
+BIG = (1 << 62) - 57
+WIDE = 1 << 61
+
+
+def plain_normalize(g, x):
+    """The element x names in g, or None when it names none."""
+    if g.kind == "torsion":
+        if isinstance(x, int) and g.rank == 1:
+            x = (x,)
+        if not isinstance(x, tuple) or len(x) != g.rank:
+            return None
+        return tuple(c % g.exponent for c in x)
+    if not isinstance(x, int):
+        return None
+    if g.kind == "cyclic":
+        return x % g.modulus
+    return x if g.lo <= x <= g.hi else None
+
+
+def plain_add(g, x, c):
+    if g.kind == "cyclic":
+        return (x + c) % g.modulus
+    if g.kind == "torsion":
+        return tuple((a + b) % g.exponent for a, b in zip(x, c))
+    return x + c
+
+
+def plain_scale(g, lam, x):
+    if g.kind == "cyclic":
+        return lam * x % g.modulus
+    if g.kind == "torsion":
+        return tuple(lam * a % g.exponent for a in x)
+    return lam * x
+
+
+def fits(lo, hi):
+    return max(abs(lo), abs(hi)) <= WIDE
+
+
+def plain_elements(g):
+    if g.kind == "cyclic":
+        return list(range(g.modulus))
+    if g.kind == "torsion":
+        return list(itertools.product(range(g.exponent), repeat=g.rank))
+    return list(range(g.lo, g.hi + 1))
+
+
+def elements_of(g):
+    if g.kind == "cyclic":
+        return st.integers(0, g.modulus - 1)
+    if g.kind == "torsion":
+        return st.tuples(*[st.integers(0, g.exponent - 1)] * g.rank)
+    return st.integers(g.lo, g.hi)
+
+
+@st.composite
+def group_and_elements(draw, max_size=8):
+    kind = draw(st.sampled_from(["cyclic", "torsion", "window"]))
+    if kind == "cyclic":
+        g = CyclicGroup(draw(st.sampled_from([1, 2, 12, 31, 97, 100, BIG])))
+    elif kind == "torsion":
+        g = TorsionGroup(draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(1, 3)))
+    else:
+        # small windows, and windows that reach the range limit on either side
+        lo = draw(st.one_of(st.integers(-60, 60), st.sampled_from([-WIDE, WIDE - 50])))
+        g = IntegerWindow(lo, min(lo + draw(st.integers(0, 120)), WIDE))
+    return g, draw(st.lists(elements_of(g), max_size=max_size))
+
+
+def shifts(g):
+    if g.kind == "torsion":
+        return st.tuples(*[st.integers(-20, 20)] * g.rank)
+    if g.kind == "cyclic":
+        return st.one_of(st.integers(-40, 40), st.integers(-(1 << 80), 1 << 80))
+    return st.one_of(st.integers(-40, 40), st.integers(-WIDE - 100, WIDE + 100))
+
+
+FACTORS = st.one_of(st.integers(-40, 40), st.integers(-(1 << 80), 1 << 80))
+
+
+def assert_is(S, g, expected):
+    """S is the set `expected` of the group g, as elements, indices and value."""
+    expected = tuple(sorted(set(expected)))
+    assert S.group == g
+    assert S.elements == expected
+    assert S.packed().dtype == np.int64 and not S.packed().flags.writeable
+    assert S.packed().tolist() == [g.index(x) for x in expected]
+    assert S == GSet(g, expected) and hash(S) == hash(GSet(g, expected))
+
+
+class TestIndexOps:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_translate(self, data):
+        g, elems = data.draw(group_and_elements())
+        c = data.draw(shifts(g))
+        A = GSet(g, elems)
+        if g.kind == "window":
+            if not fits(g.lo + c, g.hi + c):
+                with pytest.raises(ValueError):
+                    translate(A, c)
+                return
+            out_group = IntegerWindow(g.lo + c, g.hi + c)
+        else:
+            out_group, c = g, plain_normalize(g, c)
+        assert_is(translate(A, c), out_group, [plain_add(g, x, c) for x in elems])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_negate(self, data):
+        g, elems = data.draw(group_and_elements())
+        out_group = IntegerWindow(-g.hi, -g.lo) if g.kind == "window" else g
+        assert_is(negate(GSet(g, elems)), out_group, [plain_scale(g, -1, x) for x in elems])
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_dilate(self, data):
+        g, elems = data.draw(group_and_elements())
+        lam = data.draw(FACTORS)
+        A = GSet(g, elems)
+        image = [plain_scale(g, lam, x) for x in elems]
+        out_group = g
+        if g.kind == "window":
+            lo, hi = (min(image), max(image)) if image else sorted((lam * g.lo, lam * g.hi))
+            if not fits(lo, hi):
+                with pytest.raises(ValueError):
+                    dilate(A, lam)
+                return
+            out_group = IntegerWindow(lo, hi)
+        assert_is(dilate(A, lam), out_group, image)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_inclusion_membership_equality(self, data):
+        g, a = data.draw(group_and_elements())
+        if a and data.draw(st.booleans()):
+            b = data.draw(st.lists(st.sampled_from(a), max_size=len(a)))
+        else:
+            b = data.draw(st.lists(elements_of(g), max_size=8))
+        A, B = GSet(g, a), GSet(g, b)
+        sa, sb = set(A.elements), set(B.elements)
+        assert is_subset(A, B) == (sa <= sb)
+        assert is_subset(B, A) == (sb <= sa)
+        assert (A == B) == (sa == sb)
+        if sa == sb:
+            assert hash(A) == hash(B)
+        probes = a + b + [0, -1, 7, 10**30, "x", 1.5, (0,), (1, 2), (0, 0, 0), None]
+        for x in probes:
+            assert (x in A) == (plain_normalize(g, x) in sa)
+
+    def test_inclusion_in_window_ignores_bounds(self):
+        A = GSet(IntegerWindow(-5, 5), [-5, 0])
+        assert is_subset(A, GSet(IntegerWindow(-9, 0), [-5, -1, 0]))
+        assert not is_subset(A, GSet(IntegerWindow(-5, 5), [0, 5]))
+        assert is_subset(GSet(W, []), GSet(W, [])) and not is_subset(GSet(W, [1]), GSet(W, []))
+
+
+class TestElementsView:
+    """Every constructor yields the same elements, indices and value as the definition."""
+
+    @pytest.mark.parametrize("g", [CyclicGroup(13), TorsionGroup(3, 2), IntegerWindow(-4, 6)], ids=repr)
+    def test_exhaustive_sets(self, g):
+        pool = plain_elements(g)
+        expected = [c for size in (1, 2, 3) for c in itertools.combinations(pool, size)]
+        sets = list(exhaustive_sets(g, 3))
+        assert len(sets) == len(expected)
+        for S, e in zip(sets, expected):
+            assert_is(S, g, e)
+
+    @pytest.mark.parametrize("g", [CyclicGroup(31), TorsionGroup(2, 5), TorsionGroup(7, 2), IntegerWindow(-9, 9)], ids=repr)
+    def test_random_sets(self, g):
+        pool = plain_elements(g)
+        rng = random.Random(11)
+        expected = [[pool[i] for i in rng.sample(range(len(pool)), 4)] for _ in range(6)]
+        for S, e in zip(random_sets(g, 4, 6, seed=11), expected):
+            assert_is(S, g, e)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_sumset(self, data):
+        g, a = data.draw(group_and_elements())
+        if g.kind == "window":
+            g = W
+            a = [x for x in a if g.lo <= x <= g.hi]
+        b = data.draw(st.lists(elements_of(g), min_size=1, max_size=8))
+        S = sumset(GSet(g, a), GSet(g, b))
+        if g.kind == "window" and a:
+            g = IntegerWindow(min(a) + min(b), max(a) + max(b))
+        elif g.kind == "window":
+            g = IntegerWindow(2 * W.lo, 2 * W.hi)
+        assert_is(S, g, [plain_add(g, x, y) for x in a for y in b])
+
+    @pytest.mark.parametrize("r,n", [(2, 4), (3, 3), (5, 2), (7, 2)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_subgroup_generated(self, r, n, data):
+        gens = data.draw(st.lists(st.tuples(*[st.integers(0, r - 1)] * n), max_size=3))
+        g = TorsionGroup(r, n)
+        assert_is(subgroup_generated(GSet(g, gens)), g, naive_subgroup(gens, r, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sets(st.integers(0, 40), min_size=1, max_size=5), st.integers(1, 3))
+    def test_convolution_support(self, elems, m):
+        g = CyclicGroup(41)
+        support = convolution_counts(GSet(g, elems), m).support
+        assert_is(support, g, naive_iterated_mod(sorted(elems), m + 1, 41))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_greedy_translates(self, data):
+        g, core = data.draw(group_and_elements().filter(lambda ge: ge[1]))
+        cand = data.draw(st.lists(st.sampled_from(core + [plain_add(g, x, x) for x in core]), max_size=8))
+        if g.kind == "window":
+            cand = [x for x in cand if g.lo <= x <= g.hi]
+        T = greedy_translates(GSet(g, core), GSet(g, cand))
+        assert_is(T, g, brute_greedy_translates(core, cand, lambda x, c: plain_add(g, x, c)))
+
+
+class TestIndexOpEdges:
+    def test_dilate_exact_at_large_modulus(self):
+        N = BIG
+        xs = [1, 2, 3, N - 1, N // 2, 12345678901234567, WIDE + 3]
+        A = GSet(CyclicGroup(N), xs)
+        for lam in (2, 3, -7, N // 2, N // 2 + 1, -(N // 3), N - 2, 10**30 + 7):
+            assert dilate(A, lam).elements == tuple(sorted({lam * x % N for x in xs}))
+
+    def test_window_dilation_past_range_raises(self):
+        # an int64 product would wrap 2^60 * 16 to 0 and return {0, 48}
+        A = GSet(IntegerWindow(0, WIDE), [1 << 60, 3])
+        with pytest.raises(ValueError):
+            dilate(A, 16)
+        with pytest.raises(ValueError):
+            dilate(A, -(1 << 70))
+
+    def test_window_translation_past_range_raises(self):
+        A = GSet(IntegerWindow(-WIDE, WIDE), [0, WIDE])
+        for c in (1, -1, WIDE, 1 << 63):
+            with pytest.raises(ValueError):
+                translate(A, c)
+
+    def test_window_dilation_of_zero_by_huge_factor(self):
+        A = GSet(IntegerWindow(-5, 5), [0])
+        assert dilate(A, 1 << 70) == A
+        assert dilate(A, 1 << 70).group == IntegerWindow(0, 0)

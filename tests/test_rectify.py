@@ -1,5 +1,6 @@
 """Diameter search, concentration windows, and rectification to integer models."""
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -481,6 +482,13 @@ class TestRectify:
                 a: ((a * w.dilation - w.shift) % 29) for a in A.elements
             }
             assert freiman_iso_check(A, w.image, mapping, 2).ok
+
+    def test_witness_too_short_rejected(self):
+        A = GSet(CyclicGroup(31), [0, 1, 5])
+        w = diameter(A)
+        short = dataclasses.replace(w, length=w.length - 1)
+        with pytest.raises(ValueError):
+            rectify(A, 2, diam=short)
 
 
 class TestMinimalIntegerModel:
