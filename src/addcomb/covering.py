@@ -281,6 +281,7 @@ class JBoundReport:
     holds: bool
 
 
+@functools.lru_cache(maxsize=1024)
 def j_bound_report(k: int, m: int) -> JBoundReport:
     """Exact comparison of the tuple count against (14m/k)^k; requires m >= k."""
     if m < k:

@@ -10,22 +10,26 @@ integers preserving all k-term sum equalities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from .fourier import _magnitudes, character_sum
 from .groups import (
     _OUTER_BLOCK,
+    BudgetError,
     CyclicGroup,
     Element,
+    Group,
     GSet,
     IntegerWindow,
+    _index_add,
     _widen,
     difference_set,
     dilate,
@@ -73,6 +77,11 @@ class DiameterWitness:
         return tuple((self.start + j * self.step) % N for j in range(self.length + 1))
 
 
+# diameter visits the multipliers u = 1, 2, ... up to N/2; past this many it
+# raises BudgetError (every full scan up to N = 2 * 10^6 fits)
+_DIAMETER_BUDGET = 1 << 20
+
+
 def diameter(A: GSet) -> DiameterWitness:
     """Exhaustive minimal-diameter search over all dilations.
 
@@ -80,6 +89,8 @@ def diameter(A: GSet) -> DiameterWitness:
     largest circular gap; u and N-u give mirror intervals, so only half the
     units are visited, in increasing order and in doubling blocks.  Returns
     the first witness among the smallest; the scan stops at the floor |A| - 1.
+    Raises BudgetError when the floor is not met by u = _DIAMETER_BUDGET and
+    the scan has further to go.
     """
     g = _require_cyclic(A)
     N = g.modulus
@@ -95,8 +106,11 @@ def diameter(A: GSet) -> DiameterWitness:
     floor = len(A) - 1  # cannot do better than a full progression
     lo, step = 1, min(64, cap)  # blocks double from 64 units, so N <= 128 is one block
     while lo <= N // 2:
-        u = np.arange(lo, min(lo + step, N // 2 + 1), dtype=np.int64)
-        lo, step = lo + step, min(2 * step, cap)
+        if lo > _DIAMETER_BUDGET:
+            raise BudgetError(f"diameter scan passed its budget of {_DIAMETER_BUDGET} multipliers (modulus {N})")
+        hi = min(lo + step, N // 2 + 1, _DIAMETER_BUDGET + 1)
+        u = np.arange(lo, hi, dtype=np.int64)
+        lo, step = hi, min(2 * step, cap)
         u = u[np.gcd(u, N) == 1].astype(arr.dtype, copy=False)
         if not u.size:
             continue
@@ -311,37 +325,90 @@ def freiman_iso_check(
 ) -> IsoCheckResult:
     """Whether mapping preserves equality of k-term sums in both directions.
 
-    Compares the partitions of all k-multisets of A induced by domain sums
-    and by image sums; they must coincide exactly.
+    Every k-multiset of A is summed in A's group and, through mapping, in
+    B's.  The partitions of the multisets by domain sum and by image sum
+    coincide exactly when the distinct domain sums, the distinct image sums
+    and the distinct (domain, image) pairs are equally many.  A
+    counterexample is the first clash in combinations_with_replacement
+    order: the first multiset whose domain sum an earlier one had with
+    another image sum (tuples_compared is its position), else the first two
+    domain classes, in order of first appearance, that share an image sum
+    (tuples_compared counts every multiset).
     """
     if k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
     for a in A.elements:
         if a not in mapping:
             raise ValueError(f"mapping is not defined on {a!r}")
-    if len({mapping[a] for a in A.elements}) != len(A.elements):
+    image = [mapping[a] for a in A.elements]
+    if len(set(image)) != len(image):
         raise ValueError("mapping is not injective on A")
     ga, gb = A.group, B.group
-    by_domain_sum: Dict = {}
-    count = 0
-    for combo in itertools.combinations_with_replacement(A.elements, k):
-        count += 1
-        sa = combo[0]
-        sb = mapping[combo[0]]
-        for x in combo[1:]:
-            sa = ga.add(sa, x)
-            sb = gb.add(sb, mapping[x])
-        prev = by_domain_sum.get(sa)
-        if prev is None:
-            by_domain_sum[sa] = (sb, combo)
-        elif prev[0] != sb:
-            return IsoCheckResult(False, k, count, (prev[1], combo))
-    seen_image: Dict = {}
-    for sa, (sb, combo) in by_domain_sum.items():
-        if sb in seen_image:
-            return IsoCheckResult(False, k, count, (seen_image[sb], combo))
-        seen_image[sb] = combo
-    return IsoCheckResult(True, k, count)
+    if gb.kind == "cyclic":
+        image = [y % gb.modulus for y in image]
+    elif gb.kind == "torsion":
+        image = [gb.index(gb.normalize(y)) for y in image]
+    values = A.packed().tolist() + image
+    addends = np.array(values)
+    if addends.dtype.kind != "i" or k * int(max(map(abs, values), default=0)) >= 1 << 63:
+        addends = np.array(values, dtype=object)  # exact past int64, and for values that are not ints
+    # addends of every multiset, domain side then image side; sums in the same order
+    addends = addends[_multiset_table(len(A), k)]
+    sums, C = np.add.reduce(addends), addends.shape[1] // 2
+    dom = _group_sums(ga, sums[:C], addends[:, :C])
+    img = _group_sums(gb, sums[C:], addends[:, C:])
+    d, i = dom.tolist(), img.tolist()
+    if len(set(d)) == len(set(i)) == len(set(zip(d, i))):
+        return IsoCheckResult(True, k, len(d))
+    return _first_clash(A, k, dom, img)
+
+
+@functools.lru_cache(maxsize=64)
+def _multiset_table(s: int, k: int) -> np.ndarray:
+    """The k-multisets of range(s) as the columns of a read-only (k, 2C) array.
+
+    Columns run in combinations_with_replacement order, C = comb(s + k - 1, k),
+    and the second C repeat them shifted by s: they index the domain values
+    and then the image values, laid end to end.  A table takes 16*k*C bytes.
+    """
+    C = math.comb(s + k - 1, k)
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(s), k))
+    table = np.fromiter(flat, dtype=np.intp, count=C * k).reshape(C, k).T
+    table = np.concatenate((table, table + s), axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _group_sums(g: Group, plain: np.ndarray, addends: np.ndarray) -> np.ndarray:
+    """Indices in g of the sums of the columns of addends, given their integer sums plain.
+
+    Z/N reduces the integer sums; (Z/r)^n adds the rows with _index_add,
+    in int64 (its indices stay below 2^24) whatever dtype the other side needed.
+    """
+    if g.kind == "cyclic":
+        return plain % g.modulus
+    if g.kind == "window":
+        return plain
+    return functools.reduce(functools.partial(_index_add, g), addends.astype(np.int64, copy=False))
+
+
+def _first_clash(A: GSet, k: int, dom: np.ndarray, img: np.ndarray) -> IsoCheckResult:
+    """The failing IsoCheckResult, given the domain and image sums of every multiset."""
+    table = _multiset_table(len(A), k)
+
+    def combo(c):
+        return tuple(A.elements[j] for j in table[:, c].tolist())
+
+    _, first, inverse = np.unique(dom, return_index=True, return_inverse=True)
+    first_of = first[inverse]  # each multiset's first multiset with the same domain sum
+    split = np.flatnonzero(img != img[first_of])
+    if split.size:
+        c = int(split[0])
+        return IsoCheckResult(False, k, c + 1, (combo(int(first_of[c])), combo(c)))
+    reps = np.sort(first)  # one multiset per domain sum, in order of first appearance
+    _, first, inverse = np.unique(img[reps], return_index=True, return_inverse=True)
+    p = int(np.flatnonzero(first[inverse] != np.arange(len(reps)))[0])
+    return IsoCheckResult(False, k, len(dom), (combo(int(reps[first[inverse[p]]])), combo(int(reps[p]))))
 
 
 @dataclass(frozen=True)

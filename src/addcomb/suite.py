@@ -239,6 +239,8 @@ def _check_iso(A: GSet, cfg: SuiteConfig, cache: dict):
         return SKIP, None
     try:
         rectify(A, cfg.iso_order)
+    except BudgetError:
+        return SKIP, None
     except RuntimeError as exc:
         return FAIL, {"error": str(exc)}
     return PASS, None

@@ -235,3 +235,34 @@ def brute_witness_ratio(A, B1, B2, add):
 
 def naive_doubling(A, N):
     return Fraction(len(naive_sumset_mod(A, A, N)), len(set(x % N for x in A)))
+
+
+def loop_freiman(A, B, mapping, k):
+    """(ok, tuples_compared, counterexample) of the partition walk over k-multisets.
+
+    Walks combinations_with_replacement(A.elements, k) adding with the groups'
+    own add, one element at a time.  The first multiset whose domain sum was
+    seen with another image sum is a counterexample; with none, two domain
+    classes (in order of first appearance) that share an image sum are.
+    """
+    ga, gb = A.group, B.group
+    by_domain_sum = {}
+    count = 0
+    for combo in itertools.combinations_with_replacement(A.elements, k):
+        count += 1
+        sa = combo[0]
+        sb = mapping[combo[0]]
+        for x in combo[1:]:
+            sa = ga.add(sa, x)
+            sb = gb.add(sb, mapping[x])
+        prev = by_domain_sum.get(sa)
+        if prev is None:
+            by_domain_sum[sa] = (sb, combo)
+        elif prev[0] != sb:
+            return False, count, (prev[1], combo)
+    seen_image = {}
+    for sa, (sb, combo) in by_domain_sum.items():
+        if sb in seen_image:
+            return False, count, (seen_image[sb], combo)
+        seen_image[sb] = combo
+    return True, count, None

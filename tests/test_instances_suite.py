@@ -375,6 +375,19 @@ class TestCli:
         assert rc == 0
         assert "iterated inclusion verified up to m = 3" in capsys.readouterr().out
 
+    def test_diam_past_its_budget_exits_two(self, capsys):
+        # {0, 1, 5} is no 3-term progression, so the scan never meets its floor
+        rc = main(["diam", "--group", "cyclic:4611686018427387847", "--elements", "0,1,5"])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_verify_iso_past_the_diameter_budget_skips(self, capsys, tmp_path):
+        path = tmp_path / "long-scan.json"
+        dump_instances([GSet(CyclicGroup(1_000_000_007), [0, 1, 5])], path)
+        rc = main(["verify", "--input", str(path), "--checks", "iso"])
+        assert rc == 0
+        assert "iso: 0 pass, 0 fail, 1 skip" in capsys.readouterr().out
+
     def test_rectify(self, capsys):
         rc = main(
             ["rectify", "--group", "cyclic:23", "--elements", "0,5,10", "--order", "2"]

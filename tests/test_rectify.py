@@ -6,13 +6,15 @@ import itertools
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from addcomb import (
+    BudgetError,
     CyclicGroup,
     GSet,
     IntegerWindow,
+    TorsionGroup,
     diam_from_spectrum,
     diameter,
     dilate,
@@ -34,6 +36,7 @@ from oracles import (
     brute_freiman,
     brute_shortest_arc,
     brute_window_counts,
+    loop_freiman,
 )
 
 # the package re-exports the function rectify under the submodule's name
@@ -160,6 +163,30 @@ class TestDiameterScan:
             d = pow(floor_unit, -1, N)
             elems = [(5 + j * d) % N for j in range(6)]
         assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+
+    @pytest.mark.parametrize(
+        "budget, floor_unit, passes",
+        [(1, None, False), (49, None, False), (50, None, True), (62, 63, False), (63, 63, True), (64, 65, False), (65, 65, True)],
+    )
+    def test_budget(self, budget, floor_unit, passes):
+        # with no floor unit, {0, 1, 5} in Z/101 is no 3-term progression and all 50 multipliers are visited
+        if floor_unit is None:
+            N, elems = 101, [0, 1, 5]
+        else:
+            N = 1009
+            d = pow(floor_unit, -1, N)
+            elems = [(5 + j * d) % N for j in range(6)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rectify_mod, "_DIAMETER_BUDGET", budget)
+            if passes:
+                assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+            else:
+                with pytest.raises(BudgetError):
+                    diameter(GSet(CyclicGroup(N), elems))
+
+    def test_budget_stops_a_scan_near_2_62(self):
+        with pytest.raises(BudgetError):
+            diameter(GSet(CyclicGroup((1 << 62) - 57), [0, 1, 5]))
 
     @pytest.mark.parametrize("size", [4, 70])
     def test_exact_above_int64_products(self, size):
@@ -359,6 +386,25 @@ class TestDiamFromSpectrum:
             assert res.diameter_upper < delta * 101
 
 
+_N62 = (1 << 62) - 57
+
+
+@st.composite
+def _groups_and_pools(draw, moduli):
+    """A group, Z/N with N drawn from moduli, (Z/2)^n, (Z/3)^n or a window, and a list of its elements."""
+    kind = draw(st.sampled_from(["cyclic", "torsion", "window"]))
+    if kind == "cyclic":
+        G = CyclicGroup(draw(moduli))
+    elif kind == "torsion":
+        r = draw(st.sampled_from([2, 3]))
+        G = TorsionGroup(r, draw(st.integers(1, 5 if r == 2 else 3)))
+    else:
+        lo = draw(st.integers(-60, 60))
+        G = IntegerWindow(lo, lo + draw(st.integers(0, 80)))
+        return G, list(range(G.lo, G.hi + 1))
+    return G, [G.element_at(i) for i in range(G.order)]
+
+
 class TestFreimanIso:
     def test_identity(self):
         g = CyclicGroup(11)
@@ -420,6 +466,66 @@ class TestFreimanIso:
                     lambda x, y: x + y,
                 )
                 assert got == want
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_loop(self, data):
+        k = data.draw(st.integers(2, 5))
+        largest = 7 if k < 4 else 5
+        shape = data.draw(st.sampled_from(["random", "affine", "image-only"]))
+        if shape == "image-only":
+            # distinct k-sums in the domain, so every clash is on the image side
+            s = data.draw(st.integers(3, largest))
+            A = GSet(IntegerWindow(0, (k + 1) ** largest), [(k + 1) ** j for j in range(s)])
+        else:
+            G, pool = data.draw(_groups_and_pools(st.integers(1, 150)))
+            s = data.draw(st.integers(0 if shape == "affine" else min(3, len(pool)), min(largest, len(pool))))
+            A = GSet(G, data.draw(st.permutations(pool))[:s])
+        if shape == "affine":
+            c = data.draw(st.sampled_from(pool))
+            B = A
+            if G.kind == "window":
+                mapping = {a: 3 * a + c for a in A.elements}
+                B = GSet(IntegerWindow(3 * G.lo + c, 3 * G.hi + c), mapping.values())
+            elif G.kind == "torsion":
+                mapping = {a: G.add(a, c) for a in A.elements}
+            else:
+                u = data.draw(st.sampled_from([u for u in range(1, G.modulus + 1) if math.gcd(u, G.modulus) == 1]))
+                mapping = {a: (u * a + c) % G.modulus for a in A.elements}
+        else:
+            H, hpool = data.draw(_groups_and_pools(st.integers(max(1, s), 40)))
+            assume(len(hpool) >= s)
+            image = data.draw(st.permutations(hpool))[:s]
+            mapping = dict(zip(A.elements, image))
+            B = GSet(H, image)
+        got = freiman_iso_check(A, B, mapping, k)
+        assert (got.ok, got.tuples_compared, got.counterexample) == loop_freiman(A, B, mapping, k)
+        assert got.order == k
+        if math.comb(len(A) + k - 1, k) <= 120:
+            assert got.ok == brute_freiman(A.elements, mapping, k, A.group.add, B.group.add)
+
+    @pytest.mark.parametrize(
+        "A, image, k",
+        [
+            # k * 2^61 = 2^63: int64 sums of the domain wrap
+            (GSet(IntegerWindow(-2**61, 2**61), [-2**61, 0, 2**61]), [0, 1, 2], 4),
+            # image values far outside B's window and int64
+            (GSet(CyclicGroup(101), [0, 1, 2]), [0, 2**70, 2**71], 2),
+            (GSet(CyclicGroup(101), [0, 1, 2]), [0, 2**70, 2**71 + 1], 3),
+            (GSet(TorsionGroup(2, 3), [(0, 0, 1), (0, 1, 0), (1, 0, 0)]), [0, 2**70, 2**71], 2),
+            # k * (N - 1) >= 2^63 for N = 2^62 - 57; x maps to x or x - N
+            (GSet(CyclicGroup(_N62), [_N62 // 2 - 5, _N62 // 2 + 2, _N62 // 2 + 4, _N62 - 9]), None, 3),
+            (GSet(CyclicGroup(_N62), [_N62 // 2 - 5, _N62 // 2 + 2, _N62 // 2 + 4, _N62 - 9]), None, 4),
+            (GSet(CyclicGroup(_N62), [1, 4, _N62 - 4, _N62 - 2]), None, 4),
+        ],
+    )
+    def test_exact_at_the_int64_edges(self, A, image, k):
+        if image is None:
+            image = [x if 2 * x < _N62 else x - _N62 for x in A.elements]
+        mapping = dict(zip(A.elements, image))
+        B = GSet(IntegerWindow(0, 10), [0, 1, 2])
+        got = freiman_iso_check(A, B, mapping, k)
+        assert (got.ok, got.tuples_compared, got.counterexample) == loop_freiman(A, B, mapping, k)
 
     def test_validation(self):
         g = CyclicGroup(11)
