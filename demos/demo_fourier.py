@@ -12,7 +12,7 @@ from addcomb import (
     certified_large_coefficient,
     convolution_counts,
     eta_largecoeff,
-    moment_lower_bound_check,
+    moment_chain,
     smallest_prime_in,
     spectrum,
 )
@@ -31,12 +31,13 @@ cc = convolution_counts(B, 2)
 print("triple sums land on", len(cc.support), "points; mass =", cc.total)
 
 # The moment chain lower-bounds the largest nonprincipal coefficient from
-# the concentration of those counts.
-mom = moment_lower_bound_check(B, 2)
-print(
-    f"max |B^| = {mom.max_magnitude:.4f} vs moment bound"
-    f" {mom.max_power_bound ** (1 / 4):.4f}: ok={mom.ok}"
-)
+# the concentration of those counts: max |B^|^(2m) >= (1/R - 1/N)|B|^(2m+1)
+# with R = |(m+1)B|.  One fold chain and one FFT serve every m.
+for mom in moment_chain(B, 3):
+    print(
+        f"m = {mom.m}: R = {mom.support_size}, max |B^| = {mom.max_magnitude:.4f}"
+        f" vs moment bound {mom.max_power_bound ** (1 / (2 * mom.m)):.4f}: ok={mom.ok}"
+    )
 
 # End to end: a sparse-enough covered set must have a near-maximal
 # coefficient.  beta is the density, eta the certified closeness; the

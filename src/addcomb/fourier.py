@@ -13,12 +13,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .covering import is_k_covering
-from .groups import Element, GSet
+from .groups import _OUTER_BLOCK, Element, GSet, _index_add
 
 __all__ = [
     "SpectrumReport",
@@ -29,6 +29,7 @@ __all__ = [
     "spectrum",
     "character_sum",
     "convolution_counts",
+    "moment_chain",
     "moment_lower_bound_check",
     "eta_largecoeff",
     "eta_largecoeff2",
@@ -123,41 +124,41 @@ class ConvolutionCounts:
 
 
 def _fold_once(counts: np.ndarray, B: GSet) -> np.ndarray:
+    """counts * 1_B: one np.add.at (exact in int64 and object dtype) of the support + B sums, blocked."""
     g = B.group
-    if g.kind == "cyclic":
-        out = np.zeros_like(counts)
-        for b in B.elements:
-            out += np.roll(counts, b)
-        return out
-    shape = (g.exponent,) * g.rank
-    cube = counts.reshape(shape)
-    out = np.zeros_like(cube)
-    axes = tuple(range(g.rank))
-    for b in B.elements:
-        out += np.roll(cube, shift=b, axis=axes)
-    return out.ravel()
+    s = np.flatnonzero(counts)
+    pb = B.packed()
+    weights = counts[s][:, None]
+    out = np.zeros_like(counts)
+    step = max(1, _OUTER_BLOCK // len(s))
+    for i in range(0, len(pb), step):
+        np.add.at(out, _index_add(g, s[:, None], pb[None, i : i + step]), weights)
+    return out
+
+
+def _count_chain(B: GSet, m_max: int) -> Iterator[np.ndarray]:
+    """r_2, ..., r_{m_max+1} of B, each a mass-checked fold of the last; int64 while |B|^(m_max+1) < 2^62."""
+    size = len(B)
+    dtype = np.int64 if size ** (m_max + 1) < (1 << 62) else object
+    counts = np.zeros(B.group.order, dtype=dtype)
+    counts[B.packed()] = 1
+    for m in range(1, m_max + 1):
+        counts = _fold_once(counts, B)
+        total = int(counts.sum())
+        if total != size ** (m + 1):
+            raise RuntimeError(f"count mass {total} != |B|^(m+1) = {size ** (m + 1)}")
+        yield counts
 
 
 def convolution_counts(B: GSet, m: int) -> ConvolutionCounts:
     """The (m+1)-fold representation counts of B, exact in integers."""
-    n = _require_finite(B)
+    _require_finite(B)
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    # int64 suffices while |B|^{m+1} stays below 2^62; otherwise python ints
-    dtype: Union[type, np.dtype] = np.int64 if len(B) ** (m + 1) < (1 << 62) else object
-    counts = np.zeros(n, dtype=dtype)
-    if dtype is object:
-        counts[:] = 0
-    idx = B.packed()
-    counts[idx] = 1
-    for _ in range(m):
-        counts = _fold_once(counts, B)
-    total = int(counts.sum())
-    expected = len(B) ** (m + 1)
-    if total != expected:
-        raise RuntimeError(f"count mass {total} != |B|^(m+1) = {expected}")
+    for counts in _count_chain(B, m):
+        pass
     support = GSet._from_indices(B.group, np.flatnonzero(counts))
-    return ConvolutionCounts(m + 1, counts, support, total)
+    return ConvolutionCounts(m + 1, counts, support, len(B) ** (m + 1))
 
 
 @dataclass(frozen=True)
@@ -174,40 +175,38 @@ class MomentChainReport:
     ok: bool
 
 
-def moment_lower_bound_check(B: GSet, m: int, tol: float = 1e-9) -> MomentChainReport:
-    """Verify the moment chain that forces one large nonprincipal coefficient.
+def moment_chain(B: GSet, m_max: int, tol: float = 1e-9) -> Tuple[MomentChainReport, ...]:
+    """Verify the moment chain that forces one large nonprincipal coefficient, for m = 1..m_max.
 
     Chain: r-counts mass, Cauchy-Schwarz on the support (exact), Parseval for
     the (2m+2)-th moment (float, relative tol), and the resulting lower bound
-    max |B^(gamma)|^{2m} >= (1/R - 1/N) * |B|^{2m+1}.
+    max |B^(gamma)|^{2m} >= (1/R - 1/N) * |B|^{2m+1}.  The rows share one
+    fold chain and one FFT, taken before any counts are allocated.
     """
     n = _require_finite(B)
-    conv = convolution_counts(B, m)
-    R = len(conv.support)
-    size = len(B)
-    sum_sq = int((conv.counts.astype(object) ** 2).sum())
-    cs = R * sum_sq >= size ** (2 * m + 2)
+    if m_max < 1:
+        raise ValueError(f"need m >= 1, got {m_max}")
     mags = _magnitudes(B)
-    moment = float(np.sum(mags ** (2 * m + 2)))
-    target = n * sum_sq
-    parseval_res = abs(moment - target) / target
-    parseval_ok = parseval_res <= tol
+    size = len(B)
     max_mag = float(mags[1:].max()) if n > 1 else float(size)
-    rhs = (Fraction(1, R) - Fraction(1, n)) * Fraction(size) ** (2 * m + 1)
-    rhs_f = float(rhs)
-    max_ok = max_mag ** (2 * m) >= rhs_f * (1.0 - tol)
-    return MomentChainReport(
-        m=m,
-        support_size=R,
-        sum_of_squares=sum_sq,
-        cauchy_schwarz_holds=cs,
-        parseval_residual=parseval_res,
-        parseval_holds=parseval_ok,
-        max_magnitude=max_mag,
-        max_power_bound=rhs_f,
-        max_bound_holds=max_ok,
-        ok=cs and parseval_ok and max_ok,
-    )
+    rows = []
+    for m, counts in enumerate(_count_chain(B, m_max), 1):
+        R = int(np.count_nonzero(counts))
+        # the sum of squares is at most (sum of counts)^2 = |B|^(2m+2)
+        wide = counts if size ** (2 * m + 2) < 1 << 63 else counts.astype(object)
+        sum_sq = int(np.dot(wide, wide))
+        cs = R * sum_sq >= size ** (2 * m + 2)
+        residual = abs(float(np.sum(mags ** (2 * m + 2))) - n * sum_sq) / (n * sum_sq)
+        rhs = float((Fraction(1, R) - Fraction(1, n)) * Fraction(size) ** (2 * m + 1))
+        max_ok = max_mag ** (2 * m) >= rhs * (1.0 - tol)
+        ok = cs and residual <= tol and max_ok
+        rows.append(MomentChainReport(m, R, sum_sq, cs, residual, residual <= tol, max_mag, rhs, max_ok, ok))
+    return tuple(rows)
+
+
+def moment_lower_bound_check(B: GSet, m: int, tol: float = 1e-9) -> MomentChainReport:
+    """The moment chain's row for m alone (see moment_chain)."""
+    return moment_chain(B, m, tol)[-1]
 
 
 @dataclass(frozen=True)

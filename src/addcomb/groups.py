@@ -54,8 +54,8 @@ class GroupMismatchError(ValueError):
     """Operands live in different ambient groups."""
 
 
-class BudgetError(RuntimeError):
-    """A search or enumeration exceeded its configured budget."""
+class BudgetError(Exception):
+    """A search or enumeration exceeded its budget; not a RuntimeError, which marks a fault."""
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import functools
+
+from .groups import BudgetError
+
 __all__ = ["is_prime", "smallest_prime_in"]
 
 # Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981
 # are known, but the fixed set below is the classical one valid for
-# n < 3.3e14, which is far beyond any modulus this library handles.
+# n < 3.4e14; a larger modulus (Z/N allows up to 2^62) is over budget.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17)
 _VALID_BELOW = 341_550_071_728_321  # first composite passing witnesses 2..17
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n below 3.4e14."""
+    """Deterministic Miller-Rabin, valid for n below 3.4e14; BudgetError above."""
     if n >= _VALID_BELOW:
-        raise ValueError(f"{n} exceeds the deterministic witness range")
+        raise BudgetError(f"{n} exceeds the deterministic witness range")
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17):

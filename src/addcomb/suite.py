@@ -21,7 +21,7 @@ from .covering import (
     j_count,
     verify_incm,
 )
-from .fourier import moment_lower_bound_check, spectrum
+from .fourier import moment_chain, spectrum
 from .groups import BudgetError, GSet, difference_set
 from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
 from .torsion import torsion_cover
@@ -95,8 +95,6 @@ def _cert(A: GSet, cfg: SuiteConfig, cache: dict) -> CoveringCertificate:
 def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
     try:
         cert = _cert(A, cfg, cache)
-    except BudgetError:
-        return SKIP, None
     except RuntimeError as exc:
         return FAIL, {"error": str(exc)}
     if cert.ok:
@@ -111,8 +109,6 @@ def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
 def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
     try:
         cert = _cert(A, cfg, cache)
-    except BudgetError:
-        return SKIP, None
     except RuntimeError as exc:
         return FAIL, {"error": str(exc)}
     reached = verify_incm(A, cert.translates, cfg.m_max)
@@ -133,8 +129,6 @@ def _growth(A: GSet, cfg: SuiteConfig, cache: dict):
 def _check_estjcov(A: GSet, cfg: SuiteConfig, cache: dict):
     try:
         table = _growth(A, cfg, cache)
-    except BudgetError:
-        return SKIP, None
     except (RuntimeError, ValueError) as exc:
         return FAIL, {"error": str(exc)}
     bad = [r for r in table if not r.j_bound_holds]
@@ -146,8 +140,6 @@ def _check_estjcov(A: GSet, cfg: SuiteConfig, cache: dict):
 def _check_estecov(A: GSet, cfg: SuiteConfig, cache: dict):
     try:
         table = _growth(A, cfg, cache)
-    except BudgetError:
-        return SKIP, None
     except (RuntimeError, ValueError) as exc:
         return FAIL, {"error": str(exc)}
     bad = [r for r in table if r.ratio_bound_holds is False]
@@ -168,11 +160,10 @@ def _check_parseval(A: GSet, cfg: SuiteConfig, cache: dict):
 def _check_moment(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind == "window":
         return SKIP, None
-    for m in range(1, cfg.m_max + 1):
-        rep = moment_lower_bound_check(A, m, cfg.tol)
+    for rep in moment_chain(A, cfg.m_max, cfg.tol):
         if not rep.ok:
             return FAIL, {
-                "m": m,
+                "m": rep.m,
                 "cauchy_schwarz": rep.cauchy_schwarz_holds,
                 "parseval_residual": rep.parseval_residual,
                 "max_bound": rep.max_bound_holds,
@@ -239,8 +230,6 @@ def _check_iso(A: GSet, cfg: SuiteConfig, cache: dict):
         return SKIP, None
     try:
         rectify(A, cfg.iso_order)
-    except BudgetError:
-        return SKIP, None
     except RuntimeError as exc:
         return FAIL, {"error": str(exc)}
     return PASS, None
@@ -305,7 +294,10 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
     for idx, A in enumerate(inst_list):
         cache: dict = {}
         for name in per_instance:
-            status, payload = INSTANCE_CHECKS[name](A, config, cache)
+            try:
+                status, payload = INSTANCE_CHECKS[name](A, config, cache)
+            except BudgetError:
+                status, payload = SKIP, None
             tally = tallies[name]
             if status == PASS:
                 tally.passed += 1

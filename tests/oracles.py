@@ -130,6 +130,21 @@ def dirichlet_magnitude(length, r, N):
     return abs(num / den)
 
 
+def brute_convolution_counts(B, m, add):
+    """{x: number of (m+1)-tuples of B summing to x}, folding one summand at a time."""
+    counts = {}
+    for b in B:
+        counts[b] = counts.get(b, 0) + 1
+    for _ in range(m):
+        nxt = {}
+        for x, c in counts.items():
+            for b in B:
+                y = add(x, b)
+                nxt[y] = nxt.get(y, 0) + c
+        counts = nxt
+    return counts
+
+
 def brute_window_counts(B, N, l):
     """For every start s, how many points of B lie in {s, s+1, ..., s+l} mod N."""
     pts = set(x % N for x in B)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addcomb.fourier as fourier_mod
 from addcomb import (
+    BudgetError,
     CyclicGroup,
     GSet,
     IntegerWindow,
@@ -18,11 +20,46 @@ from addcomb import (
     convolution_counts,
     eta_largecoeff,
     eta_largecoeff2,
+    moment_chain,
     moment_lower_bound_check,
     smallest_prime_in,
     spectrum,
 )
-from oracles import dft_coefficient, direct_transform, dirichlet_magnitude
+from oracles import brute_convolution_counts, dft_coefficient, direct_transform, dirichlet_magnitude
+
+
+def plain_add(g):
+    if g.kind == "cyclic":
+        return lambda x, y: (x + y) % g.modulus
+    return lambda x, y: tuple((a + b) % g.exponent for a, b in zip(x, y))
+
+
+@st.composite
+def fold_cases(draw):
+    """(B, m, block): B in Z/N (N <= 60) or a small torsion group, m <= 3, a small _OUTER_BLOCK."""
+    g = draw(
+        st.one_of(
+            st.integers(1, 60).map(CyclicGroup),
+            st.sampled_from([TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2)]),
+        )
+    )
+    idx = draw(st.sets(st.integers(0, g.order - 1), min_size=1, max_size=8))
+    return GSet(g, [g.element_at(i) for i in idx]), draw(st.integers(1, 3)), draw(st.integers(1, 16))
+
+
+def assert_matches_plain_fold(B, m, block):
+    """convolution_counts(B, m), in blocks of about `block` sums, equals the plain-loop fold."""
+    g = B.group
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fourier_mod, "_OUTER_BLOCK", block)
+        conv = convolution_counts(B, m)
+    expected = brute_convolution_counts(B.elements, m, plain_add(g))
+    assert conv.fold == m + 1
+    assert len(conv.counts) == g.order
+    assert {g.element_at(int(i)): conv.counts[i] for i in np.flatnonzero(conv.counts)} == expected
+    assert conv.support.elements == tuple(sorted(expected, key=g.index))
+    assert conv.total == sum(expected.values()) == len(B) ** (m + 1)
+    return conv
 
 
 class TestSpectrum:
@@ -156,8 +193,57 @@ class TestConvolutionCounts:
         with pytest.raises(ValueError):
             convolution_counts(GSet(CyclicGroup(7), [0]), 0)
 
+    @given(fold_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_plain_fold(self, case):
+        assert_matches_plain_fold(*case)
+
+    def test_object_counts_match_the_plain_fold(self):
+        conv = assert_matches_plain_fold(GSet(CyclicGroup(23), range(12)), 17, 5)
+        assert conv.counts.dtype == object
+
 
 class TestMomentChain:
+    @pytest.mark.parametrize(
+        "B",
+        [
+            GSet(CyclicGroup(60), [0, 1, 7, 22, 41]),
+            GSet(TorsionGroup(3, 3), [(0, 0, 0), (1, 2, 0), (0, 1, 1), (2, 2, 2)]),
+        ],
+        ids=["Z/60", "(Z/3)^3"],
+    )
+    def test_one_fft_and_one_fold_per_row(self, monkeypatch, B):
+        calls = {"_magnitudes": 0, "_fold_once": 0}
+        for name in calls:
+            real = getattr(fourier_mod, name)
+
+            def counted(*args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(fourier_mod, name, counted)
+        rows = moment_chain(B, 3)
+        assert calls == {"_magnitudes": 1, "_fold_once": 3}
+        assert [row.m for row in rows] == [1, 2, 3]
+        for row in rows:
+            assert row == moment_lower_bound_check(B, row.m)
+
+    def test_sum_of_squares_past_int64(self):
+        # 10^13 counts fit int64, but their sum of squares reaches 10^26
+        B = GSet(CyclicGroup(29), range(10))
+        rep = moment_lower_bound_check(B, 12)
+        expected = brute_convolution_counts(B.elements, 12, plain_add(B.group))
+        assert convolution_counts(B, 12).counts.dtype == np.int64
+        assert rep.sum_of_squares == sum(c * c for c in expected.values()) > 1 << 63
+        assert rep.ok
+
+    def test_chain_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            moment_chain(GSet(CyclicGroup(7), [0]), 0)
+        # the FFT comes before the counts, so a group too large for it allocates none
+        with pytest.raises(BudgetError):
+            moment_chain(GSet(CyclicGroup(16_777_259), [0, 1, 5]), 3)
+
     def test_singleton_z7(self):
         rep = moment_lower_bound_check(GSet(CyclicGroup(7), [0]), 1)
         assert rep.support_size == 1

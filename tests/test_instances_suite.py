@@ -11,6 +11,7 @@ import addcomb.covering as covering_mod
 import addcomb.suite as suite_mod
 from addcomb import (
     CHECK_NAMES,
+    BudgetError,
     CyclicGroup,
     GSet,
     IntegerWindow,
@@ -326,6 +327,35 @@ class TestSuite:
         assert report.tallies["inc"].passed == 1
         assert report.ok
 
+    @pytest.mark.parametrize(
+        "target, checks",
+        [
+            ("covering_certificate", ("inc", "incm", "estjcov", "estecov")),
+            ("spectrum", ("parseval",)),
+            ("moment_chain", ("moment",)),
+            ("gap_cover", ("cover",)),
+            ("lev_interval", ("lev",)),
+            ("diam_from_spectrum", ("diam",)),
+            ("rectify", ("iso",)),
+            ("is_prime", ("iso",)),
+            ("torsion_cover", ("torsion",)),
+        ],
+    )
+    def test_over_budget_counts_as_skip(self, monkeypatch, target, checks):
+        # a check whose work passes a budget did not run; it never fails
+        def over(*args, **kwargs):
+            raise BudgetError("planted")
+
+        monkeypatch.setattr(suite_mod, target, over)
+        if checks == ("torsion",):
+            A = GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0)])
+        else:
+            A = GSet(CyclicGroup(11), [0, 1, 5])
+        report = run_suite([A], SuiteConfig(checks=checks))
+        for check in checks:
+            assert dataclasses.astuple(report.tallies[check]) == (0, 0, 1)
+        assert report.ok and not report.counterexamples
+
 
 class TestCli:
     def test_sumset(self, capsys):
@@ -387,6 +417,28 @@ class TestCli:
         rc = main(["verify", "--input", str(path), "--checks", "iso"])
         assert rc == 0
         assert "iso: 0 pass, 0 fail, 1 skip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("check", ["diam", "parseval", "moment"])
+    def test_verify_past_the_indicator_budget_skips(self, capsys, tmp_path, check):
+        # 16777259 is the first prime above DENSE_ORDER_LIMIT = 2^24
+        path = tmp_path / "large-order.json"
+        dump_instances([GSet(CyclicGroup(16_777_259), [0, 1, 5])], path)
+        rc = main(["verify", "--input", str(path), "--checks", check])
+        assert rc == 0
+        assert f"{check}: 0 pass, 0 fail, 1 skip" in capsys.readouterr().out
+
+    def test_verify_iso_past_the_primality_range_skips(self, capsys, tmp_path):
+        path = tmp_path / "past-miller-rabin.json"
+        dump_instances([GSet(CyclicGroup((1 << 62) - 57), [0, 1, 5])], path)
+        rc = main(["verify", "--input", str(path), "--checks", "iso"])
+        assert rc == 0
+        assert "iso: 0 pass, 0 fail, 1 skip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["rectify", "bounds"])
+    def test_past_the_primality_range_exits_two(self, capsys, command):
+        rc = main([command, "--group", f"cyclic:{(1 << 62) - 57}", "--elements", "0,1,5"])
+        assert rc == 2
+        assert "witness range" in capsys.readouterr().err
 
     def test_rectify(self, capsys):
         rc = main(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addcomb import is_prime, smallest_prime_in
+from addcomb import BudgetError, is_prime, smallest_prime_in
 
 
 def test_small_values():
@@ -32,3 +32,19 @@ def test_first_prime_in_interval():
     assert smallest_prime_in(13, 20) == 17  # interval is open on the left
     with pytest.raises(ValueError):
         smallest_prime_in(24, 28)
+
+
+def test_past_the_witness_range_is_over_budget():
+    # the seven witnesses decide n < 341550071728321; Z/N allows N up to 2^62
+    assert not is_prime(341_550_071_728_320)
+    with pytest.raises(BudgetError):
+        is_prime(341_550_071_728_321)
+    with pytest.raises(BudgetError):
+        is_prime((1 << 62) - 57)
+
+
+def test_memoized():
+    is_prime.cache_clear()
+    assert is_prime(2**31 - 1) and is_prime(2**31 - 1)
+    info = is_prime.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
