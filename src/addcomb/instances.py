@@ -166,9 +166,10 @@ def parse_shape(spec: str, group: Group, seed: int = 0) -> Iterator[GSet]:
     """
     head, _, rest = spec.partition(":")
     if head == "exhaustive":
-        parts = rest.split(":")
-        normalize = len(parts) > 1 and parts[1] == "normalize"
-        return exhaustive_sets(group, int(parts[0]), normalize=normalize)
+        size, *modifiers = rest.split(":")
+        if modifiers not in ([], ["normalize"]):
+            raise ValueError(f"bad shape {spec!r}: expected exhaustive:<max_size>[:normalize]")
+        return exhaustive_sets(group, int(size), normalize=bool(modifiers))
     if head == "random":
         size, count = rest.split(":")
         return iter(random_sets(group, int(size), int(count), seed))

@@ -80,6 +80,9 @@ class DiameterWitness:
 # diameter visits the multipliers u = 1, 2, ... up to N/2; past this many it
 # raises BudgetError (every full scan up to N = 2 * 10^6 fits)
 _DIAMETER_BUDGET = 1 << 20
+# the multiset check runs while C(|A| + k - 1, k) fits; past it a witness is unverified
+_ISO_BUDGET = 200_000
+_MODEL_ROUNDS = 8  # embedding rounds of minimal_integer_model
 
 
 def diameter(A: GSet) -> DiameterWitness:
@@ -241,7 +244,7 @@ def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
     start = int(_shortest_arcs(A.packed()[None, :], N)[1][0])
     span = int(((A.packed() - start) % N).max())
     if span > l:
-        raise RuntimeError("gap normalization exceeded the certified length")
+        raise RuntimeError(f"gap normalization exceeded the certified length (b = {b}, l = {l})")
     return GapCoverResult(True, outside, threshold, l, start)
 
 
@@ -291,10 +294,10 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
     eps = n / (2 * m)
     lev = lev_interval(D1, eps, delta)
     if not lev.hypothesis_met or not lev.conclusion_ok:
-        raise RuntimeError("frequency-one concentration failed after dilation")
+        raise RuntimeError(f"frequency-one concentration failed after dilation (delta = {delta}, r = {best_r})")
     cover = gap_cover(A1, lev.start, lev.length)
     if not cover.hypothesis_met:
-        raise RuntimeError("gap hypothesis failed although concentration held")
+        raise RuntimeError(f"gap hypothesis failed although concentration held (delta = {delta}, r = {best_r})")
     return SpectralDiameterResult(
         True,
         threshold,
@@ -432,17 +435,12 @@ class RectifyOutcome:
         return self.witness is not None
 
 
-def rectify(
-    A: GSet,
-    k: int,
-    diam: Optional[DiameterWitness] = None,
-    iso_budget: int = 200_000,
-) -> RectifyOutcome:
+def rectify(A: GSet, k: int, diam: Optional[DiameterWitness] = None) -> RectifyOutcome:
     """Map A <= Z/NZ (N prime) into the integers preserving k-term sum equalities.
 
     Succeeds exactly when k * diam(A) < N; the witness composes the optimal
     dilation with a shift, and is certified by the independent multiset
-    check when that fits the budget.
+    check when that fits _ISO_BUDGET.
     """
     g = _require_cyclic(A)
     N = g.modulus
@@ -463,7 +461,7 @@ def rectify(
         raise ValueError(f"element {int(idx[-1])} outside window [0, {diam.length}]")
     image = GSet._from_indices(IntegerWindow(0, max(diam.length, 0)), idx)
     verified: Optional[bool] = None
-    if math.comb(len(A) + k - 1, k) <= iso_budget:
+    if math.comb(len(A) + k - 1, k) <= _ISO_BUDGET:
         mapping = dict(zip(A.elements, row.tolist()))
         if not freiman_iso_check(A, image, mapping, k).ok:
             raise RuntimeError("rectification witness failed the multiset check")
@@ -472,13 +470,13 @@ def rectify(
     return RectifyOutcome(witness, diam, required)
 
 
-def minimal_integer_model(A: GSet, k: int, rounds: int = 8, iso_budget: int = 200_000) -> GSet:
+def minimal_integer_model(A: GSet, k: int) -> GSet:
     """Shrink an integer set to a short representative with the same k-term sum structure.
 
     Each round embeds the current set (normalized to start at 1, max L) into
     Z/p for the least prime p in (kL, 2kL], takes the optimal progression
     cover there, and pulls the positions back to [1, l+1].  Stops when the
-    length stops shrinking.
+    length stops shrinking, or after _MODEL_ROUNDS rounds.
     """
     if A.group.kind != "window":
         raise ValueError("minimal model reduction starts from an integer set")
@@ -487,19 +485,19 @@ def minimal_integer_model(A: GSet, k: int, rounds: int = 8, iso_budget: int = 20
     if k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
     cur = translate(A, 1 - min(A.elements))
-    for _ in range(rounds):
+    for _ in range(_MODEL_ROUNDS):
         L = max(cur.elements)
         if L == len(cur):
             break  # already an interval starting at 1; nothing shorter exists
         p = smallest_prime_in(k * L, 2 * k * L)
         emb = GSet(CyclicGroup(p), cur.elements)
-        out = rectify(emb, k, iso_budget=iso_budget)
+        out = rectify(emb, k)
         if out.witness is None:
             raise RuntimeError("embedding round lost the progression structure")
         new = translate(out.witness.image, 1)
         if max(new.elements) >= L:
             break
-        if math.comb(len(cur) + k - 1, k) <= iso_budget:
+        if math.comb(len(cur) + k - 1, k) <= _ISO_BUDGET:
             u, shift = out.witness.dilation, out.witness.shift
             step_map = {c: (u * c - shift) % p + 1 for c in cur.elements}
             check = freiman_iso_check(cur, new, step_map, k)

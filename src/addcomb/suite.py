@@ -1,9 +1,14 @@
 """Named lemma checks over an instance stream, with deterministic aggregation.
 
-Every check reports pass, fail, or skip per instance (skip = the check does
-not apply to the instance's group or the instance exceeds a budget).  A fail
-carries a counterexample payload; the lemmas are theorems, so any fail is an
-implementation bug, and the suite exists to catch exactly that.
+Every check reports pass, fail, or skip per instance.  A check passes only
+what it verified; it skips when it does not apply to the instance (its group,
+or no point of its parameter grid) or when its work was over a budget or left
+unverified.  A fail carries a counterexample payload; the lemmas are theorems,
+so any fail is an implementation bug, and the suite exists to catch exactly
+that.  The check loop of `run_suite` alone maps an outcome to a verdict: a
+returned (status, payload) is counted as is, a BudgetError counts as skip, a
+RuntimeError (a library fault) counts as fail with payload {"error": message},
+and a ValueError (bad input) propagates.
 """
 
 from __future__ import annotations
@@ -93,10 +98,7 @@ def _cert(A: GSet, cfg: SuiteConfig, cache: dict) -> CoveringCertificate:
 
 
 def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
-    try:
-        cert = _cert(A, cfg, cache)
-    except RuntimeError as exc:
-        return FAIL, {"error": str(exc)}
+    cert = _cert(A, cfg, cache)
     if cert.ok:
         return PASS, None
     return FAIL, {
@@ -107,10 +109,7 @@ def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
 
 
 def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
-    try:
-        cert = _cert(A, cfg, cache)
-    except RuntimeError as exc:
-        return FAIL, {"error": str(exc)}
+    cert = _cert(A, cfg, cache)
     reached = verify_incm(A, cert.translates, cfg.m_max)
     if reached == cfg.m_max:
         return PASS, None
@@ -120,6 +119,9 @@ def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
 def _growth(A: GSet, cfg: SuiteConfig, cache: dict):
     if "growth" not in cache:
         cert = _cert(A, cfg, cache)
+        if not cert.inclusion_verified:
+            # the growth bounds presuppose the inc claim, 2(A-A) <= (A-A)+(T-T)
+            raise RuntimeError("the covering translates do not cover A-A: 2(A-A) is not inside (A-A)+(T-T)")
         B = difference_set(A, A)
         m_top = max(cfg.m_max, len(cert.translates))
         cache["growth"] = growth_table(B, cert.translates, m_top)
@@ -127,22 +129,14 @@ def _growth(A: GSet, cfg: SuiteConfig, cache: dict):
 
 
 def _check_estjcov(A: GSet, cfg: SuiteConfig, cache: dict):
-    try:
-        table = _growth(A, cfg, cache)
-    except (RuntimeError, ValueError) as exc:
-        return FAIL, {"error": str(exc)}
-    bad = [r for r in table if not r.j_bound_holds]
+    bad = [r for r in _growth(A, cfg, cache) if not r.j_bound_holds]
     if not bad:
         return PASS, None
     return FAIL, {"m": bad[0].m, "grown_size": bad[0].grown_size, "j": bad[0].j_value}
 
 
 def _check_estecov(A: GSet, cfg: SuiteConfig, cache: dict):
-    try:
-        table = _growth(A, cfg, cache)
-    except (RuntimeError, ValueError) as exc:
-        return FAIL, {"error": str(exc)}
-    bad = [r for r in table if r.ratio_bound_holds is False]
+    bad = [r for r in _growth(A, cfg, cache) if r.ratio_bound_holds is False]
     if not bad:
         return PASS, None
     return FAIL, {"m": bad[0].m, "grown_size": bad[0].grown_size}
@@ -175,28 +169,21 @@ def _check_cover(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind != "cyclic":
         return SKIP, None
     N = A.group.modulus
+    lengths = [l for l in (max(0, math.ceil(delta * N) - 1) for delta in cfg.delta_grid) if 3 * l < N]
+    if not lengths:
+        return SKIP, None
     D = difference_set(A, A)
-    ran = False
-    for delta in cfg.delta_grid:
-        l = max(0, math.ceil(delta * N) - 1)
-        if 3 * l >= N:
-            continue
-        ran = True
-        b = int(_window_counts(D, l).argmax())
-        try:
-            gap_cover(A, b, l)
-        except RuntimeError as exc:
-            return FAIL, {"delta": delta, "b": b, "l": l, "error": str(exc)}
-    return (PASS, None) if ran else (SKIP, None)
+    for l in lengths:
+        gap_cover(A, int(_window_counts(D, l).argmax()), l)
+    return PASS, None
 
 
 def _check_lev(A: GSet, cfg: SuiteConfig, cache: dict):
-    if A.group.kind != "cyclic":
+    deltas = [delta for delta in cfg.delta_grid if 0 < delta < 0.5]
+    if A.group.kind != "cyclic" or not deltas:
         return SKIP, None
     for eps in cfg.eps_grid:
-        for delta in cfg.delta_grid:
-            if not 0 < delta < 0.5:
-                continue
+        for delta in deltas:
             res = lev_interval(A, eps, delta)
             if res.hypothesis_met and not res.conclusion_ok:
                 return FAIL, {
@@ -209,29 +196,22 @@ def _check_lev(A: GSet, cfg: SuiteConfig, cache: dict):
 
 
 def _check_diam(A: GSet, cfg: SuiteConfig, cache: dict):
-    if A.group.kind != "cyclic":
+    deltas = [delta for delta in cfg.delta_grid if 0 < delta < 1 / 3]
+    if A.group.kind != "cyclic" or not deltas:
         return SKIP, None
-    ran = False
-    for delta in cfg.delta_grid:
-        if not 0 < delta < 1 / 3:
-            continue
-        ran = True
-        try:
-            res = diam_from_spectrum(A, delta)
-        except RuntimeError as exc:
-            return FAIL, {"delta": delta, "error": str(exc)}
+    for delta in deltas:
+        res = diam_from_spectrum(A, delta)
         if res.hypothesis_met and res.conclusion_ok is False:
             return FAIL, {"delta": delta, "diameter": res.diameter_upper}
-    return (PASS, None) if ran else (SKIP, None)
+    return PASS, None
 
 
 def _check_iso(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind != "cyclic" or not is_prime(A.group.modulus):
         return SKIP, None
-    try:
-        rectify(A, cfg.iso_order)
-    except RuntimeError as exc:
-        return FAIL, {"error": str(exc)}
+    witness = rectify(A, cfg.iso_order).witness
+    if witness is not None and witness.verified is None:
+        return SKIP, None  # the multiset check was over budget
     return PASS, None
 
 
@@ -298,6 +278,8 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
                 status, payload = INSTANCE_CHECKS[name](A, config, cache)
             except BudgetError:
                 status, payload = SKIP, None
+            except RuntimeError as exc:
+                status, payload = FAIL, {"error": str(exc)}
             tally = tallies[name]
             if status == PASS:
                 tally.passed += 1

@@ -234,6 +234,20 @@ class TestSerialize:
         assert json.loads(text) == {"a": 1}
 
 
+# each library call a suite check makes, with the checks that make it
+SUITE_TARGETS = [
+    ("covering_certificate", ("inc", "incm", "estjcov", "estecov")),
+    ("spectrum", ("parseval",)),
+    ("moment_chain", ("moment",)),
+    ("gap_cover", ("cover",)),
+    ("lev_interval", ("lev",)),
+    ("diam_from_spectrum", ("diam",)),
+    ("rectify", ("iso",)),
+    ("is_prime", ("iso",)),
+    ("torsion_cover", ("torsion",)),
+]
+
+
 class TestSuite:
     def test_all_checks_pass_exhaustive_z13(self):
         instances = list(exhaustive_sets(CyclicGroup(13), 3))
@@ -327,20 +341,7 @@ class TestSuite:
         assert report.tallies["inc"].passed == 1
         assert report.ok
 
-    @pytest.mark.parametrize(
-        "target, checks",
-        [
-            ("covering_certificate", ("inc", "incm", "estjcov", "estecov")),
-            ("spectrum", ("parseval",)),
-            ("moment_chain", ("moment",)),
-            ("gap_cover", ("cover",)),
-            ("lev_interval", ("lev",)),
-            ("diam_from_spectrum", ("diam",)),
-            ("rectify", ("iso",)),
-            ("is_prime", ("iso",)),
-            ("torsion_cover", ("torsion",)),
-        ],
-    )
+    @pytest.mark.parametrize("target, checks", SUITE_TARGETS)
     def test_over_budget_counts_as_skip(self, monkeypatch, target, checks):
         # a check whose work passes a budget did not run; it never fails
         def over(*args, **kwargs):
@@ -355,6 +356,59 @@ class TestSuite:
         for check in checks:
             assert dataclasses.astuple(report.tallies[check]) == (0, 0, 1)
         assert report.ok and not report.counterexamples
+
+    @pytest.mark.parametrize("target, checks", SUITE_TARGETS)
+    def test_fault_counts_as_fail(self, monkeypatch, target, checks):
+        # a RuntimeError is a library fault: a counterexample, and the run goes on
+        if checks == ("torsion",):
+            A = GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0)])
+            second = GSet(TorsionGroup(2, 3), [(0, 0, 0), (0, 1, 0)])
+        else:
+            A, second = GSet(CyclicGroup(11), [0, 1, 5]), GSet(CyclicGroup(13), [0, 1, 5])
+        real = getattr(suite_mod, target)
+
+        def fault(x, *args, **kwargs):
+            if x is A or x == 11:  # is_prime sees A's modulus
+                raise RuntimeError("planted")
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(suite_mod, target, fault)
+        alone = run_suite([A], SuiteConfig(checks=checks))
+        both = run_suite([A, second], SuiteConfig(checks=checks))
+        for check in checks:
+            assert dataclasses.astuple(alone.tallies[check]) == (0, 1, 0)
+            assert dataclasses.astuple(both.tallies[check]) == (1, 1, 0)
+        for report in (alone, both):
+            assert [(ce["index"], ce["check"], ce["detail"]) for ce in report.counterexamples] == [
+                (0, check, {"error": "planted"}) for check in checks
+            ]
+
+    def test_failed_inclusion_fails_the_growth_checks(self, monkeypatch):
+        # the growth tables presuppose the inc claim; without it they fail, never abort
+        real = suite_mod.covering_certificate
+        monkeypatch.setattr(
+            suite_mod,
+            "covering_certificate",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), inclusion_verified=False),
+        )
+        report = run_suite([GSet(CyclicGroup(11), [0, 1, 5])], SuiteConfig(checks=("estjcov", "estecov")))
+        for check in ("estjcov", "estecov"):
+            assert dataclasses.astuple(report.tallies[check]) == (0, 1, 0)
+        assert all("do not cover A-A" in ce["detail"]["error"] for ce in report.counterexamples)
+
+    def test_no_grid_point_applies_skips(self):
+        # delta = 0.6 leaves no window with 3l < N, and is neither < 1/2 nor < 1/3
+        report = run_suite(
+            [GSet(CyclicGroup(31), [0, 1, 5])],
+            SuiteConfig(checks=("cover", "lev", "diam"), delta_grid=(0.6,)),
+        )
+        for check in ("cover", "lev", "diam"):
+            assert dataclasses.astuple(report.tallies[check]) == (0, 0, 1)
+
+    def test_unverified_iso_counts_as_skip(self):
+        # C(641, 2) = 205,120 multisets, past the multiset check's budget of 200,000
+        report = run_suite([GSet(CyclicGroup(2003), range(640))], SuiteConfig(checks=("iso",)))
+        assert dataclasses.astuple(report.tallies["iso"]) == (0, 0, 1)
 
 
 class TestCli:
@@ -501,6 +555,32 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "0 counterexamples over 66 instances" in out
+
+    def test_verify_fault_exits_one_with_its_report(self, capsys, monkeypatch):
+        def fault(*args, **kwargs):
+            raise RuntimeError("planted")
+
+        monkeypatch.setattr(suite_mod, "torsion_cover", fault)
+        rc = main(["verify", "--group", "torsion:2:3", "--shape", "exhaustive:1", "--checks", "torsion"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "8 counterexamples over 8 instances" in out
+        assert "torsion: 0 pass, 8 fail, 0 skip" in out
+
+    @pytest.mark.parametrize(
+        "check", ["inc", "incm", "estjcov", "estecov", "parseval", "moment", "cover", "lev", "diam", "iso"]
+    )
+    def test_verify_empty_set_exits_two(self, capsys, tmp_path, check):
+        # bad input is never a counterexample
+        path = tmp_path / "empty.json"
+        path.write_text('{"group": {"type": "cyclic", "modulus": 11}, "elements": []}')
+        assert main(["verify", "--input", str(path), "--checks", check]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("shape", ["exhaustive:2:normalise", "exhaustive:2:normalize:x"])
+    def test_enumerate_bad_exhaustive_modifier_exits_two(self, capsys, shape):
+        assert main(["enumerate", "--group", "cyclic:7", "--shape", shape]) == 2
+        assert repr(shape) in capsys.readouterr().err
 
     def test_verify_corrupted_check_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setitem(

@@ -286,6 +286,12 @@ class TestGapCover:
         assert not res.hypothesis_met
         assert res.start is None
 
+    def test_fault_names_b_and_l(self, monkeypatch):
+        # a cover start outside the concentrated arc breaks the re-verification
+        monkeypatch.setattr(rectify_mod, "_shortest_arcs", lambda rows, N: ([0], [5]))
+        with pytest.raises(RuntimeError, match=r"\(b = 29, l = 4\)$"):
+            gap_cover(GSet(CyclicGroup(31), [0, 1, 2]), b=29, l=4)
+
     def test_length_gate(self):
         A = GSet(CyclicGroup(31), [0, 1])
         with pytest.raises(ValueError):
@@ -338,6 +344,19 @@ class TestDiamFromSpectrum:
         assert res.diameter_upper < 0.2 * 101
         assert res.conclusion_ok
         assert diameter(A).length <= res.diameter_upper
+
+    @pytest.mark.parametrize(
+        "target, result, message",
+        [
+            ("lev_interval", rectify_mod.LevWindow(False, 0.0, 0.0), "concentration failed"),
+            ("gap_cover", rectify_mod.GapCoverResult(False, 5, 2, 19), "gap hypothesis failed"),
+        ],
+    )
+    def test_fault_names_delta_and_r(self, monkeypatch, target, result, message):
+        # frequency 1 dominates the difference set of an interval
+        monkeypatch.setattr(rectify_mod, target, lambda *args: result)
+        with pytest.raises(RuntimeError, match=rf"{message} .*\(delta = 0.2, r = 1\)$"):
+            diam_from_spectrum(GSet(CyclicGroup(101), range(5)), delta=0.2)
 
     def test_singleton(self):
         res = diam_from_spectrum(GSet(CyclicGroup(101), [7]), delta=0.1)
@@ -568,6 +587,13 @@ class TestRectify:
         with pytest.raises(ValueError):
             rectify(GSet(CyclicGroup(10), [0, 1]), 2)
 
+    def test_past_the_iso_budget_is_unverified(self, monkeypatch):
+        A = GSet(CyclicGroup(7), [1, 2, 3])  # C(3 + 2 - 1, 2) = 6 multisets
+        monkeypatch.setattr(rectify_mod, "_ISO_BUDGET", 5)
+        assert rectify(A, 2).witness.verified is None
+        monkeypatch.setattr(rectify_mod, "_ISO_BUDGET", 6)
+        assert rectify(A, 2).witness.verified is True
+
     def test_near_miss_diameter(self):
         # diam 3 with k=2 needs 2*3 < 7
         A = GSet(CyclicGroup(7), [0, 1, 2, 3])
@@ -611,6 +637,16 @@ class TestMinimalIntegerModel:
     def test_singleton(self):
         W = IntegerWindow(-100, 100)
         assert minimal_integer_model(GSet(W, [37]), 2).elements == (1,)
+
+    def test_stops_at_the_round_cap(self, monkeypatch):
+        A = GSet(IntegerWindow(-100, 100), [1, 11, 21])
+        monkeypatch.setattr(rectify_mod, "_MODEL_ROUNDS", 0)
+        assert minimal_integer_model(A, 2).elements == (1, 11, 21)
+
+    def test_past_the_iso_budget_still_compresses(self, monkeypatch):
+        A = GSet(IntegerWindow(-100, 100), [1, 11, 21])
+        monkeypatch.setattr(rectify_mod, "_ISO_BUDGET", 0)
+        assert minimal_integer_model(A, 2).elements == (1, 2, 3)
 
     def test_model_is_isomorphic(self):
         W = IntegerWindow(-2000, 2000)
