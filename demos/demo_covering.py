@@ -39,8 +39,8 @@ from addcomb import difference_set
 B = difference_set(A, A)
 print("B = A - A is k-covered by T:", is_k_covering(B, cert.translates))
 
-# J(k, m) counts the representations driving the growth bound; the DP
-# value stays under (14m/k)^k once m >= k.
+# J(k, m) counts the representations driving the growth bound; it stays
+# under (14m/k)^k once m >= k.
 print("J(3, m) for m = 0..6:", [j_count(3, m) for m in range(7)])
 rep = j_bound_report(3, 8)
 print(f"J(3, 8) = {rep.count} < (14*8/3)^3 = {float(rep.bound):.1f}: {rep.holds}")

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from .fourier import eta_largecoeff2, spectrum
-from .groups import GSet, difference_set, sumset
+from .groups import Certificate, GSet, difference_set, sumset
 from .primes import is_prime
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
@@ -67,11 +67,15 @@ class BoundReport:
     diam_bound_fraction: float     # 12 alpha^(1/4K^2) sqrt(log(1/alpha))
 
 
+def _require_doubling(K: float) -> None:
+    if not math.isfinite(K) or K < 1:
+        raise ValueError(f"doubling parameter K must be finite and >= 1, got {K}")
+
+
 def _chain(log_inv_alpha: float, K: float, k: Optional[int]) -> BoundReport:
+    _require_doubling(K)
     if not math.isfinite(log_inv_alpha) or log_inv_alpha <= 0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if K < 1:
-        raise ValueError(f"doubling parameter must be >= 1, got {K}")
     if k is not None and k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
     ksq = K * K
@@ -129,14 +133,13 @@ def threshold_chain(K: float, k: Optional[int] = None) -> BoundReport:
     (16kK)^(-12K^2).  Working from log(1/alpha) directly keeps the boundary
     comparison exact even where alpha itself underflows.
     """
-    if K < 1:
-        raise ValueError(f"doubling parameter must be >= 1, got {K}")
+    _require_doubling(K)
     base = 16 * K if k is None else 16 * k * K
     return _chain(12 * K * K * math.log(base), float(K), k)
 
 
 @dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Certificate):
     """All intermediate quantities of the density-to-diameter argument on one set."""
 
     modulus: int
@@ -155,6 +158,16 @@ class PipelineReport:
     diam: DiameterWitness
     diam_bound: Optional[float]     # 12 alpha^(1/4K^2) sqrt(log(1/alpha)) N
     diam_bound_holds: Optional[bool]
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """The large coefficient when the tau gate holds, and the spectral diameter claim.
+
+        diam_bound_holds is no claim: K is the smaller of the two ratios, and
+        nothing here establishes that as the theorem's hypothesis.
+        """
+        claims = {"large_coefficient": self.largecoeff_holds} if self.gate_tau else {}
+        return {**claims, **self.spectral.checks}
 
 
 def theorem1_pipeline(A: GSet, delta: Optional[float] = None) -> PipelineReport:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / all checks passed, 1 = a lemma check found a
 counterexample (an implementation bug by definition), 2 = bad configuration
-or a budget violation.
+or a budget violation.  cover, rectify, torsion-cover and bounds on a set
+exit 1 when their certificate's ok is False, that is when a claim fails.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional, Sequence
 from .bounds import bound_calculator, theorem1_pipeline, threshold_chain
 from .covering import covering_certificate
 from .fourier import spectrum
-from .groups import BudgetError, GSet, sumset
+from .groups import BudgetError, Certificate, GSet, sumset
 from .rectify import diameter, rectify
 from .torsion import torsion_cover
 from .instances import parse_elements, parse_group, parse_shape
@@ -106,6 +107,10 @@ def _emit(args: argparse.Namespace, report, human: str) -> None:
             fh.write(dumps(report))
 
 
+def _exit_code(cert: Certificate) -> int:
+    return 1 if cert.ok is False else 0
+
+
 def _set_line(A: GSet) -> str:
     elems = ", ".join(str(x) for x in A.elements)
     return f"{{{elems}}}"
@@ -160,7 +165,7 @@ def _cmd_cover(args) -> int:
         lines.append(f"iterated inclusion verified up to m = {cert.m_checked}")
     _emit(args, cert, "\n".join(lines))
     # with B = A the certificate is 2(A-A) <= (A-A)+(T-T), which gives every m by induction
-    return 0 if cert.ok and not (B is A and cert.m_checked < args.check_m) else 1
+    return 1 if B == A and cert.m_checked < args.check_m else _exit_code(cert)
 
 
 def _cmd_rectify(args) -> int:
@@ -173,13 +178,13 @@ def _cmd_rectify(args) -> int:
         )
     else:
         w = out.witness
-        checked = {True: "verified", False: "FAILED", None: "not checked (over budget)"}[w.verified]
+        checked = {True: "verified", None: "not checked (over budget)"}[w.verified]
         human = (
             f"image {_set_line(w.image)} via x -> {w.dilation}*x - {w.shift}; "
             f"order {w.order}, length {w.length}; multiset check: {checked}"
         )
     _emit(args, out, human)
-    return 0
+    return _exit_code(out)
 
 
 def _cmd_torsion_cover(args) -> int:
@@ -194,7 +199,7 @@ def _cmd_torsion_cover(args) -> int:
         f"size factor: {cert.size_factor_holds}"
     )
     _emit(args, cert, human)
-    return 0 if cert.ok else 1
+    return _exit_code(cert)
 
 
 def _cmd_bounds(args) -> int:
@@ -213,7 +218,7 @@ def _cmd_bounds(args) -> int:
             )
         )
         _emit(args, rep, human)
-        return 0
+        return _exit_code(rep)
     if args.doubling is None:
         raise ValueError("bounds needs --doubling (with --alpha or --at-threshold), or a set")
     if args.at_threshold:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .groups import (
     BudgetError,
+    Certificate,
     GSet,
     _index_add,
     difference_set,
@@ -120,7 +121,7 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
 
 
 @dataclass(frozen=True)
-class CoveringCertificate:
+class CoveringCertificate(Certificate):
     base: GSet
     summand1: GSet
     summand2: GSet
@@ -135,14 +136,9 @@ class CoveringCertificate:
     m_checked: int = 0
 
     @property
-    def checks(self) -> Dict[str, bool]:
+    def checks(self) -> Dict[str, Optional[bool]]:
         """The two verified claims, by name."""
         return {"inclusion": self.inclusion_verified, "size_bound": len(self.translates) <= self.size_bound}
-
-    @property
-    def ok(self) -> bool:
-        """Whether every claim of the certificate holds."""
-        return all(self.checks.values())
 
 
 def covering_certificate(
@@ -230,40 +226,24 @@ def is_k_covering(B: GSet, T: GSet) -> bool:
 
 @functools.lru_cache(maxsize=1024)
 def j_count_table(k: int, m_max: int) -> Tuple[int, ...]:
-    """(J(k,0), J(k,1), ..., J(k,m_max)) from a single dynamic-programming pass.
+    """(J(k,0), J(k,1), ..., J(k,m_max)) from the closed form, in exact integers.
 
-    f[p][q] counts i-tuples with positive-part sum p and negative-part sum q;
-    one pass at m_max yields every smaller m as a diagonal prefix sum.
-    Arbitrary-precision throughout.
+    A nonzero tuple whose positive and negative parts both sum to s has
+    i >= 1 positive and j >= 1 negative coordinates, i + j <= k: choose
+    their places, C(k,i) C(k-i,j), and split s into i and into j positive
+    parts, C(s-1,i-1) C(s-1,j-1).  J(k,m) adds these over s = 1..m to the
+    zero tuple.
     """
     if k < 1 or m_max < 0:
         raise ValueError(f"need k >= 1 and m >= 0, got k={k}, m={m_max}")
-    m = m_max
-    f = [[0] * (m + 1) for _ in range(m + 1)]
-    f[0][0] = 1
-    for _ in range(k):
-        # prefix sums along p (for appending x > 0) and along q (x < 0)
-        pref_p = [[0] * (m + 1) for _ in range(m + 1)]
-        pref_q = [[0] * (m + 1) for _ in range(m + 1)]
-        for p in range(m + 1):
-            for q in range(m + 1):
-                pref_p[p][q] = f[p][q] + (pref_p[p - 1][q] if p else 0)
-                pref_q[p][q] = f[p][q] + (pref_q[p][q - 1] if q else 0)
-        nxt = [[0] * (m + 1) for _ in range(m + 1)]
-        for p in range(m + 1):
-            for q in range(m + 1):
-                total = f[p][q]
-                if p:
-                    total += pref_p[p - 1][q]
-                if q:
-                    total += pref_q[p][q - 1]
-                nxt[p][q] = total
-        f = nxt
-    out = []
-    running = 0
-    for p in range(m + 1):
-        running += f[p][p]
-        out.append(running)
+    comb = math.comb
+    out = [1]
+    for s in range(1, m_max + 1):
+        out.append(out[-1] + sum(
+            comb(k, i) * comb(k - i, j) * comb(s - 1, i - 1) * comb(s - 1, j - 1)
+            for i in range(1, k)
+            for j in range(1, k - i + 1)
+        ))
     return tuple(out)
 
 
@@ -273,12 +253,16 @@ def j_count(k: int, m: int) -> int:
 
 
 @dataclass(frozen=True)
-class JBoundReport:
+class JBoundReport(Certificate):
     k: int
     m: int
     count: int
     bound: Fraction  # (14m/k)^k, exact
     holds: bool
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        return {"bound": self.holds}
 
 
 @functools.lru_cache(maxsize=1024)
@@ -292,7 +276,7 @@ def j_bound_report(k: int, m: int) -> JBoundReport:
 
 
 @dataclass(frozen=True)
-class GrowthBoundReport:
+class GrowthBoundReport(Certificate):
     m: int
     k: int
     grown_size: int          # |(m+1)B|
@@ -300,6 +284,14 @@ class GrowthBoundReport:
     j_bound_holds: bool      # |(m+1)B| <= |B| * J(k, m)
     ratio_bound: Optional[Fraction]   # (14m/k)^k when m >= k
     ratio_bound_holds: Optional[bool]
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """The tuple-count bound, and the ratio bound when m >= k."""
+        claims = {"j_bound": self.j_bound_holds}
+        if self.m >= self.k:
+            claims["ratio_bound"] = self.ratio_bound_holds
+        return claims
 
 
 def growth_bound_check(B: GSet, T: GSet, m: int) -> GrowthBoundReport:

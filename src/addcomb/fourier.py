@@ -13,12 +13,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from .covering import is_k_covering
-from .groups import _OUTER_BLOCK, Element, GSet, _index_add
+from .groups import _OUTER_BLOCK, Certificate, Element, GSet, _index_add
 
 __all__ = [
     "SpectrumReport",
@@ -162,7 +162,7 @@ def convolution_counts(B: GSet, m: int) -> ConvolutionCounts:
 
 
 @dataclass(frozen=True)
-class MomentChainReport:
+class MomentChainReport(Certificate):
     m: int
     support_size: int                 # R = |(m+1)B|
     sum_of_squares: int               # sum_x r_{m+1}(x)^2, exact
@@ -172,7 +172,14 @@ class MomentChainReport:
     max_magnitude: float              # largest nonprincipal |B^|
     max_power_bound: float            # (1/R - 1/N) * |B|^{2m+1}
     max_bound_holds: bool
-    ok: bool
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        return {
+            "cauchy_schwarz": self.cauchy_schwarz_holds,
+            "parseval": self.parseval_holds,
+            "max_bound": self.max_bound_holds,
+        }
 
 
 def moment_chain(B: GSet, m_max: int, tol: float = 1e-9) -> Tuple[MomentChainReport, ...]:
@@ -199,8 +206,7 @@ def moment_chain(B: GSet, m_max: int, tol: float = 1e-9) -> Tuple[MomentChainRep
         residual = abs(float(np.sum(mags ** (2 * m + 2))) - n * sum_sq) / (n * sum_sq)
         rhs = float((Fraction(1, R) - Fraction(1, n)) * Fraction(size) ** (2 * m + 1))
         max_ok = max_mag ** (2 * m) >= rhs * (1.0 - tol)
-        ok = cs and residual <= tol and max_ok
-        rows.append(MomentChainReport(m, R, sum_sq, cs, residual, residual <= tol, max_mag, rhs, max_ok, ok))
+        rows.append(MomentChainReport(m, R, sum_sq, cs, residual, residual <= tol, max_mag, rhs, max_ok))
     return tuple(rows)
 
 
@@ -261,7 +267,7 @@ def eta_largecoeff2(tau: float, K: float, k_cover: Optional[int] = None) -> floa
 
 
 @dataclass(frozen=True)
-class LargeCoeffCertificate:
+class LargeCoeffCertificate(Certificate):
     k: int
     beta: Fraction
     m: int
@@ -270,6 +276,10 @@ class LargeCoeffCertificate:
     magnitude: float
     threshold: float    # (1 - eta) * |B|
     holds: bool
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        return {"large_coefficient": self.holds}
 
 
 def certified_large_coefficient(B: GSet, T: GSet) -> LargeCoeffCertificate:

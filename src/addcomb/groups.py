@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Iterable, Iterator, Tuple, Union
+from typing import ClassVar, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "GSet",
     "GroupMismatchError",
     "BudgetError",
+    "Certificate",
     "sumset",
     "difference_set",
     "iterated_sum",
@@ -56,6 +57,26 @@ class GroupMismatchError(ValueError):
 
 class BudgetError(Exception):
     """A search or enumeration exceeded its budget; not a RuntimeError, which marks a fault."""
+
+
+class Certificate:
+    """A result that names its claims: checks maps each claim to True, False or None.
+
+    None marks an undecided claim (its check was over a budget).  A claim
+    whose hypothesis did not hold is absent, since it holds vacuously.
+    """
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        raise NotImplementedError
+
+    @property
+    def ok(self) -> Optional[bool]:
+        """False if any claim fails, else None if any is undecided, else True."""
+        claims = self.checks.values()
+        if False in claims:
+            return False
+        return None if None in claims else True
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,8 @@ def random_sets(group: Group, size: int, count: int, seed: int) -> List[GSet]:
     pool = _pool(group)
     if size < 0 or size > len(pool):
         raise ValueError(f"cannot sample {size} distinct elements from {len(pool)}")
+    if count < 0:
+        raise ValueError(f"need a count >= 0, got {count}")
     rng = random.Random(seed)
     return [
         GSet._from_indices(group, np.sort(np.array(rng.sample(pool, size), dtype=np.int64)))

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .fourier import _magnitudes, character_sum
 from .groups import (
     _OUTER_BLOCK,
     BudgetError,
+    Certificate,
     CyclicGroup,
     Element,
     Group,
@@ -170,7 +171,7 @@ def _window_counts(B: GSet, l: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LevWindow:
+class LevWindow(Certificate):
     """Outcome of the concentration step at frequency one."""
 
     hypothesis_met: bool
@@ -181,6 +182,11 @@ class LevWindow:
     exceptions: Optional[int] = None  # |B| minus points inside the window
     bound: Optional[float] = None     # eps * |B|
     conclusion_ok: Optional[bool] = None
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """exceptions < eps*|B|, claimed when the coefficient met its threshold."""
+        return {"exceptions": self.conclusion_ok} if self.hypothesis_met else {}
 
 
 def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
@@ -249,7 +255,7 @@ def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
 
 
 @dataclass(frozen=True)
-class SpectralDiameterResult:
+class SpectralDiameterResult(Certificate):
     """Outcome of the dominant-frequency to short-progression implication."""
 
     hypothesis_met: bool
@@ -261,6 +267,11 @@ class SpectralDiameterResult:
     diameter_upper: Optional[int] = None   # certified diam A <= this
     diameter_bound: float = 0.0            # delta * N, strict upper target
     conclusion_ok: Optional[bool] = None
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """diameter_upper < delta*N, claimed when a frequency met the threshold."""
+        return {"diameter": self.conclusion_ok} if self.hypothesis_met else {}
 
 
 def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
@@ -318,9 +329,6 @@ class IsoCheckResult:
     tuples_compared: int
     # two k-multisets witnessing the failure, with their sums on both sides
     counterexample: Optional[Tuple[Tuple[Element, ...], Tuple[Element, ...]]] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def freiman_iso_check(
@@ -425,7 +433,7 @@ class RectificationWitness:
 
 
 @dataclass(frozen=True)
-class RectifyOutcome:
+class RectifyOutcome(Certificate):
     witness: Optional[RectificationWitness]
     diameter: DiameterWitness
     required: int        # order * diameter length, must be < N
@@ -433,6 +441,11 @@ class RectifyOutcome:
     @property
     def succeeded(self) -> bool:
         return self.witness is not None
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """The witness's multiset check (None when over budget), when there is a witness."""
+        return {} if self.witness is None else {"multiset": self.witness.verified}
 
 
 def rectify(A: GSet, k: int, diam: Optional[DiameterWitness] = None) -> RectifyOutcome:

@@ -5,10 +5,13 @@ what it verified; it skips when it does not apply to the instance (its group,
 or no point of its parameter grid) or when its work was over a budget or left
 unverified.  A fail carries a counterexample payload; the lemmas are theorems,
 so any fail is an implementation bug, and the suite exists to catch exactly
-that.  The check loop of `run_suite` alone maps an outcome to a verdict: a
-returned (status, payload) is counted as is, a BudgetError counts as skip, a
-RuntimeError (a library fault) counts as fail with payload {"error": message},
-and a ValueError (bad input) propagates.
+that.  A check judges the certificates it gets from the library by their `ok`
+alone (`_verdict`): fail at the first whose ok is False, else skip if one is
+undecided (ok None), else pass; a certificate whose claims had unmet
+hypotheses passes vacuously.  The check loop of `run_suite` alone maps an
+outcome to a verdict: a returned (status, payload) is counted as is, a
+BudgetError counts as skip, a RuntimeError (a library fault) counts as fail
+with payload {"error": message}, and a ValueError (bad input) propagates.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .covering import (
     CoveringCertificate,
@@ -27,7 +30,7 @@ from .covering import (
     verify_incm,
 )
 from .fourier import moment_chain, spectrum
-from .groups import BudgetError, GSet, difference_set
+from .groups import BudgetError, Certificate, GSet, difference_set
 from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
 from .torsion import torsion_cover
 from .primes import is_prime
@@ -89,6 +92,28 @@ class SuiteReport:
         return all(t.failed == 0 for t in self.tallies.values())
 
 
+def _verdict(
+    judged: Iterable[Tuple[Dict[str, Any], Certificate]],
+    detail: Callable[[Certificate], dict],
+    claim: Optional[str] = None,
+):
+    """The status of a check from its (params, certificate) pairs, judged by ok.
+
+    FAIL with payload {**params, **detail(certificate)} at the first
+    certificate whose ok is False, else SKIP when one is undecided (None),
+    else PASS.  With claim, the certificate's check of that name stands in
+    for ok; an absent claim holds vacuously.
+    """
+    status = PASS
+    for params, cert in judged:
+        ok = cert.ok if claim is None else cert.checks.get(claim, True)
+        if ok is False:
+            return FAIL, {**params, **detail(cert)}
+        if ok is None:
+            status = SKIP
+    return status, None
+
+
 def _cert(A: GSet, cfg: SuiteConfig, cache: dict) -> CoveringCertificate:
     if "cert" not in cache:
         cache["cert"] = covering_certificate(
@@ -98,14 +123,11 @@ def _cert(A: GSet, cfg: SuiteConfig, cache: dict) -> CoveringCertificate:
 
 
 def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
-    cert = _cert(A, cfg, cache)
-    if cert.ok:
-        return PASS, None
-    return FAIL, {
+    return _verdict([({}, _cert(A, cfg, cache))], lambda cert: {
         "translates": gset_to_obj(cert.translates),
         "size_bound": cert.size_bound,
         "inclusion_verified": cert.inclusion_verified,
-    }
+    })
 
 
 def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
@@ -119,7 +141,7 @@ def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
 def _growth(A: GSet, cfg: SuiteConfig, cache: dict):
     if "growth" not in cache:
         cert = _cert(A, cfg, cache)
-        if not cert.inclusion_verified:
+        if not cert.checks["inclusion"]:
             # the growth bounds presuppose the inc claim, 2(A-A) <= (A-A)+(T-T)
             raise RuntimeError("the covering translates do not cover A-A: 2(A-A) is not inside (A-A)+(T-T)")
         B = difference_set(A, A)
@@ -129,17 +151,13 @@ def _growth(A: GSet, cfg: SuiteConfig, cache: dict):
 
 
 def _check_estjcov(A: GSet, cfg: SuiteConfig, cache: dict):
-    bad = [r for r in _growth(A, cfg, cache) if not r.j_bound_holds]
-    if not bad:
-        return PASS, None
-    return FAIL, {"m": bad[0].m, "grown_size": bad[0].grown_size, "j": bad[0].j_value}
+    rows = (({}, r) for r in _growth(A, cfg, cache))
+    return _verdict(rows, lambda r: {"m": r.m, "grown_size": r.grown_size, "j": r.j_value}, "j_bound")
 
 
 def _check_estecov(A: GSet, cfg: SuiteConfig, cache: dict):
-    bad = [r for r in _growth(A, cfg, cache) if r.ratio_bound_holds is False]
-    if not bad:
-        return PASS, None
-    return FAIL, {"m": bad[0].m, "grown_size": bad[0].grown_size}
+    rows = (({}, r) for r in _growth(A, cfg, cache))
+    return _verdict(rows, lambda r: {"m": r.m, "grown_size": r.grown_size}, "ratio_bound")
 
 
 def _check_parseval(A: GSet, cfg: SuiteConfig, cache: dict):
@@ -154,15 +172,13 @@ def _check_parseval(A: GSet, cfg: SuiteConfig, cache: dict):
 def _check_moment(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind == "window":
         return SKIP, None
-    for rep in moment_chain(A, cfg.m_max, cfg.tol):
-        if not rep.ok:
-            return FAIL, {
-                "m": rep.m,
-                "cauchy_schwarz": rep.cauchy_schwarz_holds,
-                "parseval_residual": rep.parseval_residual,
-                "max_bound": rep.max_bound_holds,
-            }
-    return PASS, None
+    rows = (({}, rep) for rep in moment_chain(A, cfg.m_max, cfg.tol))
+    return _verdict(rows, lambda rep: {
+        "m": rep.m,
+        "cauchy_schwarz": rep.cauchy_schwarz_holds,
+        "parseval_residual": rep.parseval_residual,
+        "max_bound": rep.max_bound_holds,
+    })
 
 
 def _check_cover(A: GSet, cfg: SuiteConfig, cache: dict):
@@ -182,46 +198,33 @@ def _check_lev(A: GSet, cfg: SuiteConfig, cache: dict):
     deltas = [delta for delta in cfg.delta_grid if 0 < delta < 0.5]
     if A.group.kind != "cyclic" or not deltas:
         return SKIP, None
-    for eps in cfg.eps_grid:
-        for delta in deltas:
-            res = lev_interval(A, eps, delta)
-            if res.hypothesis_met and not res.conclusion_ok:
-                return FAIL, {
-                    "eps": eps,
-                    "delta": delta,
-                    "exceptions": res.exceptions,
-                    "bound": res.bound,
-                }
-    return PASS, None
+    grid = (
+        ({"eps": eps, "delta": delta}, lev_interval(A, eps, delta))
+        for eps in cfg.eps_grid
+        for delta in deltas
+    )
+    return _verdict(grid, lambda res: {"exceptions": res.exceptions, "bound": res.bound})
 
 
 def _check_diam(A: GSet, cfg: SuiteConfig, cache: dict):
     deltas = [delta for delta in cfg.delta_grid if 0 < delta < 1 / 3]
     if A.group.kind != "cyclic" or not deltas:
         return SKIP, None
-    for delta in deltas:
-        res = diam_from_spectrum(A, delta)
-        if res.hypothesis_met and res.conclusion_ok is False:
-            return FAIL, {"delta": delta, "diameter": res.diameter_upper}
-    return PASS, None
+    grid = (({"delta": delta}, diam_from_spectrum(A, delta)) for delta in deltas)
+    return _verdict(grid, lambda res: {"diameter": res.diameter_upper})
 
 
 def _check_iso(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind != "cyclic" or not is_prime(A.group.modulus):
         return SKIP, None
-    witness = rectify(A, cfg.iso_order).witness
-    if witness is not None and witness.verified is None:
-        return SKIP, None  # the multiset check was over budget
-    return PASS, None
+    # an undecided outcome is a multiset check over budget
+    return _verdict([({}, rectify(A, cfg.iso_order))], lambda out: out.checks)
 
 
 def _check_torsion(A: GSet, cfg: SuiteConfig, cache: dict):
     if A.group.kind != "torsion":
         return SKIP, None
-    cert = torsion_cover(A, witness_budget=cfg.witness_budget)
-    if cert.ok:
-        return PASS, None
-    return FAIL, cert.checks
+    return _verdict([({}, torsion_cover(A, witness_budget=cfg.witness_budget))], lambda cert: cert.checks)
 
 
 INSTANCE_CHECKS: Dict[str, Callable] = {
@@ -248,9 +251,11 @@ def _run_jbound(cfg: SuiteConfig, tally: CheckTally, counterexamples: List[dict]
             counterexamples.append({"check": "jbound", "k": k, "m": 0})
         for m in range(k, cfg.j_m_max + 1):
             rep = j_bound_report(k, m)
-            ok = rep.holds and (k != 1 or rep.count == 1)
+            ok = rep.ok if k != 1 or rep.count == 1 else False
             if ok:
                 tally.passed += 1
+            elif ok is None:
+                tally.skipped += 1
             else:
                 tally.failed += 1
                 counterexamples.append(

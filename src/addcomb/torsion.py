@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .covering import CoveringCertificate, covering_certificate
 from .groups import (
+    Certificate,
     Element,
     GSet,
     TorsionGroup,
@@ -60,7 +61,7 @@ def subgroup_generated(X: GSet) -> GSet:
 
 
 @dataclass(frozen=True)
-class SubgroupCosetCertificate:
+class SubgroupCosetCertificate(Certificate):
     """A <= coset_rep + subgroup, with the subgroup size certified against both bounds.
 
     bound_a uses the doubling ratio in factor and exponent; bound_b the
@@ -90,7 +91,7 @@ class SubgroupCosetCertificate:
     covering: CoveringCertificate
 
     @property
-    def checks(self) -> Dict[str, bool]:
+    def checks(self) -> Dict[str, Optional[bool]]:
         """The five verified claims, by name."""
         return {
             "contains_a": self.contains_a,
@@ -99,11 +100,6 @@ class SubgroupCosetCertificate:
             "bound_a": self.bound_a_holds,
             "bound_b": self.bound_b_holds,
         }
-
-    @property
-    def ok(self) -> bool:
-        """Whether every claim of the certificate holds."""
-        return all(self.checks.values())
 
 
 def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate:

@@ -15,6 +15,7 @@ from addcomb import (
     theorem1_pipeline,
     threshold_chain,
 )
+from addcomb.cli import main
 
 
 class TestBoundCalculator:
@@ -75,6 +76,22 @@ class TestBoundCalculator:
             bound_calculator(0.01, 0.5)
         with pytest.raises(ValueError):
             bound_calculator(0.01, 1.0, k=1)
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_non_finite_doubling_rejected(self, K, k):
+        with pytest.raises(ValueError, match="doubling parameter K"):
+            bound_calculator(0.1, K, k)
+        with pytest.raises(ValueError, match="doubling parameter K"):
+            threshold_chain(K, k)
+
+    @pytest.mark.parametrize("K", ["nan", "inf"])
+    @pytest.mark.parametrize("form", [["--alpha", "0.1"], ["--at-threshold"]], ids=["alpha", "at-threshold"])
+    def test_non_finite_doubling_exits_two(self, capsys, K, form):
+        assert main(["bounds", "--doubling", K, *form, "--format", "structured"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "doubling parameter K" in captured.err
 
 
 class TestThresholdChain:

@@ -336,6 +336,19 @@ class TestJCount:
             for m in range(6):
                 assert j_count(k, m) == brute_j_count(k, m)
 
+    @pytest.mark.parametrize(
+        "k, m, head, last, total",
+        [
+            (6, 40, (1, 31, 271, 1281, 4251, 11253, 25493, 51563), 229091517, 1664184957),
+            (8, 44, None, 235996273547, 1435095077175),
+        ],
+    )
+    def test_pinned_tables(self, k, m, head, last, total):
+        # reference values from an independent O(k*m^2) dynamic program over (positive, negative) part sums
+        table = j_count_table(k, m)
+        assert len(table) == m + 1 and table[-1] == last and sum(table) == total
+        assert head is None or table[: len(head)] == head
+
     def test_monotone_in_m(self):
         table = j_count_table(4, 12)
         assert all(a <= b for a, b in zip(table, table[1:]))

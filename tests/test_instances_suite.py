@@ -113,6 +113,12 @@ class TestRandomSets:
         with pytest.raises(ValueError):
             random_sets(CyclicGroup(5), 6, 1, seed=0)
 
+    def test_negative_count_rejected(self, capsys):
+        with pytest.raises(ValueError, match="count"):
+            random_sets(CyclicGroup(5), 2, -3, seed=0)
+        assert main(["verify", "--group", "cyclic:5", "--shape", "random:2:-3"]) == 2
+        assert "count" in capsys.readouterr().err
+
 
 class TestBuilders:
     def test_progression(self):
@@ -445,6 +451,19 @@ class TestCli:
         rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", "--check-m", "3"])
         assert rc == 1
         assert "iterated inclusion verified up to m = 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spelling", [[], ["--elements-b", "0,1,3"]])
+    def test_cover_check_m_shortfall_with_b_equal_to_a_exits_one(self, capsys, monkeypatch, spelling):
+        # B given with A's elements is the same summand as B defaulting to A
+        real = cli_mod.covering_certificate
+        monkeypatch.setattr(
+            cli_mod,
+            "covering_certificate",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), m_checked=1),
+        )
+        rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", *spelling, "--check-m", "2"])
+        assert rc == 1
+        assert "iterated inclusion verified up to m = 1" in capsys.readouterr().out
 
     def test_cover_check_m_with_other_b_keeps_verdict(self, capsys):
         # with B != A the certificate does not imply 2(A-A) <= (A-A)+(T-T)
