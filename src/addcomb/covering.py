@@ -23,6 +23,7 @@ from .groups import (
     Certificate,
     GSet,
     _index_add,
+    _memoized,
     difference_set,
     is_subset,
     sumset,
@@ -101,23 +102,25 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     # one bit per element of the universe A + B1 + B2
     masks = [sum(1 << i for i in row) for row in _translate_ids(sigma, A).tolist()]
 
-    best_ratio: Optional[Fraction] = None
+    # the least ratio so far is best_bits / best_size; 1/0 stands for none yet
+    best_bits, best_size = 1, 0
     best_subset: Tuple[int, ...] = ()  # positions in A
     searched = 0
     floor_size = len(sigma)
     for size in range(n, 0, -1):
-        if best_ratio is not None and Fraction(floor_size, size) >= best_ratio:
+        if floor_size * best_size >= best_bits * size:
             break
         for combo in itertools.combinations(range(n), size):
             searched += 1
             m = 0
             for i in combo:
                 m |= masks[i]
-            ratio = Fraction(m.bit_count(), size)
-            if best_ratio is None or ratio < best_ratio:
-                best_ratio = ratio
+            bits = m.bit_count()
+            if bits * best_size < best_bits * size:
+                best_bits, best_size = bits, size
                 best_subset = combo
-    return PluenneckeWitness(GSet._from_indices(A.group, A.packed()[list(best_subset)]), best_ratio, searched)
+    subset = GSet._from_indices(A.group, A.packed()[list(best_subset)])
+    return PluenneckeWitness(subset, Fraction(best_bits, best_size), searched)
 
 
 @dataclass(frozen=True)
@@ -152,8 +155,20 @@ def covering_certificate(
 
     With the witness path, |T| <= 2*K1*K2 - 1 where Ki = |A+Bi|/|A|; without
     it the weaker counting bound 2*|A+B1+B2|/|A| - 1 applies.  The inclusion
-    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.
+    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.  With
+    A, B1 and B2 the same object the certificate is memoized on A (see
+    GSet), so one built inside a memo scope is built once.
     """
+    if A is B1 is B2:
+        cert = _memoized(A, ("certificate", witness_budget), lambda: _certify(A, A, A, witness_budget))
+    else:
+        cert = _certify(A, B1, B2, witness_budget)
+    if check_m > 0:
+        cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))
+    return cert
+
+
+def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertificate:
     if not len(A):
         raise ValueError("base set must be nonempty")
     if not len(B1) or not len(B2):
@@ -184,7 +199,7 @@ def covering_certificate(
         )
     lhs = sumset(difference_set(B1, B1), difference_set(B2, B2))
     rhs = sumset(difference_set(A, A), difference_set(T, T))
-    cert = CoveringCertificate(
+    return CoveringCertificate(
         base=A,
         summand1=B1,
         summand2=B2,
@@ -197,9 +212,6 @@ def covering_certificate(
         size_bound=size_bound,
         inclusion_verified=is_subset(lhs, rhs),
     )
-    if check_m > 0:
-        cert = replace(cert, m_checked=verify_incm(A, T, check_m))
-    return cert
 
 
 def verify_incm(A: GSet, T: GSet, m_max: int) -> int:

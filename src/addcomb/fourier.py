@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 import numpy as np
 
 from .covering import is_k_covering
-from .groups import _OUTER_BLOCK, Certificate, Element, GSet, _index_add
+from .groups import _OUTER_BLOCK, Certificate, Element, GSet, _index_add, _memoized
 
 __all__ = [
     "SpectrumReport",
@@ -63,8 +63,14 @@ class SpectrumReport:
 
 
 def _magnitudes(B: GSet) -> np.ndarray:
-    """|B^(chi)| for every character chi, flat in packed index order, by FFT."""
-    return np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
+    """|B^(chi)| for every character chi, flat in packed index order, by FFT (read-only)."""
+    return _memoized(B, "magnitudes", lambda: _fft_magnitudes(B))
+
+
+def _fft_magnitudes(B: GSet) -> np.ndarray:
+    mags = np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
+    mags.flags.writeable = False
+    return mags
 
 
 def spectrum(B: GSet, top: int = 8) -> SpectrumReport:

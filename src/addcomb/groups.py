@@ -7,10 +7,12 @@ third.  All set arithmetic is exact; floats never enter this module.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -234,9 +236,16 @@ class GSet:
     order is also the canonical serialization order.  ``elements`` is the
     tuple view in that order, built on first use; ``as_set()`` is an uncached
     frozenset view.
+
+    ``_memo`` maps a key naming what was derived (A+A, A-A, the FFT
+    magnitudes, the (A, A, A) covering certificate per witness budget) to
+    its value for this very object.  Living on the object, it is keyed by
+    identity: an equal set built elsewhere shares nothing.  It is filled only
+    while a ``_memo_scope`` is open and dropped when that scope closes;
+    outside a scope it stays None and every derived set is computed afresh.
     """
 
-    __slots__ = ("group", "_idx", "_elements")
+    __slots__ = ("group", "_idx", "_elements", "_memo")
 
     def __init__(self, group: Group, elements: Iterable[Element] = ()):
         norm = tuple(sorted({group.normalize(x) for x in elements}))
@@ -259,6 +268,7 @@ class GSet:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "_idx", idx)
         object.__setattr__(self, "_elements", elements)
+        object.__setattr__(self, "_memo", None)
 
     @property
     def elements(self) -> tuple:
@@ -322,6 +332,40 @@ class GSet:
         if g.kind == "torsion":
             return ind.reshape((g.exponent,) * g.rank)
         return ind
+
+
+# the sets that hold a memo in the innermost open _memo_scope; None when none is open
+_SCOPE: contextvars.ContextVar[Optional[List[GSet]]] = contextvars.ContextVar("addcomb_memo_scope", default=None)
+
+_T = TypeVar("_T")
+
+
+@contextlib.contextmanager
+def _memo_scope() -> Iterator[None]:
+    """While open, _memoized keeps what it derives on the set; on exit every memo it filled is dropped."""
+    filled: List[GSet] = []
+    token = _SCOPE.set(filled)
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+        for X in filled:
+            object.__setattr__(X, "_memo", None)
+
+
+def _memoized(X: GSet, key: Hashable, make: Callable[[], _T]) -> _T:
+    """make(), kept under key on X while a _memo_scope is open; a fresh make() otherwise."""
+    filled = _SCOPE.get()
+    if filled is None:
+        return make()
+    memo = X._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(X, "_memo", memo)
+        filled.append(X)
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _index_add(g: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -403,11 +447,20 @@ def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
 def sumset(A: GSet, B: GSet) -> GSet:
     """Minkowski sum {a + b : a in A, b in B}."""
     _require_same_ambient(A, B)
+    if A is B:
+        return _memoized(A, "A+A", lambda: _sumset(A, A))
+    return _sumset(A, B)
+
+
+def _sumset(A: GSet, B: GSet) -> GSet:
     g = A.group
     if not len(A) or not len(B):
         if g.kind == "window":
             g = IntegerWindow(g.lo + B.group.lo, g.hi + B.group.hi)  # type: ignore[union-attr]
         return GSet._from_indices(g, np.empty(0, dtype=np.int64))
+    if len(A) == g.order or len(B) == g.order:
+        # the whole group plus any nonempty set is the whole group
+        return GSet._from_indices(g, (A if len(A) == g.order else B).packed())
     idx = _pairwise(g, A.packed(), B.packed())
     if g.kind == "window":
         g = IntegerWindow(int(idx[0]), int(idx[-1]))
@@ -424,7 +477,15 @@ def negate(A: GSet) -> GSet:
 
 def difference_set(A: GSet, B: GSet) -> GSet:
     """Minkowski difference {a - b : a in A, b in B}."""
+    if A is B:
+        return _memoized(A, "A-A", lambda: _self_difference(A))
     return sumset(A, negate(B))
+
+
+def _self_difference(A: GSet) -> GSet:
+    neg = negate(A)
+    # A - A is A + A when A is symmetric, as every set is in (Z/2)^n
+    return sumset(A, A if neg == A else neg)
 
 
 def iterated_sum(A: GSet, k: int) -> GSet:

@@ -30,7 +30,7 @@ from .covering import (
     verify_incm,
 )
 from .fourier import moment_chain, spectrum
-from .groups import BudgetError, Certificate, GSet, difference_set
+from .groups import BudgetError, Certificate, GSet, _memo_scope, _memoized, difference_set
 from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
 from .torsion import torsion_cover
 from .primes import is_prime
@@ -114,53 +114,50 @@ def _verdict(
     return status, None
 
 
-def _cert(A: GSet, cfg: SuiteConfig, cache: dict) -> CoveringCertificate:
-    if "cert" not in cache:
-        cache["cert"] = covering_certificate(
-            A, A, A, witness_budget=cfg.witness_budget
-        )
-    return cache["cert"]
+def _cert(A: GSet, cfg: SuiteConfig) -> CoveringCertificate:
+    return covering_certificate(A, A, A, witness_budget=cfg.witness_budget)
 
 
-def _check_inc(A: GSet, cfg: SuiteConfig, cache: dict):
-    return _verdict([({}, _cert(A, cfg, cache))], lambda cert: {
+def _check_inc(A: GSet, cfg: SuiteConfig):
+    return _verdict([({}, _cert(A, cfg))], lambda cert: {
         "translates": gset_to_obj(cert.translates),
         "size_bound": cert.size_bound,
         "inclusion_verified": cert.inclusion_verified,
     })
 
 
-def _check_incm(A: GSet, cfg: SuiteConfig, cache: dict):
-    cert = _cert(A, cfg, cache)
+def _check_incm(A: GSet, cfg: SuiteConfig):
+    cert = _cert(A, cfg)
     reached = verify_incm(A, cert.translates, cfg.m_max)
     if reached == cfg.m_max:
         return PASS, None
     return FAIL, {"verified_m": reached, "wanted_m": cfg.m_max}
 
 
-def _growth(A: GSet, cfg: SuiteConfig, cache: dict):
-    if "growth" not in cache:
-        cert = _cert(A, cfg, cache)
-        if not cert.checks["inclusion"]:
-            # the growth bounds presuppose the inc claim, 2(A-A) <= (A-A)+(T-T)
-            raise RuntimeError("the covering translates do not cover A-A: 2(A-A) is not inside (A-A)+(T-T)")
-        B = difference_set(A, A)
-        m_top = max(cfg.m_max, len(cert.translates))
-        cache["growth"] = growth_table(B, cert.translates, m_top)
-    return cache["growth"]
+def _growth(A: GSet, cfg: SuiteConfig):
+    return _memoized(A, ("growth", cfg.witness_budget, cfg.m_max), lambda: _growth_table(A, cfg))
 
 
-def _check_estjcov(A: GSet, cfg: SuiteConfig, cache: dict):
-    rows = (({}, r) for r in _growth(A, cfg, cache))
+def _growth_table(A: GSet, cfg: SuiteConfig):
+    cert = _cert(A, cfg)
+    if not cert.checks["inclusion"]:
+        # the growth bounds presuppose the inc claim, 2(A-A) <= (A-A)+(T-T)
+        raise RuntimeError("the covering translates do not cover A-A: 2(A-A) is not inside (A-A)+(T-T)")
+    m_top = max(cfg.m_max, len(cert.translates))
+    return growth_table(difference_set(A, A), cert.translates, m_top)
+
+
+def _check_estjcov(A: GSet, cfg: SuiteConfig):
+    rows = (({}, r) for r in _growth(A, cfg))
     return _verdict(rows, lambda r: {"m": r.m, "grown_size": r.grown_size, "j": r.j_value}, "j_bound")
 
 
-def _check_estecov(A: GSet, cfg: SuiteConfig, cache: dict):
-    rows = (({}, r) for r in _growth(A, cfg, cache))
+def _check_estecov(A: GSet, cfg: SuiteConfig):
+    rows = (({}, r) for r in _growth(A, cfg))
     return _verdict(rows, lambda r: {"m": r.m, "grown_size": r.grown_size}, "ratio_bound")
 
 
-def _check_parseval(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_parseval(A: GSet, cfg: SuiteConfig):
     if A.group.kind == "window":
         return SKIP, None
     rep = spectrum(A)
@@ -169,7 +166,7 @@ def _check_parseval(A: GSet, cfg: SuiteConfig, cache: dict):
     return FAIL, {"residual": rep.parseval_residual}
 
 
-def _check_moment(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_moment(A: GSet, cfg: SuiteConfig):
     if A.group.kind == "window":
         return SKIP, None
     rows = (({}, rep) for rep in moment_chain(A, cfg.m_max, cfg.tol))
@@ -181,7 +178,7 @@ def _check_moment(A: GSet, cfg: SuiteConfig, cache: dict):
     })
 
 
-def _check_cover(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_cover(A: GSet, cfg: SuiteConfig):
     if A.group.kind != "cyclic":
         return SKIP, None
     N = A.group.modulus
@@ -194,7 +191,7 @@ def _check_cover(A: GSet, cfg: SuiteConfig, cache: dict):
     return PASS, None
 
 
-def _check_lev(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_lev(A: GSet, cfg: SuiteConfig):
     deltas = [delta for delta in cfg.delta_grid if 0 < delta < 0.5]
     if A.group.kind != "cyclic" or not deltas:
         return SKIP, None
@@ -206,7 +203,7 @@ def _check_lev(A: GSet, cfg: SuiteConfig, cache: dict):
     return _verdict(grid, lambda res: {"exceptions": res.exceptions, "bound": res.bound})
 
 
-def _check_diam(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_diam(A: GSet, cfg: SuiteConfig):
     deltas = [delta for delta in cfg.delta_grid if 0 < delta < 1 / 3]
     if A.group.kind != "cyclic" or not deltas:
         return SKIP, None
@@ -214,14 +211,14 @@ def _check_diam(A: GSet, cfg: SuiteConfig, cache: dict):
     return _verdict(grid, lambda res: {"diameter": res.diameter_upper})
 
 
-def _check_iso(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_iso(A: GSet, cfg: SuiteConfig):
     if A.group.kind != "cyclic" or not is_prime(A.group.modulus):
         return SKIP, None
     # an undecided outcome is a multiset check over budget
     return _verdict([({}, rectify(A, cfg.iso_order))], lambda out: out.checks)
 
 
-def _check_torsion(A: GSet, cfg: SuiteConfig, cache: dict):
+def _check_torsion(A: GSet, cfg: SuiteConfig):
     if A.group.kind != "torsion":
         return SKIP, None
     return _verdict([({}, torsion_cover(A, witness_budget=cfg.witness_budget))], lambda cert: cert.checks)
@@ -277,29 +274,29 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
     inst_list = list(instances)
     per_instance = [c for c in selected if c != "jbound"]
     for idx, A in enumerate(inst_list):
-        cache: dict = {}
-        for name in per_instance:
-            try:
-                status, payload = INSTANCE_CHECKS[name](A, config, cache)
-            except BudgetError:
-                status, payload = SKIP, None
-            except RuntimeError as exc:
-                status, payload = FAIL, {"error": str(exc)}
-            tally = tallies[name]
-            if status == PASS:
-                tally.passed += 1
-            elif status == SKIP:
-                tally.skipped += 1
-            else:
-                tally.failed += 1
-                counterexamples.append(
-                    {
-                        "index": idx,
-                        "check": name,
-                        "instance": gset_to_obj(A),
-                        "detail": payload or {},
-                    }
-                )
+        with _memo_scope():
+            for name in per_instance:
+                try:
+                    status, payload = INSTANCE_CHECKS[name](A, config)
+                except BudgetError:
+                    status, payload = SKIP, None
+                except RuntimeError as exc:
+                    status, payload = FAIL, {"error": str(exc)}
+                tally = tallies[name]
+                if status == PASS:
+                    tally.passed += 1
+                elif status == SKIP:
+                    tally.skipped += 1
+                else:
+                    tally.failed += 1
+                    counterexamples.append(
+                        {
+                            "index": idx,
+                            "check": name,
+                            "instance": gset_to_obj(A),
+                            "detail": payload or {},
+                        }
+                    )
     elapsed = time.perf_counter() - start if config.include_timing else None
     return SuiteReport(
         suite=",".join(selected),

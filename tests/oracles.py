@@ -281,3 +281,35 @@ def loop_freiman(A, B, mapping, k):
             return False, count, (seen_image[sb], combo)
         seen_image[sb] = combo
     return True, count, None
+
+
+def loop_pluennecke(A, B1, B2):
+    """(subset, ratio, subsets_searched) of the documented witness search, in Fractions.
+
+    Nonempty subsets of A's positions run by decreasing size, in combinations
+    order within a size; a size class is skipped, and the search ends, once
+    |B1 + B2| / size is no less than the best ratio.  A subset replaces the
+    best only with a strictly smaller |A' + B1 + B2| / |A'|.  The subset is
+    the tuple of its elements in A's order.
+    """
+    add = A.group.add
+    elems = A.elements
+    sigma = {add(b1, b2) for b1 in B1.elements for b2 in B2.elements}
+    # one bit per point of A + B1 + B2, one mask of A' + B1 + B2 per a in A
+    bit = {x: 1 << i for i, x in enumerate({add(a, s) for a in elems for s in sigma})}
+    mask = {a: sum(bit[add(a, s)] for s in sigma) for a in elems}
+    best_ratio = None
+    best = ()
+    searched = 0
+    for size in range(len(elems), 0, -1):
+        if best_ratio is not None and Fraction(len(sigma), size) >= best_ratio:
+            break
+        for combo in itertools.combinations(elems, size):
+            searched += 1
+            union = 0
+            for a in combo:
+                union |= mask[a]
+            ratio = Fraction(bin(union).count("1"), size)
+            if best_ratio is None or ratio < best_ratio:
+                best_ratio, best = ratio, combo
+    return best, best_ratio, searched

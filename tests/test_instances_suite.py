@@ -300,7 +300,7 @@ class TestSuite:
         assert a == b
 
     def test_corrupted_check_is_caught(self, monkeypatch):
-        def broken(A, cfg, cache):
+        def broken(A, cfg):
             return "fail", {"planted": True}
 
         monkeypatch.setitem(suite_mod.INSTANCE_CHECKS, "inc", broken)
@@ -603,7 +603,7 @@ class TestCli:
 
     def test_verify_corrupted_check_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            suite_mod.INSTANCE_CHECKS, "inc", lambda A, cfg, cache: ("fail", {})
+            suite_mod.INSTANCE_CHECKS, "inc", lambda A, cfg: ("fail", {})
         )
         rc = main(
             ["verify", "--group", "cyclic:11", "--shape", "exhaustive:1",

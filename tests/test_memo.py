@@ -1,0 +1,293 @@
+"""The per-instance memo of run_suite, the saturated-sum shortcut, and the integer witness search.
+
+Inside run_suite the checks of one instance share the sets, spectra and
+certificates derived from it; the memo must never change a report, must be
+gone when run_suite returns, and must do its work once.
+"""
+
+import contextlib
+import gc
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import addcomb.covering as covering_mod
+import addcomb.groups as groups_mod
+import addcomb.suite as suite_mod
+import addcomb.torsion as torsion_mod
+from addcomb import (
+    CyclicGroup,
+    GSet,
+    IntegerWindow,
+    SuiteConfig,
+    TorsionGroup,
+    covering_certificate,
+    difference_set,
+    dumps,
+    negate,
+    pluennecke_witness,
+    run_suite,
+    sumset,
+)
+from addcomb.fourier import _magnitudes
+from addcomb.groups import _memo_scope
+from oracles import loop_pluennecke, naive_sumset_int, naive_sumset_mod, naive_sumset_vec
+
+# {0, 1, 12} in Z/69 fails the diam check: the pinned composite-N defect
+DIAM_DEFECT = GSet(CyclicGroup(69), [0, 1, 12])
+
+GROUPS = st.one_of(
+    st.integers(2, 150).map(CyclicGroup),
+    st.sampled_from([TorsionGroup(2, 4), TorsionGroup(2, 5), TorsionGroup(3, 3)]),
+)
+
+
+def by_index(g, idx):
+    return GSet(g, [g.element_at(i) for i in idx])
+
+
+@st.composite
+def instance(draw):
+    g = draw(GROUPS)
+    return by_index(g, draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=9, unique=True)))
+
+
+def memo_holders():
+    return [o for o in gc.get_objects() if type(o) is GSet and o._memo is not None]
+
+
+class TestMemoIsInvisible:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(instance(), min_size=1, max_size=3), st.integers(0, 3))
+    def test_report_equals_the_report_without_memo(self, instances, at):
+        instances.insert(min(at, len(instances)), DIAM_DEFECT)
+        with_memo = dumps(run_suite(instances))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(suite_mod, "_memo_scope", contextlib.nullcontext)
+            without = dumps(run_suite(instances))
+        assert with_memo == without
+        assert '"check": "diam"' in with_memo
+
+    def test_no_memo_survives_run_suite(self):
+        instances = [
+            GSet(CyclicGroup(31), [0, 1, 3, 7, 12, 20]),
+            by_index(TorsionGroup(2, 5), [0, 1, 3, 6, 12, 31]),
+            GSet(TorsionGroup(3, 3), [(0, 0, 0), (1, 2, 0), (0, 1, 1)]),
+            DIAM_DEFECT,
+        ]
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_SCOPE", _SpyVar(groups_mod._SCOPE, seen))
+            run_suite(instances)
+        # every instance had its memo filled, and every filled memo is gone
+        held = [X for filled in seen for X in filled]
+        assert all(any(X is A for X in held) for A in instances)
+        assert all(X._memo is None for X in held)
+        assert all(A._memo is None for A in instances)
+        assert memo_holders() == []
+
+    def test_a_fault_still_drops_the_memo(self, monkeypatch):
+        def fault(A, cfg):
+            covering_certificate(A, A, A)
+            raise ValueError("planted")
+
+        monkeypatch.setitem(suite_mod.INSTANCE_CHECKS, "incm", fault)
+        A = GSet(CyclicGroup(31), [0, 1, 5])
+        with pytest.raises(ValueError, match="planted"):
+            run_suite([A], SuiteConfig(checks=("inc", "incm")))
+        assert A._memo is None and memo_holders() == []
+
+    def test_nothing_is_kept_outside_a_scope(self):
+        A = GSet(CyclicGroup(31), [0, 1, 5, 11])
+        assert difference_set(A, A) is not difference_set(A, A)
+        assert sumset(A, A) is not sumset(A, A)
+        assert _magnitudes(A) is not _magnitudes(A)
+        assert covering_certificate(A, A, A) is not covering_certificate(A, A, A)
+        assert A._memo is None and memo_holders() == []
+
+    def test_inside_a_scope_each_derived_set_is_kept(self):
+        A = GSet(TorsionGroup(3, 3), [(0, 0, 0), (1, 2, 0), (0, 1, 1)])
+        with _memo_scope():
+            assert difference_set(A, A) is difference_set(A, A)
+            assert sumset(A, A) is sumset(A, A)
+            assert _magnitudes(A) is _magnitudes(A)
+            assert covering_certificate(A, A, A, witness_budget=12) is covering_certificate(A, A, A, witness_budget=12)
+            # the key is the operands' identity and the budget, never an equal value
+            twin = GSet(A.group, A.elements)
+            assert difference_set(twin, twin) is not difference_set(A, A)
+            assert covering_certificate(A, A, A, witness_budget=11) is not covering_certificate(A, A, A, witness_budget=12)
+            assert difference_set(A, twin) is not difference_set(A, A)
+        assert A._memo is None and memo_holders() == []
+
+    def test_memoized_arrays_are_read_only(self):
+        A = GSet(CyclicGroup(31), [0, 1, 5, 11])
+        with _memo_scope():
+            mags = _magnitudes(difference_set(A, A))
+            with pytest.raises(ValueError):
+                mags[0] = 0.0
+            with pytest.raises(ValueError):
+                sumset(A, A).packed()[0] = 1
+
+
+class _SpyVar:
+    """A stand-in for the scope's context variable that records every list it is set to."""
+
+    def __init__(self, var, seen):
+        self._var, self._seen = var, seen
+
+    def set(self, filled):
+        self._seen.append(filled)
+        return self._var.set(filled)
+
+    def get(self):
+        return self._var.get()
+
+    def reset(self, token):
+        self._var.reset(token)
+
+
+# ------------------------------------------------------------------ work counts
+
+def _count_work(monkeypatch, A):
+    """Run every check on A, counting pairwise sums, FFTs and certificate builds."""
+    pairs, ffts, certs = [], [], []
+    for mod in (groups_mod, torsion_mod):
+        real_pairwise = mod._pairwise
+
+        def pairwise(g, pa, pb, _real=real_pairwise):
+            pairs.append((pa.tobytes(), pb.tobytes()))
+            return _real(g, pa, pb)
+
+        monkeypatch.setattr(mod, "_pairwise", pairwise)
+    real_fftn = np.fft.fftn
+
+    def fftn(a, *args, **kwargs):
+        ffts.append(np.flatnonzero(a.ravel()).tobytes())
+        return real_fftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", fftn)
+    real_certify = covering_mod._certify
+
+    def certify(A1, B1, B2, budget):
+        certs.append((A1, B1, B2))
+        return real_certify(A1, B1, B2, budget)
+
+    monkeypatch.setattr(covering_mod, "_certify", certify)
+    report = run_suite([A])
+    return report, pairs, ffts, certs
+
+
+@pytest.mark.parametrize(
+    "A, totals",
+    [
+        (GSet(CyclicGroup(31), [0, 1, 3, 7, 12, 20]), (7, 2, 1)),
+        (by_index(TorsionGroup(2, 5), [0, 1, 3, 6, 12, 31]), (17, 1, 1)),
+    ],
+    ids=["Z/31", "(Z/2)^5"],
+)
+def test_each_derived_set_is_built_once_per_instance(monkeypatch, A, totals):
+    a, minus_a = A.packed().tobytes(), negate(A).packed().tobytes()
+    d = difference_set(A, A).packed().tobytes()
+    report, pairs, ffts, certs = _count_work(monkeypatch, A)
+    assert report.ok
+    # A + A and A - A are formed once each (once in all when A = -A), the
+    # FFTs of A and, for diam in Z/N, of A - A taken once each, and one
+    # (A, A, A) certificate built
+    assert sum(set(p) == {a, minus_a} for p in pairs) == 1
+    assert sum(set(p) == {a} for p in pairs) == 1
+    assert ffts.count(a) == 1
+    assert ffts.count(d) == (A.group.kind == "cyclic")
+    assert sum(x is A and y is A and z is A for x, y, z in certs) == 1
+    assert (len(pairs), len(ffts), len(certs)) == totals
+
+
+def test_without_the_memo_the_work_repeats(monkeypatch):
+    A = GSet(CyclicGroup(31), [0, 1, 3, 7, 12, 20])
+    monkeypatch.setattr(suite_mod, "_memo_scope", contextlib.nullcontext)
+    _, pairs, ffts, certs = _count_work(monkeypatch, A)
+    assert len(pairs) > 7 and len(ffts) > 2 and len(certs) > 1
+
+
+# ------------------------------------------------------------------ saturated sums
+
+def _pairwise_calls(monkeypatch):
+    calls = []
+    real = groups_mod._pairwise
+    monkeypatch.setattr(groups_mod, "_pairwise", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 30])
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_saturated_cyclic_sum(monkeypatch, N, side):
+    g = CyclicGroup(N)
+    full = GSet(g, range(N))
+    calls = _pairwise_calls(monkeypatch)
+    rng = random.Random(N)
+    for other in (GSet(g, rng.sample(range(N), k)) for k in range(1, N + 1)):
+        left = full if side != "right" else other
+        right = full if side != "left" else other
+        got = sumset(left, right)
+        assert list(got.elements) == naive_sumset_mod(left.elements, right.elements, N) == list(range(N))
+        assert got is not left and got is not right
+    assert calls == []
+
+
+@pytest.mark.parametrize("r, n", [(2, 3), (3, 2), (5, 1)])
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_saturated_torsion_sum(monkeypatch, r, n, side):
+    g = TorsionGroup(r, n)
+    full = GSet(g, [g.element_at(i) for i in range(g.order)])
+    calls = _pairwise_calls(monkeypatch)
+    rng = random.Random(r * n)
+    for k in (1, 2, g.order - 1, g.order):
+        other = GSet(g, [g.element_at(i) for i in rng.sample(range(g.order), k)])
+        left = full if side != "right" else other
+        right = full if side != "left" else other
+        assert list(sumset(left, right).elements) == naive_sumset_vec(left.elements, right.elements, r)
+    assert calls == []
+
+
+@pytest.mark.parametrize("left, right", [("full", "empty"), ("empty", "full"), ("empty", "empty")])
+def test_empty_operand_beats_a_full_one(left, right):
+    g = CyclicGroup(7)
+    sets = {"full": GSet(g, range(7)), "empty": GSet(g, [])}
+    assert len(sumset(sets[left], sets[right])) == 0
+
+
+def test_window_takes_no_shortcut(monkeypatch):
+    # a window has no order, so even all of it plus a set runs the kernel
+    W = IntegerWindow(0, 4)
+    whole = GSet(W, range(5))
+    calls = _pairwise_calls(monkeypatch)
+    got = sumset(whole, GSet(W, [0, 3]))
+    assert list(got.elements) == naive_sumset_int(range(5), [0, 3])
+    assert got.group == IntegerWindow(0, 7)
+    assert calls == [1]
+
+
+# ------------------------------------------------------------------ witness search
+
+def _random_case(seed):
+    rng = random.Random(seed)
+    if seed % 2:
+        g = CyclicGroup(rng.randint(5, 120))
+        elems = lambda k: rng.sample(range(g.modulus), min(k, g.modulus))
+    else:
+        g = rng.choice([TorsionGroup(2, 5), TorsionGroup(3, 3), TorsionGroup(2, 6)])
+        elems = lambda k: [g.element_at(i) for i in rng.sample(range(g.order), min(k, g.order))]
+    A = GSet(g, elems(rng.randint(1, 14)))
+    B1 = GSet(g, elems(rng.randint(1, 6)))
+    B2 = B1 if rng.random() < 0.3 else GSet(g, elems(rng.randint(1, 6)))
+    return A, B1, B2
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_witness_matches_the_fraction_loop(seed):
+    A, B1, B2 = _random_case(seed)
+    got = pluennecke_witness(A, B1, B2)
+    subset, ratio, searched = loop_pluennecke(A, B1, B2)
+    assert (got.subset.elements, got.ratio, got.subsets_searched) == (subset, ratio, searched)
