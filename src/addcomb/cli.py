@@ -226,7 +226,10 @@ def _cmd_bounds(args) -> int:
     else:
         if args.alpha is None:
             raise ValueError("bounds needs --alpha or --at-threshold")
-        alpha = Fraction(args.alpha) if "/" in args.alpha else float(args.alpha)
+        try:
+            alpha = Fraction(args.alpha) if "/" in args.alpha else float(args.alpha)
+        except ZeroDivisionError:
+            raise ValueError(f"--alpha {args.alpha!r} has a zero denominator") from None
         rep = bound_calculator(alpha, args.doubling, args.order)
     delta = "n/a" if rep.delta is None else f"{rep.delta:.12g}"
     human = (
@@ -268,6 +271,8 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     if not args.group:
         raise ValueError("enumerate needs --group")
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     stream = parse_shape(args.shape, parse_group(args.group), args.seed)
     sets = []
     for i, inst in enumerate(stream):

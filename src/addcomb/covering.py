@@ -155,14 +155,11 @@ def covering_certificate(
 
     With the witness path, |T| <= 2*K1*K2 - 1 where Ki = |A+Bi|/|A|; without
     it the weaker counting bound 2*|A+B1+B2|/|A| - 1 applies.  The inclusion
-    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.  With
-    A, B1 and B2 the same object the certificate is memoized on A (see
-    GSet), so one built inside a memo scope is built once.
+    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.  Inside a
+    memo scope the certificate is memoized on the identity of (A, B1, B2)
+    and the budget (see groups._memoized), so each is built once there.
     """
-    if A is B1 is B2:
-        cert = _memoized(A, ("certificate", witness_budget), lambda: _certify(A, A, A, witness_budget))
-    else:
-        cert = _certify(A, B1, B2, witness_budget)
+    cert = _memoized((A, B1, B2), ("certificate", witness_budget), lambda: _certify(A, B1, B2, witness_budget))
     if check_m > 0:
         cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))
     return cert

@@ -64,7 +64,7 @@ class SpectrumReport:
 
 def _magnitudes(B: GSet) -> np.ndarray:
     """|B^(chi)| for every character chi, flat in packed index order, by FFT (read-only)."""
-    return _memoized(B, "magnitudes", lambda: _fft_magnitudes(B))
+    return _memoized((B,), "magnitudes", lambda: _fft_magnitudes(B))
 
 
 def _fft_magnitudes(B: GSet) -> np.ndarray:

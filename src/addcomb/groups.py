@@ -12,7 +12,7 @@ import contextvars
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -237,15 +237,14 @@ class GSet:
     tuple view in that order, built on first use; ``as_set()`` is an uncached
     frozenset view.
 
-    ``_memo`` maps a key naming what was derived (A+A, A-A, the FFT
-    magnitudes, the (A, A, A) covering certificate per witness budget) to
-    its value for this very object.  Living on the object, it is keyed by
-    identity: an equal set built elsewhere shares nothing.  It is filled only
-    while a ``_memo_scope`` is open and dropped when that scope closes;
-    outside a scope it stays None and every derived set is computed afresh.
+    A set holds nothing derived from it.  While a ``_memo_scope`` is open,
+    ``_memoized`` keeps sums, negations, FFT magnitudes and covering
+    certificates in the scope's own dict, keyed by the identity of their
+    operands, so an equal set built elsewhere shares nothing; the dict is
+    dropped when the scope closes.
     """
 
-    __slots__ = ("group", "_idx", "_elements", "_memo")
+    __slots__ = ("group", "_idx", "_elements")
 
     def __init__(self, group: Group, elements: Iterable[Element] = ()):
         norm = tuple(sorted({group.normalize(x) for x in elements}))
@@ -268,7 +267,6 @@ class GSet:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "_idx", idx)
         object.__setattr__(self, "_elements", elements)
-        object.__setattr__(self, "_memo", None)
 
     @property
     def elements(self) -> tuple:
@@ -334,38 +332,36 @@ class GSet:
         return ind
 
 
-# the sets that hold a memo in the innermost open _memo_scope; None when none is open
-_SCOPE: contextvars.ContextVar[Optional[List[GSet]]] = contextvars.ContextVar("addcomb_memo_scope", default=None)
+# the memo of the innermost open _memo_scope, (tag, *operand ids) -> (operands, value); None when none is open
+_SCOPE: contextvars.ContextVar[Optional[Dict[tuple, tuple]]] = contextvars.ContextVar("addcomb_memo_scope", default=None)
 
 _T = TypeVar("_T")
 
 
 @contextlib.contextmanager
 def _memo_scope() -> Iterator[None]:
-    """While open, _memoized keeps what it derives on the set; on exit every memo it filled is dropped."""
-    filled: List[GSet] = []
-    token = _SCOPE.set(filled)
+    """While open, _memoized keeps what it derives in a fresh dict; on exit the dict is dropped."""
+    token = _SCOPE.set({})
     try:
         yield
     finally:
         _SCOPE.reset(token)
-        for X in filled:
-            object.__setattr__(X, "_memo", None)
 
 
-def _memoized(X: GSet, key: Hashable, make: Callable[[], _T]) -> _T:
-    """make(), kept under key on X while a _memo_scope is open; a fresh make() otherwise."""
-    filled = _SCOPE.get()
-    if filled is None:
-        return make()
-    memo = X._memo
+def _memoized(operands: tuple, tag: Hashable, make: Callable[[], _T]) -> _T:
+    """make(), kept under tag and the operands' identity while a _memo_scope is open; a fresh make() otherwise.
+
+    The entry keeps the operands alive next to the value, so no id in a key
+    can pass to a new object while the scope is open.
+    """
+    memo = _SCOPE.get()
     if memo is None:
-        memo = {}
-        object.__setattr__(X, "_memo", memo)
-        filled.append(X)
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
+        return make()
+    key = (tag, *map(id, operands))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (operands, make())
+    return entry[1]
 
 
 def _index_add(g: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -446,13 +442,11 @@ def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
 
 def sumset(A: GSet, B: GSet) -> GSet:
     """Minkowski sum {a + b : a in A, b in B}."""
-    _require_same_ambient(A, B)
-    if A is B:
-        return _memoized(A, "A+A", lambda: _sumset(A, A))
-    return _sumset(A, B)
+    return _memoized((A, B), "sum", lambda: _sumset(A, B))
 
 
 def _sumset(A: GSet, B: GSet) -> GSet:
+    _require_same_ambient(A, B)
     g = A.group
     if not len(A) or not len(B):
         if g.kind == "window":
@@ -475,17 +469,18 @@ def negate(A: GSet) -> GSet:
     return GSet._from_indices(g, _index_scale(A.group, A.packed(), -1))
 
 
+def _minus(B: GSet) -> GSet:
+    """-B, or B itself when B and its window are symmetric, as every set in (Z/2)^n is; memoized like a sum."""
+    def make() -> GSet:
+        neg = negate(B)
+        return B if neg.group == B.group and neg == B else neg
+
+    return _memoized((B,), "neg", make)
+
+
 def difference_set(A: GSet, B: GSet) -> GSet:
     """Minkowski difference {a - b : a in A, b in B}."""
-    if A is B:
-        return _memoized(A, "A-A", lambda: _self_difference(A))
-    return sumset(A, negate(B))
-
-
-def _self_difference(A: GSet) -> GSet:
-    neg = negate(A)
-    # A - A is A + A when A is symmetric, as every set is in (Z/2)^n
-    return sumset(A, A if neg == A else neg)
+    return sumset(A, _minus(B))
 
 
 def iterated_sum(A: GSet, k: int) -> GSet:

@@ -135,7 +135,7 @@ def _check_incm(A: GSet, cfg: SuiteConfig):
 
 
 def _growth(A: GSet, cfg: SuiteConfig):
-    return _memoized(A, ("growth", cfg.witness_budget, cfg.m_max), lambda: _growth_table(A, cfg))
+    return _memoized((A,), ("growth", cfg.witness_budget, cfg.m_max), lambda: _growth_table(A, cfg))
 
 
 def _growth_table(A: GSet, cfg: SuiteConfig):

@@ -22,10 +22,10 @@ from .groups import (
     Element,
     GSet,
     TorsionGroup,
+    _minus,
     _pairwise,
     difference_set,
     is_subset,
-    negate,
     sumset,
     translate,
 )
@@ -118,9 +118,9 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     D = difference_set(A, A)
     k_double = Fraction(len(sumset(A, A)), n)
     k_diff = Fraction(len(D), n)
-    neg_a = negate(A)
+    neg_a = _minus(A)
     routes = [("sum", A)]
-    if neg_a != A:
+    if neg_a is not A:
         routes.append(("difference", neg_a))
     route, cert = None, None
     for name, B in routes:

@@ -93,6 +93,13 @@ class TestBoundCalculator:
         assert captured.out == ""
         assert "doubling parameter K" in captured.err
 
+    @pytest.mark.parametrize("alpha", ["1/0", "0/0"])
+    def test_zero_denominator_alpha_exits_two(self, capsys, alpha):
+        assert main(["bounds", "--alpha", alpha, "--doubling", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "zero denominator" in captured.err
+
 
 class TestThresholdChain:
     def test_thm1_deltas(self):

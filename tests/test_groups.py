@@ -111,6 +111,11 @@ class TestSumset:
         A = GSet(Z7, [1])
         assert len(sumset(A, GSet(Z7, []))) == 0
 
+    def test_empty_window_difference_spans_every_difference(self):
+        # E - E, like E - F, lies in [lo - hi, hi - lo], the range a difference can take
+        E = GSet(IntegerWindow(2, 5), [])
+        assert difference_set(E, E).group == difference_set(E, GSet(E.group, [])).group == IntegerWindow(-3, 3)
+
     def test_group_mismatch(self):
         with pytest.raises(GroupMismatchError):
             sumset(GSet(Z7, [1]), GSet(Z11, [1]))

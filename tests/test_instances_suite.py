@@ -621,6 +621,16 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["{0}", "{1}", "{2}"]
 
+    def test_enumerate_negative_limit_exits_two(self, capsys):
+        assert main(["enumerate", "--group", "cyclic:7", "--shape", "exhaustive:2", "--limit", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--limit" in captured.err
+
+    def test_enumerate_limit_zero(self, capsys):
+        assert main(["enumerate", "--group", "cyclic:7", "--shape", "exhaustive:2", "--limit", "0"]) == 0
+        assert capsys.readouterr().out == "(no instances)\n"
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
         rc = main(

@@ -55,8 +55,8 @@ def instance(draw):
     return by_index(g, draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=9, unique=True)))
 
 
-def memo_holders():
-    return [o for o in gc.get_objects() if type(o) is GSet and o._memo is not None]
+def gset_count():
+    return sum(type(o) is GSet for o in gc.get_objects())
 
 
 class TestMemoIsInvisible:
@@ -78,16 +78,17 @@ class TestMemoIsInvisible:
             GSet(TorsionGroup(3, 3), [(0, 0, 0), (1, 2, 0), (0, 1, 1)]),
             DIAM_DEFECT,
         ]
-        seen = []
+        scopes = []
+        before = gset_count()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groups_mod, "_SCOPE", _SpyVar(groups_mod._SCOPE, seen))
+            mp.setattr(groups_mod, "_SCOPE", _SpyVar(groups_mod._SCOPE, scopes))
             run_suite(instances)
-        # every instance had its memo filled, and every filled memo is gone
-        held = [X for filled in seen for X in filled]
-        assert all(any(X is A for X in held) for A in instances)
-        assert all(X._memo is None for X in held)
-        assert all(A._memo is None for A in instances)
-        assert memo_holders() == []
+        # one scope per instance, each filled with what was derived from it,
+        # and every set made inside them is gone
+        assert len(scopes) == len(instances)
+        assert all(any(id(A) in key[1:] for key in keys) for A, keys in zip(instances, scopes))
+        assert groups_mod._SCOPE.get() is None
+        assert gset_count() == before
 
     def test_a_fault_still_drops_the_memo(self, monkeypatch):
         def fault(A, cfg):
@@ -96,31 +97,44 @@ class TestMemoIsInvisible:
 
         monkeypatch.setitem(suite_mod.INSTANCE_CHECKS, "incm", fault)
         A = GSet(CyclicGroup(31), [0, 1, 5])
+        before = gset_count()
         with pytest.raises(ValueError, match="planted"):
             run_suite([A], SuiteConfig(checks=("inc", "incm")))
-        assert A._memo is None and memo_holders() == []
+        assert groups_mod._SCOPE.get() is None
+        assert gset_count() == before
 
     def test_nothing_is_kept_outside_a_scope(self):
         A = GSet(CyclicGroup(31), [0, 1, 5, 11])
+        B = GSet(CyclicGroup(31), [2, 3])
+        before = gset_count()
         assert difference_set(A, A) is not difference_set(A, A)
         assert sumset(A, A) is not sumset(A, A)
+        assert sumset(A, B) is not sumset(A, B)
         assert _magnitudes(A) is not _magnitudes(A)
         assert covering_certificate(A, A, A) is not covering_certificate(A, A, A)
-        assert A._memo is None and memo_holders() == []
+        assert groups_mod._SCOPE.get() is None
+        assert gset_count() == before
 
     def test_inside_a_scope_each_derived_set_is_kept(self):
         A = GSet(TorsionGroup(3, 3), [(0, 0, 0), (1, 2, 0), (0, 1, 1)])
+        B = GSet(A.group, [(0, 0, 0), (2, 2, 1)])
+        twin = GSet(A.group, A.elements)
+        before = gset_count()
         with _memo_scope():
             assert difference_set(A, A) is difference_set(A, A)
             assert sumset(A, A) is sumset(A, A)
+            assert sumset(A, B) is sumset(A, B)
+            assert difference_set(A, B) is difference_set(A, B)
             assert _magnitudes(A) is _magnitudes(A)
             assert covering_certificate(A, A, A, witness_budget=12) is covering_certificate(A, A, A, witness_budget=12)
+            assert covering_certificate(A, B, B) is covering_certificate(A, B, B)
             # the key is the operands' identity and the budget, never an equal value
-            twin = GSet(A.group, A.elements)
             assert difference_set(twin, twin) is not difference_set(A, A)
+            assert sumset(A, twin) is not sumset(A, A)
             assert covering_certificate(A, A, A, witness_budget=11) is not covering_certificate(A, A, A, witness_budget=12)
             assert difference_set(A, twin) is not difference_set(A, A)
-        assert A._memo is None and memo_holders() == []
+        assert groups_mod._SCOPE.get() is None
+        assert gset_count() == before
 
     def test_memoized_arrays_are_read_only(self):
         A = GSet(CyclicGroup(31), [0, 1, 5, 11])
@@ -131,21 +145,49 @@ class TestMemoIsInvisible:
             with pytest.raises(ValueError):
                 sumset(A, A).packed()[0] = 1
 
+    @pytest.mark.parametrize(
+        "g", [CyclicGroup(47), TorsionGroup(2, 6), TorsionGroup(3, 4)], ids=["Z/47", "(Z/2)^6", "(Z/3)^4"]
+    )
+    def test_identity_keys_never_alias(self, g):
+        # each B dies before the next is made, so a key of bare ids would meet
+        # a reused id; the memo keeps every operand alive while the scope is open.
+        # In (Z/2)^n every B is its own negation, so there the memo of -B keeps
+        # B alive as well; (Z/3)^4 is the torsion case without that help
+        rng = random.Random(g.order)
+        A = by_index(g, rng.sample(range(g.order), 5))
+        seen = set()
+        with _memo_scope():
+            while len(seen) < 200:
+                idx = tuple(sorted(rng.sample(range(g.order), rng.randint(1, 4))))
+                if idx in seen:
+                    continue
+                seen.add(idx)
+                B = by_index(g, idx)
+                if g.kind == "cyclic":
+                    want_sum = naive_sumset_mod(A.elements, B.elements, g.modulus)
+                    want_diff = naive_sumset_mod(A.elements, [-b for b in B.elements], g.modulus)
+                else:
+                    want_sum = naive_sumset_vec(A.elements, B.elements, g.exponent)
+                    want_diff = naive_sumset_vec(A.elements, [tuple(-c for c in b) for b in B.elements], g.exponent)
+                assert list(sumset(A, B).elements) == want_sum
+                assert list(difference_set(A, B).elements) == want_diff
+                del B
+
 
 class _SpyVar:
-    """A stand-in for the scope's context variable that records every list it is set to."""
+    """A stand-in for the scope's context variable that records the keys of each memo as its scope closes."""
 
-    def __init__(self, var, seen):
-        self._var, self._seen = var, seen
+    def __init__(self, var, scopes):
+        self._var, self._scopes = var, scopes
 
-    def set(self, filled):
-        self._seen.append(filled)
-        return self._var.set(filled)
+    def set(self, memo):
+        return self._var.set(memo)
 
     def get(self):
         return self._var.get()
 
     def reset(self, token):
+        self._scopes.append(list(self._var.get()))
         self._var.reset(token)
 
 
@@ -183,8 +225,8 @@ def _count_work(monkeypatch, A):
 @pytest.mark.parametrize(
     "A, totals",
     [
-        (GSet(CyclicGroup(31), [0, 1, 3, 7, 12, 20]), (7, 2, 1)),
-        (by_index(TorsionGroup(2, 5), [0, 1, 3, 6, 12, 31]), (17, 1, 1)),
+        (GSet(CyclicGroup(31), [0, 1, 3, 7, 12, 20]), (5, 2, 1)),
+        (by_index(TorsionGroup(2, 5), [0, 1, 3, 6, 12, 31]), (14, 1, 1)),
     ],
     ids=["Z/31", "(Z/2)^5"],
 )
