@@ -23,6 +23,12 @@ CASES = {
     "sumset-cyclic": "sumset --group cyclic:101 --elements 0,1,5,17,90",
     "sumset-window": "sumset --group window:-20:30 --elements=-20,-3,0,7,30 --elements-b 1,2,5",
     "sumset-torsion": "sumset --group torsion:3:3 --elements 0,0,1;1,2,0;2,2,2 --elements-b 1,1,1;0,1,0",
+    # (Z/2)^10 and (Z/3)^7 add their indices in two chunks of digits, (Z/257)^2 digit by digit
+    "sumset-torsion-chunked": "sumset --group torsion:2:10 --elements "
+    "0,0,0,0,0,0,0,0,0,1;1,0,1,1,0,0,1,0,1,1;1,1,1,1,1,1,1,1,1,1;0,1,1,0,1,0,0,1,1,0 --elements-b "
+    "1,1,0,0,0,0,0,0,1,1;0,0,1,0,1,0,1,0,1,0;1,1,1,1,1,1,1,1,1,0",
+    "sumset-torsion-large-exponent": "sumset --group torsion:257:2 --elements 0,0;1,256;128,129;256,256 "
+    "--elements-b 1,1;255,2;129,128",
     "diam-cyclic": "diam --group cyclic:101 --elements 3,20,37,54,71,99",
     "diam-large-modulus": f"diam --group cyclic:{(1 << 62) - 57} --elements "
     + ",".join(str((_INV3 * x + 11) % ((1 << 62) - 57)) for x in (0, 1, 2, 3)),
@@ -39,6 +45,8 @@ CASES = {
     "rectify-window-rejected": "rectify --group window:0:50 --elements 0,1,5",
     "torsion-cover-sum": "torsion-cover --group torsion:2:4 --elements 0,0,0,0;1,0,0,0;0,1,0,0;1,1,0,1",
     "torsion-cover-difference": "torsion-cover --group torsion:3:3 --elements 0,0,0;1,0,0;0,1,2;2,2,1",
+    "torsion-cover-chunked": "torsion-cover --group torsion:3:7 --elements "
+    "0,0,0,0,0,0,0;1,0,0,0,0,2,1;0,1,2,0,0,1,1;2,2,1,0,0,0,2;1,1,1,0,0,2,0",
     "bounds-pipeline": "bounds --group cyclic:1009 --elements " + ",".join(map(str, range(12))),
     "bounds-threshold": "bounds --doubling 2 --at-threshold --order 3",
     "verify-prime-cyclic": "verify --group cyclic:13 --shape exhaustive:3",
@@ -47,6 +55,7 @@ CASES = {
     "verify-composite-diam-defect": "verify --group cyclic:69 --shape union:15:1:1;55:1:1;58:1:1 --checks diam",
     "verify-torsion-2": "verify --group torsion:2:3 --shape exhaustive:3",
     "verify-torsion-3": "verify --group torsion:3:2 --shape random:4:20 --seed 3",
+    "verify-torsion-chunked": "verify --group torsion:2:9 --shape random:5:6 --seed 4",
     "enumerate-normalize": "enumerate --group cyclic:13 --shape exhaustive:3:normalize",
     "enumerate-random-torsion": "enumerate --group torsion:5:2 --shape random:4:5 --seed 7",
     "enumerate-random-window": "enumerate --group window:-5:5 --shape random:3:4 --seed 2",
