@@ -23,7 +23,7 @@ from numbers import Rational
 from typing import Dict, Optional, Union
 
 from .fourier import eta_largecoeff2, spectrum
-from .groups import Certificate, GSet, difference_set, sumset
+from .groups import Certificate, GSet, _memo_scope, difference_set, sumset
 from .primes import is_prime
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
@@ -177,7 +177,13 @@ def theorem1_pipeline(A: GSet, delta: Optional[float] = None) -> PipelineReport:
     fail and the report says so, while the unconditional parts (spectrum,
     concentration implication, true diameter) still run.  When delta is not
     given, the chain's own delta is used if it lands in (0, 1/3), else 0.3.
+    The run opens one memo scope, so A - A and its spectrum are formed once.
     """
+    with _memo_scope():
+        return _pipeline(A, delta)
+
+
+def _pipeline(A: GSet, delta: Optional[float]) -> PipelineReport:
     if A.group.kind != "cyclic":
         raise ValueError("the pipeline runs on cyclic groups")
     N = A.group.modulus

@@ -96,6 +96,8 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     n = len(A)
     if n == 0:
         raise ValueError("witness search needs a nonempty base set")
+    if budget < 0:
+        raise ValueError(f"witness budget must be >= 0, got {budget}")
     if n > budget:
         raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
     sigma = sumset(B1, B2)
@@ -159,6 +161,10 @@ def covering_certificate(
     memo scope the certificate is memoized on the identity of (A, B1, B2)
     and the budget (see groups._memoized), so each is built once there.
     """
+    if witness_budget < 0:
+        raise ValueError(f"witness budget must be >= 0, got {witness_budget}")
+    if check_m < 0:
+        raise ValueError(f"check_m must be >= 0, got {check_m}")
     cert = _memoized((A, B1, B2), ("certificate", witness_budget), lambda: _certify(A, B1, B2, witness_budget))
     if check_m > 0:
         cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))

@@ -76,6 +76,8 @@ def _fft_magnitudes(B: GSet) -> np.ndarray:
 def spectrum(B: GSet, top: int = 8) -> SpectrumReport:
     """All character magnitudes of the indicator of B, with the Parseval residual."""
     n = _require_finite(B)
+    if top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     mags = _magnitudes(B)
     size = len(B)
     power = float(np.sum(mags * mags))
@@ -85,7 +87,7 @@ def spectrum(B: GSet, top: int = 8) -> SpectrumReport:
         max_mag = float(mags[idx])
     else:
         idx, max_mag = 0, float(size)
-    order_desc = np.argsort(-mags[1:], kind="stable")[: max(0, top)] + 1 if n > 1 else []
+    order_desc = np.argsort(-mags[1:], kind="stable")[:top] + 1 if n > 1 else []
     top_list = tuple((B.group.element_at(int(i)), float(mags[i])) for i in order_desc)
     return SpectrumReport(
         order=n,

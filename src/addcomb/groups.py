@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +52,11 @@ _DENSE_PAIR_FACTOR = 256
 # Cap on |A|*|B| for a single pairwise-enumeration block; larger products are
 # processed in chunks to bound memory.
 _OUTER_BLOCK = 1 << 22
+
+# (Z/r)^n indices add in chunks of w base-r digits, w the most with r^w at
+# most this, through an (r^w x r^w) table of digitwise sums mod r: at most
+# 2^16 entries (512 KB) per table, one table per (r, w) in a process.
+_DIGIT_TABLE_ROWS = 256
 
 
 class GroupMismatchError(ValueError):
@@ -364,27 +370,58 @@ def _memoized(operands: tuple, tag: Hashable, make: Callable[[], _T]) -> _T:
     return entry[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_table(r: int, w: int) -> np.ndarray:
+    """The (r^w, r^w) table whose entry [x, y] adds the w-digit base-r numbers x and y digitwise mod r (read-only)."""
+    digits = np.indices((r,) * w, dtype=np.int64).reshape(w, -1)
+    place = r ** np.arange(w - 1, -1, -1, dtype=np.int64)
+    table = np.tensordot(place, (digits[:, :, None] + digits[:, None, :]) % r, axes=1)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _chunking(r: int, n: int) -> Tuple[int, Optional[np.ndarray]]:
+    """(r^w, table) for adding (Z/r)^n indices w digits at a time; (r, None) when r exceeds _DIGIT_TABLE_ROWS."""
+    w = 0
+    while w < n and r ** (w + 1) <= _DIGIT_TABLE_ROWS:
+        w += 1
+    return (r, None) if w == 0 else (r**w, _digit_table(r, w))
+
+
+def _residue_add(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(a + b) mod m for residues a, b in [0, m): m is subtracted where the sum reaches it, cheaper than % m."""
+    s = a + b
+    np.subtract(s, m, out=s, where=s >= m)
+    return s
+
+
 def _index_add(g: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Indices of a + b for index arrays of the group g; shapes broadcast.
 
-    The one place that knows how two indices add: Z/N subtracts N where
-    a + b >= N (a, b < N, and cheaper than % N), (Z/r)^n adds digitwise mod r
-    with one temporary of the broadcast shape per digit, and a window adds
-    plainly.
+    The one place that knows how two indices add.  Z/N adds residues
+    (_residue_add).  (Z/r)^n adds digitwise mod r, a chunk of w base-r
+    digits at a time: the chunk's value is a row and a column of the cached
+    _digit_table, so a group of order r^n <= 256 adds by one table lookup
+    and a larger one by one lookup, a multiply and an add per chunk.  With
+    r > 256 there is no table and each digit adds as a residue mod r.  A
+    window adds plainly.  The result is a fresh array, never a table view.
     """
     if g.kind == "cyclic":
-        s = a + b
-        np.subtract(s, g.modulus, out=s, where=s >= g.modulus)
-        return s
+        return _residue_add(a, b, g.modulus)
     if g.kind == "torsion":
-        r = g.exponent
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        place = r ** (g.rank - 1)
-        for _ in range(g.rank):
-            da = (a // place) % r
-            db = (b // place) % r
-            out += ((da + db) % r) * place
-            place //= r
+        base, table = _chunking(g.exponent, g.rank)
+
+        def add(x, y):
+            return _residue_add(x, y, base) if table is None else table[x, y]
+
+        if base == g.order:
+            return add(a, b)
+        out = add(a % base, b % base)
+        place = base
+        while place < g.order:
+            out += add(a // place % base, b // place % base) * place
+            place *= base
         return out
     return a + b
 

@@ -265,6 +265,8 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
     unknown = [c for c in config.checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    if config.witness_budget < 0:
+        raise ValueError(f"witness budget must be >= 0, got {config.witness_budget}")
     start = time.perf_counter()
     selected = [c for c in CHECK_NAMES if c in config.checks]
     tallies = {name: CheckTally() for name in selected}

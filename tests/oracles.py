@@ -26,6 +26,20 @@ def naive_sumset_vec(A, B, r):
     return sorted(out)
 
 
+def loop_torsion_add(a, b, r, n):
+    """Indices of a + b in (Z/r)^n, one base-r digit at a time, most significant first.
+
+    Each digit of the sum is (digit of a + digit of b) mod r, put back at its
+    place value.  a and b are ints or broadcasting integer arrays.
+    """
+    out = 0
+    place = r ** (n - 1)
+    for _ in range(n):
+        out = out + (a // place % r + b // place % r) % r * place
+        place //= r
+    return out
+
+
 def naive_iterated_mod(A, k, N):
     cur = sorted(set(a % N for a in A))
     for _ in range(k - 1):

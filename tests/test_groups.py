@@ -35,6 +35,7 @@ from addcomb import (
 from addcomb.cli import main
 from oracles import (
     brute_greedy_translates,
+    loop_torsion_add,
     naive_iterated_mod,
     naive_subgroup,
     naive_sumset_int,
@@ -357,6 +358,88 @@ class TestSumsetKernel:
         support = convolution_counts(GSet(CyclicGroup(10), [0, 3]), 2).support
         assert support.elements == (0, 3, 6, 9)
         assert np.array_equal(support.packed(), packed_by_index(support))
+
+
+def digit_table_groups():
+    """(r, n) at the chunk width w, at w + 1, at 2w + 1 and at the largest rank that fits (w = 1 past 256)."""
+    out = []
+    for r in (2, 3, 4, 5, 7, 16, 17, 255, 256, 257, 4093):
+        w = max(w for w in range(1, 9) if r**w <= 256) if r <= 256 else 1
+        top = max(n for n in range(1, 25) if r**n <= groups_mod.DENSE_ORDER_LIMIT)
+        out += [(r, n) for n in sorted({w, w + 1, 2 * w + 1, top}) if n <= top]
+    return out
+
+
+def index_arrays(order, max_size=12):
+    return st.lists(st.integers(0, order - 1), min_size=1, max_size=max_size).map(
+        lambda xs: np.array(xs, dtype=np.int64)
+    )
+
+
+class TestDigitTableAdd:
+    """_index_add in (Z/r)^n against the per-digit loop, and the digit tables it caches."""
+
+    @pytest.mark.parametrize("r,n", digit_table_groups())
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_digit_loop(self, r, n, data):
+        g = TorsionGroup(r, n)
+        a = data.draw(index_arrays(g.order))
+        b = data.draw(index_arrays(g.order))
+        c = data.draw(st.integers(0, g.order - 1))
+        grid = groups_mod._index_add(g, a[:, None], b[None, :])
+        assert grid.dtype == np.int64
+        assert grid.tolist() == loop_torsion_add(a[:, None], b[None, :], r, n).tolist()
+        shifted = groups_mod._index_add(g, a, c)
+        assert shifted.tolist() == [loop_torsion_add(x, c, r, n) for x in a.tolist()]
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r, n in digit_table_groups() if r**n <= 1 << 20])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_set_operations(self, r, n, data):
+        g = TorsionGroup(r, n)
+        elems = lambda k: [g.element_at(int(i)) for i in data.draw(index_arrays(g.order, k))]
+        a, b = elems(8), elems(8)
+        assert list(sumset(GSet(g, a), GSet(g, b)).elements) == naive_sumset_vec(set(a), set(b), r)
+        c = b[0]
+        assert list(translate(GSet(g, a), c).elements) == naive_sumset_vec(set(a), [c], r)
+        gens = elems(3 if r <= 17 else 1)
+        assert list(subgroup_generated(GSet(g, gens)).elements) == naive_subgroup(gens, r, n)
+
+    def test_chunk_width_is_the_most_digits_that_fit(self):
+        for r, n in digit_table_groups() + [(16_777_213, 1)]:
+            base, table = groups_mod._chunking(r, n)
+            if r > 256:
+                assert (base, table) == (r, None)
+                continue
+            # base = r^w with w <= n, w maximal under r^w <= 256
+            assert base <= 256 and (base == r**n or base * r > 256)
+            assert table.shape == (base, base)
+
+    def test_no_table_exceeds_two_to_the_sixteen(self):
+        groups_mod._chunking.cache_clear()
+        groups_mod._digit_table.cache_clear()
+        a = np.array([0, 1, 5], dtype=np.int64)
+        for r, n in [(257, 1), (257, 2), (4093, 2), (16_777_213, 1)]:
+            groups_mod._index_add(TorsionGroup(r, n), a[:, None], a[None, :])
+        assert groups_mod._digit_table.cache_info().currsize == 0
+        for r, n in digit_table_groups():
+            groups_mod._index_add(TorsionGroup(r, n), a[:, None], a[None, :])
+            table = groups_mod._chunking(r, n)[1]
+            assert table is None or (table.size <= 1 << 16 and not table.flags.writeable)
+        # one table per (r, w) with r <= 256: w = 8, 5, 4, 3, 2, 2, 1, 1, 1 for r = 2, 3, 4, 5, 7, 16, 17, 255, 256
+        assert groups_mod._digit_table.cache_info().currsize == 9
+
+    @pytest.mark.parametrize("r,n", [(2, 6), (3, 4), (16, 2), (2, 9), (257, 1)])
+    def test_a_result_is_never_a_table_view(self, r, n):
+        g = TorsionGroup(r, n)
+        table = groups_mod._chunking(r, n)[1]
+        a = np.arange(min(g.order, 50), dtype=np.int64)
+        for out in (groups_mod._index_add(g, a[:, None], a[None, :]), groups_mod._index_add(g, a, 1)):
+            assert out.flags.writeable
+            assert table is None or not np.shares_memory(out, table)
+            out[...] = 0  # the caller may write into what it got
+        assert groups_mod._index_add(g, a, 1).tolist() == loop_torsion_add(a, 1, r, n).tolist()
 
 
 class TestModulusCap:

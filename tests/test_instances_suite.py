@@ -32,8 +32,10 @@ from addcomb import (
     random_sets,
     round_sig,
     run_suite,
+    spectrum,
     subspace_coset,
     to_jsonable,
+    torsion_cover,
     translate,
     union_progressions,
 )
@@ -630,6 +632,53 @@ class TestCli:
     def test_enumerate_limit_zero(self, capsys):
         assert main(["enumerate", "--group", "cyclic:7", "--shape", "exhaustive:2", "--limit", "0"]) == 0
         assert capsys.readouterr().out == "(no instances)\n"
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            ("cover --group cyclic:31 --elements 0,1,5 --budget -3", "witness budget"),
+            ("cover --group cyclic:31 --elements 0,1,5 --check-m -1", "check_m"),
+            ("torsion-cover --group torsion:2:4 --elements 0,0,0,0;1,0,0,0;0,1,1,0 --budget -1", "witness budget"),
+            ("verify --group cyclic:13 --shape exhaustive:2 --budget -5", "witness budget"),
+            ("verify --group cyclic:13 --shape exhaustive:2 --checks jbound --budget -5", "witness budget"),
+            ("spectrum --group cyclic:31 --elements 0,1,5 --top -1", "top"),
+        ],
+        ids=["cover-budget", "cover-check-m", "torsion-cover-budget", "verify-budget", "verify-jbound-budget", "spectrum-top"],
+    )
+    def test_negative_budget_or_count_exits_two(self, capsys, argv, option):
+        assert main(argv.split(" ")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"{option} must be >= 0" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "cover --group cyclic:31 --elements 0,1,5 --budget 0",
+            "cover --group cyclic:31 --elements 0,1,5 --check-m 0",
+            "torsion-cover --group torsion:2:4 --elements 0,0,0,0;1,0,0,0;0,1,1,0 --budget 0",
+            "verify --group cyclic:13 --shape exhaustive:2 --budget 0",
+            "spectrum --group cyclic:31 --elements 0,1,5 --top 0",
+        ],
+    )
+    def test_zero_budget_or_count_is_valid(self, capsys, argv):
+        assert main(argv.split(" ")) == 0
+        assert capsys.readouterr().out
+
+    def test_negative_budgets_are_rejected_by_the_library(self):
+        A = GSet(CyclicGroup(31), [0, 1, 5])
+        T = GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0)])
+        calls = [
+            lambda: covering_mod.covering_certificate(A, A, A, witness_budget=-1),
+            lambda: covering_mod.covering_certificate(A, A, A, check_m=-1),
+            lambda: covering_mod.pluennecke_witness(A, A, A, budget=-1),
+            lambda: torsion_cover(T, witness_budget=-1),
+            lambda: spectrum(A, top=-1),
+            lambda: run_suite([], SuiteConfig(witness_budget=-1)),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                call()
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

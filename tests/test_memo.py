@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import addcomb.covering as covering_mod
+import addcomb.fourier as fourier_mod
 import addcomb.groups as groups_mod
 import addcomb.suite as suite_mod
 import addcomb.torsion as torsion_mod
@@ -31,6 +32,7 @@ from addcomb import (
     pluennecke_witness,
     run_suite,
     sumset,
+    theorem1_pipeline,
 )
 from addcomb.fourier import _magnitudes
 from addcomb.groups import _memo_scope
@@ -251,6 +253,21 @@ def test_without_the_memo_the_work_repeats(monkeypatch):
     monkeypatch.setattr(suite_mod, "_memo_scope", contextlib.nullcontext)
     _, pairs, ffts, certs = _count_work(monkeypatch, A)
     assert len(pairs) > 7 and len(ffts) > 2 and len(certs) > 1
+
+
+@pytest.mark.parametrize("N, elems", [(211, [5]), (1000003, [0, 1])], ids=["{5} in Z/211", "{0,1} in Z/1000003"])
+def test_pipeline_forms_a_minus_a_and_its_spectrum_once(monkeypatch, N, elems):
+    A = GSet(CyclicGroup(N), elems)
+    sums, ffts = [], []
+    real_sumset, real_fft = groups_mod._sumset, fourier_mod._fft_magnitudes
+    monkeypatch.setattr(groups_mod, "_sumset", lambda X, Y: sums.append((X, Y)) or real_sumset(X, Y))
+    monkeypatch.setattr(fourier_mod, "_fft_magnitudes", lambda B: ffts.append(B) or real_fft(B))
+    rep = theorem1_pipeline(A)
+    # gate_tau holds, so the large-coefficient step and the spectral diameter both read the spectrum of A - A
+    assert rep.gate_tau and rep.largecoeff_holds is not None
+    assert sum(X is A and Y == negate(A) for X, Y in sums) == 1
+    assert len(ffts) == 1 and ffts[0] == difference_set(A, A)
+    assert groups_mod._SCOPE.get() is None
 
 
 # ------------------------------------------------------------------ saturated sums
