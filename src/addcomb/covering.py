@@ -10,7 +10,6 @@ re-verifies by exhaustive inclusion.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -47,11 +46,11 @@ __all__ = [
 ]
 
 
-def _translate_ids(core: GSet, shifts: GSet) -> np.ndarray:
-    """Row i holds the elements of core + (i-th shift) as ids into their sorted union."""
+def _translate_ids(core: GSet, shifts: GSet) -> Tuple[np.ndarray, int]:
+    """(ids, size of the union): row i of ids holds the elements of core + (i-th shift) as ids into their sorted union."""
     sums = _index_add(core.group, shifts.packed()[:, None], core.packed()[None, :])
-    _, ids = np.unique(sums, return_inverse=True)
-    return ids.reshape(sums.shape)
+    union, ids = np.unique(sums, return_inverse=True)
+    return ids.reshape(sums.shape), len(union)
 
 
 def greedy_translates(core: GSet, candidates: GSet) -> GSet:
@@ -64,8 +63,8 @@ def greedy_translates(core: GSet, candidates: GSet) -> GSet:
     if not len(core):
         raise ValueError("core set must be nonempty")
     n = len(core)
-    ids = _translate_ids(core, candidates)
-    covered = np.zeros(ids.size, dtype=bool)  # compact ids are below ids.size
+    ids, universe = _translate_ids(core, candidates)
+    covered = np.zeros(universe, dtype=bool)
     chosen = []
     while len(chosen) < len(ids):
         gains = n - covered[ids].sum(axis=1)
@@ -89,9 +88,16 @@ class PluenneckeWitness:
 def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> PluenneckeWitness:
     """Exhaustive search for the subset of A with least sumset expansion.
 
-    Enumerates nonempty subsets by decreasing size, lexicographically within
+    Visits nonempty subsets by decreasing size, in combinations order within
     a size, pruning a whole size class once |B1+B2|/size can no longer beat
-    the incumbent (any union of translates has at least |B1+B2| points).
+    the incumbent (any union of translates has at least |B1+B2| points); the
+    first subset of least ratio wins.  It is the largest subset of least
+    ratio, and the only one of its size: unions of translates are
+    submodular, so the union of two least subsets is least.  Size n is A
+    itself, whose union is all
+    of A + B1 + B2.  Each smaller size class is evaluated in numpy by
+    _class_minimum over bitsets of the translates, and only once the pruning
+    rule has let it through.
     """
     n = len(A)
     if n == 0:
@@ -101,28 +107,105 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     if n > budget:
         raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
     sigma = sumset(B1, B2)
-    # one bit per element of the universe A + B1 + B2
-    masks = [sum(1 << i for i in row) for row in _translate_ids(sigma, A).tolist()]
-
-    # the least ratio so far is best_bits / best_size; 1/0 stands for none yet
-    best_bits, best_size = 1, 0
-    best_subset: Tuple[int, ...] = ()  # positions in A
-    searched = 0
-    floor_size = len(sigma)
-    for size in range(n, 0, -1):
-        if floor_size * best_size >= best_bits * size:
+    ids, best_bits = _translate_ids(sigma, A)
+    # the least ratio so far is best_bits / best_size, first found at the
+    # subset whose positions are the set bits of best_key, position i at bit n-1-i
+    best_size, best_key = n, (1 << n) - 1
+    searched = 1
+    tables = None
+    for size in range(n - 1, 0, -1):
+        if len(sigma) * best_size >= best_bits * size:
             break
-        for combo in itertools.combinations(range(n), size):
-            searched += 1
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            bits = m.bit_count()
-            if bits * best_size < best_bits * size:
-                best_bits, best_size = bits, size
-                best_subset = combo
-    subset = GSet._from_indices(A.group, A.packed()[list(best_subset)])
+        if tables is None:
+            tables = _half_unions(ids, best_bits)
+        bits, key = _class_minimum(tables, n, size)
+        searched += math.comb(n, size)
+        if bits * best_size < best_bits * size:
+            best_bits, best_size, best_key = bits, size, key
+    positions = [i for i in range(n) if best_key >> (n - 1 - i) & 1]
+    subset = GSet._from_indices(A.group, A.packed()[positions])
     return PluenneckeWitness(subset, Fraction(best_bits, best_size), searched)
+
+
+# The witness search splits A's n positions into halves, the first n//2 and
+# the rest, and tabulates the union of every subset of each half.  Row h of a
+# half with k positions stands for the positions i with bit k-1-i of h set,
+# so a subset of A is a pair (h, l) of half rows with key h * 2^(n-n//2) + l,
+# bit n-1-i set for each of its positions i; its union is the OR of the two
+# rows.  Among subsets of one size, descending key is combinations order.
+
+
+@functools.lru_cache(maxsize=None)
+def _split(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(members, first sizes, second sizes) of the two halves' rows (read-only).
+
+    members stacks both halves' rows, each listing its subset's positions
+    padded with n; the sizes are each row's subset size.
+    """
+    width = n - n // 2
+    parts = []
+    for start, k in ((0, n // 2), (n // 2, width)):
+        has = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+        rows = np.full((1 << k, width), n)
+        rows[:, :k] = np.where(has, np.arange(start, start + k), n)
+        parts.append((rows, has.sum(axis=1, dtype=np.int8)))
+    out = (np.concatenate([parts[0][0], parts[1][0]]), parts[0][1], parts[1][1])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _class_pairs(n: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (first, second) half rows of the subsets of one size, in combinations order (read-only).
+
+    They take 16 bytes per subset; every class at n = 18 takes 4 MB.
+    """
+    _, first, second = _split(n)
+    # row-major over the grid with both axes reversed runs by descending key
+    r1, r2 = np.nonzero(first[::-1, None] + second[::-1] == size)
+    pairs = (len(first) - 1 - r1, len(second) - 1 - r2)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
+def _half_unions(ids: np.ndarray, universe: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The two halves' union tables, as packed uint64 bitsets over the universe.
+
+    Row i of ids, the translate of A's i-th element, becomes a bitset, with
+    an empty one after them for the padding; a row's union is the OR of its
+    members' bitsets.
+    """
+    n = len(ids)
+    marks = np.zeros((n + 1, -(-universe // 64) * 64), dtype=bool)
+    marks[np.arange(n)[:, None], ids] = True
+    masks = np.packbits(marks, axis=1, bitorder="little").view(np.uint64)
+    members, first, _ = _split(n)
+    unions = np.bitwise_or.reduce(masks.take(members, axis=0), axis=1)
+    return unions[: len(first)], unions[len(first) :]
+
+
+# Cap on the bitset words of the unions formed at once (2 MB), so a search's
+# memory stays bounded however large a size class is.
+_WITNESS_BLOCK = 1 << 18
+
+
+def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Tuple[int, int]:
+    """(least union size, key) over the subsets of A of one size, the first least in combinations order."""
+    first, second = tables
+    words = first.shape[1]
+    step = max(1, _WITNESS_BLOCK // words)
+    best_bits, best_key = None, 0
+    rows1, rows2 = _class_pairs(n, size)
+    for start in range(0, len(rows1), step):
+        r1, r2 = rows1[start : start + step], rows2[start : start + step]
+        bits = np.bitwise_count(first.take(r1, axis=0) | second.take(r2, axis=0))
+        bits = bits.sum(axis=1) if words > 1 else bits[:, 0]
+        i = int(bits.argmin())
+        if best_bits is None or bits[i] < best_bits:
+            best_bits, best_key = int(bits[i]), int(r1[i]) * len(second) + int(r2[i])
+    return best_bits, best_key
 
 
 @dataclass(frozen=True)

@@ -46,12 +46,18 @@ Element = Union[int, Tuple[int, ...]]
 DENSE_ORDER_LIMIT = 1 << 24
 
 # Marking sums densely costs O(order) however few the pairs; below one pair
-# per this many residues np.unique of the pair sums is the faster dedup.
+# per this many residues the pair sums are sorted and deduplicated instead.
+# Lowering it after the sort replaced np.unique sped up no benchmark workload
+# and slowed the small-N sums of rectify-stream.
 _DENSE_PAIR_FACTOR = 256
 
 # Cap on |A|*|B| for a single pairwise-enumeration block; larger products are
 # processed in chunks to bound memory.
 _OUTER_BLOCK = 1 << 22
+
+# Pairs per block of the dense scatter: 2 MB of int64 sums, which stays in a
+# 2 MB L2 cache beside the marks.
+_DENSE_BLOCK = 1 << 18
 
 # (Z/r)^n indices add in chunks of w base-r digits, w the most with r^w at
 # most this, through an (r^w x r^w) table of digitwise sums mod r: at most
@@ -431,23 +437,43 @@ def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 
     In a finite group of order at most DENSE_ORDER_LIMIT the sums are marked
     in a boolean array over the index space once there are enough pairs to pay
-    for it; otherwise they are deduplicated with np.unique.
+    for it, a cache-sized block at a time, and the scan stops once every index
+    is marked: the marks are checked only after a block that is not the last
+    and once the pairs so far number at least the order.  Otherwise the sums
+    are sorted and deduplicated.
     """
     if len(pa) < len(pb):
         pa, pb = pb, pa
-    step = max(1, _OUTER_BLOCK // len(pa))
-    starts = range(0, len(pb), step)
+    order = g.order
 
-    def block(i):  # built on use, so only one block of pair sums is alive at a time
+    def block(i, step):  # built on use, so only one block of pair sums is alive at a time
         return _index_add(g, pa[None, :], pb[i : i + step, None])
 
-    order = g.order
     if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * len(pa) * len(pb)):
+        step = max(1, _DENSE_BLOCK // len(pa))
         seen = np.zeros(order, dtype=bool)
-        for i in starts:
-            seen[block(i)] = True
+        for i in range(0, len(pb), step):
+            seen[block(i, step)] = True
+            done = i + step
+            if done < len(pb) and done * len(pa) >= order and seen.all():
+                break
         return np.flatnonzero(seen)
-    return np.unique(np.concatenate([np.unique(block(i)) for i in starts]))
+    step = max(1, _OUTER_BLOCK // len(pa))
+    parts = [_sorted_distinct(block(i, step)) for i in range(0, len(pb), step)]
+    return parts[0] if len(parts) == 1 else _sorted_distinct(np.concatenate(parts))
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of x, sorted: a sort and an adjacent-difference mask.
+
+    np.unique without an inverse or index takes a hash path that is 10-65x
+    slower on 10^3 or more int64 values (numpy 2.4).
+    """
+    x = np.sort(x, axis=None)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _widen(idx: np.ndarray, N: int, lam: int) -> np.ndarray:
@@ -460,21 +486,25 @@ def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
 
     Z/N multiplies by lam reduced to |lam| <= N/2, in object dtype where int64
     could overflow; (Z/r)^n scales each base-r digit; a window multiplies
-    plainly, so its caller bounds every product first.
+    plainly, so its caller bounds every product first.  A unit lam is
+    injective, so only a non-unit drops duplicates.
     """
     if g.kind == "cyclic":
         N = g.modulus
         lam %= N
+        unit = math.gcd(lam, N) == 1
         if 2 * lam > N:
             lam -= N
         out = (_widen(idx, N, abs(lam)) * lam % N).astype(np.int64, copy=False)
     elif g.kind == "torsion":
         r = g.exponent
+        unit = math.gcd(lam, r) == 1
         place = r ** np.arange(g.rank - 1, -1, -1, dtype=np.int64)
         out = (idx[:, None] // place % r * (lam % r) % r) @ place
     else:
+        unit = lam != 0
         out = idx * lam
-    return np.unique(out)
+    return np.sort(out) if unit else _sorted_distinct(out)
 
 
 def sumset(A: GSet, B: GSet) -> GSet:
@@ -567,6 +597,8 @@ def dilate(A: GSet, lam: int, require_unit: bool = False) -> GSet:
 def is_subset(A: GSet, B: GSet) -> bool:
     """True when every element of A lies in B."""
     _require_same_ambient(A, B)
+    if len(B) == B.group.order:
+        return True  # the whole group holds every set
     a, b = A.packed(), B.packed()
     return len(a) <= len(b) and bool((b.take(b.searchsorted(a), mode="clip") == a).all())
 

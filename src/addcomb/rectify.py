@@ -235,13 +235,17 @@ def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
     The covering interval starts where the largest circular gap of A ends;
     the containment is re-verified, not assumed.
     """
+    return _gap_cover(A, difference_set(A, A), b, l)
+
+
+def _gap_cover(A: GSet, D: GSet, b: int, l: int) -> GapCoverResult:
+    """gap_cover with D = A - A already formed."""
     g = _require_cyclic(A)
     N = g.modulus
     if not len(A):
         raise ValueError("empty set has no gap cover")
     if 3 * l >= N:
         raise ValueError(f"interval length {l} must satisfy l < N/3 = {N}/3")
-    D = difference_set(A, A)
     b = b % N
     outside = int(np.count_nonzero((D.packed() - b) % N > l))
     threshold = Fraction(len(A), 2)
@@ -306,7 +310,7 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
     lev = lev_interval(D1, eps, delta)
     if not lev.hypothesis_met or not lev.conclusion_ok:
         raise RuntimeError(f"frequency-one concentration failed after dilation (delta = {delta}, r = {best_r})")
-    cover = gap_cover(A1, lev.start, lev.length)
+    cover = _gap_cover(A1, D1, lev.start, lev.length)  # A1 - A1 = r*D = D1
     if not cover.hypothesis_met:
         raise RuntimeError(f"gap hypothesis failed although concentration held (delta = {delta}, r = {best_r})")
     return SpectralDiameterResult(

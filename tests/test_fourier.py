@@ -20,6 +20,7 @@ from addcomb import (
     convolution_counts,
     eta_largecoeff,
     eta_largecoeff2,
+    iterated_sum,
     moment_chain,
     moment_lower_bound_check,
     smallest_prime_in,
@@ -175,8 +176,6 @@ class TestConvolutionCounts:
         assert conv.counts.dtype == object
 
     def test_support_is_iterated_sumset(self):
-        from addcomb import iterated_sum
-
         B = GSet(CyclicGroup(37), [0, 1, 5])
         conv = convolution_counts(B, 3)
         assert conv.support == iterated_sum(B, 4)

@@ -319,6 +319,7 @@ class TestSumsetKernel:
     def test_many_blocks(self, path, a, b, ta, tb):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(groups_mod, "_OUTER_BLOCK", 7)
+            mp.setattr(groups_mod, "_DENSE_BLOCK", 7)
             mp.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS[path])
             cyc = sumset(GSet(CyclicGroup(97), a), GSet(CyclicGroup(97), b))
             win = sumset(GSet(W, a), GSet(W, b))
@@ -358,6 +359,174 @@ class TestSumsetKernel:
         support = convolution_counts(GSet(CyclicGroup(10), [0, 3]), 2).support
         assert support.elements == (0, 3, 6, 9)
         assert np.array_equal(support.packed(), packed_by_index(support))
+
+
+def by_index(g, idx):
+    return GSet(g, [g.element_at(i) for i in idx])
+
+
+class _NumpyWithSpiedMarks:
+    """numpy, except that np.zeros returns an array whose .all() calls are recorded."""
+
+    def __init__(self, calls):
+        class Marks(np.ndarray):
+            def all(self, *args, **kwargs):
+                calls.append(1)
+                return np.ndarray.all(self, *args, **kwargs)
+
+        self._marks = Marks
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        return np.zeros(*args, **kwargs).view(self._marks)
+
+
+def dense_scan(monkeypatch, block):
+    """Force the dense path with blocks of `block` pairs; return the lists that record blocks and mark checks."""
+    blocks, checks = [], []
+    real_add = groups_mod._index_add
+    monkeypatch.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS["dense"])
+    monkeypatch.setattr(groups_mod, "_DENSE_BLOCK", block)
+    monkeypatch.setattr(groups_mod, "_index_add", lambda g, a, b: blocks.append(1) or real_add(g, a, b))
+    monkeypatch.setattr(groups_mod, "np", _NumpyWithSpiedMarks(checks))
+    return blocks, checks
+
+
+def scan_model(order, rows, block):
+    """(blocks, checks) of the documented scan: rows are the index sets of the shorter operand's rows, in order."""
+    long = len(rows[0])
+    step = max(1, block // long)
+    seen, blocks, checks = set(), 0, 0
+    for i in range(0, len(rows), step):
+        for r in rows[i : i + step]:
+            seen |= r
+        blocks += 1
+        done = i + step
+        if done < len(rows) and done * long >= order:
+            checks += 1
+            if len(seen) == order:
+                break
+    return blocks, checks
+
+
+def sum_rows(g, a, b):
+    """The rows the kernel scans: the longer operand plus each element of the shorter, as index sets."""
+    A, B = GSet(g, a), GSet(g, b)
+    if len(A) < len(B):
+        A, B = B, A
+    return [{g.index(g.add(x, y)) for x in A.elements} for y in B.elements]
+
+
+class TestDenseScan:
+    """The dense scatter runs in blocks and stops once the whole group is marked."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.sets(st.integers(0, 40), min_size=1, max_size=30),
+        st.sets(st.integers(0, 40), min_size=1, max_size=12),
+        st.integers(1, 40),
+    )
+    def test_cyclic_blocks(self, N, a, b, block):
+        a, b = {x % N for x in a}, {x % N for x in b}
+        if N in (len(a), len(b)):
+            return  # the whole group takes sumset's shortcut
+        g = CyclicGroup(N)
+        with pytest.MonkeyPatch.context() as mp:
+            blocks, checks = dense_scan(mp, block)
+            got = sumset(GSet(g, a), GSet(g, b))
+        assert list(got.elements) == naive_sumset_mod(a, b, N)
+        assert (len(blocks), len(checks)) == scan_model(N, sum_rows(g, a, b), block)
+
+    @pytest.mark.parametrize("r,n", [(2, 4), (3, 3), (5, 2)])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_torsion_blocks(self, r, n, data):
+        g = TorsionGroup(r, n)
+        a = set(data.draw(torsion_subsets(r, n, max_size=g.order - 1)))
+        b = set(data.draw(torsion_subsets(r, n, max_size=8)))
+        block = data.draw(st.integers(1, 3 * g.order))
+        if g.order in (len(a), len(b)):
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            blocks, checks = dense_scan(mp, block)
+            got = sumset(GSet(g, a), GSet(g, b))
+        assert list(got.elements) == naive_sumset_vec(a, b, r)
+        assert (len(blocks), len(checks)) == scan_model(g.order, sum_rows(g, a, b), block)
+
+    @pytest.mark.parametrize(
+        "a, b, blocks, checks",
+        [
+            # all of Z/31 but 7, plus {0, 1, ...}: whole after the second row of six
+            ([x for x in range(31) if x != 7], range(6), 2, 1),
+            # 28, 29 and 30 come only from the last row: saturated there, never counted
+            (range(28), [0, 1, 3], 3, 1),
+            # never saturated: too few pairs to count until the last block
+            (range(10), range(4), 4, 0),
+        ],
+        ids=["mid-scan", "last-block", "unsaturated"],
+    )
+    def test_planted_scans(self, monkeypatch, a, b, blocks, checks):
+        a, b = list(a), list(b)
+        blocks_seen, checks_seen = dense_scan(monkeypatch, len(a))  # one row per block
+        got = sumset(GSet(CyclicGroup(31), a), GSet(CyclicGroup(31), b))
+        assert list(got.elements) == naive_sumset_mod(a, b, 31)
+        assert (len(blocks_seen), len(checks_seen)) == (blocks, checks)
+
+    @pytest.mark.parametrize("g", [CyclicGroup(101), TorsionGroup(3, 4)], ids=repr)
+    def test_a_single_block_counts_nothing(self, monkeypatch, g):
+        blocks, checks = dense_scan(monkeypatch, groups_mod._DENSE_BLOCK)
+        whole_sum = sumset(by_index(g, range(0, g.order, 2)), by_index(g, range(0, g.order, 3)))
+        assert len(blocks) == 1 and checks == []
+        assert len(whole_sum) == g.order
+
+    def test_marks_are_counted_once_the_pairs_reach_the_order(self, monkeypatch):
+        # rows of 100 pairs in Z/101: the first row misses one point, and its
+        # 100 pairs are too few to fill the group, so only the second is counted
+        blocks, checks = dense_scan(monkeypatch, 100)
+        g = CyclicGroup(101)
+        got = sumset(GSet(g, range(1, 101)), GSet(g, range(1, 41)))
+        assert list(got.elements) == list(range(101))
+        assert (len(blocks), len(checks)) == (2, 1)
+
+
+class TestWholeGroupInclusion:
+    @pytest.mark.parametrize("g", [CyclicGroup(1), CyclicGroup(12), TorsionGroup(2, 3), TorsionGroup(3, 2)], ids=repr)
+    def test_against_all_but_one(self, g):
+        whole = by_index(g, range(g.order))
+        for missing in range(g.order):
+            almost = by_index(g, [i for i in range(g.order) if i != missing])
+            for A in (by_index(g, [missing]), by_index(g, range(g.order)), by_index(g, [i for i in range(g.order) if i != missing])):
+                want = set(A.elements) <= set(almost.elements)
+                assert is_subset(A, almost) is want
+                assert is_subset(A, whole) is True
+
+    def test_whole_group_still_checks_the_ambient(self):
+        whole = GSet(CyclicGroup(5), range(5))
+        with pytest.raises(GroupMismatchError):
+            is_subset(GSet(CyclicGroup(6), [1]), whole)
+
+    def test_a_full_window_is_not_the_whole_group(self):
+        # a window's ambient group is Z, so all of the window holds no more than itself
+        assert not is_subset(GSet(IntegerWindow(0, 9), [0, 5]), GSet(IntegerWindow(0, 3), range(4)))
+
+
+def test_np_unique_only_with_an_inverse_or_index():
+    """np.unique without return_inverse or return_index takes numpy's slow hash path; the library never calls it so."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(groups_mod.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "unique":
+                flags = {k.arg for k in node.keywords if isinstance(k.value, ast.Constant) and k.value.value is True}
+                calls.append((path.name, node.lineno, bool(flags & {"return_inverse", "return_index"})))
+    assert calls, "no np.unique call found; the scan is looking in the wrong place"
+    assert [c for c in calls if not c[2]] == []
 
 
 def digit_table_groups():

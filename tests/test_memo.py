@@ -7,6 +7,9 @@ gone when run_suite returns, and must do its work once.
 
 import contextlib
 import gc
+import importlib
+import itertools
+import math
 import random
 
 import numpy as np
@@ -37,6 +40,9 @@ from addcomb import (
 from addcomb.fourier import _magnitudes
 from addcomb.groups import _memo_scope
 from oracles import loop_pluennecke, naive_sumset_int, naive_sumset_mod, naive_sumset_vec
+
+# addcomb.rectify names the function that addcomb re-exports, so the module is fetched by name
+rectify_mod = importlib.import_module("addcomb.rectify")
 
 # {0, 1, 12} in Z/69 fails the diam check: the pinned composite-N defect
 DIAM_DEFECT = GSet(CyclicGroup(69), [0, 1, 12])
@@ -270,6 +276,17 @@ def test_pipeline_forms_a_minus_a_and_its_spectrum_once(monkeypatch, N, elems):
     assert groups_mod._SCOPE.get() is None
 
 
+def test_spectral_diameter_forms_a_minus_a_once(monkeypatch):
+    # r*A - r*A is r*(A - A), so the gap step reads the dilated difference set
+    A = GSet(CyclicGroup(101), [3, 4, 5, 6, 7])
+    calls = []
+    real = groups_mod._pairwise
+    monkeypatch.setattr(groups_mod, "_pairwise", lambda g, pa, pb: calls.append((pa.tolist(), pb.tolist())) or real(g, pa, pb))
+    res = rectify_mod.diam_from_spectrum(A, 0.2)
+    assert res.hypothesis_met and res.conclusion_ok
+    assert calls == [([3, 4, 5, 6, 7], negate(A).packed().tolist())]
+
+
 # ------------------------------------------------------------------ saturated sums
 
 def _pairwise_calls(monkeypatch):
@@ -350,3 +367,127 @@ def test_witness_matches_the_fraction_loop(seed):
     got = pluennecke_witness(A, B1, B2)
     subset, ratio, searched = loop_pluennecke(A, B1, B2)
     assert (got.subset.elements, got.ratio, got.subsets_searched) == (subset, ratio, searched)
+
+
+def _evaluated_sizes(n, searched):
+    """The size classes below n that a search of `searched` subsets evaluated: n-1 down to where it broke."""
+    sizes, left = [], searched - 1
+    for size in range(n - 1, 0, -1):
+        if not left:
+            break
+        left -= math.comb(n, size)
+        sizes.append(size)
+    assert left == 0
+    return sizes
+
+
+def _spy_classes(monkeypatch):
+    sizes, tables = [], []
+    real_class, real_tables = covering_mod._class_minimum, covering_mod._half_unions
+    monkeypatch.setattr(covering_mod, "_class_minimum", lambda t, n, size: sizes.append(size) or real_class(t, n, size))
+    monkeypatch.setattr(covering_mod, "_half_unions", lambda ids, u: tables.append(1) or real_tables(ids, u))
+    return sizes, tables
+
+
+@st.composite
+def witness_case(draw):
+    """(A, B1, B2) with |A| <= 14, B1 and B2 often different; progressions and symmetric sets give many equal ratios."""
+    g = draw(
+        st.one_of(
+            st.integers(5, 200).map(CyclicGroup),
+            st.sampled_from([TorsionGroup(2, 4), TorsionGroup(2, 5), TorsionGroup(3, 3), TorsionGroup(5, 2)]),
+        )
+    )
+    n = draw(st.integers(1, min(14, g.order)))
+    shape = draw(st.sampled_from(["random", "progression", "symmetric"]))
+    if shape == "progression" and g.kind == "cyclic":
+        start, step = draw(st.integers(0, g.order - 1)), draw(st.integers(1, g.order - 1))
+        A = GSet(g, [start + i * step for i in range(n)])
+    elif shape == "symmetric":
+        half = draw(st.lists(st.integers(0, g.order - 1), min_size=1, max_size=(n + 1) // 2))
+        A = by_index(g, half)
+        A = GSet(g, A.elements + negate(A).elements)
+    else:
+        A = by_index(g, draw(st.lists(st.integers(0, g.order - 1), min_size=n, max_size=n, unique=True)))
+    summand = st.lists(st.integers(0, g.order - 1), min_size=1, max_size=5, unique=True).map(lambda idx: by_index(g, idx))
+    B1 = draw(st.sampled_from([A, None])) or draw(summand)
+    B2 = draw(st.sampled_from([B1, None])) or draw(summand)
+    return A, B1, B2
+
+
+class TestVectorizedWitness:
+    @settings(max_examples=150, deadline=None)
+    @given(witness_case(), st.sampled_from([None, 1, 2, 5]))
+    def test_matches_the_loop(self, case, block):
+        A, B1, B2 = case
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(covering_mod, "_WITNESS_BLOCK", block)
+            sizes, _ = _spy_classes(mp)
+            got = pluennecke_witness(A, B1, B2)
+        subset, ratio, searched = loop_pluennecke(A, B1, B2)
+        assert (got.subset.elements, got.ratio, got.subsets_searched) == (subset, ratio, searched)
+        # no class past the break is evaluated, and every class before it is
+        assert sizes == _evaluated_sizes(len(A), searched)
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    @pytest.mark.parametrize(
+        "g, idx",
+        [
+            (CyclicGroup(101), [0, 7, 14, 21, 28, 35, 42, 49, 56, 63]),  # a progression: many equal ratios
+            (CyclicGroup(97), [1, 96, 5, 92, 20, 77, 33, 64]),           # symmetric
+            (TorsionGroup(2, 5), [1, 2, 4, 8, 16, 3, 5, 6, 9, 17, 31]),
+            (TorsionGroup(3, 3), [0, 1, 2, 3, 6, 9, 18, 13, 26]),
+        ],
+        ids=["AP in Z/101", "symmetric in Z/97", "(Z/2)^5", "(Z/3)^3"],
+    )
+    def test_structured_sets_match_the_loop(self, monkeypatch, g, idx, block):
+        # many subsets of these sets share a ratio, inside the classes the search evaluates
+        A = by_index(g, idx)
+        B1 = by_index(g, idx[:3])
+        if block is not None:
+            monkeypatch.setattr(covering_mod, "_WITNESS_BLOCK", block)
+        for b1, b2 in ((A, A), (B1, A), (B1, negate(B1))):
+            got = pluennecke_witness(A, b1, b2)
+            assert (got.subset.elements, got.ratio, got.subsets_searched) == loop_pluennecke(A, b1, b2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 9), st.integers(1, 70), st.integers(0, 2**32), st.sampled_from([None, 1, 2, 5]))
+    def test_a_class_keeps_its_first_least_subset(self, n, universe, seed, block):
+        # The search's answer is the unique largest subset of least ratio (the
+        # union of two least subsets is least, as unions of translates are
+        # submodular), so ties only show inside a class: evaluate each class
+        # against combinations order directly.  Small universes make ties common.
+        rng = random.Random(seed)
+        width = rng.randint(1, universe)
+        rows = [rng.sample(range(universe), width) for _ in range(n)]
+        ids = np.array(rows, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(covering_mod, "_WITNESS_BLOCK", block)
+            tables = covering_mod._half_unions(ids, universe)
+            got = [covering_mod._class_minimum(tables, n, size) for size in range(1, n)]
+        want = []
+        for size in range(1, n):
+            unions = [(len(set().union(*(rows[i] for i in combo))), combo) for combo in itertools.combinations(range(n), size)]
+            bits, combo = min(unions, key=lambda u: u[0])  # min keeps the first least
+            want.append((bits, sum(1 << (n - 1 - i) for i in combo)))
+        assert got == want
+
+    def test_a_search_stopped_after_size_n_builds_no_tables(self, monkeypatch):
+        # a subgroup: every translate of A + A is A itself, so |A + A + A| / |A| = 1 cannot be beaten
+        g = TorsionGroup(2, 4)
+        A = by_index(g, [0, 1, 2, 3])
+        sizes, tables = _spy_classes(monkeypatch)
+        got = pluennecke_witness(A, A, A)
+        assert (got.subset, got.ratio, got.subsets_searched) == (A, 1, 1)
+        assert sizes == [] and tables == []
+
+    def test_sixteen_points_match_the_loop(self):
+        rng = random.Random(16)
+        g = CyclicGroup(1000003)
+        A = GSet(g, rng.sample(range(g.modulus), 16))
+        got = pluennecke_witness(A, A, A)
+        subset, ratio, searched = loop_pluennecke(A, A, A)
+        assert (got.subset.elements, got.ratio, got.subsets_searched) == (subset, ratio, searched)
+        assert searched > 60_000

@@ -349,7 +349,7 @@ class TestDiamFromSpectrum:
         "target, result, message",
         [
             ("lev_interval", rectify_mod.LevWindow(False, 0.0, 0.0), "concentration failed"),
-            ("gap_cover", rectify_mod.GapCoverResult(False, 5, 2, 19), "gap hypothesis failed"),
+            ("_gap_cover", rectify_mod.GapCoverResult(False, 5, 2, 19), "gap hypothesis failed"),
         ],
     )
     def test_fault_names_delta_and_r(self, monkeypatch, target, result, message):
