@@ -114,14 +114,12 @@ def _chain(log_inv_alpha: float, K: float, k: Optional[int]) -> BoundReport:
 
 def bound_calculator(alpha: Union[float, Fraction], K: float, k: Optional[int] = None) -> BoundReport:
     """Evaluate every threshold and the eta/delta chain at a given density."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
     if isinstance(alpha, Rational):
-        if not 0 < alpha < 1:
-            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
         frac = Fraction(alpha)
         log_inv = math.log(frac.denominator) - math.log(frac.numerator)
     else:
-        if not 0 < alpha < 1:
-            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
         log_inv = -math.log(alpha)
     return _chain(log_inv, float(K), k)
 

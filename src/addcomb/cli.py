@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success / all checks passed, 1 = a lemma check found a
 counterexample (an implementation bug by definition), 2 = bad configuration
-or a budget violation.  cover, rectify, torsion-cover and bounds on a set
-exit 1 when their certificate's ok is False, that is when a claim fails.
+or a budget violation.  spectrum, cover, rectify, torsion-cover and bounds
+on a set exit 1 when their certificate's ok is False, that is when a claim
+fails (for spectrum, Parseval's identity), and every command exits 1 on a
+library fault, such as a cover --check-m shortfall with B = A.
 """
 
 from __future__ import annotations
@@ -30,11 +32,10 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="addcomb", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_set: bool = True) -> None:
-        if with_set:
-            p.add_argument("--group", help='ambient group, e.g. "cyclic:101", "window:0:50", "torsion:2:3"')
-            p.add_argument("--elements", help='elements, e.g. "0,1,3" or "0,0,1;1,0,1"')
-            p.add_argument("--input", help="instance file (single instance)")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--group", help='ambient group, e.g. "cyclic:101", "window:0:50", "torsion:2:3"')
+        p.add_argument("--elements", help='elements, e.g. "0,1,3" or "0,0,1;1,0,1"')
+        p.add_argument("--input", help="instance file (single instance)")
         p.add_argument("--format", choices=("human", "structured"), default="human")
         p.add_argument("--out", help="write the structured report to this file")
 
@@ -146,7 +147,7 @@ def _cmd_spectrum(args) -> int:
         f"max nonprincipal |B^| = {rep.max_magnitude:.6g} at {rep.max_index}; "
         f"parseval residual {rep.parseval_residual:.3g}; top: {top}",
     )
-    return 0
+    return _exit_code(rep)
 
 
 def _cmd_cover(args) -> int:
@@ -164,8 +165,7 @@ def _cmd_cover(args) -> int:
     if args.check_m:
         lines.append(f"iterated inclusion verified up to m = {cert.m_checked}")
     _emit(args, cert, "\n".join(lines))
-    # with B = A the certificate is 2(A-A) <= (A-A)+(T-T), which gives every m by induction
-    return 1 if B == A and cert.m_checked < args.check_m else _exit_code(cert)
+    return _exit_code(cert)
 
 
 def _cmd_rectify(args) -> int:

@@ -17,6 +17,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from . import groups
 from .groups import (
     BudgetError,
     Certificate,
@@ -186,16 +187,15 @@ def _half_unions(ids: np.ndarray, universe: int) -> Tuple[np.ndarray, np.ndarray
     return unions[: len(first)], unions[len(first) :]
 
 
-# Cap on the bitset words of the unions formed at once (2 MB), so a search's
-# memory stays bounded however large a size class is.
-_WITNESS_BLOCK = 1 << 18
-
-
 def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Tuple[int, int]:
-    """(least union size, key) over the subsets of A of one size, the first least in combinations order."""
+    """(least union size, key) over the subsets of A of one size, the first least in combinations order.
+
+    At most _BLOCK bitset words of unions are formed at once, so a search's
+    memory stays bounded however large a size class is.
+    """
     first, second = tables
     words = first.shape[1]
-    step = max(1, _WITNESS_BLOCK // words)
+    step = max(1, groups._BLOCK // words)
     best_bits, best_key = None, 0
     rows1, rows2 = _class_pairs(n, size)
     for start in range(0, len(rows1), step):
@@ -243,6 +243,10 @@ def covering_certificate(
     B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.  Inside a
     memo scope the certificate is memoized on the identity of (A, B1, B2)
     and the budget (see groups._memoized), so each is built once there.
+
+    With check_m, m_checked is verify_incm up to check_m.  When B1 = B2 = A
+    a verified inclusion is 2(A-A) <= (A-A)+(T-T), which gives every m by
+    induction, so a shortfall there raises RuntimeError (a library fault).
     """
     if witness_budget < 0:
         raise ValueError(f"witness budget must be >= 0, got {witness_budget}")
@@ -251,6 +255,11 @@ def covering_certificate(
     cert = _memoized((A, B1, B2), ("certificate", witness_budget), lambda: _certify(A, B1, B2, witness_budget))
     if check_m > 0:
         cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))
+        if cert.inclusion_verified and cert.m_checked < check_m and B1 == A and B2 == A:
+            raise RuntimeError(
+                f"the iterated inclusion holds only up to m = {cert.m_checked} of {check_m}, "
+                "although 2(A-A) <= (A-A)+(T-T) was verified"
+            )
     return cert
 
 

@@ -17,8 +17,9 @@ from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
+from . import groups
 from .covering import is_k_covering
-from .groups import _OUTER_BLOCK, Certificate, Element, GSet, _index_add, _memoized
+from .groups import Certificate, Element, GSet, _index_add, _memoized
 
 __all__ = [
     "SpectrumReport",
@@ -39,6 +40,10 @@ __all__ = [
 # keep full magnitude arrays on the report below this order
 _KEEP_MAGNITUDES = 1 << 16
 
+# Relative slack of every float gate here: the Parseval claims of the
+# spectrum and of the moment chain, and the chain's lower bound on max |B^|.
+_FLOAT_SLACK = 1e-9
+
 
 def _require_finite(B: GSet) -> int:
     order = B.group.order
@@ -50,7 +55,7 @@ def _require_finite(B: GSet) -> int:
 
 
 @dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Certificate):
     order: int
     size: int
     density: Fraction
@@ -60,6 +65,11 @@ class SpectrumReport:
     parseval_residual: float    # | sum |B^|^2 - N*|B| | / (N*|B|)
     magnitudes: Optional[np.ndarray]   # flat, index order = packed element order
     top: Tuple[Tuple[Element, float], ...]
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """Parseval's identity sum |B^|^2 = N*|B|, to the relative float slack."""
+        return {"parseval": self.parseval_residual <= _FLOAT_SLACK}
 
 
 def _magnitudes(B: GSet) -> np.ndarray:
@@ -138,7 +148,7 @@ def _fold_once(counts: np.ndarray, B: GSet) -> np.ndarray:
     pb = B.packed()
     weights = counts[s][:, None]
     out = np.zeros_like(counts)
-    step = max(1, _OUTER_BLOCK // len(s))
+    step = max(1, groups._BLOCK // len(s))
     for i in range(0, len(pb), step):
         np.add.at(out, _index_add(g, s[:, None], pb[None, i : i + step]), weights)
     return out
@@ -190,11 +200,11 @@ class MomentChainReport(Certificate):
         }
 
 
-def moment_chain(B: GSet, m_max: int, tol: float = 1e-9) -> Tuple[MomentChainReport, ...]:
+def moment_chain(B: GSet, m_max: int) -> Tuple[MomentChainReport, ...]:
     """Verify the moment chain that forces one large nonprincipal coefficient, for m = 1..m_max.
 
     Chain: r-counts mass, Cauchy-Schwarz on the support (exact), Parseval for
-    the (2m+2)-th moment (float, relative tol), and the resulting lower bound
+    the (2m+2)-th moment (float, relative _FLOAT_SLACK), and the resulting lower bound
     max |B^(gamma)|^{2m} >= (1/R - 1/N) * |B|^{2m+1}.  The rows share one
     fold chain and one FFT, taken before any counts are allocated.
     """
@@ -213,14 +223,14 @@ def moment_chain(B: GSet, m_max: int, tol: float = 1e-9) -> Tuple[MomentChainRep
         cs = R * sum_sq >= size ** (2 * m + 2)
         residual = abs(float(np.sum(mags ** (2 * m + 2))) - n * sum_sq) / (n * sum_sq)
         rhs = float((Fraction(1, R) - Fraction(1, n)) * Fraction(size) ** (2 * m + 1))
-        max_ok = max_mag ** (2 * m) >= rhs * (1.0 - tol)
-        rows.append(MomentChainReport(m, R, sum_sq, cs, residual, residual <= tol, max_mag, rhs, max_ok))
+        max_ok = max_mag ** (2 * m) >= rhs * (1.0 - _FLOAT_SLACK)
+        rows.append(MomentChainReport(m, R, sum_sq, cs, residual, residual <= _FLOAT_SLACK, max_mag, rhs, max_ok))
     return tuple(rows)
 
 
-def moment_lower_bound_check(B: GSet, m: int, tol: float = 1e-9) -> MomentChainReport:
+def moment_lower_bound_check(B: GSet, m: int) -> MomentChainReport:
     """The moment chain's row for m alone (see moment_chain)."""
-    return moment_chain(B, m, tol)[-1]
+    return moment_chain(B, m)[-1]
 
 
 @dataclass(frozen=True)

@@ -51,13 +51,10 @@ DENSE_ORDER_LIMIT = 1 << 24
 # and slowed the small-N sums of rectify-stream.
 _DENSE_PAIR_FACTOR = 256
 
-# Cap on |A|*|B| for a single pairwise-enumeration block; larger products are
-# processed in chunks to bound memory.
-_OUTER_BLOCK = 1 << 22
-
-# Pairs per block of the dense scatter: 2 MB of int64 sums, which stays in a
-# 2 MB L2 cache beside the marks.
-_DENSE_BLOCK = 1 << 18
+# Values formed at once by every blocked kernel (pair sums here, folds,
+# dilations, witness unions): 2 MB of int64, which stays in a 2 MB L2 cache.
+# Other modules read it as groups._BLOCK at call time, so one patch reaches all.
+_BLOCK = 1 << 18
 
 # (Z/r)^n indices add in chunks of w base-r digits, w the most with r^w at
 # most this, through an (r^w x r^w) table of digitwise sums mod r: at most
@@ -246,8 +243,7 @@ class GSet:
     the index of x is ``group.index(x)``, which is x itself in Z/N and in a
     window and the base-r number of the coordinates in (Z/r)^n, so index
     order is also the canonical serialization order.  ``elements`` is the
-    tuple view in that order, built on first use; ``as_set()`` is an uncached
-    frozenset view.
+    tuple view in that order, built on first use.
 
     A set holds nothing derived from it.  While a ``_memo_scope`` is open,
     ``_memoized`` keeps sums, negations, FFT magnitudes and covering
@@ -322,9 +318,6 @@ class GSet:
 
     def __neg__(self) -> "GSet":
         return negate(self)
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.elements)
 
     def packed(self) -> np.ndarray:
         """The sorted int64 index array that is the set (read-only)."""
@@ -433,33 +426,32 @@ def _index_add(g: Group, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Sorted distinct indices of a + b over all pairs, in memory-bounded blocks.
+    """Sorted distinct indices of a + b over all pairs, about _BLOCK pairs at a time.
 
     In a finite group of order at most DENSE_ORDER_LIMIT the sums are marked
     in a boolean array over the index space once there are enough pairs to pay
-    for it, a cache-sized block at a time, and the scan stops once every index
-    is marked: the marks are checked only after a block that is not the last
-    and once the pairs so far number at least the order.  Otherwise the sums
-    are sorted and deduplicated.
+    for it, and the scan stops once every index is marked: the marks are
+    checked only after a block that is not the last and once the pairs so far
+    number at least the order.  Otherwise the sums are sorted and
+    deduplicated.
     """
     if len(pa) < len(pb):
         pa, pb = pb, pa
     order = g.order
+    step = max(1, _BLOCK // len(pa))
 
-    def block(i, step):  # built on use, so only one block of pair sums is alive at a time
+    def block(i):  # built on use, so only one block of pair sums is alive at a time
         return _index_add(g, pa[None, :], pb[i : i + step, None])
 
     if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * len(pa) * len(pb)):
-        step = max(1, _DENSE_BLOCK // len(pa))
         seen = np.zeros(order, dtype=bool)
         for i in range(0, len(pb), step):
-            seen[block(i, step)] = True
+            seen[block(i)] = True
             done = i + step
             if done < len(pb) and done * len(pa) >= order and seen.all():
                 break
         return np.flatnonzero(seen)
-    step = max(1, _OUTER_BLOCK // len(pa))
-    parts = [_sorted_distinct(block(i, step)) for i in range(0, len(pb), step)]
+    parts = [_sorted_distinct(block(i)) for i in range(0, len(pb), step)]
     return parts[0] if len(parts) == 1 else _sorted_distinct(np.concatenate(parts))
 
 
@@ -555,10 +547,7 @@ def iterated_sum(A: GSet, k: int) -> GSet:
     if k < 1:
         raise ValueError(f"fold count must be >= 1, got {k}")
     acc = A
-    order = A.group.order
     for _ in range(k - 1):
-        if order is not None and len(acc) == order:
-            break  # saturated; further sums cannot grow (0-free groups aside, A+G=G)
         acc = sumset(acc, A)
     return acc
 

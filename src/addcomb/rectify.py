@@ -13,16 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
+from . import groups
 from .fourier import _magnitudes, character_sum
 from .groups import (
-    _OUTER_BLOCK,
     BudgetError,
     Certificate,
     CyclicGroup,
@@ -103,8 +102,7 @@ def diameter(A: GSet) -> DiameterWitness:
     if len(A) == 1:
         return DiameterWitness(0, 1 % N, int(A.packed()[0]), GSet._from_indices(g, np.zeros(1, dtype=np.int64)), 1)
     arr = _widen(A.packed(), N, N // 2)
-    width = 8 if arr.dtype == np.int64 else 8 + sys.getsizeof(N * N)  # bytes per product: int64, or a pointer and a boxed int
-    cap = max(1, _OUTER_BLOCK * 8 // (width * len(A)))  # the bytes of _OUTER_BLOCK int64 products
+    cap = max(1, groups._BLOCK // len(A))  # units per block: at most _BLOCK products
     best = (N, 1, 0)  # (length, unit, start in dilated coordinates)
     searched = 0
     floor = len(A) - 1  # cannot do better than a full progression

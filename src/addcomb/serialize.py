@@ -80,23 +80,23 @@ def dump_instances(sets: Sequence[GSet], path: Union[str, Path]) -> None:
     Path(path).write_text(dumps([gset_to_obj(s) for s in sets]))
 
 
-def round_sig(x: float, digits: int = _SIG_DIGITS) -> float:
+def round_sig(x: float) -> float:
     if x == 0 or not np.isfinite(x):
         return float(x)
-    return float(f"{x:.{digits}g}")
+    return float(f"{x:.{_SIG_DIGITS}g}")
 
 
-def to_jsonable(obj: Any, digits: int = _SIG_DIGITS) -> Any:
+def to_jsonable(obj: Any) -> Any:
     """Recursively convert report objects to plain JSON values.
 
     Dataclasses keep field order; GSets use the instance schema; Fractions
-    become exact "p/q" strings; floats are rounded to the given number of
+    become exact "p/q" strings; floats are rounded to _SIG_DIGITS
     significant digits.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
-        return round_sig(obj, digits)
+        return round_sig(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, GSet):
@@ -105,27 +105,27 @@ def to_jsonable(obj: Any, digits: int = _SIG_DIGITS) -> Any:
         return group_to_obj(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            f.name: to_jsonable(getattr(obj, f.name), digits)
+            f.name: to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.floating):
-        return round_sig(float(obj), digits)
+        return round_sig(float(obj))
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.ndarray):
-        return [to_jsonable(v, digits) for v in obj.tolist()]
+        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return [round_sig(obj.real, digits), round_sig(obj.imag, digits)]
+        return [round_sig(obj.real), round_sig(obj.imag)]
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v, digits) for k, v in obj.items()}
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         seq = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [to_jsonable(v, digits) for v in seq]
+        return [to_jsonable(v) for v in seq]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj: Any, digits: int = _SIG_DIGITS) -> str:
+def dumps(obj: Any) -> str:
     """Stable-order JSON document text (insertion order, trailing newline)."""
-    return json.dumps(to_jsonable(obj, digits), indent=2) + "\n"
+    return json.dumps(to_jsonable(obj), indent=2) + "\n"

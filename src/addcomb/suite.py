@@ -21,14 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from .covering import (
-    CoveringCertificate,
-    covering_certificate,
-    growth_table,
-    j_bound_report,
-    j_count,
-    verify_incm,
-)
+from .covering import CoveringCertificate, covering_certificate, growth_table, j_bound_report, j_count
 from .fourier import moment_chain, spectrum
 from .groups import BudgetError, Certificate, GSet, _memo_scope, _memoized, difference_set
 from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
@@ -67,7 +60,6 @@ class SuiteConfig:
     delta_grid: Tuple[float, ...] = (0.1, 0.2, 0.3)
     witness_budget: int = 12
     iso_order: int = 2
-    tol: float = 1e-9
     include_timing: bool = False
 
 
@@ -127,11 +119,9 @@ def _check_inc(A: GSet, cfg: SuiteConfig):
 
 
 def _check_incm(A: GSet, cfg: SuiteConfig):
-    cert = _cert(A, cfg)
-    reached = verify_incm(A, cert.translates, cfg.m_max)
-    if reached == cfg.m_max:
-        return PASS, None
-    return FAIL, {"verified_m": reached, "wanted_m": cfg.m_max}
+    # a shortfall after a verified inclusion is a fault that covering_certificate raises
+    cert = covering_certificate(A, A, A, witness_budget=cfg.witness_budget, check_m=cfg.m_max)
+    return _verdict([({}, cert)], lambda cert: {"verified_m": cert.m_checked, "wanted_m": cfg.m_max}, "inclusion")
 
 
 def _growth(A: GSet, cfg: SuiteConfig):
@@ -160,16 +150,13 @@ def _check_estecov(A: GSet, cfg: SuiteConfig):
 def _check_parseval(A: GSet, cfg: SuiteConfig):
     if A.group.kind == "window":
         return SKIP, None
-    rep = spectrum(A)
-    if rep.parseval_residual <= cfg.tol:
-        return PASS, None
-    return FAIL, {"residual": rep.parseval_residual}
+    return _verdict([({}, spectrum(A))], lambda rep: {"residual": rep.parseval_residual})
 
 
 def _check_moment(A: GSet, cfg: SuiteConfig):
     if A.group.kind == "window":
         return SKIP, None
-    rows = (({}, rep) for rep in moment_chain(A, cfg.m_max, cfg.tol))
+    rows = (({}, rep) for rep in moment_chain(A, cfg.m_max))
     return _verdict(rows, lambda rep: {
         "m": rep.m,
         "cauchy_schwarz": rep.cauchy_schwarz_holds,
@@ -239,25 +226,28 @@ INSTANCE_CHECKS: Dict[str, Callable] = {
 }
 
 
+_STATUS = {True: PASS, None: SKIP, False: FAIL}  # a certificate's ok as a verdict
+
+
+def _record(tally: CheckTally, counterexamples: List[dict], status: str, failure: Callable[[], dict]) -> None:
+    """Count one verdict; a fail also appends its counterexample, failure()."""
+    if status == PASS:
+        tally.passed += 1
+    elif status == SKIP:
+        tally.skipped += 1
+    else:
+        tally.failed += 1
+        counterexamples.append(failure())
+
+
 def _run_jbound(cfg: SuiteConfig, tally: CheckTally, counterexamples: List[dict]) -> None:
     for k in range(1, cfg.j_k_max + 1):
-        if j_count(k, 0) == 1:
-            tally.passed += 1
-        else:
-            tally.failed += 1
-            counterexamples.append({"check": "jbound", "k": k, "m": 0})
+        # J(k, 0) counts the zero tuple alone, and so does J(1, m)
+        _record(tally, counterexamples, PASS if j_count(k, 0) == 1 else FAIL, lambda: {"check": "jbound", "k": k, "m": 0})
         for m in range(k, cfg.j_m_max + 1):
             rep = j_bound_report(k, m)
             ok = rep.ok if k != 1 or rep.count == 1 else False
-            if ok:
-                tally.passed += 1
-            elif ok is None:
-                tally.skipped += 1
-            else:
-                tally.failed += 1
-                counterexamples.append(
-                    {"check": "jbound", "k": k, "m": m, "count": rep.count}
-                )
+            _record(tally, counterexamples, _STATUS[ok], lambda: {"check": "jbound", "k": k, "m": m, "count": rep.count})
 
 
 def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) -> SuiteReport:
@@ -284,21 +274,12 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
                     status, payload = SKIP, None
                 except RuntimeError as exc:
                     status, payload = FAIL, {"error": str(exc)}
-                tally = tallies[name]
-                if status == PASS:
-                    tally.passed += 1
-                elif status == SKIP:
-                    tally.skipped += 1
-                else:
-                    tally.failed += 1
-                    counterexamples.append(
-                        {
-                            "index": idx,
-                            "check": name,
-                            "instance": gset_to_obj(A),
-                            "detail": payload or {},
-                        }
-                    )
+                _record(tallies[name], counterexamples, status, lambda: {
+                    "index": idx,
+                    "check": name,
+                    "instance": gset_to_obj(A),
+                    "detail": payload or {},
+                })
     elapsed = time.perf_counter() - start if config.include_timing else None
     return SuiteReport(
         suite=",".join(selected),

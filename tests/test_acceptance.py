@@ -538,7 +538,7 @@ def test_criterion_10_constant_chain(criterion):
         ok &= (
             rep.delta is not None
             and rep.delta < 1 / 3
-            and round_sig(rep.delta, 12) < 1 / 3
+            and round_sig(rep.delta) < 1 / 3
             and rep.delta_below_third
             and again.delta == rep.delta
         )
@@ -549,12 +549,12 @@ def test_criterion_10_constant_chain(criterion):
             ok &= (
                 rep.delta is not None
                 and rep.delta < 1 / k
-                and round_sig(rep.delta, 12) < 1 / k
+                and round_sig(rep.delta) < 1 / k
                 and bool(rep.delta_below_inv_k)
             )
     criterion(
         10,
         ok,
-        f"delta at the doubling thresholds {[round_sig(d, 12) for d in worst]} all < 1/3, "
+        f"delta at the doubling thresholds {[round_sig(d) for d in worst]} all < 1/3, "
         f"order-k thresholds stay under 1/k for k in (2, 3, 5)",
     )

@@ -6,7 +6,8 @@ dataclasses.replace.  The rule: ok is False if a claim fails, else None if
 one is undecided, else True, and a claim whose hypothesis did not hold is
 absent.  Where a suite check or a CLI command reads the certificate, the
 same plant goes through it: a failed claim is a fail (exit 1), an undecided
-one a skip (exit 0), an unmet hypothesis a pass (exit 0).
+one a skip (exit 0), an unmet hypothesis a pass (exit 0).  A claim that a
+float comparison decides has no undecided plant.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from addcomb import (
     rectify,
     run_suite,
     smallest_prime_in,
+    spectrum,
     theorem1_pipeline,
     torsion_cover,
 )
@@ -73,6 +75,10 @@ def _largecoeff(rep, v):
     return dataclasses.replace(rep, gate_tau=True, largecoeff_holds=v)
 
 
+def _residual(rep, v):
+    return dataclasses.replace(rep, parseval_residual=0.0 if v else 1.0)
+
+
 # name: (build, claim, plant(cert, value), unmet(cert) or None,
 #        (suite attribute, check, instance, config) or None, (cli attribute, argv) or None)
 CASES = {
@@ -85,6 +91,11 @@ CASES = {
         lambda: torsion_cover(BASIS), "bound_a", _field("bound_a_holds"), None,
         ("torsion_cover", "torsion", BASIS, {}),
         ("torsion_cover", ["torsion-cover", "--group", "torsion:2:3", "--elements", "0,0,0;1,0,0;0,1,0;0,0,1"]),
+    ),
+    "spectrum": (
+        lambda: spectrum(Z31), "parseval", _residual, None,
+        ("spectrum", "parseval", Z31, {}),
+        ("spectrum", ["spectrum", "--group", "cyclic:31", "--elements", "0,1,2"]),
     ),
     "moment-chain": (
         lambda: moment_chain(Z31, 2)[-1], "parseval", _field("parseval_holds"), None,
@@ -133,16 +144,20 @@ CASES = {
     ),
 }
 
+# claims decided by a float comparison: True or False, never None
+ALWAYS_DECIDED = {"spectrum"}
 PLANTS = ["failed", "undecided", "unmet"]
 WANT_OK = {"failed": False, "undecided": None, "unmet": True}
 WANT_TALLY = {"failed": (0, 1, 0), "undecided": (0, 0, 1), "unmet": (1, 0, 0)}
 
 
 def _planting(name, plant):
-    """The case's transform for this plant; None for an unmet hypothesis the claim does not have."""
+    """The case's transform for this plant; None for an unmet hypothesis or an undecided state the claim does not have."""
     _, _, set_claim, unmet = CASES[name][:4]
     if plant == "unmet":
         return unmet
+    if plant == "undecided" and name in ALWAYS_DECIDED:
+        return None
     return lambda cert: set_claim(cert, WANT_OK[plant])
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import addcomb.fourier as fourier_mod
+import addcomb.groups as groups_mod
 from addcomb import (
     BudgetError,
     CyclicGroup,
@@ -37,7 +38,7 @@ def plain_add(g):
 
 @st.composite
 def fold_cases(draw):
-    """(B, m, block): B in Z/N (N <= 60) or a small torsion group, m <= 3, a small _OUTER_BLOCK."""
+    """(B, m, block): B in Z/N (N <= 60) or a small torsion group, m <= 3, a small groups._BLOCK."""
     g = draw(
         st.one_of(
             st.integers(1, 60).map(CyclicGroup),
@@ -52,7 +53,7 @@ def assert_matches_plain_fold(B, m, block):
     """convolution_counts(B, m), in blocks of about `block` sums, equals the plain-loop fold."""
     g = B.group
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fourier_mod, "_OUTER_BLOCK", block)
+        mp.setattr(groups_mod, "_BLOCK", block)
         conv = convolution_counts(B, m)
     expected = brute_convolution_counts(B.elements, m, plain_add(g))
     assert conv.fold == m + 1

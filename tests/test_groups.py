@@ -1,6 +1,7 @@
 """Set arithmetic against naive pairwise enumeration."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -318,8 +319,7 @@ class TestSumsetKernel:
     )
     def test_many_blocks(self, path, a, b, ta, tb):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(groups_mod, "_OUTER_BLOCK", 7)
-            mp.setattr(groups_mod, "_DENSE_BLOCK", 7)
+            mp.setattr(groups_mod, "_BLOCK", 7)
             mp.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS[path])
             cyc = sumset(GSet(CyclicGroup(97), a), GSet(CyclicGroup(97), b))
             win = sumset(GSet(W, a), GSet(W, b))
@@ -388,7 +388,7 @@ def dense_scan(monkeypatch, block):
     blocks, checks = [], []
     real_add = groups_mod._index_add
     monkeypatch.setattr(groups_mod, "_DENSE_PAIR_FACTOR", KERNEL_PATHS["dense"])
-    monkeypatch.setattr(groups_mod, "_DENSE_BLOCK", block)
+    monkeypatch.setattr(groups_mod, "_BLOCK", block)
     monkeypatch.setattr(groups_mod, "_index_add", lambda g, a, b: blocks.append(1) or real_add(g, a, b))
     monkeypatch.setattr(groups_mod, "np", _NumpyWithSpiedMarks(checks))
     return blocks, checks
@@ -477,7 +477,7 @@ class TestDenseScan:
 
     @pytest.mark.parametrize("g", [CyclicGroup(101), TorsionGroup(3, 4)], ids=repr)
     def test_a_single_block_counts_nothing(self, monkeypatch, g):
-        blocks, checks = dense_scan(monkeypatch, groups_mod._DENSE_BLOCK)
+        blocks, checks = dense_scan(monkeypatch, groups_mod._BLOCK)
         whole_sum = sumset(by_index(g, range(0, g.order, 2)), by_index(g, range(0, g.order, 3)))
         assert len(blocks) == 1 and checks == []
         assert len(whole_sum) == g.order
@@ -880,3 +880,80 @@ class TestIndexOpEdges:
         A = GSet(IntegerWindow(-5, 5), [0])
         assert dilate(A, 1 << 70) == A
         assert dilate(A, 1 << 70).group == IntegerWindow(0, 0)
+
+
+def _record_shapes(monkeypatch, module, name, shapes, arg=None):
+    """Wrap module.name so that each call records the shape of its result, or of its positional argument arg."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        out = real(*args)
+        shapes.append(np.shape(out if arg is None else args[arg]))
+        return out
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def _blocked_kernels():
+    """name -> (run(monkeypatch, shapes), axis): the axis of a recorded block that is one whole row of its kernel."""
+    import importlib
+
+    fourier_mod = importlib.import_module("addcomb.fourier")
+    rectify_mod = importlib.import_module("addcomb.rectify")
+    covering_mod = importlib.import_module("addcomb.covering")
+    z97 = GSet(CyclicGroup(97), range(0, 50, 5))
+    z101 = GSet(CyclicGroup(101), [0, 3, 7, 12, 20, 31, 33, 58, 64, 90])
+
+    def pairwise(mp, shapes):
+        _record_shapes(mp, groups_mod, "_index_add", shapes)
+        sumset(GSet(W, range(0, 60, 2)), GSet(W, range(0, 30, 3)))
+
+    def fold(mp, shapes):
+        _record_shapes(mp, fourier_mod, "_index_add", shapes)
+        fourier_mod.convolution_counts(z97, 2)
+
+    def diameter(mp, shapes):
+        _record_shapes(mp, rectify_mod, "_shortest_arcs", shapes, arg=0)
+        rectify_mod.diameter(GSet(CyclicGroup(1009), [0, 3, 4, 11, 40, 41]))
+
+    def witness(mp, shapes):
+        _record_shapes(mp, covering_mod.np, "bitwise_count", shapes, arg=0)
+        covering_mod.pluennecke_witness(z101, z101, z101)
+
+    return {"pairwise": (pairwise, 1), "fold": (fold, 0), "diameter": (diameter, 1), "witness": (witness, 1)}
+
+
+@pytest.mark.parametrize("kernel", ["pairwise", "fold", "diameter", "witness"])
+@pytest.mark.parametrize("block", [1, 4, 7])
+def test_every_blocked_kernel_reads_the_one_block(monkeypatch, kernel, block):
+    """A patched groups._BLOCK bounds each block of every kernel: at most max(block, one row) values."""
+    run, axis = _blocked_kernels()[kernel]
+    shapes = []
+    monkeypatch.setattr(groups_mod, "_BLOCK", block)
+    run(monkeypatch, shapes)
+    assert len(shapes) > 1
+    assert [s for s in shapes if math.prod(s) > max(block, s[axis])] == []
+
+
+def test_one_block_constant_and_one_float_slack():
+    """_BLOCK is defined once, in groups, and no module binds it by value; fourier and suite take no tol."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(groups_mod.__file__).parent
+    defined, imported, tols = [], [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                defined += [path.name] * len(names & {"_BLOCK"})
+                if path.name in ("fourier.py", "suite.py"):
+                    tols += [(path.name, node.lineno)] * len(names & {"tol"})
+            elif isinstance(node, ast.ImportFrom) and any(a.name == "_BLOCK" for a in node.names):
+                imported.append(path.name)
+            elif isinstance(node, ast.arg) and node.arg == "tol" and path.name in ("fourier.py", "suite.py"):
+                tols.append((path.name, node.lineno))
+    assert defined == ["groups.py"]
+    assert imported == []
+    assert tols == []

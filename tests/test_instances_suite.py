@@ -212,7 +212,7 @@ class TestSerialize:
     def test_round_sig(self):
         assert round_sig(1 / 3) == 0.333333333333
         assert round_sig(0.0) == 0.0
-        assert round_sig(123456.7890123456, 4) == 123500.0
+        assert round_sig(123456.7890123456) == 123456.789012
 
     def test_to_jsonable_values(self):
         import numpy as np
@@ -326,6 +326,36 @@ class TestSuite:
             assert report.tallies[check].failed == 1
             assert report.tallies[check].skipped == 0
         assert [ce["detail"] for ce in report.counterexamples] == [{"error": "planted"}] * 2
+
+    def test_short_iterated_inclusion_fails_incm_as_a_fault(self, monkeypatch):
+        # with B = A a verified inclusion gives every m, so covering_certificate raises on a shortfall
+        monkeypatch.setattr(covering_mod, "verify_incm", lambda A, T, m_max: m_max - 1)
+        report = run_suite([GSet(CyclicGroup(11), [0, 1])], SuiteConfig(checks=("inc", "incm")))
+        assert dataclasses.astuple(report.tallies["inc"]) == (1, 0, 0)
+        assert dataclasses.astuple(report.tallies["incm"]) == (0, 1, 0)
+        [ce] = report.counterexamples
+        assert ce["check"] == "incm" and list(ce["detail"]) == ["error"]
+        assert "only up to m = 2 of 3" in ce["detail"]["error"]
+
+    def test_failed_inclusion_fails_incm_with_the_m_reached(self, monkeypatch):
+        # T = {0} covers nothing: 2(A-A) is not inside A-A, so the inclusion fails and no m is reached
+        g = CyclicGroup(101)
+        monkeypatch.setattr(covering_mod, "greedy_translates", lambda core, candidates: GSet(g, [0]))
+        report = run_suite([GSet(g, [0, 1, 5])], SuiteConfig(checks=("incm",)))
+        assert dataclasses.astuple(report.tallies["incm"]) == (0, 1, 0)
+        assert [ce["detail"] for ce in report.counterexamples] == [{"verified_m": 0, "wanted_m": 3}]
+
+    def test_incm_judges_the_inclusion_claim_alone(self, monkeypatch):
+        # a failed size bound is inc's counterexample; the iterated inclusion still holds
+        real = suite_mod.covering_certificate
+        monkeypatch.setattr(
+            suite_mod,
+            "covering_certificate",
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), size_bound=0),
+        )
+        report = run_suite([GSet(CyclicGroup(11), [0, 1])], SuiteConfig(checks=("inc", "incm")))
+        assert dataclasses.astuple(report.tallies["inc"]) == (0, 1, 0)
+        assert dataclasses.astuple(report.tallies["incm"]) == (1, 0, 0)
 
     def test_failed_certificate_fails_inc_with_its_payload(self, monkeypatch):
         real = suite_mod.covering_certificate
@@ -448,23 +478,23 @@ class TestCli:
         assert "inclusion verified: True" in out
 
     def test_cover_short_iterated_inclusion_exits_one(self, capsys, monkeypatch):
-        # 2(A-A) <= (A-A)+(T-T) gives every m by induction, so a shortfall is a bug
+        # 2(A-A) <= (A-A)+(T-T) gives every m by induction, so a shortfall is a library fault
         monkeypatch.setattr(covering_mod, "verify_incm", lambda A, T, m_max: 0)
         rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", "--check-m", "3"])
         assert rc == 1
-        assert "iterated inclusion verified up to m = 0" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("check failed:") and "only up to m = 0 of 3" in err
 
     @pytest.mark.parametrize("spelling", [[], ["--elements-b", "0,1,3"]])
     def test_cover_check_m_shortfall_with_b_equal_to_a_exits_one(self, capsys, monkeypatch, spelling):
-        # B given with A's elements is the same summand as B defaulting to A
-        real = cli_mod.covering_certificate
-        monkeypatch.setattr(
-            cli_mod,
-            "covering_certificate",
-            lambda *a, **kw: dataclasses.replace(real(*a, **kw), m_checked=1),
-        )
+        # B given with A's elements is the same summand as B defaulting to A; B = {0} is another summand
+        monkeypatch.setattr(covering_mod, "verify_incm", lambda A, T, m_max: m_max - 1)
         rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", *spelling, "--check-m", "2"])
         assert rc == 1
+        assert capsys.readouterr().err.startswith("check failed:")
+        rc = main(["cover", "--group", "cyclic:31", "--elements", "0,1,3", "--elements-b", "0", "--check-m", "2"])
+        assert rc == 0
         assert "iterated inclusion verified up to m = 1" in capsys.readouterr().out
 
     def test_cover_check_m_with_other_b_keeps_verdict(self, capsys):

@@ -422,7 +422,7 @@ class TestVectorizedWitness:
         A, B1, B2 = case
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(covering_mod, "_WITNESS_BLOCK", block)
+                mp.setattr(groups_mod, "_BLOCK", block)
             sizes, _ = _spy_classes(mp)
             got = pluennecke_witness(A, B1, B2)
         subset, ratio, searched = loop_pluennecke(A, B1, B2)
@@ -446,7 +446,7 @@ class TestVectorizedWitness:
         A = by_index(g, idx)
         B1 = by_index(g, idx[:3])
         if block is not None:
-            monkeypatch.setattr(covering_mod, "_WITNESS_BLOCK", block)
+            monkeypatch.setattr(groups_mod, "_BLOCK", block)
         for b1, b2 in ((A, A), (B1, A), (B1, negate(B1))):
             got = pluennecke_witness(A, b1, b2)
             assert (got.subset.elements, got.ratio, got.subsets_searched) == loop_pluennecke(A, b1, b2)
@@ -464,7 +464,7 @@ class TestVectorizedWitness:
         ids = np.array(rows, dtype=np.int64)
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(covering_mod, "_WITNESS_BLOCK", block)
+                mp.setattr(groups_mod, "_BLOCK", block)
             tables = covering_mod._half_unions(ids, universe)
             got = [covering_mod._class_minimum(tables, n, size) for size in range(1, n)]
         want = []

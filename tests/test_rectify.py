@@ -41,6 +41,7 @@ from oracles import (
 
 # the package re-exports the function rectify under the submodule's name
 rectify_mod = importlib.import_module("addcomb.rectify")
+groups_mod = importlib.import_module("addcomb.groups")
 
 
 class TestDiameter:
@@ -149,7 +150,7 @@ class TestDiameterScan:
         # blocks of max(1, 7 // |A|) units, so the floor is met in a later block
         N, elems = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rectify_mod, "_OUTER_BLOCK", 7)
+            mp.setattr(groups_mod, "_BLOCK", 7)
             got = _witness_fields(N, elems)
         assert got == brute_diameter_witness(elems, N)
 
