@@ -22,10 +22,10 @@ from .groups import (
     BudgetError,
     Certificate,
     GSet,
+    _in_sumset,
     _index_add,
     _memoized,
     difference_set,
-    is_subset,
     sumset,
 )
 
@@ -240,7 +240,10 @@ def covering_certificate(
 
     With the witness path, |T| <= 2*K1*K2 - 1 where Ki = |A+Bi|/|A|; without
     it the weaker counting bound 2*|A+B1+B2|/|A| - 1 applies.  The inclusion
-    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way.  Inside a
+    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way, by
+    groups._in_sumset: it forms A-A+T-T only from at most groups._BLOCK
+    pairs (or in a group with no dense index space), and otherwise strikes
+    the points of the left side off row by row without forming it.  Inside a
     memo scope the certificate is memoized on the identity of (A, B1, B2)
     and the budget (see groups._memoized), so each is built once there.
 
@@ -293,7 +296,6 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
             f"greedy produced {len(T)} translates, above the certified bound {size_bound}"
         )
     lhs = sumset(difference_set(B1, B1), difference_set(B2, B2))
-    rhs = sumset(difference_set(A, A), difference_set(T, T))
     return CoveringCertificate(
         base=A,
         summand1=B1,
@@ -305,30 +307,32 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
         witness_ratio=ratio,
         witness_is_optimal=optimal,
         size_bound=size_bound,
-        inclusion_verified=is_subset(lhs, rhs),
+        inclusion_verified=_in_sumset(lhs, difference_set(A, A), difference_set(T, T)),
     )
 
 
 def verify_incm(A: GSet, T: GSet, m_max: int) -> int:
     """Largest m <= m_max with (m+1)(A-A) contained in (A-A) + m(T-T).
 
-    Returns 0 as soon as the m = 1 inclusion fails.
+    Returns 0 as soon as the m = 1 inclusion fails.  Step m decides
+    (m+1)(A-A) <= ((A-A) + (m-1)(T-T)) + (T-T) by _in_sumset, so the right
+    side is formed only as the next step's base or when _in_sumset forms it.
     """
     D = difference_set(A, A)
     E = difference_set(T, T)
-    lhs = D
-    rhs = D
+    lhs = rhs = D
     for m in range(1, m_max + 1):
+        if m > 1:
+            rhs = sumset(rhs, E)
         lhs = sumset(lhs, D)
-        rhs = sumset(rhs, E)
-        if not is_subset(lhs, rhs):
+        if not _in_sumset(lhs, rhs, E):
             return m - 1
     return m_max
 
 
 def is_k_covering(B: GSet, T: GSet) -> bool:
     """Whether B + B <= B + (T - T)."""
-    return is_subset(sumset(B, B), sumset(B, difference_set(T, T)))
+    return _in_sumset(sumset(B, B), B, difference_set(T, T))
 
 
 @functools.lru_cache(maxsize=1024)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Optional, Tuple, TypeVar, Union
@@ -60,6 +62,40 @@ _BLOCK = 1 << 18
 # most this, through an (r^w x r^w) table of digitwise sums mod r: at most
 # 2^16 entries (512 KB) per table, one table per (r, w) in a process.
 _DIGIT_TABLE_ROWS = 256
+
+# glibc's malloc parameters (mallopt) and the values set below: no block
+# under 32 MB is mmapped, and up to 64 MB freed at the top of the heap is
+# kept.  These are the thresholds glibc's own dynamic rule reaches after the
+# first free of a 32 MB block.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_freed_pages() -> None:
+    """Fix glibc's mmap and trim thresholds so freed work buffers are reused.
+
+    The dense kernels free arrays of 1-16 MB on every call (numpy's FFT work
+    buffers at prime N ~ 10^5, marks and index arrays at q ~ 10^6).  By
+    default glibc mmaps such a block and unmaps it on free, or trims it off
+    the heap, until a larger free raises its thresholds, so each call faults
+    its pages in afresh: 2,000-3,000 minor faults, 5-7 ms, per
+    theorem1_pipeline at N ~ 75,000, and how much faulting an op pays
+    depends on what ran before it.  A no-op off Linux or where the C library
+    has no mallopt.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+_keep_freed_pages()
 
 
 class GroupMismatchError(ValueError):
@@ -590,6 +626,54 @@ def is_subset(A: GSet, B: GSet) -> bool:
         return True  # the whole group holds every set
     a, b = A.packed(), B.packed()
     return len(a) <= len(b) and bool((b.take(b.searchsorted(a), mode="clip") == a).all())
+
+
+def _in_sumset(X: GSet, Y: GSet, Z: GSet) -> bool:
+    """Whether X <= Y + Z: the one kernel that decides such an inclusion.
+
+    When |Y|*|Z| <= _BLOCK, or the group has no dense index space (a window,
+    or an order above DENSE_ORDER_LIMIT), it forms the memoized sumset(Y, Z),
+    which later checks in the same scope may read.  Otherwise Y + Z is never
+    formed: _in_sumset_scan decides, and its answer is memoized under
+    "in_sum", so every caller in a scope shares one decision per (X, Y, Z).
+    """
+    g = X.group
+    if g.order is None or g.order > DENSE_ORDER_LIMIT or len(Y) * len(Z) <= _BLOCK:
+        return is_subset(X, sumset(Y, Z))
+    _require_same_ambient(X, Y)
+    _require_same_ambient(Y, Z)
+    return _memoized((X, Y, Z), "in_sum", lambda: _in_sumset_scan(g, X.packed(), Y.packed(), Z.packed()))
+
+
+def _in_sumset_scan(g: Group, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
+    """Whether every index in x is a + b with a in y and b in z, for a finite group g.
+
+    The rows are the elements of the shorter operand, taken in blocks of about
+    _BLOCK element operations; rem keeps the points of x that no row so far
+    reaches.  Each block takes the cheaper step: while |rem| is at most the
+    longer operand's length, a gather looks each x - a up in that operand's
+    marks, |rem| per row; otherwise a scatter marks a + (longer operand), its
+    length per row, and then filters rem once.  True once rem is empty,
+    False only after the last row.
+    """
+    if len(y) > len(z):
+        y, z = z, y
+    in_z = np.zeros(g.order, dtype=bool)
+    in_z[z] = True
+    seen = np.zeros(g.order, dtype=bool)
+    rem, i = x, 0
+    while len(rem):
+        if i == len(y):
+            return False
+        rows = y[i : i + max(1, _BLOCK // min(len(rem), len(z)))]
+        i += len(rows)
+        if len(rem) <= len(z):
+            hit = in_z[_index_add(g, rem[None, :], _index_scale(g, rows, -1)[:, None])].any(axis=0)
+        else:
+            seen[_index_add(g, z[None, :], rows[:, None])] = True
+            hit = seen[rem]
+        rem = rem[~hit]
+    return True
 
 
 def doubling_ratio(A: GSet) -> Fraction:

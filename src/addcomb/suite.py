@@ -257,6 +257,8 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     if config.witness_budget < 0:
         raise ValueError(f"witness budget must be >= 0, got {config.witness_budget}")
+    if config.m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {config.m_max}")
     start = time.perf_counter()
     selected = [c for c in CHECK_NAMES if c in config.checks]
     tallies = {name: CheckTally() for name in selected}

@@ -22,6 +22,7 @@ from .groups import (
     Element,
     GSet,
     TorsionGroup,
+    _in_sumset,
     _minus,
     _pairwise,
     difference_set,
@@ -150,7 +151,7 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
         bound_a=min(math.floor(raw_a), g.order),
         bound_b=min(math.floor(raw_b), g.order),
         contains_a=is_subset(A, translate(subgroup, A.elements[0])),
-        gen_inclusion_holds=is_subset(subgroup, sumset(D, h_t)),
+        gen_inclusion_holds=_in_sumset(subgroup, D, h_t),
         size_factor_holds=size <= len(D) * r ** (len(T) - 1),
         bound_a_holds=size <= raw_a,
         bound_b_holds=size <= raw_b,

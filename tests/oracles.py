@@ -40,6 +40,19 @@ def loop_torsion_add(a, b, r, n):
     return out
 
 
+def chain_incm(A, T, m_max, add, neg):
+    """Largest m <= m_max with (m+1)(A-A) inside (A-A) + m(T-T), forming both chains of sums in full."""
+    D = {add(a, neg(b)) for a in A for b in A}
+    E = {add(s, neg(t)) for s in T for t in T}
+    lhs = rhs = D
+    for m in range(1, m_max + 1):
+        lhs = {add(x, d) for x in lhs for d in D}
+        rhs = {add(x, e) for x in rhs for e in E}
+        if not lhs <= rhs:
+            return m - 1
+    return m_max
+
+
 def naive_iterated_mod(A, k, N):
     cur = sorted(set(a % N for a in A))
     for _ in range(k - 1):

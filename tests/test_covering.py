@@ -8,6 +8,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addcomb.groups as groups_mod
 from addcomb import (
     BudgetError,
     CyclicGroup,
@@ -28,7 +29,7 @@ from addcomb import (
     sumset,
     verify_incm,
 )
-from oracles import brute_greedy_translates, brute_j_count, brute_witness_ratio, sum_ratio
+from oracles import brute_greedy_translates, brute_j_count, brute_witness_ratio, chain_incm, sum_ratio
 
 W = IntegerWindow(-2000, 2000)
 
@@ -267,6 +268,9 @@ class TestCertificate:
                 covering_certificate(A, B1, B2, witness_budget=budget)
 
 
+INCM_TORSION = [TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2)]
+
+
 class TestIncm:
     def test_trivial(self):
         g = CyclicGroup(7)
@@ -289,6 +293,30 @@ class TestIncm:
         g = CyclicGroup(101)
         A = GSet(g, [0, 1, 5])
         assert verify_incm(A, GSet(g, [0]), 3) == 0
+
+    @pytest.mark.parametrize("block", [1, 5, groups_mod._BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), m_max=st.integers(1, 4))
+    def test_matches_the_chain_of_formed_sums(self, block, data, m_max):
+        # T is drawn, the greedy translates, or {0}: a planted shortfall unless A-A is a subgroup
+        g = data.draw(st.one_of(st.integers(1, 60).map(CyclicGroup), st.sampled_from(INCM_TORSION)))
+        pool = [g.element_at(i) for i in range(g.order)]
+        A = GSet(g, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6)))
+        drawn = GSet(g, data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4)))
+        T = data.draw(st.sampled_from([drawn, covering_certificate(A, A, A).translates, GSet(g, [pool[0]])]))
+        want = chain_incm(A.elements, T.elements, m_max, g.add, g.neg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_BLOCK", block)
+            assert verify_incm(A, T, m_max) == want
+
+    @pytest.mark.parametrize("block", [1, 5, groups_mod._BLOCK])
+    def test_planted_shortfall_matches_the_chain(self, monkeypatch, block):
+        g = TorsionGroup(3, 3)
+        A = GSet(g, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)])
+        T = GSet(g, [(0, 0, 0), (1, 0, 0)])
+        monkeypatch.setattr(groups_mod, "_BLOCK", block)
+        for m_max in range(1, 5):
+            assert verify_incm(A, T, m_max) == chain_incm(A.elements, T.elements, m_max, g.add, g.neg) == 0
 
 
 class TestKCovering:

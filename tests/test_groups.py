@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import os
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -513,6 +515,187 @@ class TestWholeGroupInclusion:
         assert not is_subset(GSet(IntegerWindow(0, 9), [0, 5]), GSet(IntegerWindow(0, 3), range(4)))
 
 
+# ------------------------------------------------------------------ X <= Y + Z
+
+INCLUSION_GROUPS = st.one_of(
+    st.integers(1, 60).map(CyclicGroup),
+    st.sampled_from([TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2)]),
+    st.integers(-30, 30).map(lambda lo: IntegerWindow(lo, lo + 24)),
+)
+
+
+def subsets_of(g):
+    """Any subset of g, the empty set and the whole of a finite g included."""
+    pool = plain_elements(g)
+    some = st.lists(st.sampled_from(pool), max_size=len(pool)).map(lambda xs: GSet(g, xs))
+    return st.one_of(some, st.just(GSet(g, [])), st.just(GSet(g, pool)))
+
+
+def outside(S):
+    """A set equal to S plus one point outside it, or None when S is a whole finite group."""
+    g = S.group
+    if g.kind == "window":
+        top = S.elements[-1] + 1 if len(S) else g.lo
+        return GSet(IntegerWindow(g.lo, max(g.hi, top)), S.elements + (top,))
+    missing = [x for x in plain_elements(g) if x not in S]
+    return GSet(g, S.elements + (missing[len(missing) // 2],)) if missing else None
+
+
+@st.composite
+def inclusions(draw):
+    """(X, Y, Z) in one group, X drawn, Y + Z, or Y + Z with one planted point outside it."""
+    g = draw(INCLUSION_GROUPS)
+    Y, Z = draw(subsets_of(g)), draw(subsets_of(g))
+    S = sumset(Y, Z)
+    planted = outside(S)
+    X = draw(st.sampled_from([S] + ([planted] if planted is not None else []) + [draw(subsets_of(S.group))]))
+    return X, Y, Z
+
+
+def scan_spies(monkeypatch, block):
+    """Patch _BLOCK to block; return the list of packed (X, Y, Z) that reach the scan, and a reader of the steps.
+
+    The steps read G for a gather block (a negation, then an index add) and S
+    for a scatter block (an index add alone).
+    """
+    scans, events = [], []
+    real_scan, real_add, real_scale = groups_mod._in_sumset_scan, groups_mod._index_add, groups_mod._index_scale
+    monkeypatch.setattr(groups_mod, "_BLOCK", block)
+    monkeypatch.setattr(groups_mod, "_in_sumset_scan", lambda g, *xyz: scans.append(xyz) or real_scan(g, *xyz))
+    monkeypatch.setattr(groups_mod, "_index_add", lambda *a: events.append("a") or real_add(*a))
+    monkeypatch.setattr(groups_mod, "_index_scale", lambda *a: events.append("g") or real_scale(*a))
+    return scans, lambda: "".join(events).replace("ga", "G").replace("a", "S")
+
+
+def inclusion_model(X, Y, Z, block):
+    """(answer, steps) of the documented scan, with Python sets: a G or S per block, gather or scatter."""
+    g = X.group
+    rows, cols = (Z.elements, set(Y.elements)) if len(Y) > len(Z) else (Y.elements, set(Z.elements))
+    rem, reached, steps, i = set(X.elements), set(), "", 0
+    while rem:
+        if i == len(rows):
+            return False, steps
+        take = rows[i : i + max(1, block // min(len(rem), len(cols)))]
+        i += len(take)
+        if len(rem) <= len(cols):
+            steps += "G"
+            rem = {x for x in rem if not any(g.add(x, g.neg(a)) in cols for a in take)}
+        else:
+            steps += "S"
+            reached |= {g.add(a, b) for a in take for b in cols}
+            rem -= reached
+    return True, steps
+
+
+class TestInSumset:
+    """_in_sumset decides X <= Y + Z like is_subset(X, sumset(Y, Z)), forming the sum only when it is small."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(inclusions(), st.integers(1, 7))
+    def test_matches_the_formed_sum(self, case, block):
+        X, Y, Z = case
+        want = is_subset(X, sumset(Y, Z))
+        with pytest.MonkeyPatch.context() as mp:
+            scans, _ = scan_spies(mp, block)
+            assert groups_mod._in_sumset(X, Y, Z) is want
+        finite = X.group.kind != "window"
+        assert len(scans) == (finite and len(Y) * len(Z) > block)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inclusions(), st.integers(1, 7))
+    def test_blocks_follow_the_documented_scan(self, case, block):
+        X, Y, Z = case
+        if X.group.kind == "window" or len(Y) * len(Z) <= block:
+            return  # the sum is formed
+        with pytest.MonkeyPatch.context() as mp:
+            _, steps = scan_spies(mp, block)
+            got = groups_mod._in_sumset(X, Y, Z)
+        assert (got, steps()) == inclusion_model(X, Y, Z, block)
+
+    @pytest.mark.parametrize(
+        "g", [CyclicGroup(31), CyclicGroup(60), TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2)], ids=repr
+    )
+    @pytest.mark.parametrize("block", range(1, 8))
+    def test_the_sum_and_one_planted_point(self, monkeypatch, g, block):
+        rng = random.Random(f"{g}:{block}")
+        pool = plain_elements(g)
+        Y, Z = GSet(g, rng.sample(pool, 4)), GSet(g, rng.sample(pool, 3))
+        S = sumset(Y, Z)  # at most 12 points, so never the whole group
+        planted = outside(S)
+        scans, steps = scan_spies(monkeypatch, block)
+        assert groups_mod._in_sumset(S, Y, Z) is True
+        first = steps()
+        assert groups_mod._in_sumset(planted, Y, Z) is False
+        second = steps()[len(first) :]
+        assert len(scans) == 2
+        if block < 4:
+            # rows of both steps, in blocks that switch from scatter to gather
+            assert "SG" in first or "SG" in second
+
+    @pytest.mark.parametrize("g", [CyclicGroup(12), TorsionGroup(2, 4), TorsionGroup(3, 3)], ids=repr)
+    @pytest.mark.parametrize("side", ["Y", "Z"])
+    def test_a_whole_operand_holds_every_set(self, monkeypatch, g, side):
+        whole, some = GSet(g, plain_elements(g)), by_index(g, [0, g.order - 1])
+        Y, Z = (whole, some) if side == "Y" else (some, whole)
+        scans, _ = scan_spies(monkeypatch, 1)
+        for X in (whole, some, by_index(g, [1])):
+            assert groups_mod._in_sumset(X, Y, Z) is True
+        assert len(scans) == 3
+
+    @pytest.mark.parametrize("g", [CyclicGroup(12), TorsionGroup(3, 2), IntegerWindow(0, 9)], ids=repr)
+    @pytest.mark.parametrize("block", [1, groups_mod._BLOCK])
+    def test_empty_operands(self, monkeypatch, g, block):
+        empty, some = GSet(g, []), GSet(g, plain_elements(g)[:3])
+        scan_spies(monkeypatch, block)
+        assert groups_mod._in_sumset(empty, some, some) is True
+        assert groups_mod._in_sumset(empty, empty, empty) is True
+        assert groups_mod._in_sumset(some, empty, some) is False
+        assert groups_mod._in_sumset(some, some, empty) is False
+
+    @pytest.mark.parametrize("block", [1, 6, 20])
+    def test_the_sum_is_formed_up_to_one_block_of_pairs(self, monkeypatch, block):
+        g = CyclicGroup(97)
+        Z = GSet(g, [5])
+        scans, _ = scan_spies(monkeypatch, block)
+        for size, scanned in ((block, False), (block + 1, True)):
+            Y = GSet(g, range(0, 4 * size, 4))
+            X = GSet(g, [1, 9])
+            want = is_subset(X, sumset(Y, Z))
+            with groups_mod._memo_scope():
+                before = len(scans)
+                assert groups_mod._in_sumset(X, Y, Z) is want
+                formed = ("sum", id(Y), id(Z)) in groups_mod._SCOPE.get()
+            assert (len(scans) - before, formed) == (scanned, not scanned)
+
+    def test_no_scan_without_a_dense_index_space(self, monkeypatch):
+        big = CyclicGroup(groups_mod.DENSE_ORDER_LIMIT + 1)
+        scans, _ = scan_spies(monkeypatch, 1)
+        assert groups_mod._in_sumset(GSet(big, [2, 7]), GSet(big, [0, 1]), GSet(big, [1, 6, big.modulus - 1]))
+        assert not groups_mod._in_sumset(GSet(W, [4]), GSet(W, [0, 1]), GSet(W, [0, 1]))
+        assert scans == []
+
+    def test_one_decision_per_operands_in_a_scope(self, monkeypatch):
+        g = CyclicGroup(101)
+        X, Y, Z = GSet(g, range(0, 30, 3)), GSet(g, range(10)), GSet(g, [0, 10, 20])
+        twin = GSet(g, Y.elements)
+        scans, _ = scan_spies(monkeypatch, 4)
+        with groups_mod._memo_scope():
+            assert groups_mod._in_sumset(X, Y, Z) and groups_mod._in_sumset(X, Y, Z)
+            assert len(scans) == 1
+            assert groups_mod._in_sumset(X, twin, Z)
+            assert len(scans) == 2
+        assert groups_mod._in_sumset(X, Y, Z)
+        assert len(scans) == 3
+
+    @pytest.mark.parametrize("block", [1, groups_mod._BLOCK])
+    def test_operands_of_other_groups_are_rejected(self, monkeypatch, block):
+        a, b = GSet(CyclicGroup(31), [0, 1, 2]), GSet(CyclicGroup(37), [0, 1, 2])
+        scan_spies(monkeypatch, block)
+        for X, Y, Z in ((b, a, a), (a, b, a), (a, a, b)):
+            with pytest.raises(GroupMismatchError):
+                groups_mod._in_sumset(X, Y, Z)
+
+
 def test_np_unique_only_with_an_inverse_or_index():
     """np.unique without return_inverse or return_index takes numpy's slow hash path; the library never calls it so."""
     import ast
@@ -527,6 +710,46 @@ def test_np_unique_only_with_an_inverse_or_index():
                 calls.append((path.name, node.lineno, bool(flags & {"return_inverse", "return_index"})))
     assert calls, "no np.unique call found; the scan is looking in the wrong place"
     assert [c for c in calls if not c[2]] == []
+
+
+def inclusions_in_a_sum(src):
+    """(module, function, line) of each is_subset call on a sumset(...), difference_set(...) or + / - result, or on a name bound to one."""
+    import ast
+
+    def name(f):
+        return getattr(f, "id", getattr(f, "attr", None))
+
+    def is_sum(node):
+        if isinstance(node, ast.BinOp):
+            return isinstance(node.op, (ast.Add, ast.Sub))
+        return isinstance(node, ast.Call) and name(node.func) in ("sumset", "difference_set")
+
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            held = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = [(target, node.value)]
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                            pairs = zip(target.elts, node.value.elts)
+                        held |= {t.id for t, v in pairs if isinstance(t, ast.Name) and is_sum(v)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and name(node.func) == "is_subset":
+                    if any(is_sum(a) or isinstance(a, ast.Name) and a.id in held for a in node.args):
+                        found.append((path.name, fn.name, node.lineno))
+    return found
+
+
+def test_every_inclusion_in_a_sum_goes_through_the_one_kernel():
+    """Only groups._in_sumset calls is_subset on a formed sum: every X <= Y + Z decision is made in that one kernel."""
+    import pathlib
+
+    found = inclusions_in_a_sum(pathlib.Path(groups_mod.__file__).parent)
+    assert {f[:2] for f in found} == {("groups.py", "_in_sumset")}, found
 
 
 def digit_table_groups():
@@ -920,10 +1143,21 @@ def _blocked_kernels():
         _record_shapes(mp, covering_mod.np, "bitwise_count", shapes, arg=0)
         covering_mod.pluennecke_witness(z101, z101, z101)
 
-    return {"pairwise": (pairwise, 1), "fold": (fold, 0), "diameter": (diameter, 1), "witness": (witness, 1)}
+    def inclusion(mp, shapes):
+        X = sumset(z101, z101)
+        _record_shapes(mp, groups_mod, "_index_add", shapes)
+        groups_mod._in_sumset(X, z101, GSet(z101.group, [0, 1, 2, 50]))
+
+    return {
+        "pairwise": (pairwise, 1),
+        "fold": (fold, 0),
+        "diameter": (diameter, 1),
+        "witness": (witness, 1),
+        "inclusion": (inclusion, 1),
+    }
 
 
-@pytest.mark.parametrize("kernel", ["pairwise", "fold", "diameter", "witness"])
+@pytest.mark.parametrize("kernel", ["pairwise", "fold", "diameter", "witness", "inclusion"])
 @pytest.mark.parametrize("block", [1, 4, 7])
 def test_every_blocked_kernel_reads_the_one_block(monkeypatch, kernel, block):
     """A patched groups._BLOCK bounds each block of every kernel: at most max(block, one row) values."""
@@ -957,3 +1191,47 @@ def test_one_block_constant_and_one_float_slack():
     assert defined == ["groups.py"]
     assert imported == []
     assert tols == []
+
+
+FAULT_PROBE = """
+import resource
+from addcomb import CyclicGroup, GSet
+from addcomb.fourier import _fft_magnitudes
+
+out = []
+for N in (84401, 73061, 78007, 75611):
+    A = GSet(CyclicGroup(N), range(0, N, 7))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _fft_magnitudes(A)
+    out.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(out)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="mallopt thresholds are set on Linux only")
+def test_freed_work_buffers_are_reused_not_faulted_in_again():
+    """After the first prime-length FFT, later ones at nearby N reuse freed heap pages.
+
+    Each FFT frees 8-20 MB of work buffers.  With glibc's default dynamic
+    thresholds every later call faults about 2,000-3,000 pages in afresh; run
+    in a fresh process, so no earlier test has moved the thresholds.
+    """
+    import ast
+    import ctypes
+    import pathlib
+    import subprocess
+
+    if not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("the C library has no mallopt")
+    src = pathlib.Path(groups_mod.__file__).parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    faults = ast.literal_eval(proc.stdout.strip())
+    assert faults[0] > 1000, faults  # the first call does fault its buffers in
+    assert sum(faults[1:]) < 300, faults

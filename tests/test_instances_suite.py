@@ -289,6 +289,17 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite([], SuiteConfig(checks=("inc", "bogus")))
 
+    @pytest.mark.parametrize("m_max", [0, -1])
+    @pytest.mark.parametrize("checks", [("incm",), ("estjcov",), CHECK_NAMES], ids=["incm", "estjcov", "default"])
+    def test_m_max_below_one_is_rejected_before_any_check(self, monkeypatch, m_max, checks):
+        ran = []
+        for name, check in suite_mod.INSTANCE_CHECKS.items():
+            monkeypatch.setitem(suite_mod.INSTANCE_CHECKS, name, lambda A, cfg, _check=check: ran.append(1) or _check(A, cfg))
+        monkeypatch.setattr(suite_mod, "_run_jbound", lambda *args: ran.append(1))
+        with pytest.raises(ValueError, match="m_max must be >= 1"):
+            run_suite([GSet(CyclicGroup(11), [0, 1])], SuiteConfig(checks=checks, m_max=m_max))
+        assert ran == []
+
     def test_timing_toggle(self):
         inst = [GSet(CyclicGroup(11), [0, 1])]
         with_timing = run_suite(inst, SuiteConfig(checks=("inc",), include_timing=True))

@@ -287,6 +287,32 @@ def test_spectral_diameter_forms_a_minus_a_once(monkeypatch):
     assert calls == [([3, 4, 5, 6, 7], negate(A).packed().tolist())]
 
 
+@pytest.mark.parametrize("m_max, formed", [(1, 0), (3, 1)])
+def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeypatch, m_max, formed):
+    """With _BLOCK small, one scan decides 2(A-A) <= (A-A)+(T-T) for inc, incm and the growth checks.
+
+    (A-A)+(T-T) is formed only when incm goes on to m = 2, as the base of that
+    step's inclusion.
+    """
+    A = GSet(CyclicGroup(101), [0, 1, 3, 7, 12, 20])
+    cfg = SuiteConfig(m_max=m_max)
+    want = dumps(run_suite([A], cfg))
+    T = covering_certificate(A, A, A, witness_budget=cfg.witness_budget).translates
+    D, E = difference_set(A, A), difference_set(T, T)
+    inclusion = (sumset(D, D).packed().tobytes(), D.packed().tobytes(), E.packed().tobytes())
+    scans, pairs = [], []
+    real_scan = groups_mod._in_sumset_scan
+    monkeypatch.setattr(groups_mod, "_BLOCK", 16)
+    monkeypatch.setattr(groups_mod, "_in_sumset_scan", lambda g, *xyz: scans.append(tuple(a.tobytes() for a in xyz)) or real_scan(g, *xyz))
+    for mod in (groups_mod, torsion_mod):
+        real_pairwise = mod._pairwise
+        monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append({pa.tobytes(), pb.tobytes()}) or _real(g, pa, pb))
+    assert dumps(run_suite([A], cfg)) == want
+    assert len(D) * len(E) > 16
+    assert scans.count(inclusion) == 1
+    assert pairs.count(set(inclusion[1:])) == formed
+
+
 # ------------------------------------------------------------------ saturated sums
 
 def _pairwise_calls(monkeypatch):
