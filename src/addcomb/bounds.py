@@ -23,7 +23,7 @@ from numbers import Rational
 from typing import Dict, Optional, Union
 
 from .fourier import eta_largecoeff2, spectrum
-from .groups import Certificate, GSet, _memo_scope, difference_set, sumset
+from .groups import Certificate, GSet, _memo_scope, difference_ratio, difference_set, doubling_ratio
 from .primes import is_prime
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
@@ -192,8 +192,8 @@ def _pipeline(A: GSet, delta: Optional[float]) -> PipelineReport:
     n = len(A)
     alpha = Fraction(n, N)
     D = difference_set(A, A)
-    k_double = Fraction(len(sumset(A, A)), n)
-    k_diff = Fraction(len(D), n)
+    k_double = doubling_ratio(A)
+    k_diff = difference_ratio(A)
     K = float(min(k_double, k_diff))
     tau = Fraction(len(D), N)
     bounds = bound_calculator(alpha, K) if alpha < 1 else None

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .bounds import bound_calculator, theorem1_pipeline, threshold_chain
 from .covering import covering_certificate
 from .fourier import spectrum
-from .groups import BudgetError, Certificate, GSet, sumset
+from .groups import BudgetError, Certificate, GSet, _memo_scope, sumset
 from .rectify import diameter, rectify
 from .torsion import torsion_cover
 from .instances import parse_elements, parse_group, parse_shape
@@ -301,7 +301,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # one scope per command, so its steps share each derived set and inclusion
+        with _memo_scope():
+            return _COMMANDS[args.command](args)
     except (ValueError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

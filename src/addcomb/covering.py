@@ -42,7 +42,6 @@ __all__ = [
     "j_count_table",
     "j_bound_report",
     "JBoundReport",
-    "growth_bound_check",
     "growth_table",
 ]
 
@@ -403,11 +402,6 @@ class GrowthBoundReport(Certificate):
         if self.m >= self.k:
             claims["ratio_bound"] = self.ratio_bound_holds
         return claims
-
-
-def growth_bound_check(B: GSet, T: GSet, m: int) -> GrowthBoundReport:
-    """Certify |(m+1)B| against the covering growth bounds for a k-covering pair."""
-    return growth_table(B, T, m)[-1]
 
 
 def growth_table(B: GSet, T: GSet, m_max: int) -> Tuple[GrowthBoundReport, ...]:

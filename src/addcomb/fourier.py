@@ -31,7 +31,6 @@ __all__ = [
     "character_sum",
     "convolution_counts",
     "moment_chain",
-    "moment_lower_bound_check",
     "eta_largecoeff",
     "eta_largecoeff2",
     "certified_large_coefficient",
@@ -228,11 +227,6 @@ def moment_chain(B: GSet, m_max: int) -> Tuple[MomentChainReport, ...]:
     return tuple(rows)
 
 
-def moment_lower_bound_check(B: GSet, m: int) -> MomentChainReport:
-    """The moment chain's row for m alone (see moment_chain)."""
-    return moment_chain(B, m)[-1]
-
-
 @dataclass(frozen=True)
 class LargeCoeffParams:
     k: int
@@ -264,11 +258,10 @@ def eta_largecoeff(beta: Union[Fraction, float], k: int) -> LargeCoeffParams:
     return LargeCoeffParams(k, beta_frac, m, eta)
 
 
-def eta_largecoeff2(tau: float, K: float, k_cover: Optional[int] = None) -> float:
+def eta_largecoeff2(tau: float, K: float) -> float:
     """Quality parameter for difference sets: eta = 9 K^-2 tau^(1/2K^2) log(1/tau).
 
-    tau is |A-A|/N and K the growth ratio; requires tau <= 14^(-2K^2).  When
-    the covering size k_cover is supplied it must satisfy k <= 2K^2 - 1.
+    tau is |A-A|/N and K the growth ratio; requires tau <= 14^(-2K^2).
     """
     K = float(K)
     tau = float(tau)
@@ -279,8 +272,6 @@ def eta_largecoeff2(tau: float, K: float, k_cover: Optional[int] = None) -> floa
     gate_log = -2 * K * K * math.log(14)
     if math.log(tau) > gate_log + 1e-15:
         raise ValueError(f"tau {tau:.3g} above the gate 14^(-2K^2)")
-    if k_cover is not None and k_cover > 2 * K * K - 1:
-        raise ValueError(f"covering size {k_cover} exceeds 2K^2 - 1")
     return 9 / (K * K) * tau ** (1 / (2 * K * K)) * math.log(1 / tau)
 
 

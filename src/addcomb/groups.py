@@ -38,7 +38,6 @@ __all__ = [
     "is_subset",
     "doubling_ratio",
     "difference_ratio",
-    "min_growth_ratio",
 ]
 
 Element = Union[int, Tuple[int, ...]]
@@ -600,22 +599,17 @@ def translate(A: GSet, c: Element) -> GSet:
     return GSet._from_indices(g, np.sort(_index_add(g, A.packed(), c)))
 
 
-def dilate(A: GSet, lam: int, require_unit: bool = False) -> GSet:
+def dilate(A: GSet, lam: int) -> GSet:
     """The set lam*A = {lam*a : a in A}."""
     lam = int(lam)
     g = A.group
     if g.kind == "window":
-        if require_unit and lam == 0:
-            raise ValueError("dilation by 0 is not injective on Z")
         ends = A.packed()[[0, -1]].tolist() if len(A) else [g.lo, g.hi]
         # raises before any lam*x leaves the window range; then |lam*x| <= 2^61, so
         # |lam| > 2^61 meets only x = 0 and clamping lam to int64 changes no product
         win = IntegerWindow(*sorted(lam * x for x in ends))
         lam = max(-1 << 61, min(lam, 1 << 61))
         return GSet._from_indices(win, _index_scale(g, A.packed(), lam))
-    m = g.modulus if g.kind == "cyclic" else g.exponent
-    if require_unit and math.gcd(lam, m) != 1:
-        raise ValueError(f"{lam} is not invertible mod {m}")
     return GSet._from_indices(g, _index_scale(g, A.packed(), lam))
 
 
@@ -688,8 +682,3 @@ def difference_ratio(A: GSet) -> Fraction:
     if not len(A):
         raise ValueError("difference ratio of the empty set is undefined")
     return Fraction(len(difference_set(A, A)), len(A))
-
-
-def min_growth_ratio(A: GSet) -> Fraction:
-    """min(|A+A|, |A-A|) / |A|, the ratio the structure theorems key on."""
-    return min(doubling_ratio(A), difference_ratio(A))

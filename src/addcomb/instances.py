@@ -16,7 +16,6 @@ from .groups import (
     Group,
     IntegerWindow,
     TorsionGroup,
-    translate,
 )
 from .torsion import subgroup_generated
 
@@ -40,23 +39,21 @@ def _pool(group: Group) -> Sequence:
     return range(group.order)
 
 
-def exhaustive_sets(
-    group: Group, max_size: int, min_size: int = 1, normalize: bool = False
-) -> Iterator[GSet]:
-    """All subsets with min_size <= |A| <= max_size, smallest first.
+def exhaustive_sets(group: Group, max_size: int, normalize: bool = False) -> Iterator[GSet]:
+    """All subsets with 1 <= |A| <= max_size, smallest first.
 
     With normalize=True (cyclic groups only) only the canonical
     representative of each translation/dilation orbit is yielded.
     """
-    if max_size < min_size or min_size < 0:
-        raise ValueError(f"bad size range [{min_size}, {max_size}]")
+    if max_size < 1:
+        raise ValueError(f"bad size range [1, {max_size}]")
     if normalize and group.kind != "cyclic":
         raise ValueError("orbit normalization is defined for cyclic groups only")
     pool = _pool(group)
-    for size in range(min_size, max_size + 1):
+    for size in range(1, max_size + 1):
         for combo in itertools.combinations(pool, size):
             s = GSet._from_indices(group, np.array(combo, dtype=np.int64))
-            if normalize and size > 0 and s != canonical_affine_form(s):
+            if normalize and s != canonical_affine_form(s):
                 continue
             yield s
 
@@ -122,12 +119,9 @@ def union_progressions(
     return GSet(group, elems)
 
 
-def subspace_coset(
-    group: TorsionGroup, basis: Sequence[Element], shift: Optional[Element] = None
-) -> GSet:
-    """shift + span(basis) inside (Z/rZ)^n."""
-    span = subgroup_generated(GSet(group, basis))
-    return span if shift is None else translate(span, shift)
+def subspace_coset(group: TorsionGroup, basis: Sequence[Element]) -> GSet:
+    """span(basis) inside (Z/rZ)^n, the coset through 0."""
+    return subgroup_generated(GSet(group, basis))
 
 
 def parse_group(spec: str) -> Group:

@@ -25,9 +25,10 @@ from .groups import (
     _in_sumset,
     _minus,
     _pairwise,
+    difference_ratio,
     difference_set,
+    doubling_ratio,
     is_subset,
-    sumset,
     translate,
 )
 
@@ -117,8 +118,8 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     r = g.exponent
     n = len(A)
     D = difference_set(A, A)
-    k_double = Fraction(len(sumset(A, A)), n)
-    k_diff = Fraction(len(D), n)
+    k_double = doubling_ratio(A)
+    k_diff = difference_ratio(A)
     neg_a = _minus(A)
     routes = [("sum", A)]
     if neg_a is not A:

@@ -18,7 +18,6 @@ from addcomb import (
     covering_certificate,
     difference_set,
     greedy_translates,
-    growth_bound_check,
     growth_table,
     is_k_covering,
     is_subset,
@@ -416,7 +415,7 @@ class TestGrowth:
     def test_trivial(self):
         g = CyclicGroup(7)
         B = T = GSet(g, [0])
-        rep = growth_bound_check(B, T, 3)
+        rep = growth_table(B, T, 3)[-1]
         assert rep.grown_size == 1 and rep.j_value == 1 and rep.j_bound_holds
 
     def test_difference_set_both_bounds(self):
@@ -424,14 +423,14 @@ class TestGrowth:
         cert = covering_certificate(A, A, A)
         B = difference_set(A, A)
         k = len(cert.translates)
-        rep = growth_bound_check(B, cert.translates, k)
+        rep = growth_table(B, cert.translates, k)[-1]
         assert rep.j_bound_holds
         assert rep.ratio_bound_holds
 
     def test_pair(self):
         g = CyclicGroup(101)
         B = GSet(g, [0, 1])
-        rep = growth_bound_check(B, B, 2)
+        rep = growth_table(B, B, 2)[-1]
         assert rep.grown_size == 4
         assert rep.j_value == 5
         assert rep.j_bound_holds and rep.ratio_bound_holds
@@ -439,13 +438,13 @@ class TestGrowth:
     def test_ratio_bound_needs_m_ge_k(self):
         g = CyclicGroup(101)
         B = GSet(g, [0, 1])
-        rep = growth_bound_check(B, B, 1)
+        rep = growth_table(B, B, 1)[-1]
         assert rep.ratio_bound is None and rep.ratio_bound_holds is None
 
     def test_not_covering_rejected(self):
         g = CyclicGroup(101)
         with pytest.raises(ValueError):
-            growth_bound_check(GSet(g, [0, 1]), GSet(g, []), 2)
+            growth_table(GSet(g, [0, 1]), GSet(g, []), 2)
 
     def test_table_matches_single_checks(self):
         g = CyclicGroup(101)
@@ -453,6 +452,6 @@ class TestGrowth:
         rows = growth_table(B, B, 4)
         assert [r.m for r in rows] == [1, 2, 3, 4]
         for row in rows:
-            single = growth_bound_check(B, B, row.m)
+            single = growth_table(B, B, row.m)[-1]
             assert (row.grown_size, row.j_value) == (single.grown_size, single.j_value)
             assert row.j_bound_holds and single.j_bound_holds

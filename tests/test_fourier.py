@@ -23,7 +23,6 @@ from addcomb import (
     eta_largecoeff2,
     iterated_sum,
     moment_chain,
-    moment_lower_bound_check,
     smallest_prime_in,
     spectrum,
 )
@@ -226,12 +225,12 @@ class TestMomentChain:
         assert calls == {"_magnitudes": 1, "_fold_once": 3}
         assert [row.m for row in rows] == [1, 2, 3]
         for row in rows:
-            assert row == moment_lower_bound_check(B, row.m)
+            assert row == moment_chain(B, row.m)[-1]
 
     def test_sum_of_squares_past_int64(self):
         # 10^13 counts fit int64, but their sum of squares reaches 10^26
         B = GSet(CyclicGroup(29), range(10))
-        rep = moment_lower_bound_check(B, 12)
+        rep = moment_chain(B, 12)[-1]
         expected = brute_convolution_counts(B.elements, 12, plain_add(B.group))
         assert convolution_counts(B, 12).counts.dtype == np.int64
         assert rep.sum_of_squares == sum(c * c for c in expected.values()) > 1 << 63
@@ -245,7 +244,7 @@ class TestMomentChain:
             moment_chain(GSet(CyclicGroup(16_777_259), [0, 1, 5]), 3)
 
     def test_singleton_z7(self):
-        rep = moment_lower_bound_check(GSet(CyclicGroup(7), [0]), 1)
+        rep = moment_chain(GSet(CyclicGroup(7), [0]), 1)[-1]
         assert rep.support_size == 1
         assert rep.sum_of_squares == 1
         assert rep.cauchy_schwarz_holds
@@ -255,7 +254,7 @@ class TestMomentChain:
         assert rep.ok
 
     def test_three_points_z101(self):
-        rep = moment_lower_bound_check(GSet(CyclicGroup(101), [0, 1, 3]), 2)
+        rep = moment_chain(GSet(CyclicGroup(101), [0, 1, 3]), 2)[-1]
         assert rep.cauchy_schwarz_holds
         assert rep.parseval_holds
         assert rep.max_bound_holds
@@ -263,7 +262,7 @@ class TestMomentChain:
 
     def test_parseval_is_exact_statement(self):
         B = GSet(CyclicGroup(64), [0, 1, 2, 3])
-        rep = moment_lower_bound_check(B, 3)
+        rep = moment_chain(B, 3)[-1]
         assert rep.parseval_residual <= 1e-9
 
     @given(
@@ -272,7 +271,7 @@ class TestMomentChain:
     )
     @settings(max_examples=60, deadline=None)
     def test_chain_never_fails(self, elems, m):
-        rep = moment_lower_bound_check(GSet(CyclicGroup(59), elems), m)
+        rep = moment_chain(GSet(CyclicGroup(59), elems), m)[-1]
         assert rep.ok
 
 
@@ -320,11 +319,6 @@ class TestEtaLargeCoeff2:
     def test_above_gate_rejected(self):
         with pytest.raises(ValueError):
             eta_largecoeff2(0.01, 1.0)
-
-    def test_cover_size_gate(self):
-        with pytest.raises(ValueError):
-            eta_largecoeff2(14**-8, 2.0, k_cover=8)
-        eta_largecoeff2(14**-8, 2.0, k_cover=7)
 
     def test_eta_decreases_with_tau(self):
         etas = [eta_largecoeff2(10**-e, 1.0) for e in range(6, 12)]

@@ -28,7 +28,6 @@ from addcomb import (
     greedy_translates,
     is_subset,
     iterated_sum,
-    min_growth_ratio,
     negate,
     random_sets,
     subgroup_generated,
@@ -204,11 +203,6 @@ class TestAffineMaps:
     def test_translate_wraps(self):
         assert translate(GSet(CyclicGroup(5), [0, 1]), 4).elements == (0, 4)
 
-    def test_dilate_requires_unit(self):
-        A = GSet(CyclicGroup(10), [1, 2])
-        with pytest.raises(ValueError):
-            dilate(A, 5, require_unit=True)
-
     @given(cyclic_subsets(31), st.integers(1, 30))
     def test_dilate_roundtrip(self, A, lam):
         inv = pow(lam, -1, 31)
@@ -231,7 +225,6 @@ class TestRatios:
         A = GSet(W, [0, 1, 3])
         assert doubling_ratio(A) == 2
         assert difference_ratio(A) == Fraction(7, 3)
-        assert min_growth_ratio(A) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

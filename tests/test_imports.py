@@ -6,6 +6,10 @@ attribute chain) somewhere in the module, or be re-exported through
 ``__all__``.  ``from __future__`` imports are exempt.  A module-level private
 function, class or constant (one leading underscore) must be read by its own
 module outside the statement that defines it, or by a module that imports it.
+
+The public surface gets the same treatment: every function a module exports
+through ``__all__`` must be read, and every defaulted parameter of one must be
+passed, by the package itself, a demo or the benchmark (tests do not count).
 """
 
 import ast
@@ -13,7 +17,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "addcomb"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "addcomb"
+
+
+def _library() -> dict:
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
 
 def _exported(tree: ast.Module) -> set:
@@ -120,5 +129,100 @@ def test_read_by_an_importing_module_counts():
 
 
 def test_library_has_no_dead_private_helper():
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert dead_private_names(sources) == []
+    assert dead_private_names(_library()) == []
+
+
+# ------------------------------------------------------------------ public surface
+
+# main(argv) is the CLI's test seam: the console script calls main() with none.
+# rectify(diam) lets a caller reuse one computed diameter across orders k.
+OPTION_EXEMPT = {"cli.main(argv)", "rectify.rectify(diam)"}
+# dump_instances writes the instance files that load_instances reads.
+CALLER_EXEMPT = {"serialize.dump_instances"}
+
+
+def _caller_sources() -> dict:
+    """The package's modules by name, and the demo and benchmark scripts by path, test files left out."""
+    callers = _library()
+    for path in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]):
+        if not path.name.startswith("test_"):
+            callers[str(path.relative_to(ROOT))] = path.read_text()
+    return callers
+
+
+def _public_functions(sources: dict) -> list:
+    """(module, module-level def) for every function a module of the package exports through __all__."""
+    out = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        exported = _exported(tree)
+        out += [(mod, stmt) for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and stmt.name in exported]
+    return out
+
+
+def _defaulted(fn: ast.FunctionDef) -> list:
+    """(position or None, name) of each parameter of fn that has a default."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    kwonly = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [(i, a.arg) for i, a in enumerate(pos) if i >= first] + [(None, a.arg) for a in kwonly]
+
+
+def _calls_by_name(callers: dict) -> dict:
+    """Every call in the caller sources, keyed by the called name or attribute."""
+    out = {}
+    for src in callers.values():
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def unpassed_options(sources: dict, callers: dict) -> list:
+    """Defaulted parameters of the package's public functions that no call in callers passes."""
+    calls = _calls_by_name(callers)
+    unpassed = []
+    for mod, fn in _public_functions(sources):
+        for pos, param in _defaulted(fn):
+            if not any(
+                any(kw.arg == param for kw in call.keywords) or (pos is not None and len(call.args) > pos)
+                for call in calls.get(fn.name, [])
+            ):
+                unpassed.append(f"{mod}.{fn.name}({param})")
+    return sorted(unpassed)
+
+
+def uncalled_functions(sources: dict, callers: dict) -> list:
+    """Public functions of the package that nothing in callers reads, outside their own definition.
+
+    callers holds the package's own modules under the same names as sources.
+    """
+    trees = {key: ast.parse(src) for key, src in callers.items()}
+    uncalled = []
+    for mod, fn in _public_functions(sources):
+        readers = (stmt for key, tree in trees.items() for stmt in tree.body if (key, stmt.lineno) != (mod, fn.lineno))
+        if fn.name not in _reads(readers):
+            uncalled.append(f"{mod}.{fn.name}")
+    return sorted(uncalled)
+
+
+def test_detects_an_unpassed_option():
+    sources = {"a": "__all__ = ['f', 'g']\ndef f(x, y=1, *, z=2):\n    pass\ndef g(w=0):\n    pass\n_h = 0\n"}
+    callers = {"b": "f(1, 2)\nm.g(w=3)\n", "c": "f(0)\n"}
+    assert unpassed_options(sources, callers) == ["a.f(z)"]
+    assert unpassed_options(sources, {"c": callers["c"]}) == ["a.f(y)", "a.f(z)", "a.g(w)"]
+
+
+def test_detects_an_uncalled_function():
+    sources = {"a": "__all__ = ['f', 'g', 'h']\ndef f():\n    return f()\ndef g():\n    pass\ndef h():\n    return g()\n"}
+    assert uncalled_functions(sources, {"a": sources["a"], "b": "import m\nm.h()\n"}) == ["a.f"]
+
+
+def test_every_public_option_is_passed_outside_the_tests():
+    assert [o for o in unpassed_options(_library(), _caller_sources()) if o not in OPTION_EXEMPT] == []
+
+
+def test_every_public_function_is_called_outside_the_tests():
+    assert [f for f in uncalled_functions(_library(), _caller_sources()) if f not in CALLER_EXEMPT] == []

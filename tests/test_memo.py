@@ -37,6 +37,7 @@ from addcomb import (
     sumset,
     theorem1_pipeline,
 )
+from addcomb.cli import main
 from addcomb.fourier import _magnitudes
 from addcomb.groups import _memo_scope
 from oracles import loop_pluennecke, naive_sumset_int, naive_sumset_mod, naive_sumset_vec
@@ -311,6 +312,46 @@ def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeyp
     assert len(D) * len(E) > 16
     assert scans.count(inclusion) == 1
     assert pairs.count(set(inclusion[1:])) == formed
+
+
+def test_cli_cover_scans_the_covering_inclusion_once(monkeypatch, capsys):
+    """cover runs in one scope, so the certificate and incm's step m = 1 share one scan of 2(A-A) <= (A-A)+(T-T)."""
+    argv = ["cover", "--group", "cyclic:101", "--elements", "0,1,3,7,12,20", "--check-m", "1"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    scans = []
+    real_scan = groups_mod._in_sumset_scan
+    monkeypatch.setattr(groups_mod, "_BLOCK", 16)
+    monkeypatch.setattr(groups_mod, "_in_sumset_scan", lambda *args: scans.append(1) or real_scan(*args))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize(
+    "A, run",
+    [
+        (by_index(TorsionGroup(3, 3), [0, 1, 5, 13]), lambda A: run_suite([A], SuiteConfig(checks=("torsion",)))),
+        (GSet(CyclicGroup(101), [0, 1, 3, 7]), theorem1_pipeline),
+    ],
+    ids=["torsion check", "pipeline"],
+)
+def test_the_growth_ratios_read_the_memo(monkeypatch, A, run):
+    """Reading |A+A|/|A| and |A-A|/|A| through doubling_ratio and difference_ratio builds A + A and A + (-A) once each.
+
+    The torsion check's difference route also forms (-A) - (-A) = (-A) + A:
+    the memo keys a sum by its operands' identities in order, so that equal
+    set is not shared.
+    """
+    a, minus_a = A.packed().tobytes(), negate(A).packed().tobytes()
+    assert a != minus_a
+    pairs = []
+    for mod in (groups_mod, torsion_mod):
+        real_pairwise = mod._pairwise
+        monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append((pa.tobytes(), pb.tobytes())) or _real(g, pa, pb))
+    run(A)
+    assert pairs.count((a, minus_a)) == 1
+    assert pairs.count((a, a)) == 1
 
 
 # ------------------------------------------------------------------ saturated sums
