@@ -9,7 +9,6 @@ from fractions import Fraction
 from addcomb import (
     CyclicGroup,
     GSet,
-    SuiteConfig,
     bound_calculator,
     dumps,
     exhaustive_sets,
@@ -39,6 +38,6 @@ print("certified diameter <=", pipe.spectral.diameter_upper, " true:", pipe.diam
 
 # The suite replays every certificate-producing routine over generated
 # instances and serializes a machine-readable report.
-report = run_suite(exhaustive_sets(CyclicGroup(13), 3), SuiteConfig(j_m_max=6))
+report = run_suite(exhaustive_sets(CyclicGroup(13), 3))
 print("suite ok:", report.ok, " instances:", report.instance_count)
 print(dumps(report)[:120] + "...")

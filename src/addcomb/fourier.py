@@ -2,14 +2,12 @@
 
 The transform convention is B^(r) = sum over b in B of e(b*r/N) with
 e(x) = exp(2*pi*i*x); for torsion products the character indexed by c is
-e((c.x)/r).  Only the direct sum character_sum carries this sign
-convention.  Magnitudes are computed by FFT, and a magnitude is the same
+e((c.x)/r).  Magnitudes are computed by FFT, and a magnitude is the same
 under either sign.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +26,6 @@ __all__ = [
     "LargeCoeffParams",
     "LargeCoeffCertificate",
     "spectrum",
-    "character_sum",
     "convolution_counts",
     "moment_chain",
     "eta_largecoeff",
@@ -111,22 +108,6 @@ def spectrum(B: GSet, top: int = 8) -> SpectrumReport:
     )
 
 
-def character_sum(B: GSet, index: Element) -> complex:
-    """Single coefficient B^(index) by direct summation."""
-    _require_finite(B)
-    g = B.group
-    if g.kind == "cyclic":
-        N = g.modulus
-        r = int(index) % N
-        return sum(cmath.exp(2j * math.pi * ((b * r) % N) / N) for b in B.elements)
-    chi = g.normalize(index)
-    r = g.exponent
-    return sum(
-        cmath.exp(2j * math.pi * (sum(c * x for c, x in zip(chi, b)) % r) / r)
-        for b in B.elements
-    )
-
-
 @dataclass(frozen=True)
 class ConvolutionCounts:
     """Exact representation counts r_{m+1}(x) = #{(b_1..b_{m+1}) : sum = x}."""
@@ -135,9 +116,6 @@ class ConvolutionCounts:
     counts: np.ndarray         # flat over the packed index space; int64 or object
     support: GSet
     total: int                 # |B|^{m+1}, verified against the count sum
-
-    def count_at(self, x: Element) -> int:
-        return int(self.counts[self.support.group.index(x)])
 
 
 def _fold_once(counts: np.ndarray, B: GSet) -> np.ndarray:

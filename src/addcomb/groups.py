@@ -536,7 +536,8 @@ def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
 
 def sumset(A: GSet, B: GSet) -> GSet:
     """Minkowski sum {a + b : a in A, b in B}."""
-    return _memoized((A, B), "sum", lambda: _sumset(A, B))
+    # memoized by the unordered pair, so B + A reads the A + B of the scope
+    return _memoized((A, B) if id(A) <= id(B) else (B, A), "sum", lambda: _sumset(A, B))
 
 
 def _sumset(A: GSet, B: GSet) -> GSet:
@@ -564,10 +565,16 @@ def negate(A: GSet) -> GSet:
 
 
 def _minus(B: GSet) -> GSet:
-    """-B, or B itself when B and its window are symmetric, as every set in (Z/2)^n is; memoized like a sum."""
+    """-B, or B itself when B and its window are symmetric, as every set in (Z/2)^n is; memoized like a sum.
+
+    The memo also records -(-B) as B itself, so (-B) - (-B) reads the B - B of the scope.
+    """
     def make() -> GSet:
         neg = negate(B)
-        return B if neg.group == B.group and neg == B else neg
+        if neg.group == B.group and neg == B:
+            return B
+        _memoized((neg,), "neg", lambda: B)
+        return neg
 
     return _memoized((B,), "neg", make)
 

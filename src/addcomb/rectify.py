@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import groups
-from .fourier import _magnitudes, character_sum
+from .fourier import _magnitudes
 from .groups import (
     BudgetError,
     Certificate,
@@ -70,11 +70,6 @@ class DiameterWitness:
     start: int
     normalized: GSet        # step^-1 * (A - start), a subset of {0..length}
     units_searched: int
-
-    def progression(self) -> Tuple[int, ...]:
-        g: CyclicGroup = self.normalized.group  # type: ignore[assignment]
-        N = g.modulus
-        return tuple((self.start + j * self.step) % N for j in range(self.length + 1))
 
 
 # diameter visits the multipliers u = 1, 2, ... up to N/2; past this many it
@@ -203,7 +198,7 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
         raise ValueError(f"delta must be in (0, 1/2), got {delta}")
     N = g.modulus
     size = len(B)
-    coeff = abs(character_sum(B, 1))
+    coeff = float(abs(np.exp((2j * np.pi / N) * B.packed()).sum()))  # |B^(1)|
     threshold = (1 - 8 * eps * delta * delta) * size
     if coeff < threshold:
         return LevWindow(False, coeff, threshold)

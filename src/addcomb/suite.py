@@ -1,12 +1,12 @@
 """Named lemma checks over an instance stream, with deterministic aggregation.
 
 Every check reports pass, fail, or skip per instance.  A check passes only
-what it verified; it skips when it does not apply to the instance (its group,
-or no point of its parameter grid) or when its work was over a budget or left
-unverified.  A fail carries a counterexample payload; the lemmas are theorems,
-so any fail is an implementation bug, and the suite exists to catch exactly
-that.  A check judges the certificates it gets from the library by their `ok`
-alone (`_verdict`): fail at the first whose ok is False, else skip if one is
+what it verified; it skips when it does not apply to the instance's group or
+when its work was over a budget or left unverified.  A fail carries a
+counterexample payload; the lemmas are theorems, so any fail is an
+implementation bug, and the suite exists to catch exactly that.  A check
+judges the certificates it gets from the library by their `ok` alone
+(`_verdict`): fail at the first whose ok is False, else skip if one is
 undecided (ok None), else pass; a certificate whose claims had unmet
 hypotheses passes vacuously.  The check loop of `run_suite` alone maps an
 outcome to a verdict: a returned (status, payload) is counted as is, a
@@ -48,18 +48,23 @@ CHECK_NAMES = (
     "torsion",
 )
 
+# The one parameter grid of every run.  Each delta lies in (0, 1/3), as lev
+# and diam require, and gives cover a window length l = ceil(delta*N) - 1
+# with 0 <= 3l < 0.9N < N, as gap_cover requires; each eps lies in (0, 1), as
+# lev requires.
+_M_MAX = 3                       # incm, estjcov, estecov and moment verify m = 1.._M_MAX
+_J_K_MAX = 4                     # jbound compares J(k, m) for k = 1.._J_K_MAX ...
+_J_M_MAX = 10                    # ... and m = k.._J_M_MAX
+_EPS_GRID = (0.1, 0.25, 0.4)     # lev
+_DELTA_GRID = (0.1, 0.2, 0.3)    # cover, lev and diam
+_ISO_ORDER = 2                   # iso rectifies at order k = 2
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
     checks: Tuple[str, ...] = CHECK_NAMES
     seed: int = 0                 # echoed; the stream generator owns the randomness
-    m_max: int = 3
-    j_k_max: int = 4
-    j_m_max: int = 10
-    eps_grid: Tuple[float, ...] = (0.1, 0.25, 0.4)
-    delta_grid: Tuple[float, ...] = (0.1, 0.2, 0.3)
     witness_budget: int = 12
-    iso_order: int = 2
     include_timing: bool = False
 
 
@@ -120,12 +125,12 @@ def _check_inc(A: GSet, cfg: SuiteConfig):
 
 def _check_incm(A: GSet, cfg: SuiteConfig):
     # a shortfall after a verified inclusion is a fault that covering_certificate raises
-    cert = covering_certificate(A, A, A, witness_budget=cfg.witness_budget, check_m=cfg.m_max)
-    return _verdict([({}, cert)], lambda cert: {"verified_m": cert.m_checked, "wanted_m": cfg.m_max}, "inclusion")
+    cert = covering_certificate(A, A, A, witness_budget=cfg.witness_budget, check_m=_M_MAX)
+    return _verdict([({}, cert)], lambda cert: {"verified_m": cert.m_checked, "wanted_m": _M_MAX}, "inclusion")
 
 
 def _growth(A: GSet, cfg: SuiteConfig):
-    return _memoized((A,), ("growth", cfg.witness_budget, cfg.m_max), lambda: _growth_table(A, cfg))
+    return _memoized((A,), ("growth", cfg.witness_budget), lambda: _growth_table(A, cfg))
 
 
 def _growth_table(A: GSet, cfg: SuiteConfig):
@@ -133,7 +138,7 @@ def _growth_table(A: GSet, cfg: SuiteConfig):
     if not cert.checks["inclusion"]:
         # the growth bounds presuppose the inc claim, 2(A-A) <= (A-A)+(T-T)
         raise RuntimeError("the covering translates do not cover A-A: 2(A-A) is not inside (A-A)+(T-T)")
-    m_top = max(cfg.m_max, len(cert.translates))
+    m_top = max(_M_MAX, len(cert.translates))
     return growth_table(difference_set(A, A), cert.translates, m_top)
 
 
@@ -156,7 +161,7 @@ def _check_parseval(A: GSet, cfg: SuiteConfig):
 def _check_moment(A: GSet, cfg: SuiteConfig):
     if A.group.kind == "window":
         return SKIP, None
-    rows = (({}, rep) for rep in moment_chain(A, cfg.m_max))
+    rows = (({}, rep) for rep in moment_chain(A, _M_MAX))
     return _verdict(rows, lambda rep: {
         "m": rep.m,
         "cauchy_schwarz": rep.cauchy_schwarz_holds,
@@ -169,32 +174,28 @@ def _check_cover(A: GSet, cfg: SuiteConfig):
     if A.group.kind != "cyclic":
         return SKIP, None
     N = A.group.modulus
-    lengths = [l for l in (max(0, math.ceil(delta * N) - 1) for delta in cfg.delta_grid) if 3 * l < N]
-    if not lengths:
-        return SKIP, None
     D = difference_set(A, A)
-    for l in lengths:
+    for delta in _DELTA_GRID:
+        l = math.ceil(delta * N) - 1
         gap_cover(A, int(_window_counts(D, l).argmax()), l)
     return PASS, None
 
 
 def _check_lev(A: GSet, cfg: SuiteConfig):
-    deltas = [delta for delta in cfg.delta_grid if 0 < delta < 0.5]
-    if A.group.kind != "cyclic" or not deltas:
+    if A.group.kind != "cyclic":
         return SKIP, None
     grid = (
         ({"eps": eps, "delta": delta}, lev_interval(A, eps, delta))
-        for eps in cfg.eps_grid
-        for delta in deltas
+        for eps in _EPS_GRID
+        for delta in _DELTA_GRID
     )
     return _verdict(grid, lambda res: {"exceptions": res.exceptions, "bound": res.bound})
 
 
 def _check_diam(A: GSet, cfg: SuiteConfig):
-    deltas = [delta for delta in cfg.delta_grid if 0 < delta < 1 / 3]
-    if A.group.kind != "cyclic" or not deltas:
+    if A.group.kind != "cyclic":
         return SKIP, None
-    grid = (({"delta": delta}, diam_from_spectrum(A, delta)) for delta in deltas)
+    grid = (({"delta": delta}, diam_from_spectrum(A, delta)) for delta in _DELTA_GRID)
     return _verdict(grid, lambda res: {"diameter": res.diameter_upper})
 
 
@@ -202,7 +203,7 @@ def _check_iso(A: GSet, cfg: SuiteConfig):
     if A.group.kind != "cyclic" or not is_prime(A.group.modulus):
         return SKIP, None
     # an undecided outcome is a multiset check over budget
-    return _verdict([({}, rectify(A, cfg.iso_order))], lambda out: out.checks)
+    return _verdict([({}, rectify(A, _ISO_ORDER))], lambda out: out.checks)
 
 
 def _check_torsion(A: GSet, cfg: SuiteConfig):
@@ -240,11 +241,11 @@ def _record(tally: CheckTally, counterexamples: List[dict], status: str, failure
         counterexamples.append(failure())
 
 
-def _run_jbound(cfg: SuiteConfig, tally: CheckTally, counterexamples: List[dict]) -> None:
-    for k in range(1, cfg.j_k_max + 1):
+def _run_jbound(tally: CheckTally, counterexamples: List[dict]) -> None:
+    for k in range(1, _J_K_MAX + 1):
         # J(k, 0) counts the zero tuple alone, and so does J(1, m)
         _record(tally, counterexamples, PASS if j_count(k, 0) == 1 else FAIL, lambda: {"check": "jbound", "k": k, "m": 0})
-        for m in range(k, cfg.j_m_max + 1):
+        for m in range(k, _J_M_MAX + 1):
             rep = j_bound_report(k, m)
             ok = rep.ok if k != 1 or rep.count == 1 else False
             _record(tally, counterexamples, _STATUS[ok], lambda: {"check": "jbound", "k": k, "m": m, "count": rep.count})
@@ -257,14 +258,12 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     if config.witness_budget < 0:
         raise ValueError(f"witness budget must be >= 0, got {config.witness_budget}")
-    if config.m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {config.m_max}")
     start = time.perf_counter()
     selected = [c for c in CHECK_NAMES if c in config.checks]
     tallies = {name: CheckTally() for name in selected}
     counterexamples: List[dict] = []
     if "jbound" in tallies:
-        _run_jbound(config, tallies["jbound"], counterexamples)
+        _run_jbound(tallies["jbound"], counterexamples)
     inst_list = list(instances)
     per_instance = [c for c in selected if c != "jbound"]
     for idx, A in enumerate(inst_list):

@@ -59,6 +59,11 @@ def _field(name):
     return lambda c, v: dataclasses.replace(c, **{name: v})
 
 
+def _on_first_report(rep, v):
+    # jbound judges J(k, m) for every k <= m on its grid; the plant reaches the (1, 1) report alone
+    return dataclasses.replace(rep, holds=v) if (rep.k, rep.m) == (1, 1) else rep
+
+
 def _concluded(c, v):
     return dataclasses.replace(c, hypothesis_met=True, conclusion_ok=v)
 
@@ -80,56 +85,55 @@ def _residual(rep, v):
 
 
 # name: (build, claim, plant(cert, value), unmet(cert) or None,
-#        (suite attribute, check, instance, config) or None, (cli attribute, argv) or None)
+#        (suite attribute, check, instance) or None, (cli attribute, argv) or None)
 CASES = {
     "covering": (
         lambda: covering_certificate(Z31, Z31, Z31), "inclusion", _field("inclusion_verified"), None,
-        ("covering_certificate", "inc", Z31, {}),
+        ("covering_certificate", "inc", Z31),
         ("covering_certificate", ["cover", "--group", "cyclic:31", "--elements", "0,1,2"]),
     ),
     "subgroup-coset": (
         lambda: torsion_cover(BASIS), "bound_a", _field("bound_a_holds"), None,
-        ("torsion_cover", "torsion", BASIS, {}),
+        ("torsion_cover", "torsion", BASIS),
         ("torsion_cover", ["torsion-cover", "--group", "torsion:2:3", "--elements", "0,0,0;1,0,0;0,1,0;0,0,1"]),
     ),
     "spectrum": (
         lambda: spectrum(Z31), "parseval", _residual, None,
-        ("spectrum", "parseval", Z31, {}),
+        ("spectrum", "parseval", Z31),
         ("spectrum", ["spectrum", "--group", "cyclic:31", "--elements", "0,1,2"]),
     ),
     "moment-chain": (
         lambda: moment_chain(Z31, 2)[-1], "parseval", _field("parseval_holds"), None,
-        ("moment_chain", "moment", Z31, {}), None,
+        ("moment_chain", "moment", Z31), None,
     ),
     "growth-j": (
         _growth_row, "j_bound", _field("j_bound_holds"), None,
-        ("growth_table", "estjcov", Z31, {}), None,
+        ("growth_table", "estjcov", Z31), None,
     ),
     "growth-ratio": (
         _growth_row, "ratio_bound", _field("ratio_bound_holds"),
         lambda r: dataclasses.replace(r, k=r.m + 1, ratio_bound_holds=False),
-        ("growth_table", "estecov", Z31, {}), None,
+        ("growth_table", "estecov", Z31), None,
     ),
     "j-bound": (
-        lambda: j_bound_report(1, 1), "bound", _field("holds"), None,
-        # j_k_max = j_m_max = 1 makes one j_bound_report call, beside the J(1, 0) = 1 check
-        ("j_bound_report", "jbound", Z31, {"j_k_max": 1, "j_m_max": 1}), None,
+        lambda: j_bound_report(1, 1), "bound", _on_first_report, None,
+        ("j_bound_report", "jbound", Z31), None,
     ),
     "large-coefficient": (
         _large_coefficient, "large_coefficient", _field("holds"), None, None, None,
     ),
     "lev-window": (
         lambda: lev_interval(Z31, 0.25, 0.3), "exceptions", _concluded, _unconcluded,
-        ("lev_interval", "lev", Z31, {}), None,
+        ("lev_interval", "lev", Z31), None,
     ),
     "spectral-diameter": (
         lambda: diam_from_spectrum(Z31, 0.3), "diameter", _concluded, _unconcluded,
-        ("diam_from_spectrum", "diam", Z31, {}), None,
+        ("diam_from_spectrum", "diam", Z31), None,
     ),
     "rectify": (
         lambda: rectify(Z31, 2), "multiset", _verified,
         lambda out: dataclasses.replace(out, witness=None),
-        ("rectify", "iso", Z31, {}), None,
+        ("rectify", "iso", Z31), None,
     ),
     "pipeline-large-coefficient": (
         lambda: theorem1_pipeline(GSet(CyclicGroup(197), [3])), "large_coefficient", _largecoeff,
@@ -203,8 +207,8 @@ def test_ok_follows_the_claims(name, plant):
 
 @pytest.mark.parametrize("name, plant", _cases(column=4))
 def test_suite_tally_reads_ok(monkeypatch, name, plant):
-    target, check, A, extra = CASES[name][4]
-    config = SuiteConfig(checks=(check,), **extra)
+    target, check, A = CASES[name][4]
+    config = SuiteConfig(checks=(check,))
     base = dataclasses.astuple(run_suite([A], config).tallies[check])
     real = getattr(suite_mod, target)
     transform = _planting(name, plant)

@@ -657,7 +657,7 @@ class TestInSumset:
             with groups_mod._memo_scope():
                 before = len(scans)
                 assert groups_mod._in_sumset(X, Y, Z) is want
-                formed = ("sum", id(Y), id(Z)) in groups_mod._SCOPE.get()
+                formed = ("sum", *sorted((id(Y), id(Z)))) in groups_mod._SCOPE.get()  # keyed by the unordered pair
             assert (len(scans) - before, formed) == (scanned, not scanned)
 
     def test_no_scan_without_a_dense_index_space(self, monkeypatch):

@@ -10,9 +10,12 @@ module outside the statement that defines it, or by a module that imports it.
 The public surface gets the same treatment: every function a module exports
 through ``__all__`` must be read, and every defaulted parameter of one must be
 passed, by the package itself, a demo or the benchmark (tests do not count).
+So must every public method of an exported class, and every defaulted field
+of an exported frozen dataclass.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,15 +77,15 @@ def _private_names(stmt: ast.stmt) -> list:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
-def _reads(stmts) -> set:
-    """Names loaded, and attribute names read, anywhere in stmts."""
-    out = set()
+def _reads(stmts) -> Counter:
+    """How often each name is loaded, or read as an attribute, anywhere in stmts."""
+    out = Counter()
     for stmt in stmts:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add(node.id)
+                out[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                out[node.attr] += 1
     return out
 
 
@@ -194,18 +197,18 @@ def unpassed_options(sources: dict, callers: dict) -> list:
     return sorted(unpassed)
 
 
+def _read_outside(reads: Counter, fn: ast.FunctionDef) -> bool:
+    """Whether the reads of the callers, the def's own module among them, name fn outside its own body."""
+    return reads[fn.name] > _reads([fn])[fn.name]
+
+
 def uncalled_functions(sources: dict, callers: dict) -> list:
     """Public functions of the package that nothing in callers reads, outside their own definition.
 
     callers holds the package's own modules under the same names as sources.
     """
-    trees = {key: ast.parse(src) for key, src in callers.items()}
-    uncalled = []
-    for mod, fn in _public_functions(sources):
-        readers = (stmt for key, tree in trees.items() for stmt in tree.body if (key, stmt.lineno) != (mod, fn.lineno))
-        if fn.name not in _reads(readers):
-            uncalled.append(f"{mod}.{fn.name}")
-    return sorted(uncalled)
+    reads = _reads(ast.parse(src) for src in callers.values())
+    return sorted(f"{mod}.{fn.name}" for mod, fn in _public_functions(sources) if not _read_outside(reads, fn))
 
 
 def test_detects_an_unpassed_option():
@@ -226,3 +229,101 @@ def test_every_public_option_is_passed_outside_the_tests():
 
 def test_every_public_function_is_called_outside_the_tests():
     assert [f for f in uncalled_functions(_library(), _caller_sources()) if f not in CALLER_EXEMPT] == []
+
+
+# ------------------------------------------------------------------ public types
+
+def _public_classes(sources: dict) -> list:
+    """(module, class def) for every class a module of the package exports through __all__."""
+    out = []
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        exported = _exported(tree)
+        out += [(mod, stmt) for stmt in tree.body if isinstance(stmt, ast.ClassDef) and stmt.name in exported]
+    return out
+
+
+def _is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(kw.arg == "frozen" and getattr(kw.value, "value", False) is True for kw in d.keywords)
+        for d in cls.decorator_list
+    )
+
+
+def _defaulted_fields(cls: ast.ClassDef) -> list:
+    """(position, name) of each field of the dataclass cls that has a default; ClassVars are no fields.
+
+    The positions count the class's own fields: the bases of the package's dataclasses hold none.
+    """
+    fields = [
+        stmt for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and "ClassVar" not in ast.unparse(stmt.annotation)
+    ]
+    return [(i, f.target.id) for i, f in enumerate(fields) if f.value is not None]
+
+
+def unpassed_fields(sources: dict, callers: dict) -> list:
+    """Defaulted fields of the package's exported frozen dataclasses that no call in callers passes.
+
+    A call to the class passes a field by keyword or by position; a call named
+    replace (dataclasses.replace) passes each field it names by keyword.
+    """
+    calls = _calls_by_name(callers)
+    replaced = {kw.arg for call in calls.get("replace", []) for kw in call.keywords}
+    unpassed = []
+    for mod, cls in _public_classes(sources):
+        if not _is_frozen_dataclass(cls):
+            continue
+        for pos, field in _defaulted_fields(cls):
+            if field not in replaced and not any(
+                any(kw.arg == field for kw in call.keywords) or len(call.args) > pos for call in calls.get(cls.name, [])
+            ):
+                unpassed.append(f"{mod}.{cls.name}.{field}")
+    return sorted(unpassed)
+
+
+def unread_methods(sources: dict, callers: dict) -> list:
+    """Public methods (properties too) of the package's exported classes that nothing in callers reads.
+
+    A method counts as read wherever its name is read, outside its own
+    definition: the check matches names, not types, so a method named like a
+    function that callers read (``progression``, which ``instances`` exports
+    and the benchmark calls) would escape it.
+    """
+    reads = _reads(ast.parse(src) for src in callers.values())
+    return sorted(
+        f"{mod}.{cls.name}.{fn.name}"
+        for mod, cls in _public_classes(sources)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and not _read_outside(reads, fn)
+    )
+
+
+def test_detects_an_unpassed_field():
+    sources = {"a": (
+        "__all__ = ['C', 'D']\n"
+        "@dataclass(frozen=True)\nclass C:\n    k: ClassVar[str] = 'c'\n    x: int\n    y: int = 1\n    z: int = 2\n    w: int = 3\n"
+        "@dataclass\nclass D:\n    u: int = 0\n"
+    )}
+    callers = {"b": "C(1, 2)\nreplace(c, w=4)\n", "c": "C(0)\nm.D()\n"}
+    assert unpassed_fields(sources, callers) == ["a.C.z"]
+    assert unpassed_fields(sources, {"c": callers["c"]}) == ["a.C.w", "a.C.y", "a.C.z"]
+
+
+def test_detects_an_unread_method():
+    sources = {"a": (
+        "__all__ = ['C']\n"
+        "class C:\n    def f(self):\n        return self.f()\n    def g(self):\n        return self.h\n"
+        "    @property\n    def h(self):\n        pass\n    def _p(self):\n        pass\n"
+        "class E:\n    def q(self):\n        pass\n"
+    )}
+    assert unread_methods(sources, {**sources, "b": "c.g()\n"}) == ["a.C.f"]
+
+
+def test_every_public_field_is_passed_outside_the_tests():
+    assert unpassed_fields(_library(), _caller_sources()) == []
+
+
+def test_every_public_method_is_read_outside_the_tests():
+    assert unread_methods(_library(), _caller_sources()) == []

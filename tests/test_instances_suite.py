@@ -2,9 +2,12 @@
 
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import addcomb.cli as cli_mod
 import addcomb.covering as covering_mod
@@ -254,7 +257,7 @@ SUITE_TARGETS = [
 class TestSuite:
     def test_all_checks_pass_exhaustive_z13(self):
         instances = list(exhaustive_sets(CyclicGroup(13), 3))
-        report = run_suite(instances, SuiteConfig(j_m_max=6))
+        report = run_suite(instances)
         assert report.ok
         assert report.instance_count == len(instances)
         assert report.suite == ",".join(CHECK_NAMES)
@@ -284,17 +287,6 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite([], SuiteConfig(checks=("inc", "bogus")))
 
-    @pytest.mark.parametrize("m_max", [0, -1])
-    @pytest.mark.parametrize("checks", [("incm",), ("estjcov",), CHECK_NAMES], ids=["incm", "estjcov", "default"])
-    def test_m_max_below_one_is_rejected_before_any_check(self, monkeypatch, m_max, checks):
-        ran = []
-        for name, check in suite_mod.INSTANCE_CHECKS.items():
-            monkeypatch.setitem(suite_mod.INSTANCE_CHECKS, name, lambda A, cfg, _check=check: ran.append(1) or _check(A, cfg))
-        monkeypatch.setattr(suite_mod, "_run_jbound", lambda *args: ran.append(1))
-        with pytest.raises(ValueError, match="m_max must be >= 1"):
-            run_suite([GSet(CyclicGroup(11), [0, 1])], SuiteConfig(checks=checks, m_max=m_max))
-        assert ran == []
-
     def test_timing_toggle(self):
         inst = [GSet(CyclicGroup(11), [0, 1])]
         with_timing = run_suite(inst, SuiteConfig(checks=("inc",), include_timing=True))
@@ -302,7 +294,7 @@ class TestSuite:
 
     def test_reports_are_byte_identical(self):
         instances = list(exhaustive_sets(CyclicGroup(11), 2))
-        cfg = SuiteConfig(checks=("inc", "incm", "parseval", "jbound"), j_m_max=5)
+        cfg = SuiteConfig(checks=("inc", "incm", "parseval", "jbound"))
         a = dumps(run_suite(instances, cfg))
         b = dumps(run_suite(instances, cfg))
         assert a == b
@@ -440,14 +432,16 @@ class TestSuite:
             assert dataclasses.astuple(report.tallies[check]) == (0, 1, 0)
         assert all("do not cover A-A" in ce["detail"]["error"] for ce in report.counterexamples)
 
-    def test_no_grid_point_applies_skips(self):
-        # delta = 0.6 leaves no window with 3l < N, and is neither < 1/2 nor < 1/3
-        report = run_suite(
-            [GSet(CyclicGroup(31), [0, 1, 5])],
-            SuiteConfig(checks=("cover", "lev", "diam"), delta_grid=(0.6,)),
-        )
-        for check in ("cover", "lev", "diam"):
-            assert dataclasses.astuple(report.tallies[check]) == (0, 0, 1)
+    @given(st.integers(1, 1 << 62))
+    @example(1)
+    @example(3)
+    @example(1 << 62)
+    def test_every_grid_point_applies_at_every_modulus(self, N):
+        # cover, lev and diam run every grid point on every Z/N, with no filter to skip one
+        for delta in suite_mod._DELTA_GRID:
+            l = math.ceil(delta * N) - 1
+            assert 0 < delta < 1 / 3 and 0 <= 3 * l < N
+        assert all(0 < eps < 1 for eps in suite_mod._EPS_GRID)
 
     def test_unverified_iso_counts_as_skip(self):
         # C(641, 2) = 205,120 multisets, past the multiset check's budget of 200,000

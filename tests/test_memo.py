@@ -296,9 +296,9 @@ def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeyp
     step's inclusion.
     """
     A = GSet(CyclicGroup(101), [0, 1, 3, 7, 12, 20])
-    cfg = SuiteConfig(m_max=m_max)
-    want = dumps(run_suite([A], cfg))
-    T = covering_certificate(A, A, A, witness_budget=cfg.witness_budget).translates
+    monkeypatch.setattr(suite_mod, "_M_MAX", m_max)
+    want = dumps(run_suite([A]))
+    T = covering_certificate(A, A, A, witness_budget=SuiteConfig().witness_budget).translates
     D, E = difference_set(A, A), difference_set(T, T)
     inclusion = (sumset(D, D).packed().tobytes(), D.packed().tobytes(), E.packed().tobytes())
     scans, pairs = [], []
@@ -308,7 +308,7 @@ def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeyp
     for mod in (groups_mod, torsion_mod):
         real_pairwise = mod._pairwise
         monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append({pa.tobytes(), pb.tobytes()}) or _real(g, pa, pb))
-    assert dumps(run_suite([A], cfg)) == want
+    assert dumps(run_suite([A])) == want
     assert len(D) * len(E) > 16
     assert scans.count(inclusion) == 1
     assert pairs.count(set(inclusion[1:])) == formed
@@ -339,9 +339,8 @@ def test_cli_cover_scans_the_covering_inclusion_once(monkeypatch, capsys):
 def test_the_growth_ratios_read_the_memo(monkeypatch, A, run):
     """Reading |A+A|/|A| and |A-A|/|A| through doubling_ratio and difference_ratio builds A + A and A + (-A) once each.
 
-    The torsion check's difference route also forms (-A) - (-A) = (-A) + A:
-    the memo keys a sum by its operands' identities in order, so that equal
-    set is not shared.
+    The torsion check's difference route reads (-A) - (-A) = (-A) + A as the
+    same sum: the memo keys a sum by its unordered operands and -(-A) is A.
     """
     a, minus_a = A.packed().tobytes(), negate(A).packed().tobytes()
     assert a != minus_a
@@ -350,8 +349,22 @@ def test_the_growth_ratios_read_the_memo(monkeypatch, A, run):
         real_pairwise = mod._pairwise
         monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append((pa.tobytes(), pb.tobytes())) or _real(g, pa, pb))
     run(A)
-    assert pairs.count((a, minus_a)) == 1
+    assert pairs.count((a, minus_a)) + pairs.count((minus_a, a)) == 1
     assert pairs.count((a, a)) == 1
+
+
+def test_each_unordered_operand_pair_is_formed_once(monkeypatch):
+    """Every check on one instance forms each sum X + Y once, whichever operand comes first.
+
+    The torsion check's difference route meets (-A) - (-A), the same set as A - A.
+    """
+    A = by_index(TorsionGroup(3, 3), [0, 1, 5, 13])
+    pairs = []
+    for mod in (groups_mod, torsion_mod):
+        real_pairwise = mod._pairwise
+        monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append(tuple(sorted((pa.tobytes(), pb.tobytes())))) or _real(g, pa, pb))
+    assert run_suite([A]).ok
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 # ------------------------------------------------------------------ saturated sums
