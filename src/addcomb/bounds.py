@@ -7,11 +7,14 @@ reconstructed as floats only for display (they may underflow to 0.0).  The
 chain itself is
 
     tau = K^2 alpha
-    eta = 9 K^-2 tau^(1/2K^2) log(1/tau)
+    eta = 9 K^-2 tau^(1/2K^2) log(1/tau)       when tau <= 14^(-2K^2)
     delta = 2 K sqrt(eta)
 
 and the claims under replay are delta < 1/3 at the first threshold and
-delta < 1/k at the second.
+delta < 1/k at the second.  Each link is computed once: `_log_threshold`
+gives both thresholds, and `_tau_step` the tau gate and eta for the
+calculator and for the pipeline (at the set's own tau = |A-A|/N) alike.
+`threshold_chain` sits exactly on the closed boundary, with no slack.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .fourier import eta_largecoeff2, spectrum
+from .fourier import spectrum
 from .groups import Certificate, GSet, _memo_scope, difference_ratio, difference_set, doubling_ratio
 from .primes import is_prime
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
@@ -34,8 +37,6 @@ __all__ = [
     "threshold_chain",
     "theorem1_pipeline",
 ]
-
-_LOG14 = math.log(14.0)
 
 
 @dataclass(frozen=True)
@@ -72,22 +73,41 @@ def _require_doubling(K: float) -> None:
         raise ValueError(f"doubling parameter K must be finite and >= 1, got {K}")
 
 
-def _chain(log_inv_alpha: float, K: float, k: Optional[int]) -> BoundReport:
+def _log_inv(x: Union[float, Rational]) -> float:
+    """log(1/x); a Rational goes by numerator and denominator, so it survives float underflow."""
+    if isinstance(x, Rational):
+        frac = Fraction(x)
+        return math.log(frac.denominator) - math.log(frac.numerator)
+    return -math.log(x)
+
+
+def _log_threshold(K: float, k: Optional[int]) -> float:
+    """log(1/threshold): 12 K^2 log(16K), or 12 K^2 log(16kK) with k."""
+    return 12 * K * K * math.log(16 * K if k is None else 16 * k * K)
+
+
+def _tau_step(log_inv_tau: float, K: float) -> Tuple[bool, Optional[float]]:
+    """The large-coefficient gate tau <= 14^(-2K^2), and eta (None when tau >= 1)."""
+    ksq = K * K
+    gate = log_inv_tau >= 2 * ksq * math.log(14)
+    eta = 9 / ksq * math.exp(-log_inv_tau / (2 * ksq)) * log_inv_tau if log_inv_tau > 0 else None
+    return gate, eta
+
+
+def _chain(log_inv_alpha: Optional[float], K: float, k: Optional[int]) -> BoundReport:
+    """The chain at log(1/alpha); None puts alpha on the threshold of k (of thm1 when k is None)."""
     _require_doubling(K)
-    if not math.isfinite(log_inv_alpha) or log_inv_alpha <= 0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     if k is not None and k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
-    ksq = K * K
-    log_t1 = 12 * ksq * math.log(16 * K)
-    log_t2 = 12 * ksq * math.log(16 * k * K) if k is not None else None
+    log_t1 = _log_threshold(K, None)
+    log_t2 = _log_threshold(K, k) if k is not None else None
+    if log_inv_alpha is None:
+        log_inv_alpha = log_t1 if log_t2 is None else log_t2
+    if not math.isfinite(log_inv_alpha) or log_inv_alpha <= 0:
+        raise ValueError("alpha must lie strictly between 0 and 1")
     log_inv_tau = log_inv_alpha - 2 * math.log(K)
-    applicable = log_inv_tau >= 2 * ksq * _LOG14
-    if log_inv_tau > 0:
-        eta: Optional[float] = 9 / ksq * math.exp(-log_inv_tau / (2 * ksq)) * log_inv_tau
-        delta: Optional[float] = 2 * K * math.sqrt(eta)
-    else:
-        eta = delta = None
+    applicable, eta = _tau_step(log_inv_tau, K)
+    delta = 2 * K * math.sqrt(eta) if eta is not None else None
     return BoundReport(
         log_inv_alpha=log_inv_alpha,
         K=K,
@@ -97,10 +117,8 @@ def _chain(log_inv_alpha: float, K: float, k: Optional[int]) -> BoundReport:
         threshold_thm1=math.exp(-log_t1),
         log_threshold_thm2=log_t2,
         threshold_thm2=math.exp(-log_t2) if log_t2 is not None else None,
-        # closed inequalities; the 1e-9 log-space slack keeps an exactly-at-
-        # threshold alpha on the passing side of float noise
-        alpha_below_thm1=log_inv_alpha >= log_t1 - 1e-9,
-        alpha_below_thm2=(log_inv_alpha >= log_t2 - 1e-9) if log_t2 is not None else None,
+        alpha_below_thm1=log_inv_alpha >= log_t1,
+        alpha_below_thm2=(log_inv_alpha >= log_t2) if log_t2 is not None else None,
         log_inv_tau=log_inv_tau,
         tau=math.exp(-log_inv_tau),
         largecoeff_applicable=applicable,
@@ -108,7 +126,7 @@ def _chain(log_inv_alpha: float, K: float, k: Optional[int]) -> BoundReport:
         delta=delta,
         delta_below_third=delta is not None and delta < 1 / 3,
         delta_below_inv_k=(delta is not None and delta < 1 / k) if k is not None else None,
-        diam_bound_fraction=12 * math.exp(-log_inv_alpha / (4 * ksq)) * math.sqrt(log_inv_alpha),
+        diam_bound_fraction=12 * math.exp(-log_inv_alpha / (4 * K * K)) * math.sqrt(log_inv_alpha),
     )
 
 
@@ -116,24 +134,17 @@ def bound_calculator(alpha: Union[float, Fraction], K: float, k: Optional[int] =
     """Evaluate every threshold and the eta/delta chain at a given density."""
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if isinstance(alpha, Rational):
-        frac = Fraction(alpha)
-        log_inv = math.log(frac.denominator) - math.log(frac.numerator)
-    else:
-        log_inv = -math.log(alpha)
-    return _chain(log_inv, float(K), k)
+    return _chain(_log_inv(alpha), float(K), k)
 
 
 def threshold_chain(K: float, k: Optional[int] = None) -> BoundReport:
     """The chain evaluated exactly at the theorem threshold.
 
     With k=None alpha is set to (16K)^(-12K^2); with k it is set to
-    (16kK)^(-12K^2).  Working from log(1/alpha) directly keeps the boundary
-    comparison exact even where alpha itself underflows.
+    (16kK)^(-12K^2).  log(1/alpha) is the very float it is compared with,
+    so the closed comparison holds exactly, even where alpha underflows.
     """
-    _require_doubling(K)
-    base = 16 * K if k is None else 16 * k * K
-    return _chain(12 * K * K * math.log(base), float(K), k)
+    return _chain(None, float(K), k)
 
 
 @dataclass(frozen=True)
@@ -198,13 +209,9 @@ def _pipeline(A: GSet, delta: Optional[float]) -> PipelineReport:
     tau = Fraction(len(D), N)
     bounds = bound_calculator(alpha, K) if alpha < 1 else None
     gate_alpha = bounds.alpha_below_thm1 if bounds is not None else False
-    log_inv_tau = math.log(tau.denominator) - math.log(tau.numerator) if tau < 1 else 0.0
-    gate_tau = tau < 1 and log_inv_tau >= 2 * K * K * _LOG14
-    eta = holds = None
-    if gate_tau:
-        eta = eta_largecoeff2(tau, K)
-        rep = spectrum(D)
-        holds = rep.max_magnitude >= (1 - eta) * len(D)
+    gate_tau, eta = _tau_step(_log_inv(tau), K)
+    eta = eta if gate_tau else None
+    holds = spectrum(D).max_magnitude >= (1 - eta) * len(D) if gate_tau else None
     if delta is None:
         delta = bounds.delta if bounds is not None and bounds.delta is not None else None
         if delta is None or not 0 < delta < 1 / 3:

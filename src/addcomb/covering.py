@@ -372,7 +372,11 @@ class JBoundReport(Certificate):
 
     @property
     def checks(self) -> Dict[str, Optional[bool]]:
-        return {"bound": self.holds}
+        """count < (14m/k)^k, and at k = 1 count = 1."""
+        claims = {"bound": self.holds}
+        if self.k == 1:
+            claims["count"] = self.count == 1  # J(1, m) counts the zero tuple alone
+        return claims
 
 
 @functools.lru_cache(maxsize=1024)

@@ -29,7 +29,6 @@ __all__ = [
     "convolution_counts",
     "moment_chain",
     "eta_largecoeff",
-    "eta_largecoeff2",
     "certified_large_coefficient",
 ]
 
@@ -234,23 +233,6 @@ def eta_largecoeff(beta: Union[Fraction, float], k: int) -> LargeCoeffParams:
         raise RuntimeError("derived m violates the 1/36 lower bound")
     eta = 18 * b ** (1 / k) * math.log(1 / b) / k
     return LargeCoeffParams(k, beta_frac, m, eta)
-
-
-def eta_largecoeff2(tau: float, K: float) -> float:
-    """Quality parameter for difference sets: eta = 9 K^-2 tau^(1/2K^2) log(1/tau).
-
-    tau is |A-A|/N and K the growth ratio; requires tau <= 14^(-2K^2).
-    """
-    K = float(K)
-    tau = float(tau)
-    if not 0 < tau <= 1:
-        raise ValueError(f"tau must be in (0, 1], got {tau}")
-    if K < 1:
-        raise ValueError(f"growth ratio below 1 is impossible, got {K}")
-    gate_log = -2 * K * K * math.log(14)
-    if math.log(tau) > gate_log + 1e-15:
-        raise ValueError(f"tau {tau:.3g} above the gate 14^(-2K^2)")
-    return 9 / (K * K) * tau ** (1 / (2 * K * K)) * math.log(1 / tau)
 
 
 @dataclass(frozen=True)

@@ -153,9 +153,12 @@ def _window_counts(B: GSet, l: int) -> np.ndarray:
     """counts[s] = number of points of B in {s, s+1, ..., s+l} mod N, for every start s.
 
     One prefix sum over the indicator, extended by its first l entries so that
-    windows wrap; needs 0 <= l < N.
+    windows wrap; needs 0 <= l < N.  Raises BudgetError above
+    groups.DENSE_ORDER_LIMIT, as GSet.indicator does.
     """
     N = B.group.modulus  # type: ignore[union-attr]
+    if N > groups.DENSE_ORDER_LIMIT:
+        raise BudgetError(f"modulus {N} too large for a window count")
     ind = np.zeros(N + l, dtype=np.int64)
     ind[B.packed()] = 1
     ind[N:] = ind[:l]

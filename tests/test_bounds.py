@@ -77,6 +77,11 @@ class TestBoundCalculator:
         with pytest.raises(ValueError):
             bound_calculator(0.01, 1.0, k=1)
 
+    def test_alpha_just_above_the_threshold_is_not_below_it(self):
+        # a factor e^(5e-10) above (16K)^(-12K^2): no slack turns this into a pass
+        rep = bound_calculator(math.exp(-(12 * math.log(16) - 5e-10)), 1.0)
+        assert rep.alpha_below_thm1 is False
+
     @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("k", [None, 2])
     def test_non_finite_doubling_rejected(self, K, k):
@@ -138,6 +143,13 @@ class TestThresholdChain:
                 assert rep.log_threshold_thm2 >= rep.log_threshold_thm1
                 assert rep.alpha_below_thm1
 
+    @given(st.floats(1.0, 8.0), st.sampled_from([None, *range(2, 10)]))
+    @settings(max_examples=200)
+    def test_threshold_sits_on_the_closed_boundary(self, K, k):
+        rep = threshold_chain(K, k)
+        assert rep.alpha_below_thm1 is True
+        assert rep.alpha_below_thm2 is (None if k is None else True)
+
     @given(st.floats(1.0, 4.0), st.integers(2, 6))
     @settings(max_examples=80)
     def test_threshold_delta_always_small_enough(self, K, k):
@@ -155,6 +167,34 @@ class TestThresholdChain:
         if deeper is None:
             return
         assert deeper.delta <= base.delta * (1 + 1e-9)
+
+
+class TestTauStep:
+    """The large-coefficient step of the chain: the gate tau <= 14^(-2K^2) and eta at tau = K^2 alpha."""
+
+    def test_k1_at_gate(self):
+        # equality with the gate is accepted
+        rep = bound_calculator(Fraction(1, 196), 1.0)
+        assert rep.largecoeff_applicable
+        assert rep.eta == pytest.approx(9 * 14**-1 * math.log(196))
+
+    def test_k1_small_tau(self):
+        rep = bound_calculator(1e-6, 1.0)
+        assert rep.largecoeff_applicable
+        assert rep.eta == pytest.approx(9 * 1e-3 * 6 * math.log(10))
+
+    def test_above_gate_is_not_applicable(self):
+        assert not bound_calculator(0.01, 1.0).largecoeff_applicable
+
+    def test_eta_decreases_with_tau(self):
+        etas = [bound_calculator(10.0**-e, 1.0).eta for e in range(6, 12)]
+        assert etas == sorted(etas, reverse=True)
+
+    def test_bad_inputs(self):
+        with pytest.raises(ValueError):
+            bound_calculator(0.0, 1.0)
+        with pytest.raises(ValueError):
+            bound_calculator(1e-6, 0.5)
 
 
 class TestPipeline:
@@ -187,6 +227,10 @@ class TestPipeline:
         rep = theorem1_pipeline(GSet(g, [3]))
         assert rep.gate_tau
         assert rep.largecoeff_holds
+
+    def test_largecoeff_eta_is_the_chain_eta_at_the_actual_tau(self):
+        rep = theorem1_pipeline(GSet(CyclicGroup(197), [3]))
+        assert rep.largecoeff_eta == pytest.approx(bound_calculator(rep.tau / Fraction(rep.K) ** 2, rep.K).eta)
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError):

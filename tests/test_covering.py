@@ -410,6 +410,12 @@ class TestJBound:
     def test_bound_is_exact_rational(self):
         assert j_bound_report(3, 8).bound == Fraction(112, 3) ** 3
 
+    def test_k1_claims_the_zero_tuple_alone(self):
+        assert j_bound_report(1, 4).checks == {"bound": True, "count": True}
+        assert "count" not in j_bound_report(2, 4).checks
+        planted = dataclasses.replace(j_bound_report(1, 4), count=2)
+        assert planted.checks["count"] is False and planted.ok is False
+
 
 class TestGrowth:
     def test_trivial(self):

@@ -19,7 +19,6 @@ from addcomb import (
     certified_large_coefficient,
     convolution_counts,
     eta_largecoeff,
-    eta_largecoeff2,
     iterated_sum,
     moment_chain,
     smallest_prime_in,
@@ -281,31 +280,6 @@ class TestEtaLargeCoeff:
             eta_largecoeff(Fraction(0), 2)
         with pytest.raises(ValueError):
             eta_largecoeff(Fraction(3, 2), 2)
-
-
-class TestEtaLargeCoeff2:
-    def test_k1_at_gate(self):
-        # equality with the gate is accepted
-        eta = eta_largecoeff2(14**-2, 1.0)
-        assert eta == pytest.approx(9 * 14**-1 * math.log(196))
-
-    def test_k1_small_tau(self):
-        eta = eta_largecoeff2(1e-6, 1.0)
-        assert eta == pytest.approx(9 * 1e-3 * 6 * math.log(10))
-
-    def test_above_gate_rejected(self):
-        with pytest.raises(ValueError):
-            eta_largecoeff2(0.01, 1.0)
-
-    def test_eta_decreases_with_tau(self):
-        etas = [eta_largecoeff2(10**-e, 1.0) for e in range(6, 12)]
-        assert etas == sorted(etas, reverse=True)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            eta_largecoeff2(0.0, 1.0)
-        with pytest.raises(ValueError):
-            eta_largecoeff2(1e-6, 0.5)
 
 
 class TestCertifiedLargeCoefficient:

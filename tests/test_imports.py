@@ -12,6 +12,9 @@ through ``__all__`` must be read, and every defaulted parameter of one must be
 passed, by the package itself, a demo or the benchmark (tests do not count).
 So must every public method of an exported class, and every defaulted field
 of an exported frozen dataclass.
+
+No ad-hoc slack: the one float literal below 1e-6 in the package is the value
+of ``fourier._FLOAT_SLACK``, the relative slack its float gates share.
 """
 
 import ast
@@ -19,6 +22,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import addcomb.fourier as fourier_mod
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "addcomb"
@@ -327,3 +332,26 @@ def test_every_public_field_is_passed_outside_the_tests():
 
 def test_every_public_method_is_read_outside_the_tests():
     assert unread_methods(_library(), _caller_sources()) == []
+
+
+# ------------------------------------------------------------------ slack literals
+
+def tiny_float_literals(source: str) -> list:
+    """(line, value) of each float literal of source with 0 < value < 1e-6; a sign is no part of a literal."""
+    return sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < node.value < 1e-6
+    )
+
+
+def test_detects_a_tiny_float_literal():
+    src = "x = 1e-9\ny = 0.5 - 2.5e-7\nz = -3e-12 + 1e-6 + 0.0 + 1\n"
+    assert tiny_float_literals(src) == [(1, 1e-9), (2, 2.5e-7), (3, 3e-12)]
+
+
+def test_the_float_slack_is_the_only_tiny_literal():
+    sources = _library()
+    found = {mod: lits for mod, src in sources.items() if (lits := tiny_float_literals(src))}
+    line = next(i for i, text in enumerate(sources["fourier"].splitlines(), 1) if text.startswith("_FLOAT_SLACK ="))
+    assert found == {"fourier": [(line, fourier_mod._FLOAT_SLACK)]}

@@ -313,6 +313,13 @@ class TestSuite:
         assert ce["detail"] == {"planted": True}
         assert gset_from_obj(ce["instance"]).elements == (0, 1)
 
+    def test_jbound_reads_the_k1_count_claim(self, monkeypatch):
+        real = suite_mod.j_bound_report
+        monkeypatch.setattr(suite_mod, "j_bound_report", lambda k, m: dataclasses.replace(real(k, m), count=2) if k == 1 else real(k, m))
+        report = run_suite([], SuiteConfig(checks=("jbound",)))
+        assert report.tallies["jbound"].failed == suite_mod._J_M_MAX
+        assert {(ce["k"], ce["count"]) for ce in report.counterexamples} == {(1, 2)}
+
     def test_certificate_error_fails_incm(self, monkeypatch):
         # a RuntimeError is a library bug, not "not applicable or over budget"
         def broken(*args, **kwargs):
@@ -450,6 +457,14 @@ class TestSuite:
 
 
 class TestCli:
+    def test_window_checks_skip_above_the_dense_limit(self, capsys):
+        # lev and cover count windows over Z/N; at N near 2^62 that is over budget, as parseval and diam are
+        argv = "verify --group cyclic:4611686018427387847 --shape progression:0:1:3 --checks lev,cover,parseval,diam"
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        for check in ("parseval", "cover", "lev", "diam"):
+            assert f"{check}: 0 pass, 0 fail, 1 skip" in out
+
     def test_sumset(self, capsys):
         assert main(["sumset", "--group", "cyclic:11", "--elements", "0,1,3"]) == 0
         out = capsys.readouterr().out

@@ -297,6 +297,11 @@ class TestWindowCounts:
         got = _window_counts(GSet(CyclicGroup(10), [0, 1, 9]), 2)
         assert got.tolist() == [2, 1, 0, 0, 0, 0, 0, 1, 2, 3]
 
+    def test_over_the_dense_limit_is_over_budget(self):
+        # like GSet.indicator: raised before any array of N entries is asked for
+        with pytest.raises(BudgetError):
+            _window_counts(GSet(CyclicGroup(groups_mod.DENSE_ORDER_LIMIT + 1), [0]), 1)
+
 
 class TestGapCover:
     def test_concentrated_set(self):
