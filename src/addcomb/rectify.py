@@ -30,12 +30,13 @@ from .groups import (
     GSet,
     IntegerWindow,
     _index_add,
+    _memoized,
     _widen,
     difference_set,
     dilate,
     translate,
 )
-from .primes import is_prime, smallest_prime_in
+from .primes import _VALID_BELOW as _PRIME_TEST_LIMIT, is_prime, smallest_prime_in
 
 __all__ = [
     "DiameterWitness",
@@ -69,11 +70,13 @@ class DiameterWitness:
     step: int
     start: int
     normalized: GSet        # step^-1 * (A - start), a subset of {0..length}
+    # the witness's position among the units 1..N/2 in increasing order when
+    # length is the floor |A| - 1, else the number of those units; not the work done
     units_searched: int
 
 
-# diameter visits the multipliers u = 1, 2, ... up to N/2; past this many it
-# raises BudgetError (every full scan up to N = 2 * 10^6 fits)
+# above N/2 = this many multipliers, diameter returns only a full progression
+# whose unit u is at most this, and raises BudgetError otherwise
 _DIAMETER_BUDGET = 1 << 20
 # the multiset check runs while C(|A| + k - 1, k) fits; past it a witness is unverified
 _ISO_BUDGET = 200_000
@@ -81,14 +84,21 @@ _MODEL_ROUNDS = 8  # embedding rounds of minimal_integer_model
 
 
 def diameter(A: GSet) -> DiameterWitness:
-    """Exhaustive minimal-diameter search over all dilations.
+    """Minimal-diameter search over the dilations u*A, u a unit in [1, N/2].
 
     For each unit u the shortest interval containing u*A is N minus the
-    largest circular gap; u and N-u give mirror intervals, so only half the
-    units are visited, in increasing order and in doubling blocks.  Returns
-    the first witness among the smallest; the scan stops at the floor |A| - 1.
-    Raises BudgetError when the floor is not met by u = _DIAMETER_BUDGET and
-    the scan has further to go.
+    largest circular gap; u and N-u give mirror intervals, so half the units
+    suffice.  The witness is the least unit of the least length.  If some
+    difference d of A is a unit mod N, an interval of length l holding u*A holds
+    u*d as well, so l >= t = |u*d| (centred mod N).  The units are visited as
+    u = +-t*d^-1, folded into [1, N/2], for t = 1, 2, ... in doubling blocks;
+    the scan stops after the block whose last t reaches the least length
+    found, as every unit of that length or less has been visited, so the
+    work is about diam(A) * |A|.  With no such d, or when N/2 fits in the
+    first block, t = u and the scan stops at the first unit reaching the
+    floor |A| - 1.  When N/2 exceeds _DIAMETER_BUDGET, only a witness at the
+    floor with u <= _DIAMETER_BUDGET is returned, and BudgetError is raised
+    otherwise; with d, every floor unit has t <= |A| - 1, so the scan ends there.
     """
     g = _require_cyclic(A)
     N = g.modulus
@@ -97,35 +107,67 @@ def diameter(A: GSet) -> DiameterWitness:
     if len(A) == 1:
         return DiameterWitness(0, 1 % N, int(A.packed()[0]), GSet._from_indices(g, np.zeros(1, dtype=np.int64)), 1)
     arr = _widen(A.packed(), N, N // 2)
-    cap = max(1, groups._BLOCK // len(A))  # units per block: at most _BLOCK products
-    best = (N, 1, 0)  # (length, unit, start in dilated coordinates)
-    searched = 0
-    floor = len(A) - 1  # cannot do better than a full progression
-    lo, step = 1, min(64, cap)  # blocks double from 64 units, so N <= 128 is one block
-    while lo <= N // 2:
-        if lo > _DIAMETER_BUDGET:
-            raise BudgetError(f"diameter scan passed its budget of {_DIAMETER_BUDGET} multipliers (modulus {N})")
-        hi = min(lo + step, N // 2 + 1, _DIAMETER_BUDGET + 1)
-        u = np.arange(lo, hi, dtype=np.int64)
+    cap = max(1, groups._BLOCK // len(A))  # multipliers per block: at most _BLOCK products
+    half, floor = N // 2, len(A) - 1  # no set does better than a full progression
+    step = min(64, cap)  # blocks double from 64 multipliers, so N <= 129 is one block
+    prime = N < _PRIME_TEST_LIMIT and is_prime(N)
+    inv = None if half <= step else _unit_difference_inverse(A.packed(), N)
+    over = half > _DIAMETER_BUDGET
+    # the last t to visit; over the budget only a floor unit u <= _DIAMETER_BUDGET may be returned
+    last = half if not over else _DIAMETER_BUDGET if inv is None else min(floor, half)
+    best = (N, 0, 0)  # (length, unit, start in dilated coordinates)
+    lo = 1
+    while lo <= last:
+        hi = min(lo + step, last + 1)
+        t = np.arange(lo, hi, dtype=np.int64)
         lo, step = hi, min(2 * step, cap)
-        u = u[np.gcd(u, N) == 1].astype(arr.dtype, copy=False)
+        if not prime:
+            t = t[np.gcd(t, N) == 1]  # u = +-t*inv is a unit exactly when t is
+        if inv is None:
+            u = t.astype(arr.dtype, copy=False)
+        else:
+            u = _widen(t, N, inv) * inv % N
+            u = np.minimum(u, N - u).astype(arr.dtype, copy=False)
         if not u.size:
             continue
         lengths, starts = _shortest_arcs(u[:, None] * arr % N, N)
-        i = int(np.argmin(lengths))  # first minimum, so the first unit at the floor if any
-        if lengths[i] < best[0]:
+        i = int(np.argmin(lengths))  # the least unit of the least length when u increases
+        if inv is not None:
+            ties = np.flatnonzero(lengths == lengths[i])
+            i = int(ties[np.argmin(u[ties])])
+        if (lengths[i], u[i]) < best[:2]:
             best = (int(lengths[i]), int(u[i]), int(starts[i]))
-        if lengths[i] == floor:
-            searched += i + 1
+        if best[0] == floor if inv is None else best[0] < hi:
             break
-        searched += len(u)
     length, u, start = best
+    if over and (length > floor or u > _DIAMETER_BUDGET):
+        raise BudgetError(f"diameter scan passed its budget of {_DIAMETER_BUDGET} multipliers (modulus {N})")
+    reach = u if length == floor else half  # units_searched counts the units 1..reach
+    searched = reach if prime else _units_upto(reach, N)
     d = pow(u, -1, N)
     a = (d * start) % N
     row = np.sort(_affine_row(A, u, start))
     if row[-1] > length:
         raise RuntimeError("diameter witness failed its own containment check")
     return DiameterWitness(length, d, a, GSet._from_indices(g, row), searched)
+
+
+def _unit_difference_inverse(idx: np.ndarray, N: int) -> Optional[int]:
+    """+-d^-1 mod N, at most N/2, for the first difference d of consecutive indices that is a unit; None if none is."""
+    diffs = np.diff(idx)
+    units = diffs[np.gcd(diffs, N) == 1]
+    if not units.size:
+        return None
+    inv = pow(int(units[0]), -1, N)
+    return min(inv, N - inv)
+
+
+def _units_upto(x: int, N: int) -> int:
+    """How many of 1, ..., x are units mod N, counted _BLOCK at a time."""
+    return sum(
+        int(np.count_nonzero(np.gcd(np.arange(lo, min(lo + groups._BLOCK, x + 1), dtype=np.int64), N) == 1))
+        for lo in range(1, x + 1, groups._BLOCK)
+    )
 
 
 def _affine_row(A: GSet, u: int, s: int) -> np.ndarray:
@@ -201,7 +243,7 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
         raise ValueError(f"delta must be in (0, 1/2), got {delta}")
     N = g.modulus
     size = len(B)
-    coeff = float(abs(np.exp((2j * np.pi / N) * B.packed()).sum()))  # |B^(1)|
+    coeff = _memoized((B,), "coefficient_one", lambda: _coefficient_one(B))
     threshold = (1 - 8 * eps * delta * delta) * size
     if coeff < threshold:
         return LevWindow(False, coeff, threshold)
@@ -212,6 +254,11 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     exceptions = size - inside
     bound = eps * size
     return LevWindow(True, coeff, threshold, start, length, exceptions, bound, exceptions < bound)
+
+
+def _coefficient_one(B: GSet) -> float:
+    """|B^(1)|, the magnitude of B's transform at frequency one, for B <= Z/N."""
+    return float(abs(np.exp((2j * np.pi / B.group.modulus) * B.packed()).sum()))  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from addcomb.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 _INV3 = pow(3, -1, (1 << 62) - 57)
+_AP_SUBSET = "5,12350,24695,49385,61730,2019,14364,26709,51399,63744,76089,16378"
 
 CASES = {
     "sumset-cyclic": "sumset --group cyclic:101 --elements 0,1,5,17,90",
@@ -32,6 +33,8 @@ CASES = {
     "diam-cyclic": "diam --group cyclic:101 --elements 3,20,37,54,71,99",
     "diam-large-modulus": f"diam --group cyclic:{(1 << 62) - 57} --elements "
     + ",".join(str((_INV3 * x + 11) % ((1 << 62) - 57)) for x in (0, 1, 2, 3)),
+    # 12 points of a 16-term progression with step 12345 at a prime above 2^16
+    "diam-large-prime": f"diam --group cyclic:84401 --elements {_AP_SUBSET}",
     "diam-torsion-rejected": "diam --group torsion:2:3 --elements 0,0,1;1,1,0",
     "spectrum-cyclic": "spectrum --group cyclic:31 --elements 0,1,4,9,16 --top 5",
     "spectrum-torsion": "spectrum --group torsion:2:4 --elements 0,0,0,1;1,1,0,0;0,1,1,0",
@@ -48,6 +51,7 @@ CASES = {
     "torsion-cover-chunked": "torsion-cover --group torsion:3:7 --elements "
     "0,0,0,0,0,0,0;1,0,0,0,0,2,1;0,1,2,0,0,1,1;2,2,1,0,0,0,2;1,1,1,0,0,2,0",
     "bounds-pipeline": "bounds --group cyclic:1009 --elements " + ",".join(map(str, range(12))),
+    "bounds-large-prime": f"bounds --group cyclic:84401 --elements {_AP_SUBSET}",
     "bounds-threshold": "bounds --doubling 2 --at-threshold --order 3",
     "verify-prime-cyclic": "verify --group cyclic:13 --shape exhaustive:3",
     "verify-composite-cyclic": "verify --group cyclic:15 --shape exhaustive:3 --checks diam,inc,lev,iso",

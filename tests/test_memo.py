@@ -31,6 +31,7 @@ from addcomb import (
     covering_certificate,
     difference_set,
     dumps,
+    lev_interval,
     negate,
     pluennecke_witness,
     run_suite,
@@ -260,6 +261,21 @@ def test_without_the_memo_the_work_repeats(monkeypatch):
     monkeypatch.setattr(suite_mod, "_memo_scope", contextlib.nullcontext)
     _, pairs, ffts, certs = _count_work(monkeypatch, A)
     assert len(pairs) > 7 and len(ffts) > 2 and len(certs) > 1
+
+
+def test_the_frequency_one_coefficient_is_taken_once_per_instance(monkeypatch):
+    """lev's nine grid points read one |A^(1)|; outside a scope each call takes it afresh."""
+    A = GSet(CyclicGroup(31), [0, 1, 3, 7, 12, 20])
+    taken, grid = [], []
+    real, real_lev = rectify_mod._coefficient_one, suite_mod.lev_interval
+    monkeypatch.setattr(rectify_mod, "_coefficient_one", lambda B: taken.append(B) or real(B))
+    monkeypatch.setattr(suite_mod, "lev_interval", lambda B, *args: grid.append(B) or real_lev(B, *args))
+    assert run_suite([A]).tallies["lev"].passed == 1
+    assert sum(B is A for B in grid) == 9
+    assert sum(B is A for B in taken) == 1
+    taken.clear()
+    assert lev_interval(A, 0.25, 0.2) == lev_interval(A, 0.25, 0.2)
+    assert taken == [A, A]
 
 
 @pytest.mark.parametrize("N, elems", [(211, [5]), (1000003, [0, 1])], ids=["{5} in Z/211", "{0,1} in Z/1000003"])

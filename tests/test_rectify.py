@@ -199,6 +199,119 @@ class TestDiameterScan:
         assert w.normalized.elements == tuple(range(size))
 
 
+# 12 points of the 16-term progression 5 + 12345*j in Z/84401; its diameter is 15
+AP_SUBSET_84401 = [(5 + 12345 * j) % 84401 for j in (0, 1, 2, 4, 5, 7, 8, 9, 11, 12, 13, 15)]
+
+
+def _progression(N, step, terms, start, drop=()):
+    return [(start + j * step) % N for j in range(terms) if j not in drop]
+
+
+def _count_rows(monkeypatch):
+    """The row count of every call to the dilation kernel _shortest_arcs, in a list."""
+    rows = []
+    real = rectify_mod._shortest_arcs
+    monkeypatch.setattr(rectify_mod, "_shortest_arcs", lambda r, N: rows.append(len(r)) or real(r, N))
+    return rows
+
+
+@st.composite
+def large_diameter_cases(draw):
+    """A set in Z/N, 130 <= N <= 3000: random, a progression, most of one, or in a coset of a proper subgroup."""
+    N = draw(st.integers(130, 3000))
+    size = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["random", "progression", "gapped", "coset"]))
+    if kind == "random":
+        return N, draw(st.lists(st.integers(0, N - 1), min_size=size, max_size=size, unique=True))
+    a = draw(st.integers(0, N - 1))
+    d = draw(st.integers(1, N - 1))
+    if kind == "coset":
+        p = next((p for p in (2, 3, 5, 7) if N % p == 0), None)
+        assume(p is not None)
+        d = p * draw(st.integers(1, N // p))
+    elems = sorted({(a + j * d) % N for j in range(size)})
+    if kind == "gapped" and len(elems) > 2:
+        elems.pop(draw(st.integers(1, len(elems) - 2)))
+    return N, elems
+
+
+class TestOrderedScan:
+    """The scan in order of |u*d|, past the first block: every field and every BudgetError against the plain loop."""
+
+    @pytest.mark.parametrize(
+        "N, elems",
+        [
+            (84401, AP_SUBSET_84401),
+            (10007, _progression(10007, 777, 20, 3, drop=(5, 11))),
+            (50021, _progression(50021, 4321, 9, 17)),
+            (99991, _progression(99991, 2, 30, 1, drop=(1,))),
+            (30011, [0, 1, 5, 17, 400, 9000, 12345]),
+        ],
+        ids=["AP-subset", "gapped", "full progression", "step 2, one gap", "no structure"],
+    )
+    def test_matches_plain_search_at_large_primes(self, N, elems):
+        assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+
+    @given(large_diameter_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_plain_search_past_one_block(self, case):
+        N, elems = case
+        assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default blocks", "blocks of one"])
+    @pytest.mark.parametrize(
+        "N, elems",
+        [
+            (69, [1, 4, 10, 31, 64]),
+            (69, [0, 3, 9, 14, 40]),
+            (3027, [2, 5, 11, 302, 3002]),
+            (3027, [0, 3, 9, 14, 40, 1000]),
+        ],
+        ids=["coset of 3Z/69", "Z/69, third difference", "coset of 3Z/3027", "Z/3027, third difference"],
+    )
+    def test_composite_moduli(self, block, N, elems):
+        # the consecutive differences 3, 6, 5 of the second and fourth sets reach a unit only at the third
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(groups_mod, "_BLOCK", block)
+            assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default blocks", "blocks of one"])
+    def test_the_least_unit_wins_a_tie(self, block):
+        # u = 28 and u = 62 both give length 31; with d = 10, 62 comes first (|62*10| = 2) and 28 last (|28*10| = 31)
+        with pytest.MonkeyPatch.context() as mp:
+            if block:
+                mp.setattr(groups_mod, "_BLOCK", block)
+            assert _witness_fields(311, [145, 155, 255, 300]) == brute_diameter_witness([145, 155, 255, 300], 311)
+
+    @pytest.mark.parametrize("budget, passes", [(3000, False), (3001, True)])
+    def test_budget_at_a_large_prime(self, monkeypatch, budget, passes):
+        # the only floor unit in [1, N/2] of this progression is 3001
+        N = 10007
+        elems = _progression(N, pow(3001, -1, N), 9, 7)
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", budget)
+        if passes:
+            assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+        else:
+            with pytest.raises(BudgetError):
+                diameter(GSet(CyclicGroup(N), elems))
+
+    def test_over_budget_without_a_floor_unit_stops_at_the_floor(self, monkeypatch):
+        # every floor unit has |u*d| <= |A| - 1 = 11, so eleven multipliers decide the raise
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", 40_000)
+        rows = _count_rows(monkeypatch)
+        with pytest.raises(BudgetError):
+            diameter(GSet(CyclicGroup(84401), AP_SUBSET_84401))
+        assert sum(rows) == 11
+
+    def test_work_follows_the_diameter_not_the_modulus(self, monkeypatch):
+        # in increasing order the scan visited all 42,200 units of [1, N/2]
+        rows = _count_rows(monkeypatch)
+        w = diameter(GSet(CyclicGroup(84401), AP_SUBSET_84401))
+        assert (w.length, w.step, w.start, w.units_searched) == (15, 12345, 5, 42200)
+        assert sum(rows) <= 300
+
+
 class TestLevInterval:
     def test_interval_concentrates(self):
         N = 101
