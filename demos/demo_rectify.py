@@ -13,7 +13,6 @@ from addcomb import (
     diam_from_spectrum,
     diameter,
     freiman_iso_check,
-    minimal_integer_model,
     rectify,
 )
 
@@ -52,6 +51,3 @@ print("knotty set diameter:", diameter(knotty).length)
 out2 = rectify(knotty, 2)
 print("order 2 image:", out2.witness.image.elements)
 print("order 3 succeeds:", rectify(knotty, 3).succeeded)
-
-# Once in the integers the image compresses to a canonical minimal model.
-print("minimal model:", minimal_integer_model(out2.witness.image, 2).elements)

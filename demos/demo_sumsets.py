@@ -14,7 +14,6 @@ from addcomb import (
     difference_set,
     doubling_ratio,
     exhaustive_sets,
-    iterated_sum,
     sumset,
 )
 
@@ -35,8 +34,10 @@ print("doubling of an interval:", doubling_ratio(interval))
 print("doubling of a spread set:", doubling_ratio(spread))
 
 # Iterated sumsets kA = A + ... + A show the growth trajectory directly.
+kA = A
 for k in range(1, 6):
-    print(f"|{k}A| =", len(iterated_sum(A, k)))
+    print(f"|{k}A| =", len(kA))
+    kA = sumset(kA, A)
 
 # The same operations work verbatim in torsion groups; elements are tuples.
 h = TorsionGroup(2, 4)

@@ -372,18 +372,18 @@ class JBoundReport(Certificate):
 
     @property
     def checks(self) -> Dict[str, Optional[bool]]:
-        """count < (14m/k)^k, and at k = 1 count = 1."""
-        claims = {"bound": self.holds}
-        if self.k == 1:
-            claims["count"] = self.count == 1  # J(1, m) counts the zero tuple alone
+        """count < (14m/k)^k when m >= k, and count = 1 at k = 1 or m = 0."""
+        claims = {"bound": self.holds} if self.m >= self.k else {}
+        if self.k == 1 or self.m == 0:
+            claims["count"] = self.count == 1  # J(1, m) and J(k, 0) count the zero tuple alone
         return claims
 
 
 @functools.lru_cache(maxsize=1024)
 def j_bound_report(k: int, m: int) -> JBoundReport:
-    """Exact comparison of the tuple count against (14m/k)^k; requires m >= k."""
-    if m < k:
-        raise ValueError(f"the bound needs m >= k, got k={k}, m={m}")
+    """Exact comparison of the tuple count against (14m/k)^k; requires m = 0 or m >= k."""
+    if 0 < m < k:
+        raise ValueError(f"the bound needs m = 0 or m >= k, got k={k}, m={m}")
     count = j_count(k, m)
     bound = Fraction(14 * m, k) ** k
     return JBoundReport(k, m, count, bound, count < bound)

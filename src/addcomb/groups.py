@@ -31,7 +31,6 @@ __all__ = [
     "Certificate",
     "sumset",
     "difference_set",
-    "iterated_sum",
     "dilate",
     "translate",
     "negate",
@@ -281,10 +280,10 @@ class GSet:
     tuple view in that order, built on first use.
 
     A set holds nothing derived from it.  While a ``_memo_scope`` is open,
-    ``_memoized`` keeps sums, negations, FFT magnitudes and covering
-    certificates in the scope's own dict, keyed by the identity of their
-    operands, so an equal set built elsewhere shares nothing; the dict is
-    dropped when the scope closes.
+    ``_memoized`` keeps sums, negations, FFT magnitudes, covering
+    certificates and diameters in the scope's own dict, keyed by the
+    identity of their operands, so an equal set built elsewhere shares
+    nothing; the dict is dropped when the scope closes.
     """
 
     __slots__ = ("group", "_idx", "_elements")
@@ -582,16 +581,6 @@ def _minus(B: GSet) -> GSet:
 def difference_set(A: GSet, B: GSet) -> GSet:
     """Minkowski difference {a - b : a in A, b in B}."""
     return sumset(A, _minus(B))
-
-
-def iterated_sum(A: GSet, k: int) -> GSet:
-    """The k-fold sumset A + A + ... + A."""
-    if k < 1:
-        raise ValueError(f"fold count must be >= 1, got {k}")
-    acc = A
-    for _ in range(k - 1):
-        acc = sumset(acc, A)
-    return acc
 
 
 def translate(A: GSet, c: Element) -> GSet:

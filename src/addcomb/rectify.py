@@ -34,9 +34,8 @@ from .groups import (
     _widen,
     difference_set,
     dilate,
-    translate,
 )
-from .primes import _VALID_BELOW as _PRIME_TEST_LIMIT, is_prime, smallest_prime_in
+from .primes import _VALID_BELOW as _PRIME_TEST_LIMIT, is_prime
 
 __all__ = [
     "DiameterWitness",
@@ -52,7 +51,6 @@ __all__ = [
     "diam_from_spectrum",
     "freiman_iso_check",
     "rectify",
-    "minimal_integer_model",
 ]
 
 
@@ -80,7 +78,6 @@ class DiameterWitness:
 _DIAMETER_BUDGET = 1 << 20
 # the multiset check runs while C(|A| + k - 1, k) fits; past it a witness is unverified
 _ISO_BUDGET = 200_000
-_MODEL_ROUNDS = 8  # embedding rounds of minimal_integer_model
 
 
 def diameter(A: GSet) -> DiameterWitness:
@@ -99,7 +96,13 @@ def diameter(A: GSet) -> DiameterWitness:
     floor |A| - 1.  When N/2 exceeds _DIAMETER_BUDGET, only a witness at the
     floor with u <= _DIAMETER_BUDGET is returned, and BudgetError is raised
     otherwise; with d, every floor unit has t <= |A| - 1, so the scan ends there.
+    While a memo scope is open, each set's witness is found once.
     """
+    return _memoized((A,), "diameter", lambda: _diameter(A))
+
+
+def _diameter(A: GSet) -> DiameterWitness:
+    """diameter(A), found afresh."""
     g = _require_cyclic(A)
     N = g.modulus
     if not len(A):
@@ -495,12 +498,13 @@ class RectifyOutcome(Certificate):
         return {} if self.witness is None else {"multiset": self.witness.verified}
 
 
-def rectify(A: GSet, k: int, diam: Optional[DiameterWitness] = None) -> RectifyOutcome:
+def rectify(A: GSet, k: int) -> RectifyOutcome:
     """Map A <= Z/NZ (N prime) into the integers preserving k-term sum equalities.
 
     Succeeds exactly when k * diam(A) < N; the witness composes the optimal
-    dilation with a shift, and is certified by the independent multiset
-    check when that fits _ISO_BUDGET.
+    dilation with a shift, its image is the diameter witness's normalized
+    set, and it is certified by the independent multiset check when that
+    fits _ISO_BUDGET.
     """
     g = _require_cyclic(A)
     N = g.modulus
@@ -508,60 +512,19 @@ def rectify(A: GSet, k: int, diam: Optional[DiameterWitness] = None) -> RectifyO
         raise ValueError(f"modulus {N} is not prime")
     if k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
-    if diam is None:
-        diam = diameter(A)
+    diam = diameter(A)
     required = k * diam.length
     if required >= N:
         return RectifyOutcome(None, diam, required)
     u = pow(diam.step, -1, N)
     shift = (u * diam.start) % N
-    row = _affine_row(A, u, shift)
-    idx = np.sort(row)
-    if len(idx) and idx[-1] > diam.length:
-        raise ValueError(f"element {int(idx[-1])} outside window [0, {diam.length}]")
-    image = GSet._from_indices(IntegerWindow(0, max(diam.length, 0)), idx)
+    image = GSet._from_indices(IntegerWindow(0, diam.length), diam.normalized.packed())
     verified: Optional[bool] = None
     if math.comb(len(A) + k - 1, k) <= _ISO_BUDGET:
-        mapping = dict(zip(A.elements, row.tolist()))
+        mapping = dict(zip(A.elements, _affine_row(A, u, shift).tolist()))
         if not freiman_iso_check(A, image, mapping, k).ok:
             raise RuntimeError("rectification witness failed the multiset check")
         verified = True
     witness = RectificationWitness(k, u, shift, diam.length, image, verified)
     return RectifyOutcome(witness, diam, required)
 
-
-def minimal_integer_model(A: GSet, k: int) -> GSet:
-    """Shrink an integer set to a short representative with the same k-term sum structure.
-
-    Each round embeds the current set (normalized to start at 1, max L) into
-    Z/p for the least prime p in (kL, 2kL], takes the optimal progression
-    cover there, and pulls the positions back to [1, l+1].  Stops when the
-    length stops shrinking, or after _MODEL_ROUNDS rounds.
-    """
-    if A.group.kind != "window":
-        raise ValueError("minimal model reduction starts from an integer set")
-    if not len(A):
-        raise ValueError("empty set has no minimal model")
-    if k < 2:
-        raise ValueError(f"isomorphism order must be >= 2, got {k}")
-    cur = translate(A, 1 - min(A.elements))
-    for _ in range(_MODEL_ROUNDS):
-        L = max(cur.elements)
-        if L == len(cur):
-            break  # already an interval starting at 1; nothing shorter exists
-        p = smallest_prime_in(k * L, 2 * k * L)
-        emb = GSet(CyclicGroup(p), cur.elements)
-        out = rectify(emb, k)
-        if out.witness is None:
-            raise RuntimeError("embedding round lost the progression structure")
-        new = translate(out.witness.image, 1)
-        if max(new.elements) >= L:
-            break
-        if math.comb(len(cur) + k - 1, k) <= _ISO_BUDGET:
-            u, shift = out.witness.dilation, out.witness.shift
-            step_map = {c: (u * c - shift) % p + 1 for c in cur.elements}
-            check = freiman_iso_check(cur, new, step_map, k)
-            if not check.ok:
-                raise RuntimeError("reduction round failed the multiset check")
-        cur = new
-    return cur

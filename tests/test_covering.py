@@ -406,6 +406,8 @@ class TestJBound:
     def test_requires_m_at_least_k(self):
         with pytest.raises(ValueError):
             j_bound_report(3, 2)
+        with pytest.raises(ValueError):
+            j_bound_report(3, 1)
 
     def test_bound_is_exact_rational(self):
         assert j_bound_report(3, 8).bound == Fraction(112, 3) ** 3
@@ -415,6 +417,13 @@ class TestJBound:
         assert "count" not in j_bound_report(2, 4).checks
         planted = dataclasses.replace(j_bound_report(1, 4), count=2)
         assert planted.checks["count"] is False and planted.ok is False
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_m0_claims_the_zero_tuple_alone(self, k):
+        # J(k, 0) = 1 and (14*0/k)^k = 0: only the count is claimed
+        assert j_bound_report(k, 0).checks == {"count": True}
+        planted = dataclasses.replace(j_bound_report(k, 0), count=2)
+        assert planted.ok is False
 
 
 class TestGrowth:

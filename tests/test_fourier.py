@@ -19,10 +19,10 @@ from addcomb import (
     certified_large_coefficient,
     convolution_counts,
     eta_largecoeff,
-    iterated_sum,
     moment_chain,
     smallest_prime_in,
     spectrum,
+    sumset,
 )
 from oracles import brute_convolution_counts, dft_coefficient, direct_transform, dirichlet_magnitude
 
@@ -154,7 +154,7 @@ class TestConvolutionCounts:
     def test_support_is_iterated_sumset(self):
         B = GSet(CyclicGroup(37), [0, 1, 5])
         conv = convolution_counts(B, 3)
-        assert conv.support == iterated_sum(B, 4)
+        assert conv.support == sumset(sumset(sumset(B, B), B), B)
 
     def test_torsion_counts(self):
         g = TorsionGroup(2, 2)

@@ -27,7 +27,6 @@ from addcomb import (
     exhaustive_sets,
     greedy_translates,
     is_subset,
-    iterated_sum,
     negate,
     random_sets,
     subgroup_generated,
@@ -166,18 +165,11 @@ class TestDerivedOps:
         assert difference_set(A, A).elements == (-3, -2, -1, 0, 1, 2, 3)
 
     def test_iterated_matches_oracle(self):
+        # the k-fold sum is a chain of sumsets, as growth_table and verify_incm form it
         A = GSet(Z101, [0, 1])
-        assert iterated_sum(A, 3).elements == (0, 1, 2, 3)
-        got = iterated_sum(GSet(Z11, [2, 5, 7]), 4).elements
-        assert list(got) == naive_iterated_mod([2, 5, 7], 4, 11)
-
-    def test_iterated_k1_identity(self):
-        A = GSet(W, [4, 9])
-        assert iterated_sum(A, 1) == A
-
-    def test_iterated_singleton_zero(self):
-        A = GSet(Z7, [0])
-        assert iterated_sum(A, 5).elements == (0,)
+        assert sumset(sumset(A, A), A).elements == (0, 1, 2, 3)
+        B = GSet(Z11, [2, 5, 7])
+        assert list(sumset(sumset(sumset(B, B), B), B).elements) == naive_iterated_mod([2, 5, 7], 4, 11)
 
     def test_negate_torsion(self):
         g = TorsionGroup(4, 2)

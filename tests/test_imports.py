@@ -11,7 +11,8 @@ The public surface gets the same treatment: every function a module exports
 through ``__all__`` must be read, and every defaulted parameter of one must be
 passed, by the package itself, a demo or the benchmark (tests do not count).
 So must every public method of an exported class, and every defaulted field
-of an exported frozen dataclass.
+of an exported frozen dataclass.  An exemption from these rules lasts only
+while its option stays unpassed or its function uncalled.
 
 No ad-hoc slack: the one float literal below 1e-6 in the package is the value
 of ``fourier._FLOAT_SLACK``, the relative slack its float gates share.
@@ -143,8 +144,7 @@ def test_library_has_no_dead_private_helper():
 # ------------------------------------------------------------------ public surface
 
 # main(argv) is the CLI's test seam: the console script calls main() with none.
-# rectify(diam) lets a caller reuse one computed diameter across orders k.
-OPTION_EXEMPT = {"cli.main(argv)", "rectify.rectify(diam)"}
+OPTION_EXEMPT = {"cli.main(argv)"}
 # dump_instances writes the instance files that load_instances reads.
 CALLER_EXEMPT = {"serialize.dump_instances"}
 
@@ -234,6 +234,12 @@ def test_every_public_option_is_passed_outside_the_tests():
 
 def test_every_public_function_is_called_outside_the_tests():
     assert [f for f in uncalled_functions(_library(), _caller_sources()) if f not in CALLER_EXEMPT] == []
+
+
+def test_every_exemption_is_still_needed():
+    """An exempt option is still unpassed and an exempt function still uncalled, or the exemption goes."""
+    assert OPTION_EXEMPT <= set(unpassed_options(_library(), _caller_sources()))
+    assert CALLER_EXEMPT <= set(uncalled_functions(_library(), _caller_sources()))
 
 
 # ------------------------------------------------------------------ public types

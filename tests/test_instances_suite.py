@@ -317,8 +317,17 @@ class TestSuite:
         real = suite_mod.j_bound_report
         monkeypatch.setattr(suite_mod, "j_bound_report", lambda k, m: dataclasses.replace(real(k, m), count=2) if k == 1 else real(k, m))
         report = run_suite([], SuiteConfig(checks=("jbound",)))
-        assert report.tallies["jbound"].failed == suite_mod._J_M_MAX
+        # J(1, m) for m = 0, 1, ..., _J_M_MAX, all read from the report's count claim
+        assert report.tallies["jbound"].failed == suite_mod._J_M_MAX + 1
         assert {(ce["k"], ce["count"]) for ce in report.counterexamples} == {(1, 2)}
+
+    def test_jbound_reads_the_m0_count_claim(self, monkeypatch):
+        assert dataclasses.astuple(run_suite([], SuiteConfig(checks=("jbound",))).tallies["jbound"]) == (38, 0, 0)
+        real = suite_mod.j_bound_report
+        monkeypatch.setattr(suite_mod, "j_bound_report", lambda k, m: dataclasses.replace(real(k, m), count=2) if m == 0 else real(k, m))
+        report = run_suite([], SuiteConfig(checks=("jbound",)))
+        assert report.tallies["jbound"].failed == suite_mod._J_K_MAX
+        assert {(ce["m"], ce["count"]) for ce in report.counterexamples} == {(0, 2)}
 
     def test_certificate_error_fails_incm(self, monkeypatch):
         # a RuntimeError is a library bug, not "not applicable or over budget"

@@ -278,6 +278,25 @@ def test_the_frequency_one_coefficient_is_taken_once_per_instance(monkeypatch):
     assert taken == [A, A]
 
 
+def test_one_diameter_serves_every_order(monkeypatch):
+    """diameter(A) and rectify(A, k) at two orders find A's witness once in a scope, three times outside."""
+    A = GSet(CyclicGroup(101), [3, 20, 37, 54, 71])
+    found = []
+    real = rectify_mod._diameter
+    monkeypatch.setattr(rectify_mod, "_diameter", lambda B: found.append(B) or real(B))
+
+    def run():
+        return rectify_mod.diameter(A), rectify_mod.rectify(A, 2), rectify_mod.rectify(A, 3)
+
+    with _memo_scope():
+        dw, out2, out3 = run()
+    assert found == [A]
+    assert out2.diameter is dw and out3.diameter is dw and out3.witness.image.elements == (0, 1, 2, 3, 4)
+    found.clear()
+    assert run() == (dw, out2, out3)
+    assert found == [A, A, A]
+
+
 @pytest.mark.parametrize("N, elems", [(211, [5]), (1000003, [0, 1])], ids=["{5} in Z/211", "{0,1} in Z/1000003"])
 def test_pipeline_forms_a_minus_a_and_its_spectrum_once(monkeypatch, N, elems):
     A = GSet(CyclicGroup(N), elems)

@@ -1,6 +1,5 @@
-"""Diameter search, concentration windows, and rectification to integer models."""
+"""Diameter search, concentration windows, and rectification into the integers."""
 
-import dataclasses
 import importlib
 import itertools
 import math
@@ -21,9 +20,9 @@ from addcomb import (
     dilate,
     freiman_iso_check,
     gap_cover,
+    is_prime,
     is_subset,
     lev_interval,
-    minimal_integer_model,
     rectify,
     spectrum,
     difference_set,
@@ -758,46 +757,19 @@ class TestRectify:
             }
             assert freiman_iso_check(A, w.image, mapping, 2).ok
 
-    def test_witness_too_short_rejected(self):
-        A = GSet(CyclicGroup(31), [0, 1, 5])
-        w = diameter(A)
-        short = dataclasses.replace(w, length=w.length - 1)
-        with pytest.raises(ValueError):
-            rectify(A, 2, diam=short)
-
-
-class TestMinimalIntegerModel:
-    def test_already_minimal(self):
-        W = IntegerWindow(-100, 100)
-        A = GSet(W, [1, 2, 3])
-        assert minimal_integer_model(A, 2).elements == (1, 2, 3)
-
-    def test_arithmetic_progression_compresses(self):
-        W = IntegerWindow(-100, 100)
-        A = GSet(W, [1, 11, 21])
-        assert minimal_integer_model(A, 2).elements == (1, 2, 3)
-
-    def test_singleton(self):
-        W = IntegerWindow(-100, 100)
-        assert minimal_integer_model(GSet(W, [37]), 2).elements == (1,)
-
-    def test_stops_at_the_round_cap(self, monkeypatch):
-        A = GSet(IntegerWindow(-100, 100), [1, 11, 21])
-        monkeypatch.setattr(rectify_mod, "_MODEL_ROUNDS", 0)
-        assert minimal_integer_model(A, 2).elements == (1, 11, 21)
-
-    def test_past_the_iso_budget_still_compresses(self, monkeypatch):
-        A = GSet(IntegerWindow(-100, 100), [1, 11, 21])
-        monkeypatch.setattr(rectify_mod, "_ISO_BUDGET", 0)
-        assert minimal_integer_model(A, 2).elements == (1, 2, 3)
-
-    def test_model_is_isomorphic(self):
-        W = IntegerWindow(-2000, 2000)
-        A = GSet(W, [0, 3, 6, 600])
-        model = minimal_integer_model(A, 2)
-        assert len(model) == len(A)
-        assert max(model.elements) - min(model.elements) <= 600
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            minimal_integer_model(GSet(CyclicGroup(7), [0]), 2)
+    @given(st.sampled_from([p for p in range(2, 201) if is_prime(p)]).flatmap(
+        lambda N: st.tuples(st.just(N), st.sets(st.integers(0, N - 1), min_size=1, max_size=min(N, 7)))
+    ), st.integers(2, 4))
+    @example((2, {1}), 2)
+    @example((199, {7}), 4)
+    @settings(max_examples=150, deadline=None)
+    def test_image_is_the_normalized_diameter_witness(self, case, k):
+        N, elems = case
+        A = GSet(CyclicGroup(N), elems)
+        out = rectify(A, k)
+        if not out.succeeded:
+            assert k * diameter(A).length >= N
+            return
+        w = out.witness
+        assert list(w.image.elements) == sorted((w.dilation * x - w.shift) % N for x in elems)
+        assert w.image.elements == diameter(A).normalized.elements
