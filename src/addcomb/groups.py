@@ -280,10 +280,10 @@ class GSet:
     tuple view in that order, built on first use.
 
     A set holds nothing derived from it.  While a ``_memo_scope`` is open,
-    ``_memoized`` keeps sums, negations, FFT magnitudes, covering
-    certificates and diameters in the scope's own dict, keyed by the
-    identity of their operands, so an equal set built elsewhere shares
-    nothing; the dict is dropped when the scope closes.
+    ``_memoized`` keeps sums, negations, dilations, FFT magnitudes, window
+    counts, covering certificates and diameters in the scope's own dict,
+    keyed by the identity of their operands, so an equal set built
+    elsewhere shares nothing; the dict is dropped when the scope closes.
     """
 
     __slots__ = ("group", "_idx", "_elements")
@@ -598,6 +598,11 @@ def translate(A: GSet, c: Element) -> GSet:
 def dilate(A: GSet, lam: int) -> GSet:
     """The set lam*A = {lam*a : a in A}."""
     lam = int(lam)
+    # memoized, so the spectral diameter dilates A and A - A once for all its deltas
+    return _memoized((A,), ("dilate", lam), lambda: _dilate(A, lam))
+
+
+def _dilate(A: GSet, lam: int) -> GSet:
     g = A.group
     if g.kind == "window":
         ends = A.packed()[[0, -1]].tolist() if len(A) else [g.lo, g.hi]

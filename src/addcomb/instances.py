@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .groups import (
     Group,
     IntegerWindow,
     TorsionGroup,
+    _widen,
 )
 from .torsion import subgroup_generated
 
@@ -51,11 +52,34 @@ def exhaustive_sets(group: Group, max_size: int, normalize: bool = False) -> Ite
         raise ValueError("orbit normalization is defined for cyclic groups only")
     pool = _pool(group)
     for size in range(1, max_size + 1):
-        for combo in itertools.combinations(pool, size):
-            s = GSet._from_indices(group, np.array(combo, dtype=np.int64))
-            if normalize and s != canonical_affine_form(s):
-                continue
-            yield s
+        if normalize:
+            yield from _orbit_representatives(group, size)
+        else:
+            for combo in itertools.combinations(pool, size):
+                yield GSet._from_indices(group, np.array(combo, dtype=np.int64))
+
+
+# rows of one _canonical_rows call in exhaustive_sets, so memory stays bounded however many sets there are
+_ORBIT_BLOCK = 4096
+
+
+def _orbit_representatives(group: CyclicGroup, size: int) -> Iterator[GSet]:
+    """The size-element sets equal to their canonical affine form, in lex order.
+
+    A lex-least image holds 0, so only the sets through 0 are candidates;
+    they are the lex-first sets of their size, so the order is that of
+    itertools.combinations over the whole group.
+    """
+    N = group.modulus
+    tails = itertools.combinations(range(1, N), size - 1)
+    while True:
+        block = list(itertools.islice(tails, _ORBIT_BLOCK))
+        if not block:
+            return
+        rows = np.zeros((len(block), size), dtype=np.int64)
+        rows[:, 1:] = block
+        for row in rows[(_canonical_rows(rows, N) == rows).all(axis=1)]:
+            yield GSet._from_indices(group, row)
 
 
 def canonical_affine_form(A: GSet) -> GSet:
@@ -63,21 +87,37 @@ def canonical_affine_form(A: GSet) -> GSet:
     g = A.group
     if g.kind != "cyclic":
         raise ValueError("affine canonical form is defined for cyclic groups only")
-    N = g.modulus
     if not len(A):
         return A
-    best: Optional[Tuple[int, ...]] = None
-    xs = A.elements
+    return GSet._from_indices(g, _canonical_rows(A.packed()[None, :], g.modulus)[0])
+
+
+def _canonical_rows(rows: np.ndarray, N: int) -> np.ndarray:
+    """The lex-least image of each row under x -> u*x + c mod N, u a unit.
+
+    rows is an (M, s) int64 array of sorted distinct residues.  For each
+    unit u, the s translates of u*row that send one of its elements to 0
+    (a lex-least image holds 0) are sorted, and a running minimum per row
+    keeps the least of them; it starts at the row shifted to 0, which is
+    the answer in Z/1, whose only unit is 0.  Candidates are compared one
+    column at a time, so no value beyond N is formed, and a product u*x
+    that could leave int64 is taken in object dtype.
+    """
+    best = rows - rows[:, :1]
+    pick = np.arange(len(rows))
     for u in range(1, N):
         if math.gcd(u, N) != 1:
             continue
-        vals = [(u * x) % N for x in xs]
-        # the lex-least translate always sends some element to 0
-        for v in vals:
-            cand = tuple(sorted((x - v) % N for x in vals))
-            if best is None or cand < best:
-                best = cand
-    return GSet(g, best)
+        v = (_widen(rows, N, u) * u % N).astype(np.int64, copy=False)
+        cand = np.sort((v[:, None, :] - v[:, :, None]) % N, axis=2)
+        cand = np.concatenate((best[:, None, :], cand), axis=1)
+        alive = np.ones(cand.shape[:2], dtype=bool)
+        # column 0 of every candidate is 0
+        for j in range(1, rows.shape[1]):
+            col = cand[:, :, j]
+            alive &= col == np.where(alive, col, N).min(axis=1, keepdims=True)
+        best = cand[pick, alive.argmax(axis=1)]
+    return best
 
 
 def random_sets(group: Group, size: int, count: int, seed: int) -> List[GSet]:

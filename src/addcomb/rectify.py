@@ -199,7 +199,8 @@ def _window_counts(B: GSet, l: int) -> np.ndarray:
 
     One prefix sum over the indicator, extended by its first l entries so that
     windows wrap; needs 0 <= l < N.  Raises BudgetError above
-    groups.DENSE_ORDER_LIMIT, as GSet.indicator does.
+    groups.DENSE_ORDER_LIMIT, as GSet.indicator does.  The counts are
+    read-only, as lev_interval keeps them in the memo scope.
     """
     N = B.group.modulus  # type: ignore[union-attr]
     if N > groups.DENSE_ORDER_LIMIT:
@@ -208,7 +209,9 @@ def _window_counts(B: GSet, l: int) -> np.ndarray:
     ind[B.packed()] = 1
     ind[N:] = ind[:l]
     prefix = np.concatenate(([0], np.cumsum(ind)))
-    return prefix[l + 1 :] - prefix[:N]
+    counts = prefix[l + 1 :] - prefix[:N]
+    counts.flags.writeable = False
+    return counts
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,8 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     if coeff < threshold:
         return LevWindow(False, coeff, threshold)
     length = max(0, math.ceil(delta * N) - 1)
-    window = _window_counts(B, length)
+    # memoized, so every eps at one delta reads one scan
+    window = _memoized((B,), ("window", length), lambda: _window_counts(B, length))
     start = int(np.argmax(window))
     inside = int(window[start])
     exceptions = size - inside

@@ -80,6 +80,24 @@ def brute_diameter(A, N):
     return best
 
 
+def brute_canonical_affine_form(A, N):
+    """Lexicographically least sorted image of A under x -> u*x + c mod N, u a unit.
+
+    Every unit u, and for each every shift c that sends an element of u*A
+    to 0.  In Z/1 the only unit is 0, which range(N) meets: gcd(0, 1) = 1.
+    """
+    best = ()
+    for u in range(N):
+        if math.gcd(u, N) != 1:
+            continue
+        vals = [(u * x) % N for x in A]
+        for v in vals:
+            cand = tuple(sorted((x - v) % N for x in vals))
+            if not best or cand < best:
+                best = cand
+    return best
+
+
 def brute_shortest_arc(vals, N):
     """(length, start) of the shortest circular interval of Z/N holding vals.
 

@@ -61,6 +61,8 @@ CASES = {
     "verify-torsion-3": "verify --group torsion:3:2 --shape random:4:20 --seed 3",
     "verify-torsion-chunked": "verify --group torsion:2:9 --shape random:5:6 --seed 4",
     "enumerate-normalize": "enumerate --group cyclic:13 --shape exhaustive:3:normalize",
+    # composite modulus: units are a proper subset of the nonzero residues
+    "enumerate-normalize-composite": "enumerate --group cyclic:12 --shape exhaustive:4:normalize",
     "enumerate-random-torsion": "enumerate --group torsion:5:2 --shape random:4:5 --seed 7",
     "enumerate-random-window": "enumerate --group window:-5:5 --shape random:3:4 --seed 2",
     "enumerate-coset": "enumerate --group torsion:3:3 --shape coset:1,0,0;0,1,2",

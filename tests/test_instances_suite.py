@@ -6,11 +6,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import addcomb.cli as cli_mod
 import addcomb.covering as covering_mod
+import addcomb.instances as instances_mod
 import addcomb.suite as suite_mod
 from addcomb import (
     CHECK_NAMES,
@@ -43,6 +44,7 @@ from addcomb import (
     union_progressions,
 )
 from addcomb.cli import main
+from oracles import brute_canonical_affine_form
 
 
 class TestExhaustive:
@@ -63,6 +65,22 @@ class TestExhaustive:
         assert all(s == canonical_affine_form(s) for s in sets)
         # 7 singletons collapse to {0}; all pairs collapse to {0,1}
         assert len(sets) == 2
+
+    @pytest.mark.parametrize("N", range(1, 25))
+    def test_normalized_sets_are_the_oracle_filtered_sets(self, N):
+        """For every k <= 4: the sets of exhaustive_sets(g, k) the oracle finds canonical, in their order."""
+        g = CyclicGroup(N)
+        canonical = [A for A in exhaustive_sets(g, 4) if brute_canonical_affine_form(A.elements, N) == A.elements]
+        for k in range(1, 5):
+            assert list(exhaustive_sets(g, k, normalize=True)) == [A for A in canonical if len(A) <= k]
+
+    def test_normalization_takes_one_kernel_call_per_size(self, monkeypatch):
+        calls = []
+        real = instances_mod._canonical_rows
+        monkeypatch.setattr(instances_mod, "_canonical_rows", lambda rows, N: calls.append(rows.shape) or real(rows, N))
+        assert len(list(exhaustive_sets(CyclicGroup(17), 4, normalize=True))) == 16
+        # the candidates of size s are the sets through 0: (0,) + (s-1)-subsets of 1..16
+        assert calls == [(1, 1), (16, 2), (120, 3), (560, 4)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -90,6 +108,27 @@ class TestCanonicalAffineForm:
     def test_window_rejected(self):
         with pytest.raises(ValueError):
             canonical_affine_form(GSet(IntegerWindow(0, 5), [1]))
+
+    def test_z1_is_one_orbit(self):
+        # the only unit of Z/1 is 0, which is also 1
+        assert canonical_affine_form(GSet(CyclicGroup(1), [0])).elements == (0,)
+        assert [A.elements for A in exhaustive_sets(CyclicGroup(1), 3, normalize=True)] == [(0,)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda N: st.tuples(st.just(N), st.lists(st.integers(0, N - 1), max_size=5, unique=True))
+    ))
+    @example((1, []))
+    @example((1, [0]))
+    @example((2, [1]))
+    @example((4, [1, 3]))
+    @example((4, [0, 1, 2, 3]))
+    @example((36, [5, 11, 20, 27, 35]))
+    @example((37, [0, 6, 14, 15, 30]))
+    def test_matches_the_oracle(self, case):
+        N, idx = case
+        A = GSet(CyclicGroup(N), idx)
+        assert canonical_affine_form(A).elements == brute_canonical_affine_form(A.elements, N)
 
 
 class TestRandomSets:
@@ -676,6 +715,10 @@ class TestCli:
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["{0}", "{1}", "{2}"]
+
+    def test_enumerate_normalize_z1(self, capsys):
+        assert main(["enumerate", "--group", "cyclic:1", "--shape", "exhaustive:1:normalize"]) == 0
+        assert capsys.readouterr().out == "{0}\n"
 
     def test_enumerate_negative_limit_exits_two(self, capsys):
         assert main(["enumerate", "--group", "cyclic:7", "--shape", "exhaustive:2", "--limit", "-2"]) == 2
