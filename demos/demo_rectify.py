@@ -19,8 +19,11 @@ from addcomb import (
 g = CyclicGroup(101)
 A = GSet(g, [3, 20, 37, 54, 71])  # an honest progression with step 17
 
-# The diameter search tries every dilation and keeps the shortest
-# interval; this set collapses to {0..4} under the right unit.
+# The diameter search dilates A by units u, in order of |u*d| for a
+# difference d of A (an interval of length l holding u*A has |u*d| <= l),
+# and stops once that order passes the shortest interval found; here all
+# N/2 = 50 units fit in its first block.  This set collapses to {0..4}
+# under the right unit.
 dw = diameter(A)
 print("diameter:", dw.length, " via step", dw.step, "start", dw.start)
 print("normalized:", dw.normalized.elements)

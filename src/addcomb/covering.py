@@ -423,10 +423,9 @@ def growth_table(B: GSet, T: GSet, m_max: int) -> Tuple[GrowthBoundReport, ...]:
         j = table[m]
         j_ok = len(grown) <= len(B) * j
         if m >= k:
-            bound = Fraction(14 * m, k) ** k
+            bound = j_bound_report(k, m).bound
             ratio_ok = len(grown) < bound * len(B)
         else:
-            bound = None
-            ratio_ok = None
+            bound = ratio_ok = None
         rows.append(GrowthBoundReport(m, k, len(grown), j, j_ok, bound, ratio_ok))
     return tuple(rows)

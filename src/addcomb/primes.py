@@ -4,25 +4,19 @@ from __future__ import annotations
 
 import functools
 
-from .groups import BudgetError
-
 __all__ = ["is_prime", "smallest_prime_in"]
 
-# Witnesses proving primality for all n < 3_317_044_064_679_887_385_961_981
-# are known, but the fixed set below is the classical one valid for
-# n < 3.4e14; a larger modulus (Z/N allows up to 2^62) is over budget.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17)
-_VALID_BELOW = 341_550_071_728_321  # first composite passing witnesses 2..17
+# The first twelve primes as Miller-Rabin bases decide every n < 3.18e23
+# (Sorenson and Webster, Math. Comp. 86, 2017), so every modulus up to 2^62.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for n below 3.4e14; BudgetError above."""
-    if n >= _VALID_BELOW:
-        raise BudgetError(f"{n} exceeds the deterministic witness range")
+    """Deterministic Miller-Rabin, valid for every n below 3.18e23."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17):
+    for p in _WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0

@@ -35,7 +35,7 @@ from .groups import (
     difference_set,
     dilate,
 )
-from .primes import _VALID_BELOW as _PRIME_TEST_LIMIT, is_prime
+from .primes import is_prime
 
 __all__ = [
     "DiameterWitness",
@@ -68,13 +68,11 @@ class DiameterWitness:
     step: int
     start: int
     normalized: GSet        # step^-1 * (A - start), a subset of {0..length}
-    # the witness's position among the units 1..N/2 in increasing order when
-    # length is the floor |A| - 1, else the number of those units; not the work done
+    # the multipliers visited, one row of the dilation kernel each (1 for a singleton): the work done
     units_searched: int
 
 
-# above N/2 = this many multipliers, diameter returns only a full progression
-# whose unit u is at most this, and raises BudgetError otherwise
+# diameter visits at most this many multipliers t, and raises BudgetError when its scan needs more
 _DIAMETER_BUDGET = 1 << 20
 # the multiset check runs while C(|A| + k - 1, k) fits; past it a witness is unverified
 _ISO_BUDGET = 200_000
@@ -92,11 +90,13 @@ def diameter(A: GSet) -> DiameterWitness:
     the scan stops after the block whose last t reaches the least length
     found, as every unit of that length or less has been visited, so the
     work is about diam(A) * |A|.  With no such d, or when N/2 fits in the
-    first block, t = u and the scan stops at the first unit reaching the
-    floor |A| - 1.  When N/2 exceeds _DIAMETER_BUDGET, only a witness at the
-    floor with u <= _DIAMETER_BUDGET is returned, and BudgetError is raised
-    otherwise; with d, every floor unit has t <= |A| - 1, so the scan ends there.
-    While a memo scope is open, each set's witness is found once.
+    first block, t = u and the scan stops after the block holding the first
+    unit that reaches the floor |A| - 1.  Every scan stops at t = N/2.  No t
+    past _DIAMETER_BUDGET is visited: a scan whose stop rule is unmet by then
+    raises BudgetError, so a set whose diameter exceeds the budget costs about
+    _DIAMETER_BUDGET * |A| products before it is refused.  units_searched
+    counts the multipliers visited.  While a memo scope is open, each set's
+    witness is found once.
     """
     return _memoized((A,), "diameter", lambda: _diameter(A))
 
@@ -113,13 +113,11 @@ def _diameter(A: GSet) -> DiameterWitness:
     cap = max(1, groups._BLOCK // len(A))  # multipliers per block: at most _BLOCK products
     half, floor = N // 2, len(A) - 1  # no set does better than a full progression
     step = min(64, cap)  # blocks double from 64 multipliers, so N <= 129 is one block
-    prime = N < _PRIME_TEST_LIMIT and is_prime(N)
+    prime = is_prime(N)
     inv = None if half <= step else _unit_difference_inverse(A.packed(), N)
-    over = half > _DIAMETER_BUDGET
-    # the last t to visit; over the budget only a floor unit u <= _DIAMETER_BUDGET may be returned
-    last = half if not over else _DIAMETER_BUDGET if inv is None else min(floor, half)
+    last = min(half, _DIAMETER_BUDGET)  # the last t to visit
     best = (N, 0, 0)  # (length, unit, start in dilated coordinates)
-    lo = 1
+    lo, searched = 1, 0
     while lo <= last:
         hi = min(lo + step, last + 1)
         t = np.arange(lo, hi, dtype=np.int64)
@@ -131,22 +129,20 @@ def _diameter(A: GSet) -> DiameterWitness:
         else:
             u = _widen(t, N, inv) * inv % N
             u = np.minimum(u, N - u).astype(arr.dtype, copy=False)
-        if not u.size:
-            continue
-        lengths, starts = _shortest_arcs(u[:, None] * arr % N, N)
-        i = int(np.argmin(lengths))  # the least unit of the least length when u increases
-        if inv is not None:
-            ties = np.flatnonzero(lengths == lengths[i])
-            i = int(ties[np.argmin(u[ties])])
-        if (lengths[i], u[i]) < best[:2]:
-            best = (int(lengths[i]), int(u[i]), int(starts[i]))
-        if best[0] == floor if inv is None else best[0] < hi:
+        if u.size:
+            searched += u.size
+            lengths, starts = _shortest_arcs(u[:, None] * arr % N, N)
+            i = int(np.argmin(lengths))  # the least unit of the least length when u increases
+            if inv is not None:
+                ties = np.flatnonzero(lengths == lengths[i])
+                i = int(ties[np.argmin(u[ties])])
+            if (lengths[i], u[i]) < best[:2]:
+                best = (int(lengths[i]), int(u[i]), int(starts[i]))
+        if hi > half or (best[0] == floor if inv is None else best[0] < hi):
             break
+    else:
+        raise BudgetError(f"diameter scan visited {searched} multipliers up to its budget, t <= {last} (modulus {N})")
     length, u, start = best
-    if over and (length > floor or u > _DIAMETER_BUDGET):
-        raise BudgetError(f"diameter scan passed its budget of {_DIAMETER_BUDGET} multipliers (modulus {N})")
-    reach = u if length == floor else half  # units_searched counts the units 1..reach
-    searched = reach if prime else _units_upto(reach, N)
     d = pow(u, -1, N)
     a = (d * start) % N
     row = np.sort(_affine_row(A, u, start))
@@ -163,14 +159,6 @@ def _unit_difference_inverse(idx: np.ndarray, N: int) -> Optional[int]:
         return None
     inv = pow(int(units[0]), -1, N)
     return min(inv, N - inv)
-
-
-def _units_upto(x: int, N: int) -> int:
-    """How many of 1, ..., x are units mod N, counted _BLOCK at a time."""
-    return sum(
-        int(np.count_nonzero(np.gcd(np.arange(lo, min(lo + groups._BLOCK, x + 1), dtype=np.int64), N) == 1))
-        for lo in range(1, x + 1, groups._BLOCK)
-    )
 
 
 def _affine_row(A: GSet, u: int, s: int) -> np.ndarray:

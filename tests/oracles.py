@@ -113,7 +113,7 @@ def brute_shortest_arc(vals, N):
 
 
 def brute_diameter_witness(A, N):
-    """(length, step, start, units_searched) of the documented diameter search.
+    """(length, step, start) of the documented diameter search.
 
     Units u = 1..N//2 coprime to N are tried in increasing order; the first
     unit with the least interval length wins, and the search stops at the
@@ -122,13 +122,11 @@ def brute_diameter_witness(A, N):
     """
     A = sorted(set(x % N for x in A))
     if N == 1 or len(A) == 1:
-        return 0, 1 % N, A[0], 1
+        return 0, 1 % N, A[0]
     best = None
-    searched = 0
     for u in range(1, N // 2 + 1):
         if math.gcd(u, N) != 1:
             continue
-        searched += 1
         length, start = brute_shortest_arc([(u * x) % N for x in A], N)
         if best is None or length < best[0]:
             best = (length, u, start)
@@ -136,7 +134,7 @@ def brute_diameter_witness(A, N):
             break
     length, u, start = best
     step = pow(u, -1, N)
-    return length, step, (step * start) % N, searched
+    return length, step, (step * start) % N
 
 
 def brute_j_count(k, m):

@@ -18,6 +18,7 @@ from addcomb.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 _INV3 = pow(3, -1, (1 << 62) - 57)
+_AP_4000037 = ",".join(str((5 + j * pow(1_500_001, -1, 4_000_037)) % 4_000_037) for j in range(12))
 _AP_SUBSET = "5,12350,24695,49385,61730,2019,14364,26709,51399,63744,76089,16378"
 
 CASES = {
@@ -35,6 +36,8 @@ CASES = {
     + ",".join(str((_INV3 * x + 11) % ((1 << 62) - 57)) for x in (0, 1, 2, 3)),
     # 12 points of a 16-term progression with step 12345 at a prime above 2^16
     "diam-large-prime": f"diam --group cyclic:84401 --elements {_AP_SUBSET}",
+    # a 12-term progression whose N/2 is past the diameter budget; t <= 11 decides it in one block
+    "diam-ordered-over-budget": f"diam --group cyclic:4000037 --elements {_AP_4000037}",
     "diam-torsion-rejected": "diam --group torsion:2:3 --elements 0,0,1;1,1,0",
     "spectrum-cyclic": "spectrum --group cyclic:31 --elements 0,1,4,9,16 --top 5",
     "spectrum-torsion": "spectrum --group torsion:2:4 --elements 0,0,0,1;1,1,0,0;0,1,1,0",

@@ -16,9 +16,13 @@ while its option stays unpassed or its function uncalled.
 
 No ad-hoc slack: the one float literal below 1e-6 in the package is the value
 of ``fourier._FLOAT_SLACK``, the relative slack its float gates share.
+
+No undocumented refusal: every function of the package that raises
+``BudgetError`` is named in the README's Budgets section.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -361,3 +365,47 @@ def test_the_float_slack_is_the_only_tiny_literal():
     found = {mod: lits for mod, src in sources.items() if (lits := tiny_float_literals(src))}
     line = next(i for i, text in enumerate(sources["fourier"].splitlines(), 1) if text.startswith("_FLOAT_SLACK ="))
     assert found == {"fourier": [(line, fourier_mod._FLOAT_SLACK)]}
+
+
+# ------------------------------------------------------------------ budget refusals
+
+def budget_raisers(source: str) -> list:
+    """Names of the functions of source holding `raise BudgetError`; a raise belongs to its innermost def."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and owner is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "BudgetError":
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def budgets_section(readme: str) -> str:
+    """The text of the README's "## Budgets" section, empty if there is none."""
+    _, _, rest = readme.partition("\n## Budgets\n")
+    return rest.split("\n## ", 1)[0]
+
+
+def test_detects_a_budget_raiser():
+    src = "def f():\n    raise BudgetError('x')\n\ndef g():\n    def h():\n        raise BudgetError\n    raise ValueError\n"
+    assert budget_raisers(src) == ["f", "h"]
+
+
+def test_every_budget_refusal_is_in_the_readme():
+    section = budgets_section((ROOT / "README.md").read_text())
+    spans = re.findall(r"`([^`]+)`", section)
+    missing = [
+        f"{mod}.{name}"
+        for mod, src in _library().items()
+        for name in budget_raisers(src)
+        if not any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", span) for span in spans)
+    ]
+    assert section and missing == []

@@ -1,6 +1,7 @@
 """Instance generators, JSON serialization, the check suite, and the CLI."""
 
 import dataclasses
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -45,6 +46,9 @@ from addcomb import (
 )
 from addcomb.cli import main
 from oracles import brute_canonical_affine_form
+
+# the package re-exports the function rectify under the submodule's name
+rectify_mod = importlib.import_module("addcomb.rectify")
 
 
 class TestExhaustive:
@@ -573,13 +577,15 @@ class TestCli:
         assert rc == 0
         assert "iterated inclusion verified up to m = 3" in capsys.readouterr().out
 
-    def test_diam_past_its_budget_exits_two(self, capsys):
-        # {0, 1, 5} is no 3-term progression, so the scan never meets its floor
+    def test_diam_past_its_budget_exits_two(self, capsys, monkeypatch):
+        # {0, 1, 5} has diameter 5, so a budget of 4 multipliers stops the scan before it is decided
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", 4)
         rc = main(["diam", "--group", "cyclic:4611686018427387847", "--elements", "0,1,5"])
         assert rc == 2
-        assert "budget" in capsys.readouterr().err
+        assert "visited 4 multipliers up to its budget" in capsys.readouterr().err
 
-    def test_verify_iso_past_the_diameter_budget_skips(self, capsys, tmp_path):
+    def test_verify_iso_past_the_diameter_budget_skips(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", 4)
         path = tmp_path / "long-scan.json"
         dump_instances([GSet(CyclicGroup(1_000_000_007), [0, 1, 5])], path)
         rc = main(["verify", "--input", str(path), "--checks", "iso"])
@@ -595,18 +601,24 @@ class TestCli:
         assert rc == 0
         assert f"{check}: 0 pass, 0 fail, 1 skip" in capsys.readouterr().out
 
-    def test_verify_iso_past_the_primality_range_skips(self, capsys, tmp_path):
-        path = tmp_path / "past-miller-rabin.json"
+    def test_verify_iso_near_2_62_passes(self, capsys, tmp_path):
+        # primality is decided up to 2^62, and t <= 5 decides the diameter of {0, 1, 5}
+        path = tmp_path / "near-2-62.json"
         dump_instances([GSet(CyclicGroup((1 << 62) - 57), [0, 1, 5])], path)
         rc = main(["verify", "--input", str(path), "--checks", "iso"])
         assert rc == 0
-        assert "iso: 0 pass, 0 fail, 1 skip" in capsys.readouterr().out
+        assert "iso: 1 pass, 0 fail, 0 skip" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["rectify", "bounds"])
-    def test_past_the_primality_range_exits_two(self, capsys, command):
-        rc = main([command, "--group", f"cyclic:{(1 << 62) - 57}", "--elements", "0,1,5"])
+    def test_rectify_near_2_62_is_verified(self, capsys):
+        rc = main(["rectify", "--group", f"cyclic:{(1 << 62) - 57}", "--elements", "0,1,5"])
+        assert rc == 0
+        assert "length 5; multiset check: verified" in capsys.readouterr().out
+
+    def test_bounds_near_2_62_is_over_the_indicator_budget(self, capsys):
+        # the prime test passes; the pipeline's spectrum needs an indicator of N entries
+        rc = main(["bounds", "--group", f"cyclic:{(1 << 62) - 57}", "--elements", "0,1,5"])
         assert rc == 2
-        assert "witness range" in capsys.readouterr().err
+        assert "too large for an indicator" in capsys.readouterr().err
 
     def test_rectify(self, capsys):
         rc = main(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from addcomb import BudgetError, is_prime, smallest_prime_in
+from addcomb import is_prime, smallest_prime_in
 
 
 def test_small_values():
@@ -34,13 +34,13 @@ def test_first_prime_in_interval():
         smallest_prime_in(24, 28)
 
 
-def test_past_the_witness_range_is_over_budget():
-    # the seven witnesses decide n < 341550071728321; Z/N allows N up to 2^62
-    assert not is_prime(341_550_071_728_320)
-    with pytest.raises(BudgetError):
-        is_prime(341_550_071_728_321)
-    with pytest.raises(BudgetError):
-        is_prime((1 << 62) - 57)
+def test_every_modulus_up_to_2_62_is_decided():
+    # strong pseudoprimes to the bases 2..17 and 2..23, the second below 2^62; then two primes
+    assert not is_prime(341_550_071_728_321)
+    assert not is_prime(3_825_123_056_546_413_051)
+    assert 3_825_123_056_546_413_051 < 1 << 62
+    assert is_prime((1 << 61) - 1)
+    assert is_prime((1 << 62) - 57)
 
 
 def test_memoized():

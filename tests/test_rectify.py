@@ -125,10 +125,22 @@ def diameter_cases(draw):
     return N, elems
 
 
+def _count_rows(monkeypatch):
+    """The row count of every call to the dilation kernel _shortest_arcs, in a list."""
+    rows = []
+    real = rectify_mod._shortest_arcs
+    monkeypatch.setattr(rectify_mod, "_shortest_arcs", lambda r, N: rows.append(len(r)) or real(r, N))
+    return rows
+
+
 def _witness_fields(N, elems):
-    w = diameter(GSet(CyclicGroup(N), elems))
+    """(length, step, start) of diameter(A), once units_searched is checked against the kernel's rows."""
+    with pytest.MonkeyPatch.context() as mp:
+        rows = _count_rows(mp)
+        w = diameter(GSet(CyclicGroup(N), elems))
     assert max(w.normalized.elements) == w.length
-    return w.length, w.step, w.start, w.units_searched
+    assert w.units_searched == (sum(rows) if rows else 1)  # a singleton needs no row
+    return w.length, w.step, w.start
 
 
 class TestDiameterScan:
@@ -166,10 +178,20 @@ class TestDiameterScan:
 
     @pytest.mark.parametrize(
         "budget, floor_unit, passes",
-        [(1, None, False), (49, None, False), (50, None, True), (62, 63, False), (63, 63, True), (64, 65, False), (65, 65, True)],
+        [
+            (1, None, False),
+            (49, None, False),
+            (50, None, True),
+            (4, 63, False),
+            (5, 63, True),
+            (63, 63, True),
+            (4, 65, False),
+            (65, 65, True),
+        ],
     )
     def test_budget(self, budget, floor_unit, passes):
-        # with no floor unit, {0, 1, 5} in Z/101 is no 3-term progression and all 50 multipliers are visited
+        # with no floor unit, {0, 1, 5} in Z/101 is no 3-term progression and all 50 multipliers are visited;
+        # a 6-term progression of Z/1009 is decided at t = |A| - 1 = 5, wherever its floor unit lies
         if floor_unit is None:
             N, elems = 101, [0, 1, 5]
         else:
@@ -181,20 +203,29 @@ class TestDiameterScan:
             if passes:
                 assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
             else:
-                with pytest.raises(BudgetError):
+                rows = _count_rows(mp)
+                with pytest.raises(BudgetError, match=f"visited {budget} multipliers"):
                     diameter(GSet(CyclicGroup(N), elems))
+                assert sum(rows) == budget  # at a prime every t is a unit
 
-    def test_budget_stops_a_scan_near_2_62(self):
-        with pytest.raises(BudgetError):
-            diameter(GSet(CyclicGroup((1 << 62) - 57), [0, 1, 5]))
+    def test_budget_stops_a_scan_near_2_62(self, monkeypatch):
+        # {0, 1, 5} has diameter 5 with the unit difference 1, so t <= 5 decides it
+        A = GSet(CyclicGroup((1 << 62) - 57), [0, 1, 5])
+        w = diameter(A)
+        assert (w.length, w.step, w.start, w.units_searched) == (5, 1, 0, 64)
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", 4)
+        rows = _count_rows(monkeypatch)
+        with pytest.raises(BudgetError, match="visited 4 multipliers"):
+            diameter(A)
+        assert sum(rows) == 4
 
     @pytest.mark.parametrize("size", [4, 70])
     def test_exact_above_int64_products(self, size):
-        # u * x exceeds 2^63 here; the floor is reached at the fifth unit
+        # u * x exceeds 2^63 here; the floor unit is 5, and t <= size - 1 takes one block of 64 or two (64 + 128)
         N = (1 << 62) - 57
         step = pow(5, -1, N)
         w = diameter(GSet(CyclicGroup(N), [(step * j) % N for j in range(size)]))
-        assert (w.length, w.step, w.start, w.units_searched) == (size - 1, step, 0, 5)
+        assert (w.length, w.step, w.start, w.units_searched) == (size - 1, step, 0, {4: 64, 70: 192}[size])
         assert w.normalized.elements == tuple(range(size))
 
 
@@ -204,14 +235,6 @@ AP_SUBSET_84401 = [(5 + 12345 * j) % 84401 for j in (0, 1, 2, 4, 5, 7, 8, 9, 11,
 
 def _progression(N, step, terms, start, drop=()):
     return [(start + j * step) % N for j in range(terms) if j not in drop]
-
-
-def _count_rows(monkeypatch):
-    """The row count of every call to the dilation kernel _shortest_arcs, in a list."""
-    rows = []
-    real = rectify_mod._shortest_arcs
-    monkeypatch.setattr(rectify_mod, "_shortest_arcs", lambda r, N: rows.append(len(r)) or real(r, N))
-    return rows
 
 
 @st.composite
@@ -235,7 +258,7 @@ def large_diameter_cases(draw):
 
 
 class TestOrderedScan:
-    """The scan in order of |u*d|, past the first block: every field and every BudgetError against the plain loop."""
+    """The scan in order of |u*d|, past the first block: every field against the plain loop, every BudgetError at its budget."""
 
     @pytest.mark.parametrize(
         "N, elems",
@@ -283,32 +306,53 @@ class TestOrderedScan:
                 mp.setattr(groups_mod, "_BLOCK", block)
             assert _witness_fields(311, [145, 155, 255, 300]) == brute_diameter_witness([145, 155, 255, 300], 311)
 
-    @pytest.mark.parametrize("budget, passes", [(3000, False), (3001, True)])
+    @pytest.mark.parametrize("budget, passes", [(7, False), (8, True), (3001, True)])
     def test_budget_at_a_large_prime(self, monkeypatch, budget, passes):
-        # the only floor unit in [1, N/2] of this progression is 3001
+        # the only floor unit in [1, N/2] of this progression is 3001, and t <= |A| - 1 = 8 reaches it
         N = 10007
         elems = _progression(N, pow(3001, -1, N), 9, 7)
         monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", budget)
         if passes:
             assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
         else:
-            with pytest.raises(BudgetError):
+            rows = _count_rows(monkeypatch)
+            with pytest.raises(BudgetError, match=f"visited {budget} multipliers"):
                 diameter(GSet(CyclicGroup(N), elems))
+            assert sum(rows) == budget
 
-    def test_over_budget_without_a_floor_unit_stops_at_the_floor(self, monkeypatch):
-        # every floor unit has |u*d| <= |A| - 1 = 11, so eleven multipliers decide the raise
-        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", 40_000)
-        rows = _count_rows(monkeypatch)
-        with pytest.raises(BudgetError):
-            diameter(GSet(CyclicGroup(84401), AP_SUBSET_84401))
-        assert sum(rows) == 11
+    @pytest.mark.parametrize("budget", [10, 1513])
+    @pytest.mark.parametrize("elems", [[2, 5, 11, 302, 3002], [0, 3, 9, 14, 40, 1000]], ids=["coset", "third difference"])
+    def test_budget_at_a_composite_modulus(self, monkeypatch, budget, elems):
+        # in Z/3027 only the units among t = 1..10 are visited, 7 of them; a budget of N/2 = 1513 is the full scan
+        N = 3027
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", budget)
+        if budget == N // 2:
+            assert _witness_fields(N, elems) == brute_diameter_witness(elems, N)
+        else:
+            rows = _count_rows(monkeypatch)
+            with pytest.raises(BudgetError, match="visited 7 multipliers"):
+                diameter(GSet(CyclicGroup(N), elems))
+            assert sum(rows) == 7
+
+    @pytest.mark.parametrize("budget, rows", [(10, 10), (40_000, 64)])
+    def test_over_budget_without_a_floor_unit_stops_at_the_budget_or_the_diameter(self, monkeypatch, budget, rows):
+        # N/2 = 42,200 is past both budgets; the diameter 15 is decided by t <= 15, which a budget of 10 cuts short
+        monkeypatch.setattr(rectify_mod, "_DIAMETER_BUDGET", budget)
+        seen = _count_rows(monkeypatch)
+        if budget < 15:
+            with pytest.raises(BudgetError, match=f"visited {budget} multipliers"):
+                diameter(GSet(CyclicGroup(84401), AP_SUBSET_84401))
+        else:
+            w = diameter(GSet(CyclicGroup(84401), AP_SUBSET_84401))
+            assert (w.length, w.step, w.start, w.units_searched) == (15, 12345, 5, rows)
+        assert sum(seen) == rows
 
     def test_work_follows_the_diameter_not_the_modulus(self, monkeypatch):
-        # in increasing order the scan visited all 42,200 units of [1, N/2]
+        # in increasing order the scan would visit all 42,200 units of [1, N/2]; in order of |u*d|, one block
         rows = _count_rows(monkeypatch)
         w = diameter(GSet(CyclicGroup(84401), AP_SUBSET_84401))
-        assert (w.length, w.step, w.start, w.units_searched) == (15, 12345, 5, 42200)
-        assert sum(rows) <= 300
+        assert (w.length, w.step, w.start, w.units_searched) == (15, 12345, 5, 64)
+        assert sum(rows) == 64
 
 
 class TestLevInterval:
