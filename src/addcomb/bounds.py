@@ -26,8 +26,7 @@ from numbers import Rational
 from typing import Dict, Optional, Tuple, Union
 
 from .fourier import spectrum
-from .groups import Certificate, GSet, _memo_scope, difference_ratio, difference_set, doubling_ratio
-from .primes import is_prime
+from .groups import Certificate, GSet, _memo_scope, _require, difference_ratio, difference_set, doubling_ratio
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
 __all__ = [
@@ -193,11 +192,7 @@ def theorem1_pipeline(A: GSet, delta: Optional[float] = None) -> PipelineReport:
 
 
 def _pipeline(A: GSet, delta: Optional[float]) -> PipelineReport:
-    if A.group.kind != "cyclic":
-        raise ValueError("the pipeline runs on cyclic groups")
-    N = A.group.modulus
-    if not is_prime(N):
-        raise ValueError(f"modulus {N} is not prime")
+    N = _require(A.group, "prime").modulus
     if not len(A):
         raise ValueError("pipeline needs a nonempty set")
     n = len(A)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import groups
 from .covering import is_k_covering
-from .groups import Certificate, Element, GSet, _index_add, _memoized
+from .groups import Certificate, Element, GSet, _index_add, _memoized, _require
 
 __all__ = [
     "SpectrumReport",
@@ -41,9 +41,7 @@ _FLOAT_SLACK = 1e-9
 
 
 def _require_finite(B: GSet) -> int:
-    order = B.group.order
-    if order is None:
-        raise ValueError("spectral operations need a finite ambient group")
+    order = _require(B.group, "finite").order
     if not len(B):
         raise ValueError("spectral operations need a nonempty set")
     return order
@@ -134,8 +132,7 @@ def _count_chain(B: GSet, m_max: int) -> Iterator[np.ndarray]:
     """r_2, ..., r_{m_max+1} of B, each a mass-checked fold of the last; int64 while |B|^(m_max+1) < 2^62."""
     size = len(B)
     dtype = np.int64 if size ** (m_max + 1) < (1 << 62) else object
-    counts = np.zeros(B.group.order, dtype=dtype)
-    counts[B.packed()] = 1
+    counts = B.indicator().ravel().astype(dtype)
     for m in range(1, m_max + 1):
         counts = _fold_once(counts, B)
         total = int(counts.sum())

@@ -19,6 +19,8 @@ from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Optio
 
 import numpy as np
 
+from .primes import is_prime
+
 __all__ = [
     "CyclicGroup",
     "IntegerWindow",
@@ -28,6 +30,7 @@ __all__ = [
     "GSet",
     "GroupMismatchError",
     "BudgetError",
+    "NotApplicable",
     "Certificate",
     "sumset",
     "difference_set",
@@ -102,6 +105,10 @@ class GroupMismatchError(ValueError):
 
 class BudgetError(Exception):
     """A search or enumeration exceeded its budget; not a RuntimeError, which marks a fault."""
+
+
+class NotApplicable(ValueError):
+    """The operation is not defined on the ambient group; raised by _require alone."""
 
 
 class Certificate:
@@ -262,6 +269,27 @@ class TorsionGroup:
 
 Group = Union[CyclicGroup, IntegerWindow, TorsionGroup]
 
+# need -> (the kinds of group that meet it, what the refusal names)
+_NEEDS = {
+    "cyclic": (("cyclic",), "a cyclic ambient group"),
+    "prime": (("cyclic",), "a cyclic ambient group"),
+    "torsion": (("torsion",), "a bounded-exponent product group"),
+    "finite": (("cyclic", "torsion"), "a finite ambient group"),
+}
+
+
+def _require(g: Group, need: str) -> Group:
+    """g if it meets need, a key of _NEEDS ("prime" is Z/N with N prime), else NotApplicable.
+
+    The one place the package refuses an ambient group; callers test before any work.
+    """
+    kinds, what = _NEEDS[need]
+    if g.kind not in kinds:
+        raise NotApplicable(f"this operation needs {what}")
+    if need == "prime" and not is_prime(g.modulus):
+        raise NotApplicable(f"modulus {g.modulus} is not prime")
+    return g
+
 
 def _require_same_ambient(a: "GSet", b: "GSet") -> None:
     if a.group.ambient() != b.group.ambient():
@@ -359,9 +387,7 @@ class GSet:
 
     def indicator(self) -> np.ndarray:
         """Dense 0/1 indicator array (cyclic: length N; torsion: shape (r,)*n)."""
-        g = self.group
-        if g.kind == "window":
-            raise ValueError("indicator is only defined for finite groups")
+        g = _require(self.group, "finite")
         if g.order > DENSE_ORDER_LIMIT:
             raise BudgetError(f"group order {g.order} too large for an indicator")
         ind = np.zeros(g.order, dtype=np.uint8)

@@ -16,6 +16,7 @@ from .groups import (
     Group,
     IntegerWindow,
     TorsionGroup,
+    _require,
     _widen,
 )
 from .torsion import subgroup_generated
@@ -48,8 +49,8 @@ def exhaustive_sets(group: Group, max_size: int, normalize: bool = False) -> Ite
     """
     if max_size < 1:
         raise ValueError(f"bad size range [1, {max_size}]")
-    if normalize and group.kind != "cyclic":
-        raise ValueError("orbit normalization is defined for cyclic groups only")
+    if normalize:
+        _require(group, "cyclic")
     pool = _pool(group)
     for size in range(1, max_size + 1):
         if normalize:
@@ -84,9 +85,7 @@ def _orbit_representatives(group: CyclicGroup, size: int) -> Iterator[GSet]:
 
 def canonical_affine_form(A: GSet) -> GSet:
     """Lexicographically least image of A under x -> u*x + c with u a unit."""
-    g = A.group
-    if g.kind != "cyclic":
-        raise ValueError("affine canonical form is defined for cyclic groups only")
+    g = _require(A.group, "cyclic")
     if not len(A):
         return A
     return GSet._from_indices(g, _canonical_rows(A.packed()[None, :], g.modulus)[0])
@@ -219,8 +218,7 @@ def parse_shape(spec: str, group: Group, seed: int = 0) -> Iterator[GSet]:
             parts.append((_parse_one(a, group), _parse_one(d, group), int(l)))
         return iter([union_progressions(group, parts)])
     if head == "coset":
-        if group.kind != "torsion":
-            raise ValueError("coset shapes need a torsion group")
+        _require(group, "torsion")
         basis = [tuple(int(c) for c in chunk.split(",")) for chunk in rest.split(";")]
         return iter([subspace_coset(group, basis)])
     raise ValueError(f"unknown shape {head!r}")

@@ -24,13 +24,13 @@ from .fourier import _magnitudes
 from .groups import (
     BudgetError,
     Certificate,
-    CyclicGroup,
     Element,
     Group,
     GSet,
     IntegerWindow,
     _index_add,
     _memoized,
+    _require,
     _widen,
     difference_set,
     dilate,
@@ -52,12 +52,6 @@ __all__ = [
     "freiman_iso_check",
     "rectify",
 ]
-
-
-def _require_cyclic(A: GSet) -> CyclicGroup:
-    if A.group.kind != "cyclic":
-        raise ValueError("this operation needs a cyclic ambient group")
-    return A.group  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -103,7 +97,7 @@ def diameter(A: GSet) -> DiameterWitness:
 
 def _diameter(A: GSet) -> DiameterWitness:
     """diameter(A), found afresh."""
-    g = _require_cyclic(A)
+    g = _require(A.group, "cyclic")
     N = g.modulus
     if not len(A):
         raise ValueError("diameter of the empty set is undefined")
@@ -186,18 +180,13 @@ def _window_counts(B: GSet, l: int) -> np.ndarray:
     """counts[s] = number of points of B in {s, s+1, ..., s+l} mod N, for every start s.
 
     One prefix sum over the indicator, extended by its first l entries so that
-    windows wrap; needs 0 <= l < N.  Raises BudgetError above
-    groups.DENSE_ORDER_LIMIT, as GSet.indicator does.  The counts are
-    read-only, as lev_interval keeps them in the memo scope.
+    windows wrap; needs 0 <= l < N.  GSet.indicator raises BudgetError above
+    groups.DENSE_ORDER_LIMIT.  The counts are read-only, as lev_interval
+    keeps them in the memo scope.
     """
-    N = B.group.modulus  # type: ignore[union-attr]
-    if N > groups.DENSE_ORDER_LIMIT:
-        raise BudgetError(f"modulus {N} too large for a window count")
-    ind = np.zeros(N + l, dtype=np.int64)
-    ind[B.packed()] = 1
-    ind[N:] = ind[:l]
-    prefix = np.concatenate(([0], np.cumsum(ind)))
-    counts = prefix[l + 1 :] - prefix[:N]
+    ind = B.indicator()
+    prefix = np.cumsum(np.concatenate(([0], ind, ind[:l])), dtype=np.int64)
+    counts = prefix[l + 1 :] - prefix[: len(ind)]
     counts.flags.writeable = False
     return counts
 
@@ -228,14 +217,13 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     one with fewest exceptions (smallest start on ties).  Not-applicable is
     a value: hypothesis_met=False with the measured coefficient.
     """
-    g = _require_cyclic(B)
+    N = _require(B.group, "cyclic").modulus
     if not len(B):
         raise ValueError("empty set has no concentration interval")
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0,1), got {eps}")
     if not 0 < delta < 0.5:
         raise ValueError(f"delta must be in (0, 1/2), got {delta}")
-    N = g.modulus
     size = len(B)
     coeff = _memoized((B,), "coefficient_one", lambda: _coefficient_one(B))
     threshold = (1 - 8 * eps * delta * delta) * size
@@ -278,8 +266,7 @@ def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
 
 def _gap_cover(A: GSet, D: GSet, b: int, l: int) -> GapCoverResult:
     """gap_cover with D = A - A already formed."""
-    g = _require_cyclic(A)
-    N = g.modulus
+    N = _require(A.group, "cyclic").modulus
     if not len(A):
         raise ValueError("empty set has no gap cover")
     if 3 * l >= N:
@@ -323,10 +310,9 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
     transform of r*D at 1 equals that of D at r), where the concentration
     and gap steps apply with eps = |A| / (2|D|).
     """
-    g = _require_cyclic(A)
+    N = _require(A.group, "cyclic").modulus
     if not 0 < delta < Fraction(1, 3):
         raise ValueError(f"delta must be in (0, 1/3), got {delta}")
-    N = g.modulus
     n = len(A)
     if n == 0:
         raise ValueError("empty set has no diameter")
@@ -498,10 +484,7 @@ def rectify(A: GSet, k: int) -> RectifyOutcome:
     set, and it is certified by the independent multiset check when that
     fits _ISO_BUDGET.
     """
-    g = _require_cyclic(A)
-    N = g.modulus
-    if not is_prime(N):
-        raise ValueError(f"modulus {N} is not prime")
+    N = _require(A.group, "prime").modulus
     if k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
     diam = diameter(A)

@@ -67,13 +67,23 @@ def gset_from_obj(obj: dict) -> GSet:
 
 
 def load_instances(path: Union[str, Path]) -> List[GSet]:
-    """Read one instance object or an array of them."""
+    """Read one instance object or an array of them; a malformed instance raises ValueError naming the file."""
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
-        raise ValueError("instance file must hold an object or an array of objects")
-    return [gset_from_obj(o) for o in data]
+        raise ValueError(f"{path}: instance file must hold an object or an array of objects")
+    sets = []
+    for i, obj in enumerate(data):
+        if not (isinstance(obj, dict) and isinstance(obj.get("group"), dict) and isinstance(obj.get("elements"), list)):
+            raise ValueError(f'{path}: instance {i} is not an object with a "group" object and an "elements" list')
+        try:
+            sets.append(gset_from_obj(obj))
+        except KeyError as exc:
+            raise ValueError(f"{path}: instance {i} has no group field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"{path}: instance {i}: {exc}") from exc
+    return sets
 
 
 def dump_instances(sets: Sequence[GSet], path: Union[str, Path]) -> None:

@@ -1,17 +1,16 @@
 """Named lemma checks over an instance stream, with deterministic aggregation.
 
 Every check reports pass, fail, or skip per instance.  A check passes only
-what it verified; it skips when it does not apply to the instance's group or
-when its work was over a budget or left unverified.  A fail carries a
-counterexample payload; the lemmas are theorems, so any fail is an
-implementation bug, and the suite exists to catch exactly that.  A check
-judges the certificates it gets from the library by their `ok` alone
-(`_verdict`): fail at the first whose ok is False, else skip if one is
-undecided (ok None), else pass; a certificate whose claims had unmet
-hypotheses passes vacuously.  The check loop of `run_suite` alone maps an
-outcome to a verdict: a returned (status, payload) is counted as is, a
-BudgetError counts as skip, a RuntimeError (a library fault) counts as fail
-with payload {"error": message}, and a ValueError (bad input) propagates.
+what it verified; a fail carries a counterexample payload, and since the
+lemmas are theorems any fail is an implementation bug.  No check tests the
+instance's group: the library refuses a group it does not apply to with
+NotApplicable, raised by `groups._require` alone.  A check judges
+certificates by their `ok` alone (`_verdict`): fail at the first whose ok
+is False, else skip if one is undecided (ok None), else pass; unmet
+hypotheses pass vacuously.  The loop of `run_suite` alone maps an outcome to
+a verdict: a returned (status, payload) counts as is, NotApplicable or
+BudgetError as skip, a RuntimeError (a library fault) as fail with payload
+{"error": message}, and any other ValueError (bad input) propagates.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .covering import CoveringCertificate, covering_certificate, growth_table, j_bound_report
 from .fourier import moment_chain, spectrum
-from .groups import BudgetError, Certificate, GSet, _memo_scope, _memoized, difference_set
+from .groups import BudgetError, Certificate, GSet, NotApplicable, _memo_scope, _memoized, _require, difference_set
 from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
 from .torsion import torsion_cover
-from .primes import is_prime
 from .serialize import gset_to_obj
 
 __all__ = ["CHECK_NAMES", "SuiteConfig", "CheckTally", "SuiteReport", "run_suite"]
@@ -153,14 +151,10 @@ def _check_estecov(A: GSet, cfg: SuiteConfig):
 
 
 def _check_parseval(A: GSet, cfg: SuiteConfig):
-    if A.group.kind == "window":
-        return SKIP, None
     return _verdict([({}, spectrum(A))], lambda rep: {"residual": rep.parseval_residual})
 
 
 def _check_moment(A: GSet, cfg: SuiteConfig):
-    if A.group.kind == "window":
-        return SKIP, None
     rows = (({}, rep) for rep in moment_chain(A, _M_MAX))
     return _verdict(rows, lambda rep: {
         "m": rep.m,
@@ -171,9 +165,7 @@ def _check_moment(A: GSet, cfg: SuiteConfig):
 
 
 def _check_cover(A: GSet, cfg: SuiteConfig):
-    if A.group.kind != "cyclic":
-        return SKIP, None
-    N = A.group.modulus
+    N = _require(A.group, "cyclic").modulus
     D = difference_set(A, A)
     for delta in _DELTA_GRID:
         l = math.ceil(delta * N) - 1
@@ -182,8 +174,6 @@ def _check_cover(A: GSet, cfg: SuiteConfig):
 
 
 def _check_lev(A: GSet, cfg: SuiteConfig):
-    if A.group.kind != "cyclic":
-        return SKIP, None
     grid = (
         ({"eps": eps, "delta": delta}, lev_interval(A, eps, delta))
         for eps in _EPS_GRID
@@ -193,22 +183,16 @@ def _check_lev(A: GSet, cfg: SuiteConfig):
 
 
 def _check_diam(A: GSet, cfg: SuiteConfig):
-    if A.group.kind != "cyclic":
-        return SKIP, None
     grid = (({"delta": delta}, diam_from_spectrum(A, delta)) for delta in _DELTA_GRID)
     return _verdict(grid, lambda res: {"diameter": res.diameter_upper})
 
 
 def _check_iso(A: GSet, cfg: SuiteConfig):
-    if A.group.kind != "cyclic" or not is_prime(A.group.modulus):
-        return SKIP, None
     # an undecided outcome is a multiset check over budget
     return _verdict([({}, rectify(A, _ISO_ORDER))], lambda out: out.checks)
 
 
 def _check_torsion(A: GSet, cfg: SuiteConfig):
-    if A.group.kind != "torsion":
-        return SKIP, None
     return _verdict([({}, torsion_cover(A, witness_budget=cfg.witness_budget))], lambda cert: cert.checks)
 
 
@@ -268,7 +252,7 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
             for name in per_instance:
                 try:
                     status, payload = INSTANCE_CHECKS[name](A, config)
-                except BudgetError:
+                except (NotApplicable, BudgetError):
                     status, payload = SKIP, None
                 except RuntimeError as exc:
                     status, payload = FAIL, {"error": str(exc)}

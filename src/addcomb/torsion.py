@@ -21,10 +21,10 @@ from .groups import (
     Certificate,
     Element,
     GSet,
-    TorsionGroup,
     _in_sumset,
     _minus,
     _pairwise,
+    _require,
     difference_ratio,
     difference_set,
     doubling_ratio,
@@ -33,12 +33,6 @@ from .groups import (
 )
 
 __all__ = ["SubgroupCosetCertificate", "subgroup_generated", "torsion_cover"]
-
-
-def _require_torsion(A: GSet) -> TorsionGroup:
-    if A.group.kind != "torsion":
-        raise ValueError("this operation needs a bounded-exponent product group")
-    return A.group  # type: ignore[return-value]
 
 
 def subgroup_generated(X: GSet) -> GSet:
@@ -50,7 +44,7 @@ def subgroup_generated(X: GSet) -> GSet:
     call of the sumset kernel, and keeps the sums not reached before.  An
     empty X generates {0}.
     """
-    g = _require_torsion(X)
+    g = _require(X.group, "torsion")
     member = np.zeros(g.order, dtype=bool)
     member[0] = True
     frontier = np.array([0], dtype=np.int64)
@@ -112,7 +106,7 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     (A-A)+(T-T) either way, so gen(A-A) <= (A-A)+gen(T-T).  Every inclusion
     and size comparison is re-verified on the actual sets.
     """
-    g = _require_torsion(A)
+    g = _require(A.group, "torsion")
     if not len(A):
         raise ValueError("cover of the empty set is undefined")
     r = g.exponent

@@ -168,6 +168,11 @@ class TestConvolutionCounts:
         with pytest.raises(ValueError):
             convolution_counts(GSet(CyclicGroup(7), [0]), 0)
 
+    def test_group_past_the_dense_limit_is_over_budget(self):
+        # the counts start from GSet.indicator, which refuses an order past DENSE_ORDER_LIMIT before allocating
+        with pytest.raises(BudgetError):
+            convolution_counts(GSet(CyclicGroup(1 << 40), [0, 1]), 1)
+
     @given(fold_cases())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_plain_fold(self, case):

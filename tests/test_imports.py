@@ -19,6 +19,11 @@ of ``fourier._FLOAT_SLACK``, the relative slack its float gates share.
 
 No undocumented refusal: every function of the package that raises
 ``BudgetError`` is named in the README's Budgets section.
+
+One place decides where an operation applies: ``NotApplicable`` is
+constructed in ``groups._require`` alone, and ``suite.py`` reads no group
+kind and names no ``is_prime``, so its checks skip only what the library
+refuses.
 """
 
 import ast
@@ -369,23 +374,33 @@ def test_the_float_slack_is_the_only_tiny_literal():
 
 # ------------------------------------------------------------------ budget refusals
 
-def budget_raisers(source: str) -> list:
-    """Names of the functions of source holding `raise BudgetError`; a raise belongs to its innermost def."""
-    found = set()
+def _owners(source: str, hit) -> list:
+    """The innermost def around each node of source that hit(node) accepts, None at module level."""
+    found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Raise) and owner is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == "BudgetError":
-                    found.add(owner)
+            if hit(child):
+                found.append(owner)
             visit(child, owner)
 
     visit(ast.parse(source), None)
-    return sorted(found)
+    return found
+
+
+def _raises_budget_error(node) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "BudgetError"
+
+
+def budget_raisers(source: str) -> list:
+    """Names of the functions of source holding `raise BudgetError`; a raise belongs to its innermost def."""
+    return sorted({owner for owner in _owners(source, _raises_budget_error) if owner is not None})
 
 
 def budgets_section(readme: str) -> str:
@@ -409,3 +424,41 @@ def test_every_budget_refusal_is_in_the_readme():
         if not any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", span) for span in spans)
     ]
     assert section and missing == []
+
+
+# ------------------------------------------------------------------ applicability
+
+def _constructs_not_applicable(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) == "NotApplicable" or getattr(node.func, "attr", None) == "NotApplicable"
+    )
+
+
+def group_tests(source: str) -> list:
+    """Lines of source that read a .kind attribute or name is_prime."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "kind")
+        or (isinstance(node, ast.Name) and node.id == "is_prime")
+        or (isinstance(node, ast.alias) and node.name == "is_prime")
+    )
+
+
+def test_detects_a_group_test():
+    src = "from .primes import is_prime\n\ndef f(A):\n    if A.group.kind != 'cyclic' or not is_prime(A.group.modulus):\n        return 1\n"
+    assert group_tests(src) == [1, 4, 4]
+
+
+def test_detects_a_not_applicable_construction():
+    src = "def f():\n    raise NotApplicable('x')\n\ndef g():\n    return groups.NotApplicable\n\nE = NotApplicable()\n"
+    assert _owners(src, _constructs_not_applicable) == ["f", None]
+
+
+def test_the_suite_leaves_applicability_to_the_library():
+    assert group_tests(_library()["suite"]) == []
+
+
+def test_only_require_refuses_an_ambient_group():
+    found = [(mod, owner) for mod, src in _library().items() for owner in _owners(src, _constructs_not_applicable)]
+    assert found == [("groups", "_require")] * 2

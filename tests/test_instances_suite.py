@@ -20,6 +20,7 @@ from addcomb import (
     CyclicGroup,
     GSet,
     IntegerWindow,
+    NotApplicable,
     SuiteConfig,
     TorsionGroup,
     canonical_affine_form,
@@ -292,7 +293,6 @@ SUITE_TARGETS = [
     ("lev_interval", ("lev",)),
     ("diam_from_spectrum", ("diam",)),
     ("rectify", ("iso",)),
-    ("is_prime", ("iso",)),
     ("torsion_cover", ("torsion",)),
 ]
 
@@ -438,19 +438,45 @@ class TestSuite:
 
     @pytest.mark.parametrize("target, checks", SUITE_TARGETS)
     def test_over_budget_counts_as_skip(self, monkeypatch, target, checks):
-        # a check whose work passes a budget did not run; it never fails
-        def over(*args, **kwargs):
-            raise BudgetError("planted")
-
-        monkeypatch.setattr(suite_mod, target, over)
+        # a check whose work passes a budget, or that does not apply, did not run; it never fails
         if checks == ("torsion",):
             A = GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0)])
         else:
             A = GSet(CyclicGroup(11), [0, 1, 5])
-        report = run_suite([A], SuiteConfig(checks=checks))
-        for check in checks:
-            assert dataclasses.astuple(report.tallies[check]) == (0, 0, 1)
-        assert report.ok and not report.counterexamples
+        for refusal in (BudgetError, NotApplicable):
+
+            def refuse(*args, **kwargs):
+                raise refusal("planted")
+
+            monkeypatch.setattr(suite_mod, target, refuse)
+            report = run_suite([A], SuiteConfig(checks=checks))
+            for check in checks:
+                assert dataclasses.astuple(report.tallies[check]) == (0, 0, 1)
+            assert report.ok and not report.counterexamples
+
+    @pytest.mark.parametrize(
+        "A, skipped",
+        [
+            (GSet(CyclicGroup(11), [0, 1, 5]), {"torsion"}),
+            (GSet(CyclicGroup(12), [0, 1, 5]), {"iso", "torsion"}),
+            (GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0), (0, 1, 1)]), {"cover", "lev", "diam", "iso"}),
+            (GSet(IntegerWindow(-5, 20), [0, 1, 5]), {"parseval", "moment", "cover", "lev", "diam", "iso", "torsion"}),
+        ],
+        ids=["Z/11", "Z/12", "(Z/2)^3", "window"],
+    )
+    def test_each_check_skips_exactly_the_groups_it_does_not_apply_to(self, A, skipped):
+        # the library's NotApplicable alone decides these skips; every other check runs and passes
+        report = run_suite([A])
+        assert report.ok
+        assert {name for name, t in report.tallies.items() if t.skipped} == skipped
+        assert all(dataclasses.astuple(report.tallies[name]) == (0, 0, 1) for name in skipped)
+
+    @pytest.mark.parametrize("group", [CyclicGroup(11), TorsionGroup(2, 3), IntegerWindow(0, 9)], ids=str)
+    def test_empty_set_is_bad_input_not_a_skip(self, group):
+        # NotApplicable is a ValueError, but no other ValueError counts as a skip
+        with pytest.raises(ValueError) as info:
+            run_suite([GSet(group, [])])
+        assert not isinstance(info.value, NotApplicable)
 
     @pytest.mark.parametrize("target, checks", SUITE_TARGETS)
     def test_fault_counts_as_fail(self, monkeypatch, target, checks):
@@ -463,7 +489,7 @@ class TestSuite:
         real = getattr(suite_mod, target)
 
         def fault(x, *args, **kwargs):
-            if x is A or x == 11:  # is_prime sees A's modulus
+            if x is A:
                 raise RuntimeError("planted")
             return real(x, *args, **kwargs)
 
@@ -814,6 +840,29 @@ class TestCli:
 
     def test_missing_input_is_config_error(self, capsys):
         assert main(["diam", "--input", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize("command", ["diam", "verify"])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"elements": [1, 2]}',
+            '{"group": {"type": "cyclic"}, "elements": [1, 2]}',
+            '{"group": {"type": "cyclic", "modulus": 7}, "elements": 5}',
+            '{"group": {"type": "cyclic", "modulus": 7}, "elements": "12"}',
+            '{"group": 7, "elements": [1, 2]}',
+            '[{"group": {"type": "cyclic", "modulus": 7}, "elements": [null]}]',
+            "[3]",
+        ],
+        ids=["no-group", "no-modulus", "elements-not-a-list", "elements-a-string", "group-not-an-object", "null-element", "not-an-object"],
+    )
+    def test_malformed_input_file_exits_two(self, capsys, tmp_path, command, doc):
+        # exit 1 is kept for counterexamples; a file off the instance schema is bad input
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        assert main([command, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: ")
 
     def test_bad_group_spec(self, capsys):
         assert main(["diam", "--group", "ring:9", "--elements", "0"]) == 2
