@@ -2,8 +2,11 @@
 
 The transform convention is B^(r) = sum over b in B of e(b*r/N) with
 e(x) = exp(2*pi*i*x); for torsion products the character indexed by c is
-e((c.x)/r).  Magnitudes are computed by FFT, and a magnitude is the same
-under either sign.
+e((c.x)/r).  A magnitude is the same under either sign.  Magnitudes are
+computed by FFT, except for a small set in Z/N at a prime N from 2^10 to
+DENSE_ORDER_LIMIT: there numpy's FFT is Bluestein's, three smooth FFTs of
+length at least 2N - 1, and a direct character sum over half the
+frequencies is cheaper (``_fft_magnitudes`` holds the rule).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 from . import groups
 from .covering import is_k_covering
 from .groups import Certificate, Element, GSet, _index_add, _memoized, _require
+from .primes import is_prime
 
 __all__ = [
     "SpectrumReport",
@@ -34,6 +38,11 @@ __all__ = [
 
 # keep full magnitude arrays on the report below this order
 _KEEP_MAGNITUDES = 1 << 16
+
+# Least prime order at which _fft_magnitudes sums directly: below it numpy's
+# prime-length FFT costs about what the direct sum of a set at the size cap
+# does (0.15 ms at N = 1009 on a 2-vCPU Xeon VM).
+_DIRECT_MIN_ORDER = 1 << 10
 
 # Relative slack of every float gate here: the Parseval claims of the
 # spectrum and of the moment chain, and the chain's lower bound on max |B^|.
@@ -66,14 +75,64 @@ class SpectrumReport(Certificate):
 
 
 def _magnitudes(B: GSet) -> np.ndarray:
-    """|B^(chi)| for every character chi, flat in packed index order, by FFT (read-only)."""
+    """|B^(chi)| for every character chi, flat in packed index order (read-only)."""
     return _memoized((B,), "magnitudes", lambda: _fft_magnitudes(B))
 
 
 def _fft_magnitudes(B: GSet) -> np.ndarray:
-    mags = np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
+    """The one kernel of character magnitudes: a direct sum for a small set at a prime N >= 2^10, else an FFT.
+
+    The direct sum costs about N*|B|/2 multiply-adds against the 2N-point
+    FFTs of Bluestein's algorithm; the cap |B| <= 4 * N.bit_length() keeps it
+    the cheaper side of the crossover measured in CHANGES.md.  Above
+    DENSE_ORDER_LIMIT the rule takes the FFT, whose indicator raises BudgetError.
+    """
+    g = B.group
+    if (
+        g.kind == "cyclic"
+        and _DIRECT_MIN_ORDER <= g.modulus <= groups.DENSE_ORDER_LIMIT
+        and len(B) <= 4 * g.modulus.bit_length()
+        and is_prime(g.modulus)
+    ):
+        mags = _direct_magnitudes(B.packed(), g.modulus)
+    else:
+        mags = np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel()
     mags.flags.writeable = False
     return mags
+
+
+def _direct_magnitudes(b: np.ndarray, N: int) -> np.ndarray:
+    """|B^(r)| for every r in Z/N from the residues b of B, by the defining sum over r <= N/2.
+
+    With r = q*K + k and K about sqrt(N/2), B^(r) = sum_b e(b*q*K/N) e(b*k/N),
+    so a block of rows q is one (rows x |B|) @ (|B| x K) matrix product.
+    Every phase is an exact integer mod N before the exp.  The rest is the
+    mirror, |B^(N-r)| = |B^(r)|, equal bit for bit.
+    """
+    half = N // 2
+    K = math.isqrt(half + 1)
+    right = _unit_roots(b[:, None] * np.arange(K) % N, N)
+    step = b * K % N
+    rows = max(1, groups._BLOCK // K)
+    mags = np.empty(N)
+    # the Q*K <= N entries of the head hold r = 0..half and scratch that the mirror overwrites
+    Q = -(-(half + 1) // K)
+    for q0 in range(0, Q, rows):
+        q = np.arange(q0, min(Q, q0 + rows))
+        left = _unit_roots(q[:, None] * step % N, N)
+        mags[q0 * K : (q0 + len(q)) * K] = np.abs(left @ right).ravel()
+    mags[half + 1 :] = mags[1 : N - half][::-1]
+    return mags
+
+
+def _coefficient_one(B: GSet) -> float:
+    """|B^(1)|, the magnitude of B's transform at frequency one, for B <= Z/N."""
+    return float(abs(_unit_roots(B.packed(), B.group.modulus).sum()))  # type: ignore[union-attr]
+
+
+def _unit_roots(x: np.ndarray, N: int) -> np.ndarray:
+    """e(x/N) for integer residues x mod N: the package's one complex exponential."""
+    return np.exp((2j * np.pi / N) * x)
 
 
 def spectrum(B: GSet, top: int = 8) -> SpectrumReport:
@@ -179,7 +238,7 @@ def moment_chain(B: GSet, m_max: int) -> Tuple[MomentChainReport, ...]:
     Chain: r-counts mass, Cauchy-Schwarz on the support (exact), Parseval for
     the (2m+2)-th moment (float, relative _FLOAT_SLACK), and the resulting lower bound
     max |B^(gamma)|^{2m} >= (1/R - 1/N) * |B|^{2m+1}.  The rows share one
-    fold chain and one FFT, taken before any counts are allocated.
+    fold chain and one spectrum, taken before any counts are allocated.
     """
     n = _require_finite(B)
     if m_max < 1:

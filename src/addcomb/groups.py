@@ -308,9 +308,9 @@ class GSet:
     tuple view in that order, built on first use.
 
     A set holds nothing derived from it.  While a ``_memo_scope`` is open,
-    ``_memoized`` keeps sums, negations, dilations, FFT magnitudes, window
-    counts, covering certificates and diameters in the scope's own dict,
-    keyed by the identity of their operands, so an equal set built
+    ``_memoized`` keeps sums, negations, dilations, character magnitudes,
+    window counts, covering certificates and diameters in the scope's own
+    dict, keyed by the identity of their operands, so an equal set built
     elsewhere shares nothing; the dict is dropped when the scope closes.
     """
 

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import groups
-from .fourier import _magnitudes
+from .fourier import _coefficient_one, _magnitudes
 from .groups import (
     BudgetError,
     Certificate,
@@ -237,11 +237,6 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     exceptions = size - inside
     bound = eps * size
     return LevWindow(True, coeff, threshold, start, length, exceptions, bound, exceptions < bound)
-
-
-def _coefficient_one(B: GSet) -> float:
-    """|B^(1)|, the magnitude of B's transform at frequency one, for B <= Z/N."""
-    return float(abs(np.exp((2j * np.pi / B.group.modulus) * B.packed()).sum()))  # type: ignore[union-attr]
 
 
 @dataclass(frozen=True)

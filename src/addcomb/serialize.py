@@ -44,14 +44,21 @@ def group_to_obj(group: Group) -> dict:
     return {"type": "torsion", "exponent": group.exponent, "rank": group.rank}
 
 
+def _integer(x: Any, what: str) -> int:
+    """x as an int: a JSON integer, or a float of integral value; a bool, a string or any other value raises TypeError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or (isinstance(x, float) and not x.is_integer()):
+        raise TypeError(f"{what} {x!r} is not an integer")
+    return int(x)
+
+
 def group_from_obj(obj: dict) -> Group:
     kind = obj.get("type")
     if kind == "cyclic":
-        return CyclicGroup(int(obj["modulus"]))
+        return CyclicGroup(_integer(obj["modulus"], "modulus"))
     if kind == "window":
-        return IntegerWindow(int(obj["lo"]), int(obj["hi"]))
+        return IntegerWindow(_integer(obj["lo"], "lo"), _integer(obj["hi"], "hi"))
     if kind == "torsion":
-        return TorsionGroup(int(obj["exponent"]), int(obj["rank"]))
+        return TorsionGroup(_integer(obj["exponent"], "exponent"), _integer(obj["rank"], "rank"))
     raise ValueError(f"unknown group type {kind!r}")
 
 
@@ -62,7 +69,10 @@ def gset_to_obj(A: GSet) -> dict:
 
 def gset_from_obj(obj: dict) -> GSet:
     group = group_from_obj(obj["group"])
-    elems = [tuple(int(c) for c in x) if isinstance(x, list) else int(x) for x in obj["elements"]]
+    elems = [
+        tuple(_integer(c, "coordinate") for c in x) if isinstance(x, list) else _integer(x, "element")
+        for x in obj["elements"]
+    ]
     return GSet(group, elems)
 
 

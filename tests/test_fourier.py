@@ -18,7 +18,10 @@ from addcomb import (
     TorsionGroup,
     certified_large_coefficient,
     convolution_counts,
+    diam_from_spectrum,
+    dilate,
     eta_largecoeff,
+    is_prime,
     moment_chain,
     smallest_prime_in,
     spectrum,
@@ -133,6 +136,86 @@ class TestSpectrum:
     def test_parseval_random(self, elems):
         rep = spectrum(GSet(CyclicGroup(97), elems))
         assert rep.parseval_residual <= 1e-9
+
+
+def _counting_ffts(B):
+    """(_fft_magnitudes(B), the number of np.fft.fftn calls it made)."""
+    calls = []
+    real = np.fft.fftn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.fft, "fftn", lambda a, *args, **kw: calls.append(a.shape) or real(a, *args, **kw))
+        mags = fourier_mod._fft_magnitudes(B)
+    return mags, len(calls)
+
+
+def _random_set(N, size, seed):
+    return GSet(CyclicGroup(N), np.random.default_rng(seed).choice(N, size, replace=False).tolist())
+
+
+@st.composite
+def direct_cases(draw):
+    """A set B of 1 to 24 residues in Z/N, N a prime in [1024, 5000]: the direct character sum's domain."""
+    N = draw(st.integers(1024, 5000).filter(is_prime))
+    elems = draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=24))
+    return GSet(CyclicGroup(N), elems)
+
+
+class TestDirectCharacterSum:
+    """The direct sum that replaces the FFT for a small set at a prime N >= 2^10."""
+
+    @given(direct_cases())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_defining_sum(self, B):
+        mags, ffts = _counting_ffts(B)
+        N = B.group.modulus
+        want = np.abs(direct_transform(B.elements, N, 1))
+        # each of the |B| unit terms of either sum is off by at most 2*pi*eps in
+        # phase (rounding 2*pi*p/N) plus a few eps from exp, product and sum
+        tol = 16 * len(B) * np.finfo(np.float64).eps
+        assert ffts == 0
+        assert np.abs(mags - want).max() <= tol
+
+    @pytest.mark.parametrize("N, size", [(1031, 44), (65537, 68), (84017, 57)])
+    def test_mirror_is_exact(self, N, size):
+        mags, ffts = _counting_ffts(_random_set(N, size, N))
+        assert ffts == 0 and not mags.flags.writeable
+        assert np.array_equal(mags[1:], mags[1:][::-1])
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 40_000, 41_999])
+    def test_spectral_frequency_is_the_smaller_of_a_pair(self, r):
+        # the dominant frequency of r*{0..11} - r*{0..11} is +-1/r; the direct sum returns the one <= N/2
+        N = 84_017
+        A = dilate(GSet(CyclicGroup(N), range(12)), r)
+        res = diam_from_spectrum(A, 0.1)
+        inv = pow(r, -1, N)
+        assert _counting_ffts(A - A)[1] == 0
+        assert res.hypothesis_met and res.ok
+        assert res.frequency == min(inv, N - inv) <= N // 2
+
+    @pytest.mark.parametrize(
+        "B",
+        [
+            _random_set(1021, 8, 0),
+            _random_set(4096, 8, 0),
+            _random_set(65535, 8, 0),
+            _random_set(65537, 69, 0),
+            GSet(TorsionGroup(2, 10), [(1,) * 10, (0,) * 10]),
+        ],
+        ids=["prime-below-2^10", "power-of-two", "composite", "above-the-size-cap", "torsion"],
+    )
+    def test_every_other_case_keeps_the_fft(self, B):
+        mags, ffts = _counting_ffts(B)
+        assert ffts == 1
+        assert np.array_equal(mags, np.abs(np.fft.fftn(B.indicator().astype(np.float64))).ravel())
+
+    def test_refusal_past_the_dense_limit_is_unchanged(self, monkeypatch):
+        with pytest.raises(BudgetError, match="too large for an indicator"):
+            spectrum(GSet(CyclicGroup(16_777_259), [0, 1, 5]))
+        # the rule reads the limit at call time: a prime just past a lowered limit is refused, one below is summed
+        monkeypatch.setattr(groups_mod, "DENSE_ORDER_LIMIT", 65_536)
+        with pytest.raises(BudgetError, match="too large for an indicator"):
+            spectrum(GSet(CyclicGroup(65_537), [0, 1, 5]))
+        assert _counting_ffts(GSet(CyclicGroup(65_521), [0, 1, 5]))[1] == 0
 
 
 class TestConvolutionCounts:

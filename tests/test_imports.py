@@ -24,6 +24,11 @@ One place decides where an operation applies: ``NotApplicable`` is
 constructed in ``groups._require`` alone, and ``suite.py`` reads no group
 kind and names no ``is_prime``, so its checks skip only what the library
 refuses.
+
+One place computes character magnitudes: ``np.fft`` is read in
+``fourier._fft_magnitudes`` alone, and a complex exponential (an ``exp``
+call with an imaginary literal in its argument), the term of a direct
+character sum, is taken in ``fourier._unit_roots`` alone.
 """
 
 import ast
@@ -462,3 +467,38 @@ def test_the_suite_leaves_applicability_to_the_library():
 def test_only_require_refuses_an_ambient_group():
     found = [(mod, owner) for mod, src in _library().items() for owner in _owners(src, _constructs_not_applicable)]
     assert found == [("groups", "_require")] * 2
+
+
+# ------------------------------------------------------------------ character sums
+
+def _reads_fft(node) -> bool:
+    """np.fft, or fft read from any other module name; np.fft.fftn holds one such read."""
+    return isinstance(node, ast.Attribute) and node.attr == "fft" and isinstance(node.value, ast.Name)
+
+
+def _complex_exp(node) -> bool:
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp"):
+        return False
+    return any(isinstance(c, ast.Constant) and isinstance(c.value, complex) for arg in node.args for c in ast.walk(arg))
+
+
+def character_kernels(sources: dict) -> list:
+    """(module, owner) of each np.fft read and each complex exponential in sources, in source order; owner as _owners gives it."""
+    return [
+        (mod, owner)
+        for mod, src in sources.items()
+        for owner in _owners(src, lambda node: _reads_fft(node) or _complex_exp(node))
+    ]
+
+
+def test_detects_a_character_sum():
+    src = (
+        "import cmath\nimport numpy as np\n\ndef f(x):\n    return np.fft.fft(x)\n\n"
+        "def g(x, n):\n    return np.exp((2j * np.pi / n) * x).sum() + np.exp(x)\n\n"
+        "h = lambda t: cmath.exp(1j * t)\n"
+    )
+    assert character_kernels({"a": src}) == [("a", "f"), ("a", "g"), ("a", None)]
+
+
+def test_one_place_computes_character_magnitudes():
+    assert character_kernels(_library()) == [("fourier", "_fft_magnitudes"), ("fourier", "_unit_roots")]

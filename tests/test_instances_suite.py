@@ -864,5 +864,32 @@ class TestCli:
         assert out == ""
         assert err.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize(
+        "group, elements",
+        [
+            ('{"type": "cyclic", "modulus": 7.9}', "[1]"),
+            ('{"type": "cyclic", "modulus": 7}', "[1.5]"),
+            ('{"type": "cyclic", "modulus": 7}', '["3"]'),
+            ('{"type": "cyclic", "modulus": 7}', "[true]"),
+            ('{"type": "torsion", "exponent": 3, "rank": "2"}', "[[0, 1]]"),
+            ('{"type": "torsion", "exponent": 3, "rank": 2}', "[[0, false]]"),
+        ],
+        ids=["float-modulus", "float-element", "string-element", "bool-element", "string-rank", "bool-coordinate"],
+    )
+    def test_values_that_are_no_integers_exit_two(self, capsys, tmp_path, group, elements):
+        # int() would read 7.9 as 7, "3" as 3 and true as 1; the file is refused instead
+        path = tmp_path / "coerced.json"
+        path.write_text(f'{{"group": {group}, "elements": {elements}}}')
+        assert main(["sumset", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}: instance 0: ") and "is not an integer" in err
+
+    def test_integral_floats_load_as_integers(self, capsys, tmp_path):
+        path = tmp_path / "floats.json"
+        path.write_text('{"group": {"type": "cyclic", "modulus": 7.0}, "elements": [1, 3.0]}')
+        assert main(["sumset", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == "|A+B| = 3: {2, 4, 6}\n"
+
     def test_bad_group_spec(self, capsys):
         assert main(["diam", "--group", "ring:9", "--elements", "0"]) == 2
