@@ -25,7 +25,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Optional, Tuple, Union
 
-from .fourier import spectrum
+from .fourier import _dominant, _magnitudes
 from .groups import Certificate, GSet, _memo_scope, _require, difference_ratio, difference_set, doubling_ratio
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
@@ -67,9 +67,21 @@ class BoundReport:
     diam_bound_fraction: float     # 12 alpha^(1/4K^2) sqrt(log(1/alpha))
 
 
-def _require_doubling(K: float) -> None:
+def _require_doubling(K: float, k: Optional[int]) -> None:
+    """Refuse a K off [1, inf), or one whose threshold log of k is past the float range.
+
+    A finite threshold log 12 K^2 log(16kK) keeps every link of the chain
+    finite: tau = K^2 alpha is below it, and log(1/tau) below log(1/alpha).
+    """
     if not math.isfinite(K) or K < 1:
         raise ValueError(f"doubling parameter K must be finite and >= 1, got {K}")
+    try:
+        finite = math.isfinite(_log_threshold(K, k))
+    except OverflowError:  # an integer k too large for a float
+        finite = False
+    if not finite:
+        log = "12 K^2 log(16K)" if k is None else f"12 K^2 log(16kK) at k = {k}"
+        raise ValueError(f"doubling parameter K = {K} puts the threshold log {log} past the float range")
 
 
 def _log_inv(x: Union[float, Rational]) -> float:
@@ -95,9 +107,9 @@ def _tau_step(log_inv_tau: float, K: float) -> Tuple[bool, Optional[float]]:
 
 def _chain(log_inv_alpha: Optional[float], K: float, k: Optional[int]) -> BoundReport:
     """The chain at log(1/alpha); None puts alpha on the threshold of k (of thm1 when k is None)."""
-    _require_doubling(K)
     if k is not None and k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
+    _require_doubling(K, k)
     log_t1 = _log_threshold(K, None)
     log_t2 = _log_threshold(K, k) if k is not None else None
     if log_inv_alpha is None:
@@ -206,7 +218,7 @@ def _pipeline(A: GSet, delta: Optional[float]) -> PipelineReport:
     gate_alpha = bounds.alpha_below_thm1 if bounds is not None else False
     gate_tau, eta = _tau_step(_log_inv(tau), K)
     eta = eta if gate_tau else None
-    holds = spectrum(D).max_magnitude >= (1 - eta) * len(D) if gate_tau else None
+    holds = _dominant(_magnitudes(D))[1] >= (1 - eta) * len(D) if gate_tau else None
     if delta is None:
         delta = bounds.delta if bounds is not None and bounds.delta is not None else None
         if delta is None or not 0 < delta < 1 / 3:

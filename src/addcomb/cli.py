@@ -2,10 +2,13 @@
 
 Exit codes: 0 = success / all checks passed, 1 = a lemma check found a
 counterexample (an implementation bug by definition), 2 = bad configuration
-or a budget violation.  spectrum, cover, rectify, torsion-cover and bounds
-on a set exit 1 when their certificate's ok is False, that is when a claim
-fails (for spectrum, Parseval's identity), and every command exits 1 on a
-library fault, such as a cover --check-m shortfall with B = A.
+or input: a budget violation, an ambient group the command does not apply
+to, a malformed --input file, or a bounds --doubling K (with --order k)
+whose constant chain leaves the float range.  spectrum, cover, rectify,
+torsion-cover and bounds on a set exit 1 when their certificate's ok is
+False, that is when a claim fails (for spectrum, Parseval's identity), and
+every command exits 1 on a library fault, such as a cover --check-m
+shortfall with B = A.
 """
 
 from __future__ import annotations

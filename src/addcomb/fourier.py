@@ -79,6 +79,15 @@ def _magnitudes(B: GSet) -> np.ndarray:
     return _memoized((B,), "magnitudes", lambda: _fft_magnitudes(B))
 
 
+def _dominant(mags: np.ndarray) -> Tuple[int, float]:
+    """(flat index, magnitude) of the first largest nonprincipal entry of mags = _magnitudes(B).
+
+    The trivial group has only the principal character: (0, mags[0] = |B|).
+    """
+    i = 1 + int(np.argmax(mags[1:])) if len(mags) > 1 else 0
+    return i, float(mags[i])
+
+
 def _fft_magnitudes(B: GSet) -> np.ndarray:
     """The one kernel of character magnitudes: a direct sum for a small set at a prime N >= 2^10, else an FFT.
 
@@ -144,11 +153,7 @@ def spectrum(B: GSet, top: int = 8) -> SpectrumReport:
     size = len(B)
     power = float(np.sum(mags * mags))
     residual = abs(power - n * size) / (n * size)
-    if n > 1:
-        idx = 1 + int(np.argmax(mags[1:]))
-        max_mag = float(mags[idx])
-    else:
-        idx, max_mag = 0, float(size)
+    idx, max_mag = _dominant(mags)
     order_desc = np.argsort(-mags[1:], kind="stable")[:top] + 1 if n > 1 else []
     top_list = tuple((B.group.element_at(int(i)), float(mags[i])) for i in order_desc)
     return SpectrumReport(
@@ -245,7 +250,7 @@ def moment_chain(B: GSet, m_max: int) -> Tuple[MomentChainReport, ...]:
         raise ValueError(f"need m >= 1, got {m_max}")
     mags = _magnitudes(B)
     size = len(B)
-    max_mag = float(mags[1:].max()) if n > 1 else float(size)
+    max_mag = _dominant(mags)[1]
     rows = []
     for m, counts in enumerate(_count_chain(B, m_max), 1):
         R = int(np.count_nonzero(counts))

@@ -528,18 +528,23 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     return x[keep]
 
 
-def _widen(idx: np.ndarray, N: int, lam: int) -> np.ndarray:
-    """idx, as object dtype when a product x*f with x < N and |f| <= lam could leave int64."""
-    return idx.astype(object) if (N - 1) * lam >= 1 << 63 else idx
+def _mul_mod(x: np.ndarray, u, N: int) -> np.ndarray:
+    """x*u mod N as int64, for int64 residues x and an integer u or an int64 array u of residues broadcasting against x.
+
+    The one place an index product is taken in object dtype: where (N - 1)*|u| could leave int64, |u| < N for an array.
+    """
+    bound = N - 1 if isinstance(u, np.ndarray) else abs(int(u))
+    if (N - 1) * bound < 1 << 63:
+        return x * u % N
+    return (x.astype(object) * u % N).astype(np.int64)
 
 
 def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
     """Sorted distinct indices of lam*x over the index array idx.
 
-    Z/N multiplies by lam reduced to |lam| <= N/2, in object dtype where int64
-    could overflow; (Z/r)^n scales each base-r digit; a window multiplies
-    plainly, so its caller bounds every product first.  A unit lam is
-    injective, so only a non-unit drops duplicates.
+    Z/N multiplies by lam reduced to |lam| <= N/2, by _mul_mod; (Z/r)^n scales each
+    base-r digit; a window multiplies plainly, so its caller bounds every
+    product first.  A unit lam is injective, so only a non-unit drops duplicates.
     """
     if g.kind == "cyclic":
         N = g.modulus
@@ -547,7 +552,7 @@ def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
         unit = math.gcd(lam, N) == 1
         if 2 * lam > N:
             lam -= N
-        out = (_widen(idx, N, abs(lam)) * lam % N).astype(np.int64, copy=False)
+        out = _mul_mod(idx, lam, N)
     elif g.kind == "torsion":
         r = g.exponent
         unit = math.gcd(lam, r) == 1

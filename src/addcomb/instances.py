@@ -16,8 +16,8 @@ from .groups import (
     Group,
     IntegerWindow,
     TorsionGroup,
+    _mul_mod,
     _require,
-    _widen,
 )
 from .torsion import subgroup_generated
 
@@ -99,15 +99,14 @@ def _canonical_rows(rows: np.ndarray, N: int) -> np.ndarray:
     (a lex-least image holds 0) are sorted, and a running minimum per row
     keeps the least of them; it starts at the row shifted to 0, which is
     the answer in Z/1, whose only unit is 0.  Candidates are compared one
-    column at a time, so no value beyond N is formed, and a product u*x
-    that could leave int64 is taken in object dtype.
+    column at a time, so no value beyond N is formed; _mul_mod takes u*x.
     """
     best = rows - rows[:, :1]
     pick = np.arange(len(rows))
     for u in range(1, N):
         if math.gcd(u, N) != 1:
             continue
-        v = (_widen(rows, N, u) * u % N).astype(np.int64, copy=False)
+        v = _mul_mod(rows, u, N)
         cand = np.sort((v[:, None, :] - v[:, :, None]) % N, axis=2)
         cand = np.concatenate((best[:, None, :], cand), axis=1)
         alive = np.ones(cand.shape[:2], dtype=bool)

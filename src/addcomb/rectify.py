@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from . import groups
-from .fourier import _coefficient_one, _magnitudes
+from .fourier import _coefficient_one, _dominant, _magnitudes
 from .groups import (
     BudgetError,
     Certificate,
@@ -30,8 +30,8 @@ from .groups import (
     IntegerWindow,
     _index_add,
     _memoized,
+    _mul_mod,
     _require,
-    _widen,
     difference_set,
     dilate,
 )
@@ -103,7 +103,7 @@ def _diameter(A: GSet) -> DiameterWitness:
         raise ValueError("diameter of the empty set is undefined")
     if len(A) == 1:
         return DiameterWitness(0, 1 % N, int(A.packed()[0]), GSet._from_indices(g, np.zeros(1, dtype=np.int64)), 1)
-    arr = _widen(A.packed(), N, N // 2)
+    arr = A.packed()
     cap = max(1, groups._BLOCK // len(A))  # multipliers per block: at most _BLOCK products
     half, floor = N // 2, len(A) - 1  # no set does better than a full progression
     step = min(64, cap)  # blocks double from 64 multipliers, so N <= 129 is one block
@@ -119,13 +119,13 @@ def _diameter(A: GSet) -> DiameterWitness:
         if not prime:
             t = t[np.gcd(t, N) == 1]  # u = +-t*inv is a unit exactly when t is
         if inv is None:
-            u = t.astype(arr.dtype, copy=False)
+            u = t
         else:
-            u = _widen(t, N, inv) * inv % N
-            u = np.minimum(u, N - u).astype(arr.dtype, copy=False)
+            u = _mul_mod(t, inv, N)
+            u = np.minimum(u, N - u)
         if u.size:
             searched += u.size
-            lengths, starts = _shortest_arcs(u[:, None] * arr % N, N)
+            lengths, starts = _shortest_arcs(_mul_mod(arr, u[:, None], N), N)
             i = int(np.argmin(lengths))  # the least unit of the least length when u increases
             if inv is not None:
                 ties = np.flatnonzero(lengths == lengths[i])
@@ -158,7 +158,7 @@ def _unit_difference_inverse(idx: np.ndarray, N: int) -> Optional[int]:
 def _affine_row(A: GSet, u: int, s: int) -> np.ndarray:
     """(u*x - s) mod N for every x in A <= Z/N, in A's order, for 0 <= u, s < N."""
     N = A.group.modulus  # type: ignore[union-attr]
-    return ((_widen(A.packed(), N, u) * u - s) % N).astype(np.int64)
+    return (_mul_mod(A.packed(), u, N) - s) % N
 
 
 def _shortest_arcs(rows: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -314,14 +314,8 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
     D = difference_set(A, A)
     m = len(D)
     threshold = m - 4 * delta * delta * n
-    mags = _magnitudes(D)
-    best_r: Optional[int] = None
-    best_mag = -1.0
-    nz = mags[1:]
-    if nz.size and float(nz.max()) >= threshold:
-        best_r = 1 + int(np.argmax(nz))
-        best_mag = float(nz[best_r - 1])
-    if best_r is None:
+    best_r, best_mag = _dominant(_magnitudes(D))
+    if not best_r or best_mag < threshold:  # r = 0 is Z/1's one character, the principal one
         return SpectralDiameterResult(False, threshold, diameter_bound=delta * N)
     A1 = dilate(A, best_r)
     D1 = dilate(D, best_r)

@@ -1,10 +1,10 @@
 """Named lemma checks over an instance stream, with deterministic aggregation.
 
-Every check reports pass, fail, or skip per instance.  A check passes only
-what it verified; a fail carries a counterexample payload, and since the
-lemmas are theorems any fail is an implementation bug.  No check tests the
-instance's group: the library refuses a group it does not apply to with
-NotApplicable, raised by `groups._require` alone.  A check judges
+Every check reports pass, fail, or skip per instance.  A fail carries a
+counterexample payload, and since the lemmas are theorems any fail is an
+implementation bug.  No check tests the instance's group: the library
+refuses a group it does not apply to with NotApplicable, raised by
+`groups._require` alone.  A check judges
 certificates by their `ok` alone (`_verdict`): fail at the first whose ok
 is False, else skip if one is undecided (ok None), else pass; unmet
 hypotheses pass vacuously.  The loop of `run_suite` alone maps an outcome to

@@ -1,6 +1,7 @@
 """The explicit constant chains and the end-to-end density pipeline."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,37 @@ class TestBoundCalculator:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "doubling parameter K" in captured.err
+
+    @pytest.mark.parametrize("K, k", [(2e154, None), (1e160, None), (2.06e152, None), (2.04e152, 10**6), (2.0, 10**400)])
+    def test_doubling_past_the_float_range_rejected(self, K, k):
+        # 12 K^2 log(16K) overflows a float between K = 2.05e152 and 2.06e152, 12 K^2 log(16kK) at k = 10^6 below
+        # that, and 16kK at any K once k is an integer past the float range
+        message = f"doubling parameter K = {re.escape(repr(K))} .* past the float range"
+        with pytest.raises(ValueError, match=message):
+            bound_calculator(0.5, K, k)
+        with pytest.raises(ValueError, match=message):
+            threshold_chain(K, k)
+
+    def test_largest_doubling_keeps_the_chain_finite(self):
+        for rep in (bound_calculator(0.5, 2.05e152), threshold_chain(2.05e152), threshold_chain(2.04e152, 3)):
+            values = [v for v in vars(rep).values() if isinstance(v, float)]
+            assert all(math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            ["--doubling", "2e154", "--alpha", "0.5"],
+            ["--doubling", "1e154", "--alpha", "0.5"],
+            ["--doubling", "1e160", "--at-threshold"],
+            ["--doubling", "2", "--at-threshold", "--order", str(10**400)],
+        ],
+        ids=["overflow", "infinite-log", "at-threshold", "huge-order"],
+    )
+    def test_doubling_past_the_float_range_exits_two(self, capsys, form):
+        assert main(["bounds", *form, "--format", "structured"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: doubling parameter K = ") and "past the float range" in captured.err
 
     @pytest.mark.parametrize("alpha", ["1/0", "0/0"])
     def test_zero_denominator_alpha_exits_two(self, capsys, alpha):

@@ -160,6 +160,30 @@ def direct_cases(draw):
     return GSet(CyclicGroup(N), elems)
 
 
+class TestDominant:
+    """fourier._dominant: the one reading of the largest nonprincipal character."""
+
+    def test_a_planted_tie_keeps_the_first_index(self):
+        assert fourier_mod._dominant(np.array([6.0, 1.0, 4.0, 2.0, 4.0, 4.0])) == (2, 4.0)
+
+    def test_a_mirror_tie_keeps_the_lower_frequency(self):
+        # the direct sum at the prime 1031 mirrors |B^(r)| to |B^(N - r)| bit for bit, so r and N - r tie
+        B = GSet(CyclicGroup(1031), range(0, 40, 3))
+        mags = fourier_mod._magnitudes(B)
+        i, mag = fourier_mod._dominant(mags)
+        assert mags[1031 - i] == mag and i < 1031 - i
+        rep = spectrum(B)
+        assert (rep.max_index, rep.max_magnitude) == (i, mag)
+
+    def test_trivial_group(self):
+        B = GSet(CyclicGroup(1), [0])
+        assert fourier_mod._dominant(fourier_mod._magnitudes(B)) == (0, 1.0)
+        rep = spectrum(B)
+        assert (rep.max_index, rep.max_magnitude) == (0, 1.0)
+        assert moment_chain(B, 1)[0].max_magnitude == 1.0
+        assert not diam_from_spectrum(B, 0.2).hypothesis_met  # the principal character is no frequency
+
+
 class TestDirectCharacterSum:
     """The direct sum that replaces the FFT for a small set at a prime N >= 2^10."""
 

@@ -842,6 +842,46 @@ class TestModulusCap:
             assert "error:" in capsys.readouterr().err
 
 
+# the least N at which an array factor u, |u| < N, takes _mul_mod's object path: (N - 1)^2 >= 2^63
+_ARRAY_EDGE = math.isqrt((1 << 63) - 1) + 2
+
+
+@st.composite
+def mul_mod_cases(draw):
+    """(x, u, N): int64 residues x of Z/N and a factor u, an integer of either sign or an int64 column of them.
+
+    N runs over 1..2^62, the prime 2^62 - 57, the moduli on both sides of the
+    array edge, 4,000,000,007, where (N - 1) * N/2 fits int64 but (N - 1)^2
+    does not, and 2^32 + 15; a scalar u also lands on both sides of
+    2^63 / (N - 1).  x and an array u hold N - 1, so the widest product is formed.
+    """
+    N = draw(st.one_of(
+        st.integers(1, 1 << 62),
+        st.sampled_from([(1 << 62) - 57, 1 << 62, _ARRAY_EDGE - 1, _ARRAY_EDGE, 4_000_000_007, (1 << 32) + 15]),
+    ))
+    x = np.array(draw(st.lists(st.integers(0, N - 1), max_size=5)) + [N - 1], dtype=np.int64)
+    factors = st.integers(-(N - 1), N - 1)
+    if draw(st.booleans()):
+        edge = ((1 << 63) - 1) // max(1, N - 1)  # (N - 1) * u fits int64 up to u = edge
+        near = [e for e in (edge, edge + 1) if e < N]
+        u = draw(st.one_of(factors, st.sampled_from(near))) if near else draw(factors)
+        return x, u * draw(st.sampled_from([1, -1])), N
+    return x, np.array(draw(st.lists(factors, max_size=3)) + [N - 1], dtype=np.int64)[:, None], N
+
+
+class TestMulMod:
+    @given(mul_mod_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_python(self, case):
+        x, u, N = case
+        out = groups_mod._mul_mod(x, u, N)
+        assert out.dtype == np.int64
+        if isinstance(u, np.ndarray):
+            assert out.tolist() == [[a * int(f) % N for a in x.tolist()] for f in u[:, 0].tolist()]
+        else:
+            assert out.tolist() == [a * u % N for a in x.tolist()]
+
+
 # Plain-Python definitions of the index operations: one element at a time,
 # with window bounds as the group arithmetic states them.
 BIG = (1 << 62) - 57

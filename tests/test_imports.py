@@ -29,6 +29,12 @@ One place computes character magnitudes: ``np.fft`` is read in
 ``fourier._fft_magnitudes`` alone, and a complex exponential (an ``exp``
 call with an imaginary literal in its argument), the term of a direct
 character sum, is taken in ``fourier._unit_roots`` alone.
+
+Object dtype only in named places: the name ``object`` is read as a dtype in
+``groups._mul_mod``, the one place an index product is taken past int64, in
+``rectify.freiman_iso_check`` for k-term sums past int64, and in
+``fourier._count_chain`` and ``fourier.moment_chain`` for exact counts.  The
+root of an attribute (``object.__new__``) and an annotation are no such read.
 """
 
 import ast
@@ -379,8 +385,8 @@ def test_the_float_slack_is_the_only_tiny_literal():
 
 # ------------------------------------------------------------------ budget refusals
 
-def _owners(source: str, hit) -> list:
-    """The innermost def around each node of source that hit(node) accepts, None at module level."""
+def _owners(tree: ast.Module, hit) -> list:
+    """The innermost def around each node of tree that hit(node) accepts, None at module level."""
     found = []
 
     def visit(node, owner):
@@ -392,7 +398,7 @@ def _owners(source: str, hit) -> list:
                 found.append(owner)
             visit(child, owner)
 
-    visit(ast.parse(source), None)
+    visit(tree, None)
     return found
 
 
@@ -405,7 +411,7 @@ def _raises_budget_error(node) -> bool:
 
 def budget_raisers(source: str) -> list:
     """Names of the functions of source holding `raise BudgetError`; a raise belongs to its innermost def."""
-    return sorted({owner for owner in _owners(source, _raises_budget_error) if owner is not None})
+    return sorted({owner for owner in _owners(ast.parse(source), _raises_budget_error) if owner is not None})
 
 
 def budgets_section(readme: str) -> str:
@@ -457,7 +463,7 @@ def test_detects_a_group_test():
 
 def test_detects_a_not_applicable_construction():
     src = "def f():\n    raise NotApplicable('x')\n\ndef g():\n    return groups.NotApplicable\n\nE = NotApplicable()\n"
-    assert _owners(src, _constructs_not_applicable) == ["f", None]
+    assert _owners(ast.parse(src), _constructs_not_applicable) == ["f", None]
 
 
 def test_the_suite_leaves_applicability_to_the_library():
@@ -465,7 +471,7 @@ def test_the_suite_leaves_applicability_to_the_library():
 
 
 def test_only_require_refuses_an_ambient_group():
-    found = [(mod, owner) for mod, src in _library().items() for owner in _owners(src, _constructs_not_applicable)]
+    found = [(mod, owner) for mod, src in _library().items() for owner in _owners(ast.parse(src), _constructs_not_applicable)]
     assert found == [("groups", "_require")] * 2
 
 
@@ -487,7 +493,7 @@ def character_kernels(sources: dict) -> list:
     return [
         (mod, owner)
         for mod, src in sources.items()
-        for owner in _owners(src, lambda node: _reads_fft(node) or _complex_exp(node))
+        for owner in _owners(ast.parse(src), lambda node: _reads_fft(node) or _complex_exp(node))
     ]
 
 
@@ -502,3 +508,44 @@ def test_detects_a_character_sum():
 
 def test_one_place_computes_character_magnitudes():
     assert character_kernels(_library()) == [("fourier", "_fft_magnitudes"), ("fourier", "_unit_roots")]
+
+
+# ------------------------------------------------------------------ object dtype
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def object_dtype_reads(source: str) -> list:
+    """The owner, as _owners gives it, of each read of the name object in source that is no attribute root or annotation."""
+    tree = ast.parse(source)
+    skip = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    skip |= {id(node) for ann in _annotations(tree) for node in ast.walk(ann)}
+    return _owners(tree, lambda node: isinstance(node, ast.Name) and node.id == "object" and id(node) not in skip)
+
+
+def test_detects_an_object_dtype_read():
+    src = (
+        "import numpy as np\n\n"
+        "class C:\n    def __new__(cls):\n        return object.__new__(cls)\n\n"
+        "    def __eq__(self, other: object) -> object:\n        return np.array([other], dtype=object)\n\n"
+        "def f(x):\n    y: object = x\n    return y.astype(object)\n\n"
+        "D = object\n"
+    )
+    assert object_dtype_reads(src) == ["__eq__", "f", None]
+
+
+def test_object_dtype_only_in_named_places():
+    found = [(mod, owner) for mod, src in _library().items() for owner in object_dtype_reads(src)]
+    assert found == [
+        ("fourier", "_count_chain"),
+        ("fourier", "moment_chain"),
+        ("groups", "_mul_mod"),
+        ("rectify", "freiman_iso_check"),
+    ]

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -227,6 +228,36 @@ class TestDiameterScan:
         w = diameter(GSet(CyclicGroup(N), [(step * j) % N for j in range(size)]))
         assert (w.length, w.step, w.start, w.units_searched) == (size - 1, step, 0, {4: 64, 70: 192}[size])
         assert w.normalized.elements == tuple(range(size))
+
+
+def _row_dtypes(monkeypatch):
+    """The dtype of every row array the dilation kernel _shortest_arcs receives, in a list."""
+    dtypes = []
+    real = rectify_mod._shortest_arcs
+    monkeypatch.setattr(rectify_mod, "_shortest_arcs", lambda r, N: dtypes.append(r.dtype) or real(r, N))
+    return dtypes
+
+
+class TestDiameterDtype:
+    """Past int64 products the scan's rows are still int64: groups._mul_mod alone widens, and converts back."""
+
+    N = (1 << 62) - 57
+
+    def test_golden_large_modulus_rows_are_int64(self, monkeypatch):
+        # the input of the diam-large-modulus golden case: 3^-1 * {0, 1, 2, 3} + 11
+        inv3 = pow(3, -1, self.N)
+        dtypes = _row_dtypes(monkeypatch)
+        w = diameter(GSet(CyclicGroup(self.N), [(inv3 * x + 11) % self.N for x in range(4)]))
+        assert (w.length, w.step, w.start) == (3, inv3, 11)
+        assert dtypes and set(dtypes) == {np.dtype(np.int64)}
+
+    def test_over_budget_set_is_refused_with_int64_rows(self, monkeypatch):
+        # no multiplier up to the budget brings this set near a progression, so all 2^20 are visited
+        dtypes = _row_dtypes(monkeypatch)
+        message = f"diameter scan visited {1 << 20} multipliers up to its budget, t <= {1 << 20} (modulus {self.N})"
+        with pytest.raises(BudgetError, match=f"^{re.escape(message)}$"):
+            diameter(GSet(CyclicGroup(self.N), [0, 1, 123456789012345]))
+        assert dtypes and set(dtypes) == {np.dtype(np.int64)}
 
 
 # 12 points of the 16-term progression 5 + 12345*j in Z/84401; its diameter is 15
