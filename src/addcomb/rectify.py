@@ -32,6 +32,7 @@ from .groups import (
     _memoized,
     _mul_mod,
     _require,
+    _sorted_distinct,
     difference_set,
     dilate,
 )
@@ -343,9 +344,14 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
 class IsoCheckResult:
     ok: bool
     order: int
+    # the k-multisets the verdict covers (all C on success, up to the clash on a failure), not the work done
     tuples_compared: int
     # two k-multisets witnessing the failure, with their sums on both sides
     counterexample: Optional[Tuple[Tuple[Element, ...], Tuple[Element, ...]]] = None
+
+
+# freiman_iso_check sums every k-multiset up to this many of them, and past it the k-fold sums of the map's graph
+_GRAPH_ABOVE = 200
 
 
 def freiman_iso_check(
@@ -353,15 +359,20 @@ def freiman_iso_check(
 ) -> IsoCheckResult:
     """Whether mapping preserves equality of k-term sums in both directions.
 
-    Every k-multiset of A is summed in A's group and, through mapping, in
-    B's.  The partitions of the multisets by domain sum and by image sum
-    coincide exactly when the distinct domain sums, the distinct image sums
-    and the distinct (domain, image) pairs are equally many.  A
-    counterexample is the first clash in combinations_with_replacement
-    order: the first multiset whose domain sum an earlier one had with
-    another image sum (tuples_compared is its position), else the first two
-    domain classes, in order of first appearance, that share an image sum
-    (tuples_compared counts every multiset).
+    Sum each of the C = comb(|A| + k - 1, k) k-multisets of A in A's group
+    and, through mapping, in B's.  The partitions of the multisets by
+    domain sum and by image sum coincide exactly when the distinct domain
+    sums, the distinct image sums and the distinct (domain, image) pairs
+    are equally many: |kA| = |k mapping(A)| = |k Gamma|, Gamma the graph of
+    the map in the product group.  Up to _GRAPH_ABOVE multisets the three
+    are counted over _multiset_table, every multiset summed.  Past it they
+    are counted by _graph_sums_agree, about |A| * sum_j |j Gamma| sums, and
+    the table is built only for a map that fails.  A counterexample is the
+    first clash in multiset order: the first multiset whose domain sum an
+    earlier one had with another image sum (tuples_compared is its
+    position), else the first two domain classes, in order of first
+    appearance, that share an image sum (tuples_compared is C, as on
+    success).  Injectivity is tested on the images reduced into B's group.
     """
     if k < 2:
         raise ValueError(f"isomorphism order must be >= 2, got {k}")
@@ -369,35 +380,77 @@ def freiman_iso_check(
         if a not in mapping:
             raise ValueError(f"mapping is not defined on {a!r}")
     image = [mapping[a] for a in A.elements]
-    if len(set(image)) != len(image):
-        raise ValueError("mapping is not injective on A")
     ga, gb = A.group, B.group
     if gb.kind == "cyclic":
         image = [y % gb.modulus for y in image]
     elif gb.kind == "torsion":
         image = [gb.index(gb.normalize(y)) for y in image]
+    if len(set(image)) != len(image):
+        raise ValueError("mapping is not injective on A")
+    n = len(A)
+    C = math.comb(n + k - 1, k)
     values = A.packed().tolist() + image
+    bound = k * int(max(map(abs, values), default=0))  # the table's sums lie below it
+    graph = C > _GRAPH_ABOVE
+    if graph:
+        # a window side is shifted to start at 0, and each side's j-fold sums, j <= k, lie below its r
+        sides = ((ga, values[:n]), (gb, image))
+        shifts = [min(v) if g.kind == "window" else 0 for g, v in sides]
+        r, r_image = [g.order or k * (max(v) - lo) + 1 for (g, v), lo in zip(sides, shifts)]
+        bound = max(bound, r * r_image)  # the graph's keys lie below it
     addends = np.array(values)
-    if addends.dtype.kind != "i" or k * int(max(map(abs, values), default=0)) >= 1 << 63:
+    if addends.dtype.kind != "i" or bound >= 1 << 63:
         addends = np.array(values, dtype=object)  # exact past int64, and for values that are not ints
+    if graph and _graph_sums_agree(ga, addends[:n] - shifts[0], gb, addends[n:] - shifts[1], r, k):
+        return IsoCheckResult(True, k, C)
     # addends of every multiset, domain side then image side; sums in the same order
-    addends = addends[_multiset_table(len(A), k)]
-    sums, C = np.add.reduce(addends), addends.shape[1] // 2
+    table = _multiset_table(n, k)
+    addends = addends[table]
+    sums = np.add.reduce(addends)
     dom = _group_sums(ga, sums[:C], addends[:, :C])
     img = _group_sums(gb, sums[C:], addends[:, C:])
-    d, i = dom.tolist(), img.tolist()
-    if len(set(d)) == len(set(i)) == len(set(zip(d, i))):
-        return IsoCheckResult(True, k, len(d))
-    return _first_clash(A, k, dom, img)
+    if not graph:
+        d, i = dom.tolist(), img.tolist()
+        if len(set(d)) == len(set(i)) == len(set(zip(d, i))):
+            return IsoCheckResult(True, k, C)
+    return _first_clash(A, table, dom, img)
+
+
+def _graph_sums_agree(ga: Group, x: np.ndarray, gb: Group, y: np.ndarray, r: int, k: int) -> bool:
+    """Whether |kA| = |k phi(A)| = |k Gamma| for the graph Gamma = {(x_i, y_i)} of a map phi on A.
+
+    x and y are the indices of A and of phi(A), in one dtype; a window's are
+    shifted to start at 0, so the domain side of every pair of j Gamma,
+    j <= k, lies in [0, r) and the pair is the one key x + r*y.  k Gamma is
+    built in k - 1 steps S <- distinct(S + Gamma): each side adds by
+    _index_add (a torsion side in int64, as in _group_sums), and the keys
+    are deduplicated by _sorted_distinct.  The work is about |A| times the
+    sum of |j Gamma| over j < k, against k*C for the table.
+    """
+
+    def add(g, s, t):  # indices of s_i + t_j, as rows i, in t's dtype
+        if g.kind == "torsion":
+            return _index_add(g, s[:, None].astype(np.int64), t.astype(np.int64)).astype(t.dtype, copy=False)
+        return _index_add(g, s[:, None], t)
+
+    sx, sy = x, y
+    for _ in range(k - 1):
+        keys = _sorted_distinct(add(ga, sx, x) + r * add(gb, sy, y))
+        sy = keys // r
+        sx = keys - r * sy
+    return len(_sorted_distinct(sx)) == len(_sorted_distinct(sy)) == len(keys)
 
 
 @functools.lru_cache(maxsize=64)
 def _multiset_table(s: int, k: int) -> np.ndarray:
     """The k-multisets of range(s) as the columns of a read-only (k, 2C) array.
 
-    Columns run in combinations_with_replacement order, C = comb(s + k - 1, k),
-    and the second C repeat them shifted by s: they index the domain values
-    and then the image values, laid end to end.  A table takes 16*k*C bytes.
+    The one enumeration of multisets in the package.  Columns run in
+    combinations_with_replacement order, C = comb(s + k - 1, k), and the
+    second C repeat them shifted by s: they index the domain values and then
+    the image values, laid end to end.  A table takes 16*k*C bytes.
+    freiman_iso_check builds one for every check up to _GRAPH_ABOVE
+    multisets, and past it only for a map that fails.
     """
     C = math.comb(s + k - 1, k)
     flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(s), k))
@@ -420,9 +473,9 @@ def _group_sums(g: Group, plain: np.ndarray, addends: np.ndarray) -> np.ndarray:
     return functools.reduce(functools.partial(_index_add, g), addends.astype(np.int64, copy=False))
 
 
-def _first_clash(A: GSet, k: int, dom: np.ndarray, img: np.ndarray) -> IsoCheckResult:
-    """The failing IsoCheckResult, given the domain and image sums of every multiset."""
-    table = _multiset_table(len(A), k)
+def _first_clash(A: GSet, table: np.ndarray, dom: np.ndarray, img: np.ndarray) -> IsoCheckResult:
+    """The failing IsoCheckResult, given A's multiset table and the domain and image sums of every multiset."""
+    k = len(table)
 
     def combo(c):
         return tuple(A.elements[j] for j in table[:, c].tolist())

@@ -30,6 +30,9 @@ One place computes character magnitudes: ``np.fft`` is read in
 call with an imaginary literal in its argument), the term of a direct
 character sum, is taken in ``fourier._unit_roots`` alone.
 
+One place enumerates multisets: ``combinations_with_replacement`` is read
+in ``rectify._multiset_table`` alone.
+
 Object dtype only in named places: the name ``object`` is read as a dtype in
 ``groups._mul_mod``, the one place an index product is taken past int64, in
 ``rectify.freiman_iso_check`` for k-term sums past int64, and in
@@ -549,3 +552,33 @@ def test_object_dtype_only_in_named_places():
         ("groups", "_mul_mod"),
         ("rectify", "freiman_iso_check"),
     ]
+
+
+# ------------------------------------------------------------------ multisets
+
+def _names_multisets(node) -> bool:
+    """A read or an import of combinations_with_replacement, under that name."""
+    name = "combinations_with_replacement"
+    return (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    )
+
+
+def multiset_enumerations(sources: dict) -> list:
+    """(module, owner) of each read or import of combinations_with_replacement in sources; owner as _owners gives it."""
+    return [(mod, owner) for mod, src in sources.items() for owner in _owners(ast.parse(src), _names_multisets)]
+
+
+def test_detects_a_multiset_enumeration():
+    src = (
+        "import itertools\nfrom itertools import combinations_with_replacement as cwr\n\n"
+        "def f(s, k):\n    return list(itertools.combinations_with_replacement(range(s), k))\n\n"
+        "def g(s):\n    \"\"\"combinations_with_replacement order\"\"\"\n    return cwr(range(s), 2)\n"
+    )
+    assert multiset_enumerations({"a": src}) == [("a", None), ("a", "f")]
+
+
+def test_one_place_enumerates_multisets():
+    assert multiset_enumerations(_library()) == [("rectify", "_multiset_table")]

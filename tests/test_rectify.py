@@ -642,6 +642,51 @@ def _groups_and_pools(draw, moduli):
     return G, [G.element_at(i) for i in range(G.order)]
 
 
+def _on_both_routes(A, B, mapping, k):
+    """(ok, tuples_compared, counterexample) of freiman_iso_check with every check on the graph route, and at the shipped crossover; they must agree."""
+    fields = []
+    for above in (0, rectify_mod._GRAPH_ABOVE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rectify_mod, "_GRAPH_ABOVE", above)
+            got = freiman_iso_check(A, B, mapping, k)
+        assert got.order == k
+        fields.append((got.ok, got.tuples_compared, got.counterexample))
+    assert fields[0] == fields[1]
+    return fields[0]
+
+
+def _count_tables(monkeypatch):
+    """The (s, k) of every call to _multiset_table, in a list."""
+    calls = []
+    real = rectify_mod._multiset_table
+    monkeypatch.setattr(rectify_mod, "_multiset_table", lambda s, k: calls.append((s, k)) or real(s, k))
+    return calls
+
+
+@st.composite
+def _window_maps(draw):
+    """(A, B, mapping, k): an AP-subset or a random set of Z/p, p <= 1000, of 8-14 points, mapped into a window.
+
+    An AP-subset a + d*I maps to I, and a random set to its residues; either
+    map may then be perturbed at one point, so many maps are no isomorphism.
+    """
+    p = draw(st.sampled_from([p for p in range(101, 1000) if is_prime(p)]))
+    n, k = draw(st.integers(8, 14)), draw(st.integers(3, 4))
+    if draw(st.booleans()):
+        a, d = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
+        I = sorted(draw(st.sets(st.integers(0, draw(st.integers(n - 1, 3 * n))), min_size=n, max_size=n)))
+        mapping = {(a + d * i) % p: i for i in I}
+    else:
+        mapping = {x: x for x in draw(st.sets(st.integers(0, p - 1), min_size=n, max_size=n))}
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(sorted(mapping)))
+        moved = mapping[x] + draw(st.sampled_from([-1, 1, 2]))
+        assume(moved not in mapping.values())
+        mapping[x] = moved
+    B = GSet(IntegerWindow(min(mapping.values()), max(mapping.values())), mapping.values())
+    return GSet(CyclicGroup(p), mapping), B, mapping, k
+
+
 class TestFreimanIso:
     def test_identity(self):
         g = CyclicGroup(11)
@@ -734,11 +779,16 @@ class TestFreimanIso:
             image = data.draw(st.permutations(hpool))[:s]
             mapping = dict(zip(A.elements, image))
             B = GSet(H, image)
-        got = freiman_iso_check(A, B, mapping, k)
-        assert (got.ok, got.tuples_compared, got.counterexample) == loop_freiman(A, B, mapping, k)
-        assert got.order == k
+        got = _on_both_routes(A, B, mapping, k)
+        assert got == loop_freiman(A, B, mapping, k)
         if math.comb(len(A) + k - 1, k) <= 120:
-            assert got.ok == brute_freiman(A.elements, mapping, k, A.group.add, B.group.add)
+            assert got[0] == brute_freiman(A.elements, mapping, k, A.group.add, B.group.add)
+
+    @given(_window_maps())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_loop_past_the_crossover(self, case):
+        A, B, mapping, k = case
+        assert _on_both_routes(A, B, mapping, k) == loop_freiman(A, B, mapping, k)
 
     @pytest.mark.parametrize(
         "A, image, k",
@@ -760,8 +810,26 @@ class TestFreimanIso:
             image = [x if 2 * x < _N62 else x - _N62 for x in A.elements]
         mapping = dict(zip(A.elements, image))
         B = GSet(IntegerWindow(0, 10), [0, 1, 2])
-        got = freiman_iso_check(A, B, mapping, k)
-        assert (got.ok, got.tuples_compared, got.counterexample) == loop_freiman(A, B, mapping, k)
+        assert _on_both_routes(A, B, mapping, k) == loop_freiman(A, B, mapping, k)
+
+    def test_the_route_follows_the_crossover(self, monkeypatch):
+        calls = _count_tables(monkeypatch)
+        p, I = 997, [0, 1, 3, 4, 6, 8, 9, 11, 12, 14, 17, 19, 20, 22, 23, 25, 27, 30]
+        mapping = {(5 + 41 * i) % p: i for i in I}  # 4 * 30 < 997: an isomorphism of order 4
+        A, B = GSet(CyclicGroup(p), mapping), GSet(IntegerWindow(0, 30), I)
+        assert math.comb(18 + 4 - 1, 4) > rectify_mod._GRAPH_ABOVE
+        got = freiman_iso_check(A, B, mapping, 4)
+        assert (got.ok, got.tuples_compared, got.counterexample) == (True, 5985, None)
+        assert calls == []
+        small = GSet(CyclicGroup(p), [1, 2, 4, 8, 16])  # C(5 + 2 - 1, 2) = 15 multisets
+        assert freiman_iso_check(small, small, {a: a for a in small.elements}, 2).ok
+        assert calls == [(5, 2)]
+        mapping[(5 + 41 * 30) % p] = 31  # positions 3 + 30 = 11 + 22, but images 3 + 31 != 11 + 22
+        B = GSet(IntegerWindow(0, 31), mapping.values())
+        got = freiman_iso_check(A, B, mapping, 4)
+        assert not got.ok
+        assert calls == [(5, 2), (18, 4)]
+        assert (got.ok, got.tuples_compared, got.counterexample) == loop_freiman(A, B, mapping, 4)
 
     def test_validation(self):
         g = CyclicGroup(11)
@@ -772,6 +840,12 @@ class TestFreimanIso:
             freiman_iso_check(A, A, {0: 0}, 2)
         with pytest.raises(ValueError):
             freiman_iso_check(A, A, {0: 0, 1: 0}, 2)
+        # injectivity is decided in B's group: 11 is 0 in Z/11, and (2, 0) is (0, 0) in (Z/2)^2
+        with pytest.raises(ValueError, match="not injective"):
+            freiman_iso_check(A, A, {0: 0, 1: 11}, 2)
+        V = GSet(TorsionGroup(2, 2), [(0, 0), (1, 0)])
+        with pytest.raises(ValueError, match="not injective"):
+            freiman_iso_check(V, V, {(0, 0): (0, 0), (1, 0): (2, 0)}, 2)
 
 
 class TestRectify:
