@@ -13,7 +13,8 @@ chain itself is
 and the claims under replay are delta < 1/3 at the first threshold and
 delta < 1/k at the second.  Each link is computed once: `_log_threshold`
 gives both thresholds, and `_tau_step` the tau gate and eta for the
-calculator and for the pipeline (at the set's own tau = |A-A|/N) alike.
+calculator and for the pipeline (at the set's own tau = |A-A|/N) alike;
+eta is `fourier._eta`, the expression of `eta_largecoeff`, at k = 2K^2.
 `threshold_chain` sits exactly on the closed boundary, with no slack.
 """
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Dict, Optional, Tuple, Union
 
-from .fourier import _dominant, _magnitudes
+from .fourier import _dominant, _eta, _magnitudes
 from .groups import Certificate, GSet, _memo_scope, _require, difference_ratio, difference_set, doubling_ratio
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
@@ -98,11 +99,10 @@ def _log_threshold(K: float, k: Optional[int]) -> float:
 
 
 def _tau_step(log_inv_tau: float, K: float) -> Tuple[bool, Optional[float]]:
-    """The large-coefficient gate tau <= 14^(-2K^2), and eta (None when tau >= 1)."""
-    ksq = K * K
-    gate = log_inv_tau >= 2 * ksq * math.log(14)
-    eta = 9 / ksq * math.exp(-log_inv_tau / (2 * ksq)) * log_inv_tau if log_inv_tau > 0 else None
-    return gate, eta
+    """The large-coefficient gate tau <= 14^(-2K^2), and eta at k = 2K^2 (None when tau >= 1)."""
+    k = 2 * K * K
+    gate = log_inv_tau >= k * math.log(14)
+    return gate, _eta(log_inv_tau, k) if log_inv_tau > 0 else None
 
 
 def _chain(log_inv_alpha: Optional[float], K: float, k: Optional[int]) -> BoundReport:

@@ -1,14 +1,20 @@
 """Command line front end.
 
-Exit codes: 0 = success / all checks passed, 1 = a lemma check found a
-counterexample (an implementation bug by definition), 2 = bad configuration
-or input: a budget violation, an ambient group the command does not apply
-to, a malformed --input file, or a bounds --doubling K (with --order k)
-whose constant chain leaves the float range.  spectrum, cover, rectify,
-torsion-cover and bounds on a set exit 1 when their certificate's ok is
-False, that is when a claim fails (for spectrum, Parseval's identity), and
-every command exits 1 on a library fault, such as a cover --check-m
-shortfall with B = A.
+Exit codes: 0 = success, 1 = a claim failed or a library fault, 2 = bad
+configuration or input.  One rule decides 0 or 1: each command returns its
+report, and main alone writes it and exits 1 exactly when the report is a
+certificate whose ok is False, that is when a claim fails.  For spectrum
+the claim is Parseval's identity; for verify it is that a check found no
+counterexample (an implementation bug by definition).  An undecided claim
+exits 0.  Every command exits 1 on a library fault, such as a cover
+--check-m shortfall with B = A.  Exit 2 is a budget violation, an ambient
+group the command does not apply to, a malformed --input file, a bounds
+--doubling K (with --order k) whose constant chain leaves the float range,
+or a flag the command would ignore: --alpha, --doubling, --order or
+--at-threshold for bounds on a set; --delta or --elements for the bounds
+calculator, and --alpha with --at-threshold; --elements for verify and
+enumerate, and --input for enumerate; --group and --elements (for verify,
+--group and --shape) next to --input.
 """
 
 from __future__ import annotations
@@ -92,8 +98,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _refuse(args: argparse.Namespace, what: str, *flags: str) -> None:
+    """Refuse each of flags that was given, naming them all: what would ignore them.
+
+    An unset flag is None, or False for a switch; 0 is a given value.
+    """
+    given = [flag for flag in flags if getattr(args, flag) is not None and getattr(args, flag) is not False]
+    if given:
+        raise ValueError(f"{what} would ignore " + ", ".join("--" + flag.replace("_", "-") for flag in given))
+
+
 def _load_set(args: argparse.Namespace) -> GSet:
     if args.input:
+        _refuse(args, "a set from --input", "group", "elements")
         sets = load_instances(args.input)
         if len(sets) != 1:
             raise ValueError(f"{args.input} holds {len(sets)} instances; expected exactly one")
@@ -111,49 +128,38 @@ def _emit(args: argparse.Namespace, report, human: str) -> None:
             fh.write(dumps(report))
 
 
-def _exit_code(cert: Certificate) -> int:
-    return 1 if cert.ok is False else 0
-
-
 def _set_line(A: GSet) -> str:
     elems = ", ".join(str(x) for x in A.elements)
     return f"{{{elems}}}"
 
 
-def _cmd_sumset(args) -> int:
+def _cmd_sumset(args):
     A = _load_set(args)
     B = parse_elements(args.elements_b, A.group) if args.elements_b else A
     S = sumset(A, B)
-    _emit(args, gset_to_obj(S), f"|A+B| = {len(S)}: {_set_line(S)}")
-    return 0
+    return gset_to_obj(S), f"|A+B| = {len(S)}: {_set_line(S)}"
 
 
-def _cmd_diam(args) -> int:
+def _cmd_diam(args):
     A = _load_set(args)
     w = diameter(A)
-    _emit(
-        args,
-        w,
+    return w, (
         f"diameter {w.length} (step {w.step}, start {w.start}); "
-        f"A is covered by {{{w.start} + j*{w.step} : 0 <= j <= {w.length}}}",
+        f"A is covered by {{{w.start} + j*{w.step} : 0 <= j <= {w.length}}}"
     )
-    return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args):
     A = _load_set(args)
     rep = spectrum(A, top=args.top)
     top = ", ".join(f"{idx}:{mag:.6g}" for idx, mag in rep.top)
-    _emit(
-        args,
-        rep,
+    return rep, (
         f"max nonprincipal |B^| = {rep.max_magnitude:.6g} at {rep.max_index}; "
-        f"parseval residual {rep.parseval_residual:.3g}; top: {top}",
+        f"parseval residual {rep.parseval_residual:.3g}; top: {top}"
     )
-    return _exit_code(rep)
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args):
     A = _load_set(args)
     B = parse_elements(args.elements_b, A.group) if args.elements_b else A
     cert = covering_certificate(
@@ -167,11 +173,10 @@ def _cmd_cover(args) -> int:
     ]
     if args.check_m:
         lines.append(f"iterated inclusion verified up to m = {cert.m_checked}")
-    _emit(args, cert, "\n".join(lines))
-    return _exit_code(cert)
+    return cert, "\n".join(lines)
 
 
-def _cmd_rectify(args) -> int:
+def _cmd_rectify(args):
     A = _load_set(args)
     out = rectify(A, args.order)
     if out.witness is None:
@@ -186,14 +191,13 @@ def _cmd_rectify(args) -> int:
             f"image {_set_line(w.image)} via x -> {w.dilation}*x - {w.shift}; "
             f"order {w.order}, length {w.length}; multiset check: {checked}"
         )
-    _emit(args, out, human)
-    return _exit_code(out)
+    return out, human
 
 
-def _cmd_torsion_cover(args) -> int:
+def _cmd_torsion_cover(args):
     A = _load_set(args)
     cert = torsion_cover(A, witness_budget=args.budget)
-    human = (
+    return cert, (
         f"subgroup of size {cert.subgroup_size} (doubling {cert.doubling}, "
         f"difference ratio {cert.diff_ratio}, route {cert.route})\n"
         f"bounds: (a) {cert.bound_a} raw {cert.bound_a_raw}, "
@@ -201,15 +205,14 @@ def _cmd_torsion_cover(args) -> int:
         f"contains A: {cert.contains_a}; gen inclusion: {cert.gen_inclusion_holds}; "
         f"size factor: {cert.size_factor_holds}"
     )
-    _emit(args, cert, human)
-    return _exit_code(cert)
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     if args.group or args.input:
+        _refuse(args, "bounds on a set", "alpha", "doubling", "order", "at_threshold")
         A = _load_set(args)
         rep = theorem1_pipeline(A, delta=args.delta)
-        human = (
+        return rep, (
             f"N = {rep.modulus}, |A| = {rep.size}, alpha = {rep.alpha}, K = {rep.K:.6g}\n"
             f"gates: alpha {'met' if rep.gate_alpha else 'not met'}, "
             f"tau {'met' if rep.gate_tau else 'not met'} (tau = {rep.tau})\n"
@@ -220,11 +223,11 @@ def _cmd_bounds(args) -> int:
                 else ""
             )
         )
-        _emit(args, rep, human)
-        return _exit_code(rep)
+    _refuse(args, "the bounds calculator", "delta", "elements")
     if args.doubling is None:
         raise ValueError("bounds needs --doubling (with --alpha or --at-threshold), or a set")
     if args.at_threshold:
+        _refuse(args, "bounds --at-threshold", "alpha")
         rep = threshold_chain(args.doubling, args.order)
     else:
         if args.alpha is None:
@@ -235,7 +238,7 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"--alpha {args.alpha!r} has a zero denominator") from None
         rep = bound_calculator(alpha, args.doubling, args.order)
     delta = "n/a" if rep.delta is None else f"{rep.delta:.12g}"
-    human = (
+    return rep, (
         f"log(1/alpha) = {rep.log_inv_alpha:.12g}, threshold log = {rep.log_threshold_thm1:.12g}\n"
         f"alpha below threshold 1: {rep.alpha_below_thm1}"
         + (f"; below threshold 2: {rep.alpha_below_thm2}" if rep.k is not None else "")
@@ -243,12 +246,12 @@ def _cmd_bounds(args) -> int:
         + (f", < 1/{rep.k}: {rep.delta_below_inv_k}" if rep.k is not None else "")
         + f")\ndiameter bound fraction = {rep.diam_bound_fraction:.12g}"
     )
-    _emit(args, rep, human)
-    return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
+    _refuse(args, "verify", "elements")
     if args.input:
+        _refuse(args, "verify --input", "group", "shape")
         instances = load_instances(args.input)
     elif args.group and args.shape:
         instances = list(parse_shape(args.shape, parse_group(args.group), args.seed))
@@ -267,11 +270,11 @@ def _cmd_verify(args) -> int:
         human_lines.append(
             f"  {name}: {tally.passed} pass, {tally.failed} fail, {tally.skipped} skip"
         )
-    _emit(args, report, "\n".join(human_lines))
-    return 0 if report.ok else 1
+    return report, "\n".join(human_lines)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
+    _refuse(args, "enumerate", "elements", "input")
     if not args.group:
         raise ValueError("enumerate needs --group")
     if args.limit is not None and args.limit < 0:
@@ -282,9 +285,7 @@ def _cmd_enumerate(args) -> int:
         if args.limit is not None and i >= args.limit:
             break
         sets.append(inst)
-    human = "\n".join(_set_line(s) for s in sets) or "(no instances)"
-    _emit(args, [gset_to_obj(s) for s in sets], human)
-    return 0
+    return [gset_to_obj(s) for s in sets], "\n".join(_set_line(s) for s in sets) or "(no instances)"
 
 
 _COMMANDS = {
@@ -306,13 +307,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # one scope per command, so its steps share each derived set and inclusion
         with _memo_scope():
-            return _COMMANDS[args.command](args)
+            report, human = _COMMANDS[args.command](args)
+        _emit(args, report, human)
     except (ValueError, BudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    return 1 if isinstance(report, Certificate) and report.ok is False else 0
 
 
 if __name__ == "__main__":

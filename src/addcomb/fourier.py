@@ -292,8 +292,12 @@ def eta_largecoeff(beta: Union[Fraction, float], k: int) -> LargeCoeffParams:
         raise RuntimeError(f"derived m = {m} < k = {k}; gate arithmetic is broken")
     if m < k * b ** (-1 / k) / 36:
         raise RuntimeError("derived m violates the 1/36 lower bound")
-    eta = 18 * b ** (1 / k) * math.log(1 / b) / k
-    return LargeCoeffParams(k, beta_frac, m, eta)
+    return LargeCoeffParams(k, beta_frac, m, _eta(math.log(1 / b), k))
+
+
+def _eta(log_inv_beta: float, k: float) -> float:
+    """eta = 18 beta^(1/k) log(1/beta) / k from log(1/beta), for real k > 0; bounds takes k = 2K^2."""
+    return 18 / k * math.exp(-log_inv_beta / k) * log_inv_beta
 
 
 @dataclass(frozen=True)
@@ -325,15 +329,15 @@ def certified_large_coefficient(B: GSet, T: GSet) -> LargeCoeffCertificate:
     k = len(T)
     beta = Fraction(len(B), n)
     params = eta_largecoeff(beta, k)
-    rep = spectrum(B)
+    idx, magnitude = _dominant(_magnitudes(B))
     threshold = (1.0 - params.eta) * len(B)
     return LargeCoeffCertificate(
         k=k,
         beta=beta,
         m=params.m,
         eta=params.eta,
-        index=rep.max_index,
-        magnitude=rep.max_magnitude,
+        index=B.group.element_at(idx),
+        magnitude=magnitude,
         threshold=threshold,
-        holds=rep.max_magnitude >= threshold,
+        holds=magnitude >= threshold,
     )

@@ -205,15 +205,15 @@ def parse_shape(spec: str, group: Group, seed: int = 0) -> Iterator[GSet]:
             raise ValueError(f"bad shape {spec!r}: expected exhaustive:<max_size>[:normalize]")
         return exhaustive_sets(group, int(size), normalize=bool(modifiers))
     if head == "random":
-        size, count = rest.split(":")
+        size, count = _fields(spec, rest, 2, "random:<size>:<count>")
         return iter(random_sets(group, int(size), int(count), seed))
     if head == "progression":
-        a, d, l = rest.split(":")
+        a, d, l = _fields(spec, rest, 3, "progression:<start>:<step>:<length>")
         return iter([progression(group, _parse_one(a, group), _parse_one(d, group), int(l))])
     if head == "union":
         parts = []
         for chunk in rest.split(";"):
-            a, d, l = chunk.split(":")
+            a, d, l = _fields(spec, chunk, 3, "union:<a:d:l>;<a:d:l>...")
             parts.append((_parse_one(a, group), _parse_one(d, group), int(l)))
         return iter([union_progressions(group, parts)])
     if head == "coset":
@@ -221,6 +221,14 @@ def parse_shape(spec: str, group: Group, seed: int = 0) -> Iterator[GSet]:
         basis = [tuple(int(c) for c in chunk.split(",")) for chunk in rest.split(";")]
         return iter([subspace_coset(group, basis)])
     raise ValueError(f"unknown shape {head!r}")
+
+
+def _fields(spec: str, part: str, count: int, form: str) -> List[str]:
+    """The count ':'-separated fields of part, a piece of the shape spec; any other count is refused naming form."""
+    fields = part.split(":")
+    if len(fields) != count:
+        raise ValueError(f"bad shape {spec!r}: expected {form}")
+    return fields
 
 
 def _parse_one(token: str, group: Group) -> Element:

@@ -241,21 +241,28 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
 
 
 @dataclass(frozen=True)
-class GapCoverResult:
+class GapCoverResult(Certificate):
     """Outcome of the gap-normalization step."""
 
     hypothesis_met: bool
     outside: int              # |(A-A) \ [b, b+l]|
     threshold: Fraction       # |A| / 2
     length: int
-    start: Optional[int] = None   # A <= [start, start+length] when the hypothesis held
+    start: Optional[int] = None   # the cover [start, start+length] when the hypothesis held
+    conclusion_ok: Optional[bool] = None  # A <= [start, start+length], checked again on A
+
+    @property
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """A inside [start, start+length], claimed when the hypothesis held."""
+        return {"containment": self.conclusion_ok} if self.hypothesis_met else {}
 
 
 def gap_cover(A: GSet, b: int, l: int) -> GapCoverResult:
     """If all but < |A|/2 of A-A sits in [b, b+l] with l < N/3, produce an interval cover of A.
 
     The covering interval starts where the largest circular gap of A ends;
-    the containment is re-verified, not assumed.
+    the containment is checked again on A, not assumed, and is the
+    certificate's one claim.
     """
     return _gap_cover(A, difference_set(A, A), b, l)
 
@@ -274,9 +281,7 @@ def _gap_cover(A: GSet, D: GSet, b: int, l: int) -> GapCoverResult:
         return GapCoverResult(False, outside, threshold, l)
     start = int(_shortest_arcs(A.packed()[None, :], N)[1][0])
     span = int(((A.packed() - start) % N).max())
-    if span > l:
-        raise RuntimeError(f"gap normalization exceeded the certified length (b = {b}, l = {l})")
-    return GapCoverResult(True, outside, threshold, l, start)
+    return GapCoverResult(True, outside, threshold, l, start, span <= l)
 
 
 @dataclass(frozen=True)
@@ -327,6 +332,8 @@ def diam_from_spectrum(A: GSet, delta: float) -> SpectralDiameterResult:
     cover = _gap_cover(A1, D1, lev.start, lev.length)  # A1 - A1 = r*D = D1
     if not cover.hypothesis_met:
         raise RuntimeError(f"gap hypothesis failed although concentration held (delta = {delta}, r = {best_r})")
+    if not cover.ok:
+        raise RuntimeError(f"gap normalization exceeded the certified length (delta = {delta}, r = {best_r})")
     return SpectralDiameterResult(
         True,
         threshold,

@@ -4,13 +4,15 @@ Every check reports pass, fail, or skip per instance.  A fail carries a
 counterexample payload, and since the lemmas are theorems any fail is an
 implementation bug.  No check tests the instance's group: the library
 refuses a group it does not apply to with NotApplicable, raised by
-`groups._require` alone.  A check judges
-certificates by their `ok` alone (`_verdict`): fail at the first whose ok
-is False, else skip if one is undecided (ok None), else pass; unmet
-hypotheses pass vacuously.  The loop of `run_suite` alone maps an outcome to
-a verdict: a returned (status, payload) counts as is, NotApplicable or
-BudgetError as skip, a RuntimeError (a library fault) as fail with payload
-{"error": message}, and any other ValueError (bad input) propagates.
+`groups._require` alone.  Every check, `cover` and each point of the
+`jbound` grid included, judges certificates by their `ok` alone
+(`_verdict`): fail at the first whose ok is False, else skip if one is
+undecided (ok None), else pass; unmet hypotheses pass vacuously.  The loop
+of `run_suite` alone maps an outcome to a verdict: a returned (status,
+payload) counts as is, NotApplicable or BudgetError as skip, a RuntimeError
+(a library fault) as fail with payload {"error": message}, and any other
+ValueError (bad input) propagates.  The report is a certificate too, with
+one claim per selected check: that it failed on no instance.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class CheckTally:
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(Certificate):
     suite: str
     instance_count: int
     tallies: Dict[str, CheckTally]
@@ -84,8 +86,9 @@ class SuiteReport:
     elapsed: Optional[float]
 
     @property
-    def ok(self) -> bool:
-        return all(t.failed == 0 for t in self.tallies.values())
+    def checks(self) -> Dict[str, Optional[bool]]:
+        """One claim per selected check: it failed on no instance."""
+        return {name: t.failed == 0 for name, t in self.tallies.items()}
 
 
 def _verdict(
@@ -168,10 +171,12 @@ def _check_moment(A: GSet, cfg: SuiteConfig):
 def _check_cover(A: GSet, cfg: SuiteConfig):
     N = _require(A.group, "cyclic").modulus
     D = difference_set(A, A)
-    for delta in _DELTA_GRID:
+
+    def cover(delta):  # b starts a window of length l holding the most of A - A
         l = math.ceil(delta * N) - 1
-        gap_cover(A, int(_window_counts(D, l).argmax()), l)
-    return PASS, None
+        return {"delta": delta}, gap_cover(A, int(_window_counts(D, l).argmax()), l)
+
+    return _verdict(map(cover, _DELTA_GRID), lambda res: {"start": res.start, "length": res.length})
 
 
 def _check_lev(A: GSet, cfg: SuiteConfig):
@@ -212,9 +217,6 @@ INSTANCE_CHECKS: Dict[str, Callable] = {
 }
 
 
-_STATUS = {True: PASS, None: SKIP, False: FAIL}  # a certificate's ok as a verdict
-
-
 def _record(tally: CheckTally, counterexamples: List[dict], status: str, failure: Callable[[], dict]) -> None:
     """Count one verdict; a fail also appends its counterexample, failure()."""
     if status == PASS:
@@ -235,8 +237,8 @@ def _jbound_outcome(report: Callable[[int, int], Certificate]) -> Tuple[Tuple[in
     tally, counterexamples = CheckTally(), []
     for k in range(1, _J_K_MAX + 1):
         for m in (0, *range(k, _J_M_MAX + 1)):
-            rep = report(k, m)
-            _record(tally, counterexamples, _STATUS[rep.ok], lambda: {"check": "jbound", "k": k, "m": m, "count": rep.count})
+            status, payload = _verdict([({"check": "jbound", "k": k, "m": m}, report(k, m))], lambda rep: {"count": rep.count})
+            _record(tally, counterexamples, status, lambda: payload)
     return astuple(tally), tuple(counterexamples)
 
 

@@ -366,13 +366,10 @@ def test_criterion_07_implication_scans(sweep, criterion):
                 outside = dsize - inside[d]
                 for i in np.nonzero((2 * outside < s) & (span > l))[0]:
                     A = _gset(N, combos[i])
-                    b = _best_window_base(A, N, l)
-                    try:
-                        res = gap_cover(A, b, l)
-                    except RuntimeError:
+                    res = gap_cover(A, _best_window_base(A, N, l), l)
+                    if res.ok is not True:
                         cover_viol += 1
-                        continue
-                    if res.hypothesis_met:
+                    elif res.hypothesis_met:
                         disagree.append(("cover-span", N, s, int(i), d))
                 thr = dsize - (4 * d * d) * s
                 for i in np.nonzero((maxmag >= thr) & ~(td < d * N))[0]:
@@ -389,10 +386,8 @@ def test_criterion_07_implication_scans(sweep, criterion):
                 A = _gset(N, combos[i])
                 for d in DELTAS:
                     l = windows[d]
-                    b = _best_window_base(A, N, l)
-                    try:
-                        res = gap_cover(A, b, l)
-                    except RuntimeError:
+                    res = gap_cover(A, _best_window_base(A, N, l), l)
+                    if res.ok is not True:
                         cover_viol += 1
                         continue
                     replayed += 1

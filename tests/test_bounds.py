@@ -13,10 +13,13 @@ from addcomb import (
     GSet,
     bound_calculator,
     diameter,
+    eta_largecoeff,
     theorem1_pipeline,
     threshold_chain,
 )
+from addcomb.bounds import _tau_step
 from addcomb.cli import main
+from addcomb.fourier import _eta
 
 
 class TestBoundCalculator:
@@ -227,6 +230,18 @@ class TestTauStep:
             bound_calculator(0.0, 1.0)
         with pytest.raises(ValueError):
             bound_calculator(1e-6, 0.5)
+
+    @given(st.floats(1.0, 1e6), st.floats(1e-300, 1e300))
+    @settings(max_examples=300)
+    def test_eta_is_the_large_coefficient_eta_at_k_2K2(self, K, log_inv_tau):
+        # 18/(2K^2) and 9/K^2 round alike, so the shared expression keeps the chain's eta bit for bit
+        eta = _tau_step(log_inv_tau, K)[1]
+        assert eta == 9 / (K * K) * math.exp(-log_inv_tau / (2 * K * K)) * log_inv_tau
+        assert eta == _eta(log_inv_tau, 2 * K * K)
+
+    def test_eta_largecoeff_reads_the_same_expression(self):
+        beta = Fraction(1, 14**4)
+        assert eta_largecoeff(beta, 3).eta == _eta(math.log(1 / float(beta)), 3)
 
 
 class TestPipeline:

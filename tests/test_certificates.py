@@ -18,6 +18,7 @@ import addcomb.cli as cli_mod
 import addcomb.suite as suite_mod
 from addcomb import (
     Certificate,
+    CheckTally,
     CyclicGroup,
     GSet,
     SuiteConfig,
@@ -26,6 +27,7 @@ from addcomb import (
     covering_certificate,
     diam_from_spectrum,
     difference_set,
+    gap_cover,
     growth_table,
     j_bound_report,
     lev_interval,
@@ -74,6 +76,11 @@ def _unconcluded(c):
 
 def _verified(out, v):
     return dataclasses.replace(out, witness=dataclasses.replace(out.witness, verified=v))
+
+
+def _failed_on(check):
+    # a report claims that each selected check failed on no instance
+    return lambda rep, v: dataclasses.replace(rep, tallies={**rep.tallies, check: CheckTally(0, int(not v), 0)})
 
 
 def _largecoeff(rep, v):
@@ -126,6 +133,10 @@ CASES = {
         lambda: lev_interval(Z31, 0.25, 0.3), "exceptions", _concluded, _unconcluded,
         ("lev_interval", "lev", Z31), None,
     ),
+    "gap-cover": (
+        lambda: gap_cover(Z31, 29, 4), "containment", _concluded, _unconcluded,
+        ("gap_cover", "cover", Z31), None,
+    ),
     "spectral-diameter": (
         lambda: diam_from_spectrum(Z31, 0.3), "diameter", _concluded, _unconcluded,
         ("diam_from_spectrum", "diam", Z31), None,
@@ -146,10 +157,14 @@ CASES = {
         lambda rep: dataclasses.replace(rep, spectral=_unconcluded(rep.spectral)),
         None, ("theorem1_pipeline", ["bounds", *SINGLETON_ARGS]),
     ),
+    "suite-report": (
+        lambda: run_suite([Z31], SuiteConfig(checks=("inc",))), "inc", _failed_on("inc"), None,
+        None, ("run_suite", ["verify", "--group", "cyclic:31", "--shape", "progression:0:1:3", "--checks", "inc"]),
+    ),
 }
 
-# claims decided by a float comparison: True or False, never None
-ALWAYS_DECIDED = {"spectrum"}
+# claims decided by a comparison that no budget can leave open: True or False, never None
+ALWAYS_DECIDED = {"spectrum", "gap-cover", "suite-report"}
 PLANTS = ["failed", "undecided", "unmet"]
 WANT_OK = {"failed": False, "undecided": None, "unmet": True}
 WANT_TALLY = {"failed": (0, 1, 0), "undecided": (0, 0, 1), "unmet": (1, 0, 0)}

@@ -25,6 +25,11 @@ constructed in ``groups._require`` alone, and ``suite.py`` reads no group
 kind and names no ``is_prime``, so its checks skip only what the library
 refuses.
 
+One place decides a verdict or an exit code: every check registered in
+``suite.INSTANCE_CHECKS`` returns a ``_verdict(...)`` call, so it judges
+certificates by ``ok``, and ``cli.main`` is the one function of the CLI that
+returns an exit code (is annotated ``int`` or returns an int literal).
+
 One place computes character magnitudes: ``np.fft`` is read in
 ``fourier._fft_magnitudes`` alone, and a complex exponential (an ``exp``
 call with an imaginary literal in its argument), the term of a direct
@@ -582,3 +587,92 @@ def test_detects_a_multiset_enumeration():
 
 def test_one_place_enumerates_multisets():
     assert multiset_enumerations(_library()) == [("rectify", "_multiset_table")]
+
+
+# ------------------------------------------------------------------ verdicts and exit codes
+
+def _own_returns(fn: ast.FunctionDef) -> list:
+    """The return statements of fn itself; those of a nested def are its own."""
+    found, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Return):
+            found.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _assigned(tree: ast.Module, name: str):
+    """The value bound to name at module level, by a plain or an annotated assignment."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return node.value
+    return None
+
+
+def checks_without_a_verdict(source: str) -> list:
+    """The functions registered in INSTANCE_CHECKS of source with no return, or one that is not a _verdict(...) call."""
+    tree = ast.parse(source)
+    defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    registered = [v.id for v in _assigned(tree, "INSTANCE_CHECKS").values]
+    return sorted(
+        name
+        for name in registered
+        if not (returns := _own_returns(defs[name]))
+        or not all(isinstance(r.value, ast.Call) and getattr(r.value.func, "id", None) == "_verdict" for r in returns)
+    )
+
+
+def _int_literal(node) -> bool:
+    """An int literal (a bool is none), or a conditional expression between two."""
+    if isinstance(node, ast.IfExp):
+        return _int_literal(node.body) and _int_literal(node.orelse)
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def exit_code_functions(source: str) -> list:
+    """The functions of source, nested ones too, annotated to return int or returning an int literal."""
+    return sorted(
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and (
+            (fn.returns is not None and ast.unparse(fn.returns) == "int")
+            or any(r.value is not None and _int_literal(r.value) for r in _own_returns(fn))
+        )
+    )
+
+
+def test_detects_a_check_without_a_verdict():
+    src = (
+        "def _a(A, cfg):\n    def one(d):\n        return {}, f(d)\n    return _verdict(map(one, G), str)\n\n"
+        "def _b(A, cfg):\n    g(A)\n    return PASS, None\n\n"
+        "def _c(A, cfg):\n    if A:\n        return _verdict([], str)\n    return suite._verdict([], str)\n\n"
+        "def _d(A, cfg):\n    g(A)\n\n"
+        "INSTANCE_CHECKS: Dict[str, Callable] = {'a': _a, 'b': _b, 'c': _c, 'd': _d}\n"
+    )
+    assert checks_without_a_verdict(src) == ["_b", "_c", "_d"]
+
+
+def test_every_suite_check_returns_a_verdict():
+    suite = _library()["suite"]
+    assert len(_assigned(ast.parse(suite), "INSTANCE_CHECKS").values) == 11
+    assert checks_without_a_verdict(suite) == []
+
+
+def test_detects_an_exit_code():
+    src = (
+        "def main(argv=None) -> int:\n    return 0\n\n"
+        "def _cmd_a(args):\n    return rep, 'text'\n\n"
+        "def _cmd_b(args):\n    return 1 if bad else 0\n\n"
+        "def _cmd_c(args) -> int:\n    return _exit_code(rep)\n\n"
+        "def _cmd_d(args):\n    def inner():\n        return 2\n    return inner\n\n"
+        "def _cmd_e(args):\n    return True\n"
+    )
+    assert exit_code_functions(src) == ["_cmd_b", "_cmd_c", "inner", "main"]
+
+
+def test_only_main_returns_an_exit_code():
+    assert exit_code_functions(_library()["cli"]) == ["main"]

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -229,6 +230,19 @@ class TestParsers:
             list(parse_shape("mystery:3", CyclicGroup(7)))
         with pytest.raises(ValueError):
             list(parse_shape("coset:1,0", CyclicGroup(7)))
+
+    @pytest.mark.parametrize("spec, form", [
+        ("random:8", "random:<size>:<count>"),
+        ("progression:0:1", "progression:<start>:<step>:<length>"),
+        ("union:0:1:2;3", "union:<a:d:l>;<a:d:l>..."),
+    ])
+    def test_a_shape_with_too_few_fields_names_its_form(self, capsys, spec, form):
+        message = f"bad shape {spec!r}: expected {form}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_shape(spec, CyclicGroup(7))
+        assert main(["enumerate", "--group", "cyclic:7", "--shape", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
 
 
 class TestSerialize:
@@ -698,6 +712,26 @@ class TestCli:
     def test_bounds_needs_alpha(self, capsys):
         assert main(["bounds", "--doubling", "1"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flags", [
+        ("bounds --group cyclic:1009 --elements 0,1,2,3 --order 3 --alpha 0.5 --doubling 9",
+         "bounds on a set would ignore --alpha, --doubling, --order"),
+        ("bounds --group cyclic:1009 --elements 0,1,2,3 --at-threshold", "bounds on a set would ignore --at-threshold"),
+        ("bounds --doubling 2 --alpha 0.001 --delta 0.2", "the bounds calculator would ignore --delta"),
+        ("bounds --doubling 2 --alpha 0.001 --delta 0", "the bounds calculator would ignore --delta"),
+        ("bounds --group cyclic:1009 --elements 0,1 --order 0", "bounds on a set would ignore --order"),
+        ("bounds --doubling 2 --alpha 0.001 --elements 0,1", "the bounds calculator would ignore --elements"),
+        ("bounds --doubling 2 --at-threshold --alpha 0.001", "bounds --at-threshold would ignore --alpha"),
+        ("verify --group cyclic:11 --shape exhaustive:1 --elements 0,1", "verify would ignore --elements"),
+        ("enumerate --group cyclic:11 --shape exhaustive:1 --elements 0,1", "enumerate would ignore --elements"),
+        ("enumerate --group cyclic:11 --shape exhaustive:1 --input x.json", "enumerate would ignore --input"),
+        ("verify --input x.json --group cyclic:11 --shape exhaustive:1", "verify --input would ignore --group, --shape"),
+        ("diam --input x.json --group cyclic:11 --elements 0,1", "a set from --input would ignore --group, --elements"),
+    ])
+    def test_a_flag_the_command_would_ignore_exits_two(self, capsys, argv, flags):
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {flags}\n"
 
     def test_verify(self, capsys):
         rc = main(

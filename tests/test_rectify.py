@@ -504,11 +504,12 @@ class TestGapCover:
         assert not res.hypothesis_met
         assert res.start is None
 
-    def test_fault_names_b_and_l(self, monkeypatch):
+    def test_fault_is_a_failed_containment_claim(self, monkeypatch):
         # a cover start outside the concentrated arc breaks the re-verification
         monkeypatch.setattr(rectify_mod, "_shortest_arcs", lambda rows, N: ([0], [5]))
-        with pytest.raises(RuntimeError, match=r"\(b = 29, l = 4\)$"):
-            gap_cover(GSet(CyclicGroup(31), [0, 1, 2]), b=29, l=4)
+        res = gap_cover(GSet(CyclicGroup(31), [0, 1, 2]), b=29, l=4)
+        assert res.hypothesis_met and res.start == 5
+        assert res.checks == {"containment": False} and res.ok is False
 
     def test_length_gate(self):
         A = GSet(CyclicGroup(31), [0, 1])
@@ -568,6 +569,7 @@ class TestDiamFromSpectrum:
         [
             ("lev_interval", rectify_mod.LevWindow(False, 0.0, 0.0), "concentration failed"),
             ("_gap_cover", rectify_mod.GapCoverResult(False, 5, 2, 19), "gap hypothesis failed"),
+            ("_gap_cover", rectify_mod.GapCoverResult(True, 0, 2, 19, 0, False), "gap normalization exceeded"),
         ],
     )
     def test_fault_names_delta_and_r(self, monkeypatch, target, result, message):
