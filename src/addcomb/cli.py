@@ -14,7 +14,7 @@ or a flag the command would ignore: --alpha, --doubling, --order or
 --at-threshold for bounds on a set; --delta or --elements for the bounds
 calculator, and --alpha with --at-threshold; --elements for verify and
 enumerate, and --input for enumerate; --group and --elements (for verify,
---group and --shape) next to --input.
+--group, --shape and --seed) next to --input.
 """
 
 from __future__ import annotations
@@ -85,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--shape", help='generator, e.g. "exhaustive:3", "random:8:100"')
     p.add_argument("--checks", default="all", help=f'comma list from {",".join(CHECK_NAMES)}')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of a random --shape (default 0)")
     p.add_argument("--budget", type=int, default=12)
     p.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
 
     p = sub.add_parser("enumerate", help="materialize an instance stream")
     common(p)
     p.add_argument("--shape", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of a random --shape (default 0)")
     p.add_argument("--limit", type=int, help="cap on the number of instances")
 
     return top
@@ -250,17 +250,18 @@ def _cmd_bounds(args):
 
 def _cmd_verify(args):
     _refuse(args, "verify", "elements")
+    seed = args.seed or 0
     if args.input:
-        _refuse(args, "verify --input", "group", "shape")
+        _refuse(args, "verify --input", "group", "shape", "seed")
         instances = load_instances(args.input)
     elif args.group and args.shape:
-        instances = list(parse_shape(args.shape, parse_group(args.group), args.seed))
+        instances = list(parse_shape(args.shape, parse_group(args.group), seed))
     else:
         raise ValueError("verify needs --input, or --group with --shape")
     checks = CHECK_NAMES if args.checks == "all" else tuple(args.checks.split(","))
     config = SuiteConfig(
         checks=checks,
-        seed=args.seed,
+        seed=seed,
         witness_budget=args.budget,
         include_timing=args.timing,
     )
@@ -279,7 +280,7 @@ def _cmd_enumerate(args):
         raise ValueError("enumerate needs --group")
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    stream = parse_shape(args.shape, parse_group(args.group), args.seed)
+    stream = parse_shape(args.shape, parse_group(args.group), args.seed or 0)
     sets = []
     for i, inst in enumerate(stream):
         if args.limit is not None and i >= args.limit:

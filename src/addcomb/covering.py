@@ -4,7 +4,10 @@ The central object is a certificate (A, B1, B2, A', T) where T is a greedy
 maximal set of translates: each selected t added at least |A'|/2 new points
 to the union of A'+t_i, and at termination no candidate can.  Maximality
 alone forces B1-B1+B2-B2 to lie inside A-A+T-T, which the certificate
-re-verifies by exhaustive inclusion.
+re-verifies by exhaustive inclusion: its left side is sigma - sigma for
+sigma = B1+B2, and both sides are symmetric, so the scan checks one point
+of each pair {x, -x}.  A' minimizes |A'+sigma|/|A'|, by a subset search
+that stops on two lower bounds for a union of translates of sigma.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -64,10 +67,13 @@ def greedy_translates(core: GSet, candidates: GSet) -> GSet:
         raise ValueError("core set must be nonempty")
     n = len(core)
     ids, universe = _translate_ids(core, candidates)
+    # column j of by_point holds the ids of core + (j-th candidate), so a gain
+    # is a column sum, taken as |core| row additions of m values each
+    by_point = np.ascontiguousarray(ids.T)
     covered = np.zeros(universe, dtype=bool)
     chosen = []
     while len(chosen) < len(ids):
-        gains = n - covered[ids].sum(axis=1)
+        gains = n - np.add.reduce(covered[by_point], axis=0)
         best = int(np.argmax(gains))  # the first largest gain
         if 2 * gains[best] < n:
             break
@@ -89,15 +95,18 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     """Exhaustive search for the subset of A with least sumset expansion.
 
     Visits nonempty subsets by decreasing size, in combinations order within
-    a size, pruning a whole size class once |B1+B2|/size can no longer beat
-    the incumbent (any union of translates has at least |B1+B2| points); the
+    a size, and stops at the first size whose subsets can no longer beat the
+    incumbent ratio.  Two lower bounds on the union of s translates of
+    sigma = B1+B2 decide that: |sigma|, and s*|sigma| - C(s, 2)*M by
+    Bonferroni, M the most points two translates share; each bound over s
+    only grows as s falls, so no smaller size can beat it either.  The
     first subset of least ratio wins.  It is the largest subset of least
     ratio, and the only one of its size: unions of translates are
     submodular, so the union of two least subsets is least.  Size n is A
-    itself, whose union is all
-    of A + B1 + B2.  Each smaller size class is evaluated in numpy by
-    _class_minimum over bitsets of the translates, and only once the pruning
-    rule has let it through.
+    itself, whose union is all of A + B1 + B2.  Each smaller size class is
+    evaluated in numpy by _class_minimum over bitsets of the translates,
+    and only once both bounds have let it through; M is read from the
+    unions of two translates when the first class is.
     """
     n = len(A)
     if n == 0:
@@ -118,6 +127,10 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
             break
         if tables is None:
             tables = _half_unions(ids, best_bits)
+            # two translates of sigma share 2|sigma| minus the size of their union
+            overlap = 2 * len(sigma) - min(int(bits.min()) for bits, _, _ in _class_unions(tables, n, 2))
+        if (size * len(sigma) - math.comb(size, 2) * overlap) * best_size >= best_bits * size:
+            break
         bits, key = _class_minimum(tables, n, size)
         searched += math.comb(n, size)
         if bits * best_size < best_bits * size:
@@ -186,8 +199,8 @@ def _half_unions(ids: np.ndarray, universe: int) -> Tuple[np.ndarray, np.ndarray
     return unions[: len(first)], unions[len(first) :]
 
 
-def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Tuple[int, int]:
-    """(least union size, key) over the subsets of A of one size, the first least in combinations order.
+def _class_unions(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Blocks (union sizes, first rows, second rows) over the subsets of A of one size, in combinations order.
 
     At most _BLOCK bitset words of unions are formed at once, so a search's
     memory stays bounded however large a size class is.
@@ -195,15 +208,20 @@ def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> 
     first, second = tables
     words = first.shape[1]
     step = max(1, groups._BLOCK // words)
-    best_bits, best_key = None, 0
     rows1, rows2 = _class_pairs(n, size)
     for start in range(0, len(rows1), step):
         r1, r2 = rows1[start : start + step], rows2[start : start + step]
         bits = np.bitwise_count(first.take(r1, axis=0) | second.take(r2, axis=0))
-        bits = bits.sum(axis=1) if words > 1 else bits[:, 0]
+        yield (bits.sum(axis=1) if words > 1 else bits[:, 0]), r1, r2
+
+
+def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Tuple[int, int]:
+    """(least union size, key) over the subsets of A of one size, the first least in combinations order."""
+    best_bits, best_key = None, 0
+    for bits, r1, r2 in _class_unions(tables, n, size):
         i = int(bits.argmin())
         if best_bits is None or bits[i] < best_bits:
-            best_bits, best_key = int(bits[i]), int(r1[i]) * len(second) + int(r2[i])
+            best_bits, best_key = int(bits[i]), int(r1[i]) * len(tables[1]) + int(r2[i])
     return best_bits, best_key
 
 
@@ -242,7 +260,11 @@ def covering_certificate(
     B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way, by
     groups._in_sumset: it forms A-A+T-T only from at most groups._BLOCK
     pairs (or in a group with no dense index space), and otherwise strikes
-    the points of the left side off row by row without forming it.  Inside a
+    the points of the left side off row by row without forming it, one
+    point min(x, -x) of each pair, as A-A and T-T are symmetric.  The left
+    side is formed as sigma - sigma (sigma = B1+B2) when
+    |sigma|^2 < |B1-B1|*|B2-B2|, else as (B1-B1) + (B2-B2), and kept in the
+    scope under the key of the latter.  Inside a
     memo scope the certificate is memoized on the identity of (A, B1, B2)
     and the budget (see groups._memoized), so each is built once there.
 
@@ -294,7 +316,14 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
         raise RuntimeError(
             f"greedy produced {len(T)} translates, above the certified bound {size_bound}"
         )
-    lhs = sumset(difference_set(B1, B1), difference_set(B2, B2))
+    # (B1-B1) + (B2-B2) is sigma - sigma: formed from the pair with fewer sums
+    # and kept under the key of (B1-B1) + (B2-B2), which verify_incm and
+    # growth_table read when B1 = B2 = A
+    D1, D2 = difference_set(B1, B1), difference_set(B2, B2)
+    if len(sigma) ** 2 < len(D1) * len(D2):
+        lhs = _memoized(groups._sum_key(D1, D2), "sum", lambda: difference_set(sigma, sigma))
+    else:
+        lhs = sumset(D1, D2)
     return CoveringCertificate(
         base=A,
         summand1=B1,

@@ -542,9 +542,18 @@ def _mul_mod(x: np.ndarray, u, N: int) -> np.ndarray:
 def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
     """Sorted distinct indices of lam*x over the index array idx.
 
+    A unit lam is injective, so only a non-unit drops duplicates.
+    """
+    out, unit = _index_times(g, idx, lam)
+    return np.sort(out) if unit else _sorted_distinct(out)
+
+
+def _index_times(g: Group, idx: np.ndarray, lam: int) -> Tuple[np.ndarray, bool]:
+    """(indices of lam*x aligned with idx, whether lam is a unit of the group).
+
     Z/N multiplies by lam reduced to |lam| <= N/2, by _mul_mod; (Z/r)^n scales each
     base-r digit; a window multiplies plainly, so its caller bounds every
-    product first.  A unit lam is injective, so only a non-unit drops duplicates.
+    product first.
     """
     if g.kind == "cyclic":
         N = g.modulus
@@ -561,13 +570,17 @@ def _index_scale(g: Group, idx: np.ndarray, lam: int) -> np.ndarray:
     else:
         unit = lam != 0
         out = idx * lam
-    return np.sort(out) if unit else _sorted_distinct(out)
+    return out, unit
 
 
 def sumset(A: GSet, B: GSet) -> GSet:
     """Minkowski sum {a + b : a in A, b in B}."""
-    # memoized by the unordered pair, so B + A reads the A + B of the scope
-    return _memoized((A, B) if id(A) <= id(B) else (B, A), "sum", lambda: _sumset(A, B))
+    return _memoized(_sum_key(A, B), "sum", lambda: _sumset(A, B))
+
+
+def _sum_key(A: GSet, B: GSet) -> tuple:
+    """The operands that key sumset(A, B) in a scope: the unordered pair, so B + A reads the A + B of the scope."""
+    return (A, B) if id(A) <= id(B) else (B, A)
 
 
 def _sumset(A: GSet, B: GSet) -> GSet:
@@ -662,13 +675,22 @@ def _in_sumset(X: GSet, Y: GSet, Z: GSet) -> bool:
     which later checks in the same scope may read.  Otherwise Y + Z is never
     formed: _in_sumset_scan decides, and its answer is memoized under
     "in_sum", so every caller in a scope shares one decision per (X, Y, Z).
+    When -Y = Y and -Z = Z, Y + Z is symmetric and holds x exactly when it
+    holds -x, so the scan gets one point min(x, -x) of each pair X meets.
     """
     g = X.group
     if g.order is None or g.order > DENSE_ORDER_LIMIT or len(Y) * len(Z) <= _BLOCK:
         return is_subset(X, sumset(Y, Z))
     _require_same_ambient(X, Y)
     _require_same_ambient(Y, Z)
-    return _memoized((X, Y, Z), "in_sum", lambda: _in_sumset_scan(g, X.packed(), Y.packed(), Z.packed()))
+
+    def decide() -> bool:
+        x = X.packed()
+        if _minus(Y) is Y and _minus(Z) is Z:
+            x = _sorted_distinct(np.minimum(x, _index_times(g, x, -1)[0]))
+        return _in_sumset_scan(g, x, Y.packed(), Z.packed())
+
+    return _memoized((X, Y, Z), "in_sum", decide)
 
 
 def _in_sumset_scan(g: Group, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:

@@ -191,44 +191,57 @@ def parse_elements(spec: str, group: Group) -> GSet:
     return GSet(group, elems)
 
 
-def parse_shape(spec: str, group: Group, seed: int = 0) -> Iterator[GSet]:
-    """Generator specs for the enumerate command.
+_SHAPE_FORMS = {
+    "exhaustive": "exhaustive:<max_size>[:normalize]",
+    "random": "random:<size>:<count>",
+    "progression": "progression:<start>:<step>:<length>",
+    "union": "union:<a:d:l>;<a:d:l>...",
+    "coset": "coset:<basis elements, ';'-separated>",
+}
 
-    exhaustive:<max_size>[:normalize]  random:<size>:<count>
-    progression:<start>:<step>:<length>  union:<a:d:l>;<a:d:l>...
-    coset:<basis elements, ';'-separated>
+
+def parse_shape(spec: str, group: Group, seed: int = 0) -> Iterator[GSet]:
+    """Generator specs for the enumerate command, in the forms of _SHAPE_FORMS.
+
+    A spec with the wrong number of fields, or a field that is not a number
+    or an element, is refused naming its form.
     """
     head, _, rest = spec.partition(":")
+    if head not in _SHAPE_FORMS:
+        raise ValueError(f"unknown shape {head!r}")
+    bad = f"bad shape {spec!r}: expected {_SHAPE_FORMS[head]}"
+
+    def fields(part: str, count: int) -> List[str]:
+        found = part.split(":")
+        if len(found) != count:
+            raise ValueError(bad)
+        return found
+
+    def number(token: str, element: bool = False):
+        try:
+            return _parse_one(token, group) if element else int(token)
+        except ValueError:
+            raise ValueError(bad) from None
+
     if head == "exhaustive":
         size, *modifiers = rest.split(":")
         if modifiers not in ([], ["normalize"]):
-            raise ValueError(f"bad shape {spec!r}: expected exhaustive:<max_size>[:normalize]")
-        return exhaustive_sets(group, int(size), normalize=bool(modifiers))
+            raise ValueError(bad)
+        return exhaustive_sets(group, number(size), normalize=bool(modifiers))
     if head == "random":
-        size, count = _fields(spec, rest, 2, "random:<size>:<count>")
-        return iter(random_sets(group, int(size), int(count), seed))
+        size, count = fields(rest, 2)
+        return iter(random_sets(group, number(size), number(count), seed))
     if head == "progression":
-        a, d, l = _fields(spec, rest, 3, "progression:<start>:<step>:<length>")
-        return iter([progression(group, _parse_one(a, group), _parse_one(d, group), int(l))])
+        a, d, l = fields(rest, 3)
+        return iter([progression(group, number(a, True), number(d, True), number(l))])
     if head == "union":
         parts = []
         for chunk in rest.split(";"):
-            a, d, l = _fields(spec, chunk, 3, "union:<a:d:l>;<a:d:l>...")
-            parts.append((_parse_one(a, group), _parse_one(d, group), int(l)))
+            a, d, l = fields(chunk, 3)
+            parts.append((number(a, True), number(d, True), number(l)))
         return iter([union_progressions(group, parts)])
-    if head == "coset":
-        _require(group, "torsion")
-        basis = [tuple(int(c) for c in chunk.split(",")) for chunk in rest.split(";")]
-        return iter([subspace_coset(group, basis)])
-    raise ValueError(f"unknown shape {head!r}")
-
-
-def _fields(spec: str, part: str, count: int, form: str) -> List[str]:
-    """The count ':'-separated fields of part, a piece of the shape spec; any other count is refused naming form."""
-    fields = part.split(":")
-    if len(fields) != count:
-        raise ValueError(f"bad shape {spec!r}: expected {form}")
-    return fields
+    _require(group, "torsion")
+    return iter([subspace_coset(group, [number(chunk, True) for chunk in rest.split(";")])])
 
 
 def _parse_one(token: str, group: Group) -> Element:

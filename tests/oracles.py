@@ -326,14 +326,16 @@ def loop_freiman(A, B, mapping, k):
     return True, count, None
 
 
-def loop_pluennecke(A, B1, B2):
+def loop_pluennecke(A, B1, B2, overlap_rule=True):
     """(subset, ratio, subsets_searched) of the documented witness search, in Fractions.
 
     Nonempty subsets of A's positions run by decreasing size, in combinations
     order within a size; a size class is skipped, and the search ends, once
-    |B1 + B2| / size is no less than the best ratio.  A subset replaces the
-    best only with a strictly smaller |A' + B1 + B2| / |A'|.  The subset is
-    the tuple of its elements in A's order.
+    |B1 + B2| / size or (size * |B1 + B2| - C(size, 2) * M) / size is no less
+    than the best ratio, M the most points two translates a + B1 + B2 share;
+    without overlap_rule only the first bound stops it.  A subset replaces
+    the best only with a strictly smaller |A' + B1 + B2| / |A'|.  The subset
+    is the tuple of its elements in A's order.
     """
     add = A.group.add
     elems = A.elements
@@ -341,11 +343,14 @@ def loop_pluennecke(A, B1, B2):
     # one bit per point of A + B1 + B2, one mask of A' + B1 + B2 per a in A
     bit = {x: 1 << i for i, x in enumerate({add(a, s) for a in elems for s in sigma})}
     mask = {a: sum(bit[add(a, s)] for s in sigma) for a in elems}
+    overlap = max((bin(mask[a] & mask[b]).count("1") for a, b in itertools.combinations(elems, 2)), default=0)
     best_ratio = None
     best = ()
     searched = 0
     for size in range(len(elems), 0, -1):
         if best_ratio is not None and Fraction(len(sigma), size) >= best_ratio:
+            break
+        if overlap_rule and best_ratio is not None and Fraction(size * len(sigma) - math.comb(size, 2) * overlap, size) >= best_ratio:
             break
         for combo in itertools.combinations(elems, size):
             searched += 1

@@ -1,11 +1,12 @@
 """Translate covers, the subset witness search, and the growth counts."""
 
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import addcomb.groups as groups_mod
@@ -24,6 +25,7 @@ from addcomb import (
     j_bound_report,
     j_count,
     j_count_table,
+    negate,
     pluennecke_witness,
     sumset,
     verify_incm,
@@ -128,6 +130,21 @@ class TestGreedy:
         assert T.group == cand.group
         assert list(T.elements) == brute_greedy_translates(core, cand, element_add(core.group))
         assert np.array_equal(T.packed(), GSet(T.group, T.elements).packed())
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_progression_cores_over_many_candidates_match_the_oracle(self, data):
+        # an AP core over AP or interval candidates: most gains tie, so the
+        # first largest gain in candidate order decides nearly every round
+        g = data.draw(st.sampled_from([CyclicGroup(211), CyclicGroup(1009), W]))
+        at = (lambda i: i) if g.kind == "window" else (lambda i: i % g.modulus)
+        start, step, length = data.draw(st.integers(0, 40)), data.draw(st.integers(1, 7)), data.draw(st.integers(2, 10))
+        core = GSet(g, [at(start + i * step) for i in range(length)])
+        start, step, count = data.draw(st.integers(0, 40)), data.draw(st.sampled_from([1, step])), data.draw(st.integers(100, 160))
+        cand = GSet(g, [at(start + i * step) for i in range(count)])
+        assert len(cand) >= 100
+        T = greedy_translates(core, cand)
+        assert list(T.elements) == brute_greedy_translates(core, cand, element_add(g))
 
     @pytest.mark.parametrize("g", FINITE_GROUPS + [W], ids=repr)
     def test_empty_candidates(self, g):
@@ -257,6 +274,38 @@ class TestCertificate:
         assert len(cert.translates) <= cert.size_bound
         assert cert.ok
 
+
+    @given(sets_in_one_group((1, 6), (1, 6), (1, 6)))
+    @settings(max_examples=100, deadline=None)
+    def test_the_left_side_is_the_sum_of_the_difference_sets(self, sets):
+        A, B1, B2 = sets
+        assume(B1 != B2)
+        with groups_mod._memo_scope():
+            covering_certificate(A, B1, B2)
+            D1, D2 = difference_set(B1, B1), difference_set(B2, B2)
+            # the certificate keeps its left side under the key of (B1-B1) + (B2-B2)
+            assert ("sum", *sorted((id(D1), id(D2)))) in groups_mod._SCOPE.get()
+            lhs = sumset(D1, D2)
+        want = sumset(difference_set(B1, B1), difference_set(B2, B2))
+        assert lhs == want and lhs.group == want.group
+
+    @pytest.mark.parametrize("summand", ["progression", "random"])
+    def test_the_left_side_is_formed_from_the_pair_with_fewer_sums(self, monkeypatch, summand):
+        # B1 an AP, B2 random: |B1 + B2|^2 exceeds |B1-B1|*|B2-B2|, so the
+        # difference sets are summed; B1 = B2 random: sigma - sigma is formed
+        g = CyclicGroup(10007)
+        rand = GSet(g, random.Random(5).sample(range(g.modulus), 10))
+        B1 = GSet(g, range(0, 80, 8)) if summand == "progression" else rand
+        pairs = []
+        real = groups_mod._pairwise
+        monkeypatch.setattr(groups_mod, "_pairwise", lambda g, pa, pb: pairs.append({pa.tobytes(), pb.tobytes()}) or real(g, pa, pb))
+        with groups_mod._memo_scope():
+            covering_certificate(rand, B1, rand)
+            D1, D2, sigma = difference_set(B1, B1), difference_set(rand, rand), sumset(B1, rand)
+        by_differences = {D1.packed().tobytes(), D2.packed().tobytes()}
+        by_sigma = {sigma.packed().tobytes(), negate(sigma).packed().tobytes()}
+        assert (len(sigma) ** 2 < len(D1) * len(D2)) is (summand == "random")
+        assert (by_differences in pairs, by_sigma in pairs) == ((False, True) if summand == "random" else (True, False))
 
     @pytest.mark.parametrize("budget", [18, 0])
     def test_empty_summand_rejected(self, budget):

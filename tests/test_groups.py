@@ -537,26 +537,78 @@ def inclusions(draw):
     return X, Y, Z
 
 
+def symmetrized(S):
+    """S together with -S."""
+    return GSet(S.group, S.elements + negate(S).elements)
+
+
+@st.composite
+def fold_cases(draw):
+    """(X, Y, Z) with Y symmetric and Z symmetric or not, X symmetric, arbitrary, or half of Y + Z and a planted point."""
+    g = draw(
+        st.one_of(
+            st.integers(2, 60).map(CyclicGroup),
+            st.sampled_from([TorsionGroup(3, 3), TorsionGroup(5, 2), TorsionGroup(2, 4)]),
+        )
+    )
+    some = st.lists(st.integers(0, g.order - 1), min_size=1, max_size=5).map(lambda idx: by_index(g, idx))
+    Y = symmetrized(draw(some))
+    Z = draw(some)
+    if draw(st.booleans()):
+        Z = symmetrized(Z)
+    S = sumset(Y, Z)
+    shape = draw(st.sampled_from(["sum", "symmetric", "any", "planted"]))
+    if shape == "sum":
+        X = S
+    elif shape == "symmetric":
+        X = symmetrized(draw(some))
+    elif shape == "any":
+        X = draw(some)
+    else:
+        # the points of Y + Z that are not the lesser of {x, -x}, and one point
+        # outside Y + Z whose negation is another point, also outside X
+        half = [x for x in S.elements if g.index(g.neg(x)) < g.index(x)]
+        missing = [x for x in plain_elements(g) if x not in S and g.neg(x) != x and g.neg(x) not in half]
+        X = GSet(g, half + missing[:1])
+    return X, Y, Z
+
+
 def scan_spies(monkeypatch, block):
-    """Patch _BLOCK to block; return the list of packed (X, Y, Z) that reach the scan, and a reader of the steps.
+    """Patch _BLOCK to block; return the list of packed (x, Y, Z) that reach the scan, and a reader of the steps.
 
     The steps read G for a gather block (a negation, then an index add) and S
-    for a scatter block (an index add alone).
+    for a scatter block (an index add alone), counted inside the scan only:
+    the symmetry test before it negates Y and Z.
     """
-    scans, events = [], []
+    scans, events, scanning = [], [], [False]
     real_scan, real_add, real_scale = groups_mod._in_sumset_scan, groups_mod._index_add, groups_mod._index_scale
+
+    def scan(g, *xyz):
+        scans.append(xyz)
+        scanning[0] = True
+        try:
+            return real_scan(g, *xyz)
+        finally:
+            scanning[0] = False
+
     monkeypatch.setattr(groups_mod, "_BLOCK", block)
-    monkeypatch.setattr(groups_mod, "_in_sumset_scan", lambda g, *xyz: scans.append(xyz) or real_scan(g, *xyz))
-    monkeypatch.setattr(groups_mod, "_index_add", lambda *a: events.append("a") or real_add(*a))
-    monkeypatch.setattr(groups_mod, "_index_scale", lambda *a: events.append("g") or real_scale(*a))
+    monkeypatch.setattr(groups_mod, "_in_sumset_scan", scan)
+    monkeypatch.setattr(groups_mod, "_index_add", lambda *a: scanning[0] and events.append("a") or real_add(*a))
+    monkeypatch.setattr(groups_mod, "_index_scale", lambda *a: scanning[0] and events.append("g") or real_scale(*a))
     return scans, lambda: "".join(events).replace("ga", "G").replace("a", "S")
 
 
 def inclusion_model(X, Y, Z, block):
-    """(answer, steps) of the documented scan, with Python sets: a G or S per block, gather or scatter."""
+    """(answer, steps) of the documented scan, with Python sets: a G or S per block, gather or scatter.
+
+    When -Y = Y and -Z = Z the scan starts from one point of each pair {x, -x}, the one of lesser index.
+    """
     g = X.group
     rows, cols = (Z.elements, set(Y.elements)) if len(Y) > len(Z) else (Y.elements, set(Z.elements))
-    rem, reached, steps, i = set(X.elements), set(), "", 0
+    rem = set(X.elements)
+    if all({g.neg(a) for a in S} == set(S.elements) for S in (Y, Z)):
+        rem = {min(x, g.neg(x), key=g.index) for x in rem}
+    reached, steps, i = set(), "", 0
     while rem:
         if i == len(rows):
             return False, steps
@@ -587,7 +639,7 @@ class TestInSumset:
         assert len(scans) == (finite and len(Y) * len(Z) > block)
 
     @settings(max_examples=300, deadline=None)
-    @given(inclusions(), st.integers(1, 7))
+    @given(st.one_of(inclusions(), fold_cases()), st.integers(1, 7))
     def test_blocks_follow_the_documented_scan(self, case, block):
         X, Y, Z = case
         if X.group.kind == "window" or len(Y) * len(Z) <= block:
@@ -679,6 +731,23 @@ class TestInSumset:
         for X, Y, Z in ((b, a, a), (a, b, a), (a, a, b)):
             with pytest.raises(GroupMismatchError):
                 groups_mod._in_sumset(X, Y, Z)
+
+
+@settings(max_examples=400, deadline=None)
+@given(fold_cases(), st.integers(1, 7))
+def test_the_symmetric_fold_decides_like_the_formed_sum(case, block):
+    X, Y, Z = case
+    g = X.group
+    want = is_subset(X, sumset(Y, Z))
+    with pytest.MonkeyPatch.context() as mp:
+        scans, _ = scan_spies(mp, block)
+        assert groups_mod._in_sumset(X, Y, Z) is want
+    if len(Y) * len(Z) <= block:
+        assert scans == []
+        return
+    folds = negate(Z) == Z  # Y is symmetric by construction
+    lesser = {min(x, g.neg(x), key=g.index) for x in X.elements} if folds else set(X.elements)
+    assert [scanned.tolist() for scanned, _, _ in scans] == [sorted(map(g.index, lesser))]
 
 
 def test_np_unique_only_with_an_inverse_or_index():

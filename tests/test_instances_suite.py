@@ -244,6 +244,24 @@ class TestParsers:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("group, spec, form", [
+        ("cyclic:7", "random:a:5", "random:<size>:<count>"),
+        ("cyclic:7", "random:3:1.5", "random:<size>:<count>"),
+        ("cyclic:7", "exhaustive:x", "exhaustive:<max_size>[:normalize]"),
+        ("cyclic:7", "progression:0:1:z", "progression:<start>:<step>:<length>"),
+        ("cyclic:7", "progression:a:1:2", "progression:<start>:<step>:<length>"),
+        ("cyclic:7", "union:0:1:2;x:1:1", "union:<a:d:l>;<a:d:l>..."),
+        ("torsion:3:2", "progression:0,1:1,y:3", "progression:<start>:<step>:<length>"),
+        ("torsion:3:2", "coset:1,0;0,q", "coset:<basis elements, ';'-separated>"),
+    ])
+    def test_a_shape_field_that_is_not_a_number_names_its_form(self, capsys, group, spec, form):
+        message = f"bad shape {spec!r}: expected {form}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_shape(spec, parse_group(group))
+        assert main(["enumerate", "--group", group, "--shape", spec]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
 
 class TestSerialize:
     def test_gset_round_trip(self):
@@ -732,6 +750,29 @@ class TestCli:
         assert main(argv.split()) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {flags}\n"
+
+    def test_verify_refuses_a_seed_for_a_loaded_file(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        dump_instances([GSet(CyclicGroup(11), [0, 1, 3])], path)
+        argv = ["verify", "--input", str(path), "--checks", "inc"]
+        assert main(argv + ["--format", "structured"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 0
+        for seed in ("5", "0"):  # a given 0 is refused too
+            assert main(argv + ["--seed", seed]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: verify --input would ignore --seed\n"
+
+    @pytest.mark.parametrize("argv", [
+        "verify --group cyclic:13 --shape random:3:4 --checks inc --format structured",
+        "enumerate --group cyclic:13 --shape random:3:4 --format structured",
+    ])
+    def test_a_shape_without_a_seed_reads_seed_zero(self, capsys, argv):
+        assert main(argv.split()) == 0
+        unseeded = capsys.readouterr().out
+        assert main(argv.split() + ["--seed", "0"]) == 0
+        assert capsys.readouterr().out == unseeded
+        assert main(argv.split() + ["--seed", "1"]) == 0
+        assert capsys.readouterr().out != unseeded
 
     def test_verify(self, capsys):
         rc = main(

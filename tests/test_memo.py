@@ -359,7 +359,9 @@ def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeyp
     want = dumps(run_suite([A]))
     T = covering_certificate(A, A, A, witness_budget=SuiteConfig().witness_budget).translates
     D, E = difference_set(A, A), difference_set(T, T)
-    inclusion = (sumset(D, D).packed().tobytes(), D.packed().tobytes(), E.packed().tobytes())
+    # D and E are symmetric, so the scan gets one point of each pair {x, -x} of 2(A-A): min(x, 101 - x)
+    x = sumset(D, D).packed()
+    inclusion = (np.unique(np.minimum(x, -x % 101)).tobytes(), D.packed().tobytes(), E.packed().tobytes())
     scans, pairs = [], []
     real_scan = groups_mod._in_sumset_scan
     monkeypatch.setattr(groups_mod, "_BLOCK", 16)
@@ -629,4 +631,6 @@ class TestVectorizedWitness:
         got = pluennecke_witness(A, A, A)
         subset, ratio, searched = loop_pluennecke(A, A, A)
         assert (got.subset.elements, got.ratio, got.subsets_searched) == (subset, ratio, searched)
-        assert searched > 60_000
+        # the overlap bound stops the search long before |sigma| / size alone would
+        assert searched == 2_517
+        assert loop_pluennecke(A, A, A, overlap_rule=False) == (subset, ratio, 65_399)
