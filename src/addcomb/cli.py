@@ -85,14 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--shape", help='generator, e.g. "exhaustive:3", "random:8:100"')
     p.add_argument("--checks", default="all", help=f'comma list from {",".join(CHECK_NAMES)}')
-    p.add_argument("--seed", type=int, help="seed of a random --shape (default 0)")
+    p.add_argument("--seed", type=int, help="seed of a random --shape; unset, it reads as 0 (verify --input refuses it, 0 included)")
     p.add_argument("--budget", type=int, default=12)
     p.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
 
     p = sub.add_parser("enumerate", help="materialize an instance stream")
     common(p)
     p.add_argument("--shape", required=True)
-    p.add_argument("--seed", type=int, help="seed of a random --shape (default 0)")
+    p.add_argument("--seed", type=int, help="seed of a random --shape; unset, it reads as 0")
     p.add_argument("--limit", type=int, help="cap on the number of instances")
 
     return top

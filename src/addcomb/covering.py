@@ -4,10 +4,10 @@ The central object is a certificate (A, B1, B2, A', T) where T is a greedy
 maximal set of translates: each selected t added at least |A'|/2 new points
 to the union of A'+t_i, and at termination no candidate can.  Maximality
 alone forces B1-B1+B2-B2 to lie inside A-A+T-T, which the certificate
-re-verifies by exhaustive inclusion: its left side is sigma - sigma for
-sigma = B1+B2, and both sides are symmetric, so the scan checks one point
-of each pair {x, -x}.  A' minimizes |A'+sigma|/|A'|, by a subset search
-that stops on two lower bounds for a union of translates of sigma.
+re-verifies by exhaustive inclusion of sigma - sigma (sigma = B1+B2): x is
+in A-A+T-T exactly when x+T meets A-A+T, so it reads the marks of A-A+T,
+one point of each pair {x, -x}.  A' minimizes |A'+sigma|/|A'|, by a subset
+search that stops on two lower bounds for a union of translates of sigma.
 """
 
 from __future__ import annotations
@@ -258,15 +258,16 @@ def covering_certificate(
     With the witness path, |T| <= 2*K1*K2 - 1 where Ki = |A+Bi|/|A|; without
     it the weaker counting bound 2*|A+B1+B2|/|A| - 1 applies.  The inclusion
     B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way, by
-    groups._in_sumset: it forms A-A+T-T only from at most groups._BLOCK
-    pairs (or in a group with no dense index space), and otherwise strikes
-    the points of the left side off row by row without forming it, one
-    point min(x, -x) of each pair, as A-A and T-T are symmetric.  The left
-    side is formed as sigma - sigma (sigma = B1+B2) when
-    |sigma|^2 < |B1-B1|*|B2-B2|, else as (B1-B1) + (B2-B2), and kept in the
-    scope under the key of the latter.  Inside a
-    memo scope the certificate is memoized on the identity of (A, B1, B2)
-    and the budget (see groups._memoized), so each is built once there.
+    groups._in_sumset handed T: it forms T-T and A-A+T-T only when
+    |A-A|*min(|T|^2, order) is at most groups._BLOCK (or in a group with no
+    dense index space), and otherwise marks A-A+T once and strikes each
+    point x of the left side off at the first t in T with x+t marked, one
+    point of each pair {x, -x}, as A-A is symmetric.  The left side is
+    formed as sigma - sigma (sigma = B1+B2) when |sigma|^2 < |B1-B1|*|B2-B2|,
+    else as (B1-B1) + (B2-B2), and kept in the scope under the key of the
+    latter.  Inside a memo scope the certificate is memoized on the identity
+    of (A, B1, B2) and the budget (see groups._memoized), so each is built
+    once there.
 
     With check_m, m_checked is verify_incm up to check_m.  When B1 = B2 = A
     a verified inclusion is 2(A-A) <= (A-A)+(T-T), which gives every m by
@@ -335,7 +336,7 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
         witness_ratio=ratio,
         witness_is_optimal=optimal,
         size_bound=size_bound,
-        inclusion_verified=_in_sumset(lhs, difference_set(A, A), difference_set(T, T)),
+        inclusion_verified=_in_sumset(lhs, difference_set(A, A), T),
     )
 
 
@@ -343,24 +344,23 @@ def verify_incm(A: GSet, T: GSet, m_max: int) -> int:
     """Largest m <= m_max with (m+1)(A-A) contained in (A-A) + m(T-T).
 
     Returns 0 as soon as the m = 1 inclusion fails.  Step m decides
-    (m+1)(A-A) <= ((A-A) + (m-1)(T-T)) + (T-T) by _in_sumset, so the right
-    side is formed only as the next step's base or when _in_sumset forms it.
+    (m+1)(A-A) <= ((A-A) + (m-1)(T-T)) + (T-T) by _in_sumset handed T, so
+    T-T and the right side are formed only from m = 2 on, as the base of
+    step m, or when _in_sumset forms them.
     """
-    D = difference_set(A, A)
-    E = difference_set(T, T)
-    lhs = rhs = D
+    lhs = rhs = D = difference_set(A, A)
     for m in range(1, m_max + 1):
         if m > 1:
-            rhs = sumset(rhs, E)
+            rhs = sumset(rhs, difference_set(T, T))
         lhs = sumset(lhs, D)
-        if not _in_sumset(lhs, rhs, E):
+        if not _in_sumset(lhs, rhs, T):
             return m - 1
     return m_max
 
 
 def is_k_covering(B: GSet, T: GSet) -> bool:
-    """Whether B + B <= B + (T - T)."""
-    return _in_sumset(sumset(B, B), B, difference_set(T, T))
+    """Whether B + B <= B + (T - T), by _in_sumset handed T: from the marks of B + T, or the formed sum when it is small."""
+    return _in_sumset(sumset(B, B), B, T)
 
 
 @functools.lru_cache(maxsize=1024)

@@ -489,30 +489,36 @@ def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Sorted distinct indices of a + b over all pairs, about _BLOCK pairs at a time.
 
     In a finite group of order at most DENSE_ORDER_LIMIT the sums are marked
-    in a boolean array over the index space once there are enough pairs to pay
-    for it, and the scan stops once every index is marked: the marks are
-    checked only after a block that is not the last and once the pairs so far
-    number at least the order.  Otherwise the sums are sorted and
-    deduplicated.
+    over the index space (_marked_sums) once there are enough pairs to pay
+    for it.  Otherwise the sums are sorted and deduplicated.
     """
     if len(pa) < len(pb):
         pa, pb = pb, pa
     order = g.order
-    step = max(1, _BLOCK // len(pa))
-
-    def block(i):  # built on use, so only one block of pair sums is alive at a time
-        return _index_add(g, pa[None, :], pb[i : i + step, None])
-
     if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * len(pa) * len(pb)):
-        seen = np.zeros(order, dtype=bool)
-        for i in range(0, len(pb), step):
-            seen[block(i)] = True
-            done = i + step
-            if done < len(pb) and done * len(pa) >= order and seen.all():
-                break
-        return np.flatnonzero(seen)
-    parts = [_sorted_distinct(block(i)) for i in range(0, len(pb), step)]
+        return np.flatnonzero(_marked_sums(g, pa, pb))
+    step = max(1, _BLOCK // len(pa))
+    parts = [_sorted_distinct(_index_add(g, pa[None, :], pb[i : i + step, None])) for i in range(0, len(pb), step)]
     return parts[0] if len(parts) == 1 else _sorted_distinct(np.concatenate(parts))
+
+
+def _marked_sums(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Boolean marks over the index space of the finite group g, True at each a + b.
+
+    The rows are the shorter operand's elements, about _BLOCK pairs a block;
+    the scan stops once every index is marked, checked only after a block
+    that is not the last and once the pairs so far number at least the order.
+    """
+    if len(pa) < len(pb):
+        pa, pb = pb, pa
+    step = max(1, _BLOCK // len(pa))
+    seen = np.zeros(g.order, dtype=bool)
+    for i in range(0, len(pb), step):
+        seen[_index_add(g, pa[None, :], pb[i : i + step, None])] = True
+        done = i + step
+        if done < len(pb) and done * len(pa) >= g.order and seen.all():
+            break
+    return seen
 
 
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:
@@ -667,60 +673,50 @@ def is_subset(A: GSet, B: GSet) -> bool:
     return len(a) <= len(b) and bool((b.take(b.searchsorted(a), mode="clip") == a).all())
 
 
-def _in_sumset(X: GSet, Y: GSet, Z: GSet) -> bool:
-    """Whether X <= Y + Z: the one kernel that decides such an inclusion.
+def _in_sumset(X: GSet, Y: GSet, T: GSet) -> bool:
+    """Whether X <= Y + (T - T): the one kernel that decides such an inclusion.
 
-    When |Y|*|Z| <= _BLOCK, or the group has no dense index space (a window,
-    or an order above DENSE_ORDER_LIMIT), it forms the memoized sumset(Y, Z),
-    which later checks in the same scope may read.  Otherwise Y + Z is never
-    formed: _in_sumset_scan decides, and its answer is memoized under
-    "in_sum", so every caller in a scope shares one decision per (X, Y, Z).
-    When -Y = Y and -Z = Z, Y + Z is symmetric and holds x exactly when it
-    holds -x, so the scan gets one point min(x, -x) of each pair X meets.
+    When |Y|*min(|T|^2, order), a bound on |Y|*|T - T|, is at most _BLOCK, or
+    the group has no dense index space (a window, or an order above
+    DENSE_ORDER_LIMIT), it forms the memoized sumset(Y, T - T), which later
+    checks in the same scope may read.  Otherwise neither T - T nor the sum
+    is formed: _in_sumset_scan decides, on X folded when -Y = Y, as the sum
+    is symmetric then.  The answer is memoized under "in_sum", so the callers
+    in a scope share one decision per (X, Y, T).
     """
     g = X.group
-    if g.order is None or g.order > DENSE_ORDER_LIMIT or len(Y) * len(Z) <= _BLOCK:
-        return is_subset(X, sumset(Y, Z))
+    if g.order is None or g.order > DENSE_ORDER_LIMIT or len(Y) * min(len(T) ** 2, g.order) <= _BLOCK:
+        return _memoized((X, Y, T), "in_sum", lambda: is_subset(X, sumset(Y, difference_set(T, T))))
     _require_same_ambient(X, Y)
-    _require_same_ambient(Y, Z)
-
-    def decide() -> bool:
-        x = X.packed()
-        if _minus(Y) is Y and _minus(Z) is Z:
-            x = _sorted_distinct(np.minimum(x, _index_times(g, x, -1)[0]))
-        return _in_sumset_scan(g, x, Y.packed(), Z.packed())
-
-    return _memoized((X, Y, Z), "in_sum", decide)
+    _require_same_ambient(Y, T)
+    x = X.packed()
+    return _memoized((X, Y, T), "in_sum", lambda: _in_sumset_scan(g, _fold(g, x) if _minus(Y) is Y else x, Y.packed(), T.packed()))
 
 
-def _in_sumset_scan(g: Group, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> bool:
-    """Whether every index in x is a + b with a in y and b in z, for a finite group g.
+def _fold(g: Group, x: np.ndarray) -> np.ndarray:
+    """x less each point whose negation is in x at a lesser index: one point of each pair {y, -y} that x meets, by marks of x."""
+    neg = _index_times(g, x, -1)[0]
+    held = np.zeros(g.order, dtype=bool)
+    held[x] = True
+    return x[(x <= neg) | ~held[neg]]
 
-    The rows are the elements of the shorter operand, taken in blocks of about
-    _BLOCK element operations; rem keeps the points of x that no row so far
-    reaches.  Each block takes the cheaper step: while |rem| is at most the
-    longer operand's length, a gather looks each x - a up in that operand's
-    marks, |rem| per row; otherwise a scatter marks a + (longer operand), its
-    length per row, and then filters rem once.  True once rem is empty,
+
+def _in_sumset_scan(g: Group, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> bool:
+    """Whether every index in x is a + b - c with a in y and b, c in t, for a finite group g.
+
+    That is, x + c is in y + t for some c in t.  y + t is marked once; the
+    rows c of t then come in blocks of about _BLOCK lookups of x + c, over
+    the points rem that no row so far reaches.  True once rem is empty,
     False only after the last row.
     """
-    if len(y) > len(z):
-        y, z = z, y
-    in_z = np.zeros(g.order, dtype=bool)
-    in_z[z] = True
-    seen = np.zeros(g.order, dtype=bool)
+    marks = _marked_sums(g, y, t)
     rem, i = x, 0
     while len(rem):
-        if i == len(y):
+        if i == len(t):
             return False
-        rows = y[i : i + max(1, _BLOCK // min(len(rem), len(z)))]
+        rows = t[i : i + max(1, _BLOCK // len(rem))]
         i += len(rows)
-        if len(rem) <= len(z):
-            hit = in_z[_index_add(g, rem[None, :], _index_scale(g, rows, -1)[:, None])].any(axis=0)
-        else:
-            seen[_index_add(g, z[None, :], rows[:, None])] = True
-            hit = seen[rem]
-        rem = rem[~hit]
+        rem = rem[~marks[_index_add(g, rem[None, :], rows[:, None])].any(axis=0)]
     return True
 
 

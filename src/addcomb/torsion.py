@@ -22,6 +22,7 @@ from .groups import (
     Element,
     GSet,
     _in_sumset,
+    _memoized,
     _minus,
     _pairwise,
     _require,
@@ -42,7 +43,7 @@ def subgroup_generated(X: GSet) -> GSet:
     under adding elements of X.  The closure grows level by level: each level
     adds all of X to the elements the previous level first reached, in one
     call of the sumset kernel, and keeps the sums not reached before.  An
-    empty X generates {0}.
+    empty X generates {0}.  A memo scope records -H and H + H as H.
     """
     g = _require(X.group, "torsion")
     member = np.zeros(g.order, dtype=bool)
@@ -53,7 +54,9 @@ def subgroup_generated(X: GSet) -> GSet:
         reached = _pairwise(g, frontier, gens)
         frontier = reached[~member[reached]]
         member[frontier] = True
-    return GSet._from_indices(g, np.flatnonzero(member))
+    H = GSet._from_indices(g, np.flatnonzero(member))
+    _memoized((H,), "neg", lambda: H)
+    return _memoized((H, H), "sum", lambda: H)
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,7 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     T = cert.translates
     t0 = T.elements[0]
     gens = tuple(g.add(t, g.neg(t0)) for t in T.elements[1:])
+    # h_t - h_t = h_t, so _in_sumset handed h_t decides gen(A-A) <= (A-A) + h_t
     h_t = subgroup_generated(GSet(g, gens))
     subgroup = subgroup_generated(D)
     size = len(subgroup)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import addcomb.groups as groups_mod
@@ -528,13 +528,13 @@ def outside(S):
 
 @st.composite
 def inclusions(draw):
-    """(X, Y, Z) in one group, X drawn, Y + Z, or Y + Z with one planted point outside it."""
+    """(X, Y, T) in one group, X drawn, Y + (T - T), or Y + (T - T) with one planted point outside it."""
     g = draw(INCLUSION_GROUPS)
-    Y, Z = draw(subsets_of(g)), draw(subsets_of(g))
-    S = sumset(Y, Z)
+    Y, T = draw(subsets_of(g)), draw(subsets_of(g))
+    S = sumset(Y, difference_set(T, T))
     planted = outside(S)
     X = draw(st.sampled_from([S] + ([planted] if planted is not None else []) + [draw(subsets_of(S.group))]))
-    return X, Y, Z
+    return X, Y, T
 
 
 def symmetrized(S):
@@ -544,7 +544,7 @@ def symmetrized(S):
 
 @st.composite
 def fold_cases(draw):
-    """(X, Y, Z) with Y symmetric and Z symmetric or not, X symmetric, arbitrary, or half of Y + Z and a planted point."""
+    """(X, Y, T) with Y and T symmetric or not, X symmetric, arbitrary, or half of Y + (T - T) and a planted point."""
     g = draw(
         st.one_of(
             st.integers(2, 60).map(CyclicGroup),
@@ -552,11 +552,12 @@ def fold_cases(draw):
         )
     )
     some = st.lists(st.integers(0, g.order - 1), min_size=1, max_size=5).map(lambda idx: by_index(g, idx))
-    Y = symmetrized(draw(some))
-    Z = draw(some)
+    Y, T = draw(some), draw(some)
     if draw(st.booleans()):
-        Z = symmetrized(Z)
-    S = sumset(Y, Z)
+        Y = symmetrized(Y)
+    if draw(st.booleans()):
+        T = symmetrized(T)
+    S = sumset(Y, difference_set(T, T))
     shape = draw(st.sampled_from(["sum", "symmetric", "any", "planted"]))
     if shape == "sum":
         X = S
@@ -565,89 +566,117 @@ def fold_cases(draw):
     elif shape == "any":
         X = draw(some)
     else:
-        # the points of Y + Z that are not the lesser of {x, -x}, and one point
-        # outside Y + Z whose negation is another point, also outside X
+        # the points of Y + (T - T) that are not the lesser of {x, -x}, and one
+        # point outside Y + (T - T) whose negation is another point, also outside X
         half = [x for x in S.elements if g.index(g.neg(x)) < g.index(x)]
         missing = [x for x in plain_elements(g) if x not in S and g.neg(x) != x and g.neg(x) not in half]
         X = GSet(g, half + missing[:1])
-    return X, Y, Z
+    return X, Y, T
+
+
+def scans_at(Y, T, block):
+    """Whether _in_sumset scans X <= Y + (T - T) at _BLOCK = block: a dense index space and |Y|*min(|T|^2, order) above block."""
+    g = Y.group
+    return g.kind != "window" and len(Y) * min(len(T) ** 2, g.order) > block
+
+
+def folded(X):
+    """X less each point whose negation is in X at a lesser index: what the scan gets when -Y = Y."""
+    g, held = X.group, set(X.elements)
+    return {x for x in held if g.neg(x) not in held or g.index(x) <= g.index(g.neg(x))}
 
 
 def scan_spies(monkeypatch, block):
-    """Patch _BLOCK to block; return the list of packed (x, Y, Z) that reach the scan, and a reader of the steps.
+    """Patch _BLOCK to block; return the list of packed (x, Y, T) that reach the scan, and a reader of the steps.
 
-    The steps read G for a gather block (a negation, then an index add) and S
-    for a scatter block (an index add alone), counted inside the scan only:
-    the symmetry test before it negates Y and Z.
+    The steps read M for a block of Y + T marked (an index add inside
+    _marked_sums) and G for a block of x + t gathered (an index add outside
+    it), counted inside the scan only, not in the sums formed before it.
     """
-    scans, events, scanning = [], [], [False]
-    real_scan, real_add, real_scale = groups_mod._in_sumset_scan, groups_mod._index_add, groups_mod._index_scale
+    scans, events, inside = [], [], {"scan": False, "marks": False}
+    real_scan, real_add, real_marks = groups_mod._in_sumset_scan, groups_mod._index_add, groups_mod._marked_sums
 
-    def scan(g, *xyz):
-        scans.append(xyz)
-        scanning[0] = True
-        try:
-            return real_scan(g, *xyz)
-        finally:
-            scanning[0] = False
+    def flagged(key, real):
+        def run(*args):
+            inside[key] = True
+            try:
+                return real(*args)
+            finally:
+                inside[key] = False
+
+        return run
+
+    def scan(g, *xyt):
+        scans.append(xyt)
+        return flagged("scan", real_scan)(g, *xyt)
+
+    def add(*args):
+        if inside["scan"]:
+            events.append("M" if inside["marks"] else "G")
+        return real_add(*args)
 
     monkeypatch.setattr(groups_mod, "_BLOCK", block)
     monkeypatch.setattr(groups_mod, "_in_sumset_scan", scan)
-    monkeypatch.setattr(groups_mod, "_index_add", lambda *a: scanning[0] and events.append("a") or real_add(*a))
-    monkeypatch.setattr(groups_mod, "_index_scale", lambda *a: scanning[0] and events.append("g") or real_scale(*a))
-    return scans, lambda: "".join(events).replace("ga", "G").replace("a", "S")
+    monkeypatch.setattr(groups_mod, "_marked_sums", flagged("marks", real_marks))
+    monkeypatch.setattr(groups_mod, "_index_add", add)
+    return scans, lambda: "".join(events)
 
 
-def inclusion_model(X, Y, Z, block):
-    """(answer, steps) of the documented scan, with Python sets: a G or S per block, gather or scatter.
+def inclusion_model(X, Y, T, block):
+    """(answer, steps) of the documented scan, with Python sets: an M per block of Y + T marked, a G per block of rows gathered.
 
-    When -Y = Y and -Z = Z the scan starts from one point of each pair {x, -x}, the one of lesser index.
+    Y + T is marked by rows of the shorter operand, max(1, block // |longer|)
+    rows a block, and the marking stops after a block that is not the last
+    once the pairs so far number at least the order and every point is
+    marked.  When -Y = Y the scan starts from folded(X).  Then the rows are
+    the elements t of T, max(1, block // |rem|) a block, and a point leaves
+    rem once some x + t is marked.
     """
     g = X.group
-    rows, cols = (Z.elements, set(Y.elements)) if len(Y) > len(Z) else (Y.elements, set(Z.elements))
-    rem = set(X.elements)
-    if all({g.neg(a) for a in S} == set(S.elements) for S in (Y, Z)):
-        rem = {min(x, g.neg(x), key=g.index) for x in rem}
-    reached, steps, i = set(), "", 0
+    longer, shorter = (Y.elements, T.elements) if len(Y) >= len(T) else (T.elements, Y.elements)
+    step = max(1, block // len(longer))
+    marked, steps = set(), ""
+    for i in range(0, len(shorter), step):
+        marked |= {g.add(a, b) for a in longer for b in shorter[i : i + step]}
+        steps += "M"
+        done = i + step
+        if done < len(shorter) and done * len(longer) >= g.order and len(marked) == g.order:
+            break
+    rem = folded(X) if {g.neg(a) for a in Y} == set(Y.elements) else set(X.elements)
+    i = 0
     while rem:
-        if i == len(rows):
+        if i == len(T):
             return False, steps
-        take = rows[i : i + max(1, block // min(len(rem), len(cols)))]
+        take = T.elements[i : i + max(1, block // len(rem))]
         i += len(take)
-        if len(rem) <= len(cols):
-            steps += "G"
-            rem = {x for x in rem if not any(g.add(x, g.neg(a)) in cols for a in take)}
-        else:
-            steps += "S"
-            reached |= {g.add(a, b) for a in take for b in cols}
-            rem -= reached
+        steps += "G"
+        rem = {x for x in rem if not any(g.add(x, t) in marked for t in take)}
     return True, steps
 
 
 class TestInSumset:
-    """_in_sumset decides X <= Y + Z like is_subset(X, sumset(Y, Z)), forming the sum only when it is small."""
+    """_in_sumset decides X <= Y + (T - T) like is_subset(X, sumset(Y, difference_set(T, T))), forming the sum only when it is small."""
 
     @settings(max_examples=400, deadline=None)
     @given(inclusions(), st.integers(1, 7))
     def test_matches_the_formed_sum(self, case, block):
-        X, Y, Z = case
-        want = is_subset(X, sumset(Y, Z))
+        X, Y, T = case
+        want = is_subset(X, sumset(Y, difference_set(T, T)))
         with pytest.MonkeyPatch.context() as mp:
             scans, _ = scan_spies(mp, block)
-            assert groups_mod._in_sumset(X, Y, Z) is want
-        finite = X.group.kind != "window"
-        assert len(scans) == (finite and len(Y) * len(Z) > block)
+            assert groups_mod._in_sumset(X, Y, T) is want
+        assert len(scans) == scans_at(Y, T, block)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(inclusions(), fold_cases()), st.integers(1, 7))
     def test_blocks_follow_the_documented_scan(self, case, block):
-        X, Y, Z = case
-        if X.group.kind == "window" or len(Y) * len(Z) <= block:
+        X, Y, T = case
+        if not scans_at(Y, T, block):
             return  # the sum is formed
         with pytest.MonkeyPatch.context() as mp:
             _, steps = scan_spies(mp, block)
-            got = groups_mod._in_sumset(X, Y, Z)
-        assert (got, steps()) == inclusion_model(X, Y, Z, block)
+            got = groups_mod._in_sumset(X, Y, T)
+        assert (got, steps()) == inclusion_model(X, Y, T, block)
 
     @pytest.mark.parametrize(
         "g", [CyclicGroup(31), CyclicGroup(60), TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2)], ids=repr
@@ -656,27 +685,31 @@ class TestInSumset:
     def test_the_sum_and_one_planted_point(self, monkeypatch, g, block):
         rng = random.Random(f"{g}:{block}")
         pool = plain_elements(g)
-        Y, Z = GSet(g, rng.sample(pool, 4)), GSet(g, rng.sample(pool, 3))
-        S = sumset(Y, Z)  # at most 12 points, so never the whole group
+        Y, T = GSet(g, rng.sample(pool, 4)), GSet(g, rng.sample(pool, 2))
+        S = sumset(Y, difference_set(T, T))  # at most 12 points, so never the whole group
         planted = outside(S)
         scans, steps = scan_spies(monkeypatch, block)
-        assert groups_mod._in_sumset(S, Y, Z) is True
+        assert groups_mod._in_sumset(S, Y, T) is True
         first = steps()
-        assert groups_mod._in_sumset(planted, Y, Z) is False
+        assert groups_mod._in_sumset(planted, Y, T) is False
         second = steps()[len(first) :]
         assert len(scans) == 2
+        assert (True, first) == inclusion_model(S, Y, T, block)
+        assert (False, second) == inclusion_model(planted, Y, T, block)
         if block < 4:
-            # rows of both steps, in blocks that switch from scatter to gather
-            assert "SG" in first or "SG" in second
+            # Y + T marked a row of T per block, then rows gathered until the
+            # planted point is left after the last row of T
+            assert first.startswith("MMG") and second.startswith("MMG")
 
     @pytest.mark.parametrize("g", [CyclicGroup(12), TorsionGroup(2, 4), TorsionGroup(3, 3)], ids=repr)
     @pytest.mark.parametrize("side", ["Y", "Z"])
     def test_a_whole_operand_holds_every_set(self, monkeypatch, g, side):
+        # side Z makes the third operand T whole, and with it T - T
         whole, some = GSet(g, plain_elements(g)), by_index(g, [0, g.order - 1])
-        Y, Z = (whole, some) if side == "Y" else (some, whole)
+        Y, T = (whole, some) if side == "Y" else (some, whole)
         scans, _ = scan_spies(monkeypatch, 1)
         for X in (whole, some, by_index(g, [1])):
-            assert groups_mod._in_sumset(X, Y, Z) is True
+            assert groups_mod._in_sumset(X, Y, T) is True
         assert len(scans) == 3
 
     @pytest.mark.parametrize("g", [CyclicGroup(12), TorsionGroup(3, 2), IntegerWindow(0, 9)], ids=repr)
@@ -692,17 +725,19 @@ class TestInSumset:
     @pytest.mark.parametrize("block", [1, 6, 20])
     def test_the_sum_is_formed_up_to_one_block_of_pairs(self, monkeypatch, block):
         g = CyclicGroup(97)
-        Z = GSet(g, [5])
+        T = GSet(g, [5])  # T - T = {0}, so |Y|*min(|T|^2, 97) is |Y|
         scans, _ = scan_spies(monkeypatch, block)
         for size, scanned in ((block, False), (block + 1, True)):
             Y = GSet(g, range(0, 4 * size, 4))
             X = GSet(g, [1, 9])
-            want = is_subset(X, sumset(Y, Z))
+            want = is_subset(X, sumset(Y, difference_set(T, T)))
             with groups_mod._memo_scope():
                 before = len(scans)
-                assert groups_mod._in_sumset(X, Y, Z) is want
-                formed = ("sum", *sorted((id(Y), id(Z)))) in groups_mod._SCOPE.get()  # keyed by the unordered pair
-            assert (len(scans) - before, formed) == (scanned, not scanned)
+                assert groups_mod._in_sumset(X, Y, T) is want
+                E = difference_set(T, T)  # the scope's T - T, if the inclusion formed it
+                formed = ("sum", *sorted((id(Y), id(E)))) in groups_mod._SCOPE.get()  # keyed by the unordered pair
+                decided = ("in_sum", id(X), id(Y), id(T)) in groups_mod._SCOPE.get()  # on either path
+            assert (len(scans) - before, formed, decided) == (scanned, not scanned, True)
 
     def test_no_scan_without_a_dense_index_space(self, monkeypatch):
         big = CyclicGroup(groups_mod.DENSE_ORDER_LIMIT + 1)
@@ -713,41 +748,122 @@ class TestInSumset:
 
     def test_one_decision_per_operands_in_a_scope(self, monkeypatch):
         g = CyclicGroup(101)
-        X, Y, Z = GSet(g, range(0, 30, 3)), GSet(g, range(10)), GSet(g, [0, 10, 20])
+        X, Y, T = GSet(g, range(0, 30, 3)), GSet(g, range(10)), GSet(g, [0, 10, 20])
         twin = GSet(g, Y.elements)
         scans, _ = scan_spies(monkeypatch, 4)
         with groups_mod._memo_scope():
-            assert groups_mod._in_sumset(X, Y, Z) and groups_mod._in_sumset(X, Y, Z)
+            assert groups_mod._in_sumset(X, Y, T) and groups_mod._in_sumset(X, Y, T)
             assert len(scans) == 1
-            assert groups_mod._in_sumset(X, twin, Z)
+            assert groups_mod._in_sumset(X, twin, T)
             assert len(scans) == 2
-        assert groups_mod._in_sumset(X, Y, Z)
+        assert groups_mod._in_sumset(X, Y, T)
         assert len(scans) == 3
 
     @pytest.mark.parametrize("block", [1, groups_mod._BLOCK])
     def test_operands_of_other_groups_are_rejected(self, monkeypatch, block):
         a, b = GSet(CyclicGroup(31), [0, 1, 2]), GSet(CyclicGroup(37), [0, 1, 2])
         scan_spies(monkeypatch, block)
-        for X, Y, Z in ((b, a, a), (a, b, a), (a, a, b)):
+        for X, Y, T in ((b, a, a), (a, b, a), (a, a, b)):
             with pytest.raises(GroupMismatchError):
-                groups_mod._in_sumset(X, Y, Z)
+                groups_mod._in_sumset(X, Y, T)
 
 
 @settings(max_examples=400, deadline=None)
 @given(fold_cases(), st.integers(1, 7))
 def test_the_symmetric_fold_decides_like_the_formed_sum(case, block):
-    X, Y, Z = case
+    X, Y, T = case
     g = X.group
-    want = is_subset(X, sumset(Y, Z))
+    want = is_subset(X, sumset(Y, difference_set(T, T)))
     with pytest.MonkeyPatch.context() as mp:
         scans, _ = scan_spies(mp, block)
-        assert groups_mod._in_sumset(X, Y, Z) is want
-    if len(Y) * len(Z) <= block:
+        assert groups_mod._in_sumset(X, Y, T) is want
+    if not scans_at(Y, T, block):
         assert scans == []
         return
-    folds = negate(Z) == Z  # Y is symmetric by construction
-    lesser = {min(x, g.neg(x), key=g.index) for x in X.elements} if folds else set(X.elements)
+    folds = negate(Y) == Y  # T - T is symmetric whatever T is
+    lesser = folded(X) if folds else set(X.elements)
     assert [scanned.tolist() for scanned, _, _ in scans] == [sorted(map(g.index, lesser))]
+
+
+DIFFERENCE_GROUPS = st.one_of(
+    st.sampled_from([2, 3, 5, 13, 31, 61]).map(CyclicGroup),
+    st.sampled_from([4, 12, 36, 60]).map(CyclicGroup),
+    st.sampled_from([TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2), TorsionGroup(4, 2)]),
+)
+
+
+def reached_only_at(X, Y, T):
+    """The points x of X for which the last element of T is the only t with x + t in Y + T."""
+    g, marked = X.group, set(sumset(Y, T).elements)
+    return [x for x in X.elements if [t for t in T.elements if g.add(x, t) in marked] == [T.elements[-1]]]
+
+
+@st.composite
+def difference_cases(draw):
+    """(X, Y, T, shape): X a part of Y + (T - T) or that and a planted miss, T a subgroup, or Y + T the whole group.
+
+    Shape "last" holds a point whose only representation y + t - t' has t'
+    the last row of T, so a scan that stops a row early answers False.
+    """
+    g = draw(DIFFERENCE_GROUPS)
+    pool = plain_elements(g)
+    some = st.lists(st.sampled_from(pool), min_size=1, max_size=6).map(lambda xs: GSet(g, xs))
+    shape = draw(st.sampled_from(["last", "miss", "subgroup", "whole"]))
+    Y, T = draw(some), draw(some)
+    if shape == "subgroup":
+        if g.kind == "torsion":
+            T = subgroup_generated(T)
+        else:
+            step = draw(st.sampled_from([d for d in range(1, g.order + 1) if g.order % d == 0]))
+            T = by_index(g, range(0, g.order, step))
+    elif shape == "whole":
+        # every x - T has |T| points, so fewer than |T| missing from Y leave Y + T whole
+        gaps = draw(st.sets(st.sampled_from(pool), max_size=len(T) - 1))
+        Y = GSet(g, [x for x in pool if x not in gaps])
+    S = sumset(Y, difference_set(T, T))
+    part = draw(st.lists(st.sampled_from(S.elements), max_size=8))
+    if shape == "last":
+        last = reached_only_at(S, Y, T)
+        assume(last)
+        part.append(draw(st.sampled_from(last)))
+    elif shape == "miss":
+        missing = [x for x in pool if x not in S]
+        assume(missing)
+        part.append(draw(st.sampled_from(missing)))
+    return GSet(g, part), Y, T, shape
+
+
+@settings(max_examples=400, deadline=None)
+@given(difference_cases(), st.sampled_from([1, 16, groups_mod._BLOCK]))
+def test_the_inclusion_matches_the_sets_of_differences(case, block):
+    """_in_sumset against Y + (T - T) built from Python sets, at blocks that scan and the default one, which forms."""
+    X, Y, T, shape = case
+    g = X.group
+    differences = {g.add(t, g.neg(u)) for t in T.elements for u in T.elements}
+    want = set(X.elements) <= {g.add(y, d) for y in Y.elements for d in differences}
+    assert want is (shape != "miss")
+    if shape == "whole":
+        assert len(sumset(Y, T)) == g.order
+    with pytest.MonkeyPatch.context() as mp:
+        scans, _ = scan_spies(mp, block)
+        assert groups_mod._in_sumset(X, Y, T) is want
+    assert len(scans) == scans_at(Y, T, block)
+
+
+def test_the_scan_forms_neither_the_differences_nor_the_sum(monkeypatch):
+    """On 28 points at q = 1,000,003, X <= Y + (T - T) is decided from Y + T: _pairwise never forms T - T or Y + (T - T)."""
+    g = CyclicGroup(1_000_003)
+    A = GSet(g, random.Random(28).sample(range(g.modulus), 28))
+    T = greedy_translates(A, sumset(A, A))
+    D, E = difference_set(A, A), difference_set(T, T)
+    X = sumset(D, D)
+    assert scans_at(D, T, groups_mod._BLOCK)
+    pairs, real = [], groups_mod._pairwise
+    monkeypatch.setattr(groups_mod, "_pairwise", lambda g, pa, pb: pairs.append({pa.tobytes(), pb.tobytes()}) or real(g, pa, pb))
+    assert groups_mod._in_sumset(X, D, T) is True
+    assert {T.packed().tobytes(), negate(T).packed().tobytes()} not in pairs  # T - T
+    assert {D.packed().tobytes(), E.packed().tobytes()} not in pairs  # Y + (T - T)
+    assert pairs == []
 
 
 def test_np_unique_only_with_an_inverse_or_index():

@@ -351,28 +351,29 @@ def test_spectral_diameter_forms_a_minus_a_once(monkeypatch):
 def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeypatch, m_max, formed):
     """With _BLOCK small, one scan decides 2(A-A) <= (A-A)+(T-T) for inc, incm and the growth checks.
 
-    (A-A)+(T-T) is formed only when incm goes on to m = 2, as the base of that
-    step's inclusion.
+    The scan reads (A-A)+T: T-T and (A-A)+(T-T) are formed only when incm
+    goes on to m = 2, as the base of that step's inclusion.
     """
     A = GSet(CyclicGroup(101), [0, 1, 3, 7, 12, 20])
     monkeypatch.setattr(suite_mod, "_M_MAX", m_max)
     want = dumps(run_suite([A]))
     T = covering_certificate(A, A, A, witness_budget=SuiteConfig().witness_budget).translates
     D, E = difference_set(A, A), difference_set(T, T)
-    # D and E are symmetric, so the scan gets one point of each pair {x, -x} of 2(A-A): min(x, 101 - x)
+    # D is symmetric, so the scan gets one point of each pair {x, -x} of 2(A-A): min(x, 101 - x)
     x = sumset(D, D).packed()
-    inclusion = (np.unique(np.minimum(x, -x % 101)).tobytes(), D.packed().tobytes(), E.packed().tobytes())
+    inclusion = (np.unique(np.minimum(x, -x % 101)).tobytes(), D.packed().tobytes(), T.packed().tobytes())
     scans, pairs = [], []
     real_scan = groups_mod._in_sumset_scan
     monkeypatch.setattr(groups_mod, "_BLOCK", 16)
-    monkeypatch.setattr(groups_mod, "_in_sumset_scan", lambda g, *xyz: scans.append(tuple(a.tobytes() for a in xyz)) or real_scan(g, *xyz))
+    monkeypatch.setattr(groups_mod, "_in_sumset_scan", lambda g, *xyt: scans.append(tuple(a.tobytes() for a in xyt)) or real_scan(g, *xyt))
     for mod in (groups_mod, torsion_mod):
         real_pairwise = mod._pairwise
         monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append({pa.tobytes(), pb.tobytes()}) or _real(g, pa, pb))
     assert dumps(run_suite([A])) == want
-    assert len(D) * len(E) > 16
+    assert len(D) * min(len(T) ** 2, 101) > 16
     assert scans.count(inclusion) == 1
-    assert pairs.count(set(inclusion[1:])) == formed
+    assert pairs.count({D.packed().tobytes(), E.packed().tobytes()}) == formed
+    assert pairs.count({T.packed().tobytes(), negate(T).packed().tobytes()}) == formed
 
 
 def test_cli_cover_scans_the_covering_inclusion_once(monkeypatch, capsys):
