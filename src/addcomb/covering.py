@@ -49,11 +49,23 @@ __all__ = [
 ]
 
 
-def _translate_ids(core: GSet, shifts: GSet) -> Tuple[np.ndarray, int]:
-    """(ids, size of the union): row i of ids holds the elements of core + (i-th shift) as ids into their sorted union."""
+def _translate_ids(core: GSet, shifts: GSet) -> Tuple[np.ndarray, int, np.ndarray]:
+    """(ids, size of the union, order) of the translates core + s, s in shifts, from one sort of their sums.
+
+    Row i of ids holds the elements of core + (i-th shift) as ids into their
+    sorted union; order is the sort, the flat positions of the sums in
+    increasing order, so the entries of one point are a run of it.
+    """
     sums = _index_add(core.group, shifts.packed()[:, None], core.packed()[None, :])
-    union, ids = np.unique(sums, return_inverse=True)
-    return ids.reshape(sums.shape), len(union)
+    order = np.argsort(sums, axis=None)
+    ordered = sums.ravel()[order]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    point = np.cumsum(new) - 1
+    ids = np.empty(len(ordered), dtype=np.intp)
+    ids[order] = point
+    return ids.reshape(sums.shape), int(np.count_nonzero(new)), order
 
 
 def greedy_translates(core: GSet, candidates: GSet) -> GSet:
@@ -61,24 +73,32 @@ def greedy_translates(core: GSet, candidates: GSet) -> GSet:
 
     Selection is deterministic: largest gain first, ties broken by canonical
     element order.  The comparison 2*gain >= |core| is exact integer
-    arithmetic.
+    arithmetic.  Gains are kept, not recomputed: row p of holders lists the
+    candidates whose translate holds point p (padded with m = |candidates|
+    to the largest multiplicity of a point), and a round takes one gain off
+    each holder of each point it newly covers, then pads those rows out, so
+    the work is about m*|core| + |T|*m in all.
     """
     if not len(core):
         raise ValueError("core set must be nonempty")
-    n = len(core)
-    ids, universe = _translate_ids(core, candidates)
-    # column j of by_point holds the ids of core + (j-th candidate), so a gain
-    # is a column sum, taken as |core| row additions of m values each
-    by_point = np.ascontiguousarray(ids.T)
-    covered = np.zeros(universe, dtype=bool)
+    n, m = len(core), len(candidates)
+    ids, universe, order = _translate_ids(core, candidates)
+    point = ids.ravel()[order]
+    rank = np.arange(len(point)) - point.searchsorted(point)  # place of each entry among its point's holders
+    holders = np.full((universe, int(rank.max(initial=-1)) + 1), m, dtype=np.intp)
+    holders[point, rank] = order // n
+    # entry m counts the padding; it starts below every real gain
+    gains = np.full(m + 1, n, dtype=np.int64)
+    gains[m] = -1
     chosen = []
-    while len(chosen) < len(ids):
-        gains = n - np.add.reduce(covered[by_point], axis=0)
-        best = int(np.argmax(gains))  # the first largest gain
+    while len(chosen) < m:
+        best = int(gains.argmax())  # the first largest gain
         if 2 * gains[best] < n:
             break
         chosen.append(best)
-        covered[ids[best]] = True
+        row = ids[best]
+        gains -= np.bincount(holders[row].ravel(), minlength=m + 1)
+        holders[row] = m  # a covered point takes no more gains
     return GSet._from_indices(candidates.group, candidates.packed()[sorted(chosen)])
 
 
@@ -116,7 +136,7 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     if n > budget:
         raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
     sigma = sumset(B1, B2)
-    ids, best_bits = _translate_ids(sigma, A)
+    ids, best_bits, _ = _translate_ids(sigma, A)
     # the least ratio so far is best_bits / best_size, first found at the
     # subset whose positions are the set bits of best_key, position i at bit n-1-i
     best_size, best_key = n, (1 << n) - 1

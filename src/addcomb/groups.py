@@ -48,11 +48,25 @@ Element = Union[int, Tuple[int, ...]]
 # a boolean array of this length, and indicators and torsion groups stop here.
 DENSE_ORDER_LIMIT = 1 << 24
 
-# Marking sums densely costs O(order) however few the pairs; below one pair
-# per this many residues the pair sums are sorted and deduplicated instead.
-# Lowering it after the sort replaced np.unique sped up no benchmark workload
-# and slowed the small-N sums of rectify-stream.
-_DENSE_PAIR_FACTOR = 256
+# Marking sums densely costs O(order) however few the pairs, and sorting them
+# costs O(pairs) plus about what marking 8,192 residues costs.  So _pairwise
+# marks when order <= _DENSE_PAIR_FACTOR * (pairs + _SORT_SETUP_PAIRS), and
+# sorts and deduplicates otherwise.  Measured crossover, square random
+# operands in Z/q on a 2-vCPU Xeon VM (numpy 2.4), microseconds per sum:
+#
+#         q    order/pairs:   1             4             8             16            64
+#                        dense  sorted  dense  sorted  dense  sorted  dense  sorted  dense  sorted
+#       101               15      19      8      10      8       9      7       9     10      15
+#     1,009               23      35     19      21     10      20     16      18     15      18
+#    10,007               82     209     43      51     35      33     15      16     11      11
+#    80,021              562   1,821    231     304    174     144    194      81     60      33
+# 1,000,003            6,473  38,984  3,111   5,056  2,192   2,137  2,654     873    894     212
+#
+# Marking wins at every pair count up to q ~ 8,000 and down to order/pairs
+# ~ 8 above it; the rule puts the switch at order/pairs = 8.9 at q = 80,021
+# and 8.07 at q = 10^6.
+_DENSE_PAIR_FACTOR = 8
+_SORT_SETUP_PAIRS = 1024
 
 # Values formed at once by every blocked kernel (pair sums here, folds,
 # dilations, witness unions): 2 MB of int64, which stays in a 2 MB L2 cache.
@@ -490,12 +504,13 @@ def _pairwise(g: Group, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 
     In a finite group of order at most DENSE_ORDER_LIMIT the sums are marked
     over the index space (_marked_sums) once there are enough pairs to pay
-    for it.  Otherwise the sums are sorted and deduplicated.
+    for it (see _DENSE_PAIR_FACTOR).  Otherwise the sums are sorted and
+    deduplicated.
     """
     if len(pa) < len(pb):
         pa, pb = pb, pa
     order = g.order
-    if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * len(pa) * len(pb)):
+    if order is not None and order <= min(DENSE_ORDER_LIMIT, _DENSE_PAIR_FACTOR * (len(pa) * len(pb) + _SORT_SETUP_PAIRS)):
         return np.flatnonzero(_marked_sums(g, pa, pb))
     step = max(1, _BLOCK // len(pa))
     parts = [_sorted_distinct(_index_add(g, pa[None, :], pb[i : i + step, None])) for i in range(0, len(pb), step)]
@@ -705,17 +720,19 @@ def _in_sumset_scan(g: Group, x: np.ndarray, y: np.ndarray, t: np.ndarray) -> bo
     """Whether every index in x is a + b - c with a in y and b, c in t, for a finite group g.
 
     That is, x + c is in y + t for some c in t.  y + t is marked once; the
-    rows c of t then come in blocks of about _BLOCK lookups of x + c, over
-    the points rem that no row so far reaches.  True once rem is empty,
+    rows c of t then come in blocks over the points rem that no row so far
+    reaches: the k-th block takes 2^k rows, k = 0, 1, ..., or fewer so as to
+    look up at most about _BLOCK values of x + c, so a set that the first
+    rows of t strike off costs about |x| lookups.  True once rem is empty,
     False only after the last row.
     """
     marks = _marked_sums(g, y, t)
-    rem, i = x, 0
+    rem, i, size = x, 0, 1
     while len(rem):
         if i == len(t):
             return False
-        rows = t[i : i + max(1, _BLOCK // len(rem))]
-        i += len(rows)
+        rows = t[i : i + min(size, max(1, _BLOCK // len(rem)))]
+        i, size = i + len(rows), 2 * size
         rem = rem[~marks[_index_add(g, rem[None, :], rows[:, None])].any(axis=0)]
     return True
 

@@ -63,7 +63,7 @@ class DiameterWitness:
     step: int
     start: int
     normalized: GSet        # step^-1 * (A - start), a subset of {0..length}
-    # the multipliers visited, one row of the dilation kernel each (1 for a singleton): the work done
+    # the multipliers visited (1 for a singleton); the dilation kernel gets a row for each one the bounds keep
     units_searched: int
 
 
@@ -86,12 +86,16 @@ def diameter(A: GSet) -> DiameterWitness:
     found, as every unit of that length or less has been visited, so the
     work is about diam(A) * |A|.  With no such d, or when N/2 fits in the
     first block, t = u and the scan stops after the block holding the first
-    unit that reaches the floor |A| - 1.  Every scan stops at t = N/2.  No t
-    past _DIAMETER_BUDGET is visited: a scan whose stop rule is unmet by then
-    raises BudgetError, so a set whose diameter exceeds the budget costs about
+    unit that reaches the floor |A| - 1.  Every scan stops at t = N/2.
+    Once a length is found, a multiplier is dropped before its row is formed
+    when |u*e| (centred), for e the last consecutive difference of A, or its
+    t exceeds that length: its row cannot reach the length, and a row that
+    ties it is kept, so the witness is the same.  No t past _DIAMETER_BUDGET
+    is visited: a scan whose stop rule is unmet by then raises BudgetError,
+    so a set whose diameter exceeds the budget costs about
     _DIAMETER_BUDGET * |A| products before it is refused.  units_searched
-    counts the multipliers visited.  While a memo scope is open, each set's
-    witness is found once.
+    counts the multipliers visited, dropped ones included.  While a memo
+    scope is open, each set's witness is found once.
     """
     return _memoized((A,), "diameter", lambda: _diameter(A))
 
@@ -109,7 +113,8 @@ def _diameter(A: GSet) -> DiameterWitness:
     half, floor = N // 2, len(A) - 1  # no set does better than a full progression
     step = min(64, cap)  # blocks double from 64 multipliers, so N <= 129 is one block
     prime = is_prime(N)
-    inv = None if half <= step else _unit_difference_inverse(A.packed(), N)
+    inv = None if half <= step else _unit_difference_inverse(arr, N)
+    e = None if half <= step else int(arr[-1] - arr[-2])  # the last consecutive difference, a second bound on a row's length
     last = min(half, _DIAMETER_BUDGET)  # the last t to visit
     best = (N, 0, 0)  # (length, unit, start in dilated coordinates)
     lo, searched = 1, 0
@@ -124,8 +129,15 @@ def _diameter(A: GSet) -> DiameterWitness:
         else:
             u = _mul_mod(t, inv, N)
             u = np.minimum(u, N - u)
+        searched += u.size
+        if e is not None and best[0] < N:
+            # a row no longer than best puts u*e, and with inv also t, within best of 0 (centred)
+            bound = _mul_mod(u, e, N)
+            bound = np.minimum(bound, N - bound)
+            if inv is not None:
+                bound = np.maximum(bound, t)
+            u = u[bound <= best[0]]
         if u.size:
-            searched += u.size
             lengths, starts = _shortest_arcs(_mul_mod(arr, u[:, None], N), N)
             i = int(np.argmin(lengths))  # the least unit of the least length when u increases
             if inv is not None:
@@ -177,19 +189,27 @@ def _shortest_arcs(rows: np.ndarray, N: int) -> Tuple[np.ndarray, np.ndarray]:
     return N - gaps[r, i], rows[r, i]
 
 
-def _window_counts(B: GSet, l: int) -> np.ndarray:
-    """counts[s] = number of points of B in {s, s+1, ..., s+l} mod N, for every start s.
+def _best_window(B: GSet, l: int) -> Tuple[int, int]:
+    """(start, count) of the window {s, s+1, ..., s+l} mod N holding the most points of B, the least start s on ties.
 
-    One prefix sum over the indicator, extended by its first l entries so that
-    windows wrap; needs 0 <= l < N.  GSet.indicator raises BudgetError above
-    groups.DENSE_ORDER_LIMIT.  The counts are read-only, as lev_interval
-    keeps them in the memo scope.
+    Needs a nonempty B and 0 <= l < N.  The first best start is 0 or
+    (p - l) mod N for some p in B, as a start s > 0 that beats s - 1 gains
+    its last point s + l.  So only those |B| + 1 starts are counted, by
+    binary search in the sorted points p followed by p + N: O(|B| log |B|)
+    whatever N is, and every value stays below 2N <= 2^63.
     """
-    ind = B.indicator()
-    prefix = np.cumsum(np.concatenate(([0], ind, ind[:l])), dtype=np.int64)
-    counts = prefix[l + 1 :] - prefix[: len(ind)]
-    counts.flags.writeable = False
-    return counts
+    N = B.group.modulus  # type: ignore[union-attr]
+    p = B.packed()
+    ring = np.concatenate((p, p + N))
+    k = int(p.searchsorted(l))
+    # the window of start (p - l) mod N ends at p or p + N: for the points p >= l, then p < l, starts ascend
+    ends = ring[k : k + len(p)]
+    counts = np.arange(k + 1, k + 1 + len(p)) - ring.searchsorted(ends - l)
+    i = int(counts.argmax())
+    at_zero = int(p.searchsorted(l, "right"))
+    if at_zero >= counts[i]:
+        return 0, at_zero
+    return int(ends[i]) - l, int(counts[i])
 
 
 @dataclass(frozen=True)
@@ -214,9 +234,11 @@ class LevWindow(Certificate):
 def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     """Best near-covering interval of length < delta*N when B^(1) is nearly maximal.
 
-    Scans every circular window of length ceil(delta*N) - 1 and returns the
-    one with fewest exceptions (smallest start on ties).  Not-applicable is
-    a value: hypothesis_met=False with the measured coefficient.
+    Returns the circular window of length ceil(delta*N) - 1 with fewest
+    exceptions (smallest start on ties), found by _best_window among the
+    |B| + 1 starts that can be first best, so N may be anything up to 2^62.
+    Not-applicable is a value: hypothesis_met=False with the measured
+    coefficient.
     """
     N = _require(B.group, "cyclic").modulus
     if not len(B):
@@ -231,10 +253,8 @@ def lev_interval(B: GSet, eps: float, delta: float) -> LevWindow:
     if coeff < threshold:
         return LevWindow(False, coeff, threshold)
     length = max(0, math.ceil(delta * N) - 1)
-    # memoized, so every eps at one delta reads one scan
-    window = _memoized((B,), ("window", length), lambda: _window_counts(B, length))
-    start = int(np.argmax(window))
-    inside = int(window[start])
+    # memoized, so every eps at one delta reads one search
+    start, inside = _memoized((B,), ("window", length), lambda: _best_window(B, length))
     exceptions = size - inside
     bound = eps * size
     return LevWindow(True, coeff, threshold, start, length, exceptions, bound, exceptions < bound)

@@ -26,7 +26,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from .covering import CoveringCertificate, covering_certificate, growth_table, j_bound_report
 from .fourier import moment_chain, spectrum
 from .groups import BudgetError, Certificate, GSet, NotApplicable, _memo_scope, _memoized, _require, difference_set
-from .rectify import _window_counts, diam_from_spectrum, gap_cover, lev_interval, rectify
+from .rectify import _best_window, diam_from_spectrum, gap_cover, lev_interval, rectify
 from .torsion import torsion_cover
 from .serialize import gset_to_obj
 
@@ -174,7 +174,7 @@ def _check_cover(A: GSet, cfg: SuiteConfig):
 
     def cover(delta):  # b starts a window of length l holding the most of A - A
         l = math.ceil(delta * N) - 1
-        return {"delta": delta}, gap_cover(A, int(_window_counts(D, l).argmax()), l)
+        return {"delta": delta}, gap_cover(A, _best_window(D, l)[0], l)
 
     return _verdict(map(cover, _DELTA_GRID), lambda res: {"start": res.start, "length": res.length})
 

@@ -152,6 +152,34 @@ class TestGreedy:
         T = greedy_translates(GSet(g, [zero]), GSet(g, []))
         assert T.elements == () and T.group == g
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_kept_gains_match_the_oracle_up_to_32_core_points(self, data):
+        # the gains are kept across rounds, not recomputed: random or progression cores of up to 32 points,
+        # whose points then have up to |core| holders, over random or progression candidates, or none
+        g = data.draw(st.sampled_from([CyclicGroup(1009), CyclicGroup(10007), W]))
+        at = (lambda i: i) if g.kind == "window" else (lambda i: i % g.modulus)
+
+        def draw_set(max_size, min_size):
+            size = data.draw(st.integers(min_size, max_size))
+            if data.draw(st.booleans()):
+                return GSet(g, data.draw(st.lists(st.integers(-300, 300), min_size=size, max_size=size)))
+            start, step = data.draw(st.integers(-50, 50)), data.draw(st.integers(1, 9))
+            return GSet(g, [at(start + i * step) for i in range(size)])
+
+        core, cand = draw_set(32, 1), draw_set(60, 0)
+        T = greedy_translates(core, cand)
+        assert list(T.elements) == brute_greedy_translates(core, cand, element_add(g))
+
+    @pytest.mark.parametrize("size", [16, 32])
+    def test_progression_core_over_its_own_sumset(self, size):
+        # most points of an AP core's translates over 2*core have |core| holders
+        g = CyclicGroup(1000003)
+        core = GSet(g, [7 + 1000 * i for i in range(size)])
+        cand = sumset(core, core)
+        T = greedy_translates(core, cand)
+        assert list(T.elements) == brute_greedy_translates(core, cand, element_add(g))
+
 
 class TestWitness:
     def test_trivial_singleton(self):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import addcomb.groups as groups_mod
@@ -332,6 +332,22 @@ class TestSumsetKernel:
         assert out.dtype == np.int64
         assert out.tolist() == expected
 
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(300, 400), st.integers(-3, 3), st.randoms(use_true_random=False))
+    @example(340, 0, random.Random(1))  # 115,600 pairs: sorted
+    @example(360, 0, random.Random(2))  # 129,600 pairs: marked
+    def test_both_sides_of_the_crossover_at_a_million(self, size, skew, rnd):
+        # at q = 1,000,003 the sums are marked from 8 * (pairs + 1024) >= q, about 124,000 pairs, and sorted below
+        q = 1000003
+        a, b = rnd.sample(range(q), size + skew), rnd.sample(range(q), size - skew)
+        marked = []
+        real = groups_mod._marked_sums
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_marked_sums", lambda *args: marked.append(1) or real(*args))
+            S = sumset(GSet(CyclicGroup(q), a), GSet(CyclicGroup(q), b))
+        assert marked == ([1] if q <= 8 * (len(a) * len(b) + 1024) else [])
+        assert list(S.elements) == sorted({(x + y) % q for x in a for y in b})
+
     def test_packed_of_window_sumset(self):
         S = sumset(GSet(W, [-5, 0, 7]), GSet(W, [1, 2]))
         assert S.group == IntegerWindow(-4, 9)
@@ -629,8 +645,8 @@ def inclusion_model(X, Y, T, block):
     rows a block, and the marking stops after a block that is not the last
     once the pairs so far number at least the order and every point is
     marked.  When -Y = Y the scan starts from folded(X).  Then the rows are
-    the elements t of T, max(1, block // |rem|) a block, and a point leaves
-    rem once some x + t is marked.
+    the elements t of T, min(2^k, max(1, block // |rem|)) in the k-th block
+    from k = 0, and a point leaves rem once some x + t is marked.
     """
     g = X.group
     longer, shorter = (Y.elements, T.elements) if len(Y) >= len(T) else (T.elements, Y.elements)
@@ -643,12 +659,12 @@ def inclusion_model(X, Y, T, block):
         if done < len(shorter) and done * len(longer) >= g.order and len(marked) == g.order:
             break
     rem = folded(X) if {g.neg(a) for a in Y} == set(Y.elements) else set(X.elements)
-    i = 0
+    i, k = 0, 0
     while rem:
         if i == len(T):
             return False, steps
-        take = T.elements[i : i + max(1, block // len(rem))]
-        i += len(take)
+        take = T.elements[i : i + min(2**k, max(1, block // len(rem)))]
+        i, k = i + len(take), k + 1
         steps += "G"
         rem = {x for x in rem if not any(g.add(x, t) in marked for t in take)}
     return True, steps
@@ -700,6 +716,19 @@ class TestInSumset:
             # Y + T marked a row of T per block, then rows gathered until the
             # planted point is left after the last row of T
             assert first.startswith("MMG") and second.startswith("MMG")
+
+    def test_rows_double_from_one(self, monkeypatch):
+        # at the default _BLOCK, |Y|*|T|^2 = 600*900 is past it, so the scan runs; the rows of T come 1, 2, 4, 8, 16
+        rng = random.Random(5)
+        g = CyclicGroup(1000003)
+        Y, T = GSet(g, rng.sample(range(g.order), 600)), GSet(g, rng.sample(range(g.order), 30))
+        ends = set(sumset(Y, T).elements)
+        far = next(x for x in range(g.order) if all((x + t) % g.order not in ends for t in T.elements))
+        scans, steps = scan_spies(monkeypatch, groups_mod._BLOCK)
+        assert groups_mod._in_sumset(Y, Y, T) is True  # the first row strikes off all of Y: |Y| lookups
+        first = steps()
+        assert groups_mod._in_sumset(GSet(g, [far]), Y, T) is False
+        assert (first.count("G"), steps()[len(first) :].count("G"), len(scans)) == (1, 5, 2)
 
     @pytest.mark.parametrize("g", [CyclicGroup(12), TorsionGroup(2, 4), TorsionGroup(3, 3)], ids=repr)
     @pytest.mark.parametrize("side", ["Y", "Z"])

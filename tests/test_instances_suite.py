@@ -25,12 +25,14 @@ from addcomb import (
     SuiteConfig,
     TorsionGroup,
     canonical_affine_form,
+    difference_set,
     dilate,
     dump_instances,
     dumps,
     exhaustive_sets,
     gset_from_obj,
     gset_to_obj,
+    lev_interval,
     load_instances,
     parse_elements,
     parse_group,
@@ -567,13 +569,29 @@ class TestSuite:
 
 
 class TestCli:
-    def test_window_checks_skip_above_the_dense_limit(self, capsys):
-        # lev and cover count windows over Z/N; at N near 2^62 that is over budget, as parseval and diam are
+    def test_window_checks_decide_above_the_dense_limit(self, capsys):
+        # lev and cover find their best window among |B| + 1 starts, so at N = 2^62 - 57 they decide;
+        # parseval and diam need a spectrum of N points, which is over budget there
         argv = "verify --group cyclic:4611686018427387847 --shape progression:0:1:3 --checks lev,cover,parseval,diam"
         assert main(argv.split()) == 0
         out = capsys.readouterr().out
-        for check in ("parseval", "cover", "lev", "diam"):
+        for check in ("cover", "lev"):
+            assert f"{check}: 1 pass, 0 fail, 0 skip" in out
+        for check in ("parseval", "diam"):
             assert f"{check}: 0 pass, 0 fail, 1 skip" in out
+
+    def test_window_verdicts_at_2_62_do_not_wrap(self):
+        # {0, 1, 2} and A - A = {N - 2, ..., 2} sit at both ends of Z/N, so their windows wrap and p + N nears 2^63
+        N = (1 << 62) - 57
+        A = GSet(CyclicGroup(N), [0, 1, 2])
+        D = difference_set(A, A)
+        for delta in (0.1, 0.2, 0.3):
+            l = math.ceil(delta * N) - 1
+            assert rectify_mod._best_window(D, l) == (N + 2 - l, 5)
+            res = lev_interval(A, 0.25, delta)
+            assert (res.hypothesis_met, res.start, res.length, res.exceptions, res.ok) == (True, 0, l, 0, True)
+        report = run_suite([A], SuiteConfig(checks=("cover", "lev")))
+        assert (report.tallies["cover"].passed, report.tallies["lev"].passed, report.ok) == (1, 1, True)
 
     def test_sumset(self, capsys):
         assert main(["sumset", "--group", "cyclic:11", "--elements", "0,1,3"]) == 0

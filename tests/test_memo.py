@@ -298,11 +298,11 @@ def test_one_diameter_serves_every_order(monkeypatch):
 
 
 def test_window_counts_and_dilations_are_built_once_per_instance(monkeypatch):
-    """lev scans one window per (set, length) for all its eps; diam dilates A and A - A once for all its deltas."""
+    """lev searches one best window per (set, length) for all its eps; diam dilates A and A - A once for all its deltas."""
     A = GSet(CyclicGroup(101), [3, 4, 5, 6, 7])
     windows, dilations = [], []
-    real_windows, real_dilate = rectify_mod._window_counts, groups_mod._dilate
-    monkeypatch.setattr(rectify_mod, "_window_counts", lambda B, l: windows.append((B, l)) or real_windows(B, l))
+    real_windows, real_dilate = rectify_mod._best_window, groups_mod._dilate
+    monkeypatch.setattr(rectify_mod, "_best_window", lambda B, l: windows.append((B, l)) or real_windows(B, l))
     monkeypatch.setattr(groups_mod, "_dilate", lambda B, r: dilations.append((B, r)) or real_dilate(B, r))
 
     def run():
@@ -313,7 +313,7 @@ def test_window_counts_and_dilations_are_built_once_per_instance(monkeypatch):
         return [(id(B), l) for B, l in windows], [(id(B), r) for B, r in dilations]
 
     built, dilated = run()
-    # each of A and r*(A - A) is scanned at the three lengths of the delta grid
+    # each of A and r*(A - A) is searched at the three lengths of the delta grid
     assert len(built) == len(set(built)) == 6
     assert len(dilated) == len(set(dilated)) == 2
     monkeypatch.setattr(suite_mod, "_memo_scope", contextlib.nullcontext)
