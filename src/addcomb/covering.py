@@ -27,6 +27,7 @@ from .groups import (
     GSet,
     _in_sumset,
     _index_add,
+    _memo_scope,
     _memoized,
     difference_set,
     sumset,
@@ -247,6 +248,15 @@ def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> 
 
 @dataclass(frozen=True)
 class CoveringCertificate(Certificate):
+    """A verified translate cover of (A, B1, B2); see covering_certificate.
+
+    Invariant under isomorphisms of the group: ratio1, ratio2,
+    witness_ratio, witness_is_optimal, size_bound and the claims, and the
+    witness itself (the largest subset of least ratio is unique) maps to the
+    image's witness.  Presentation, tie-broken by element order: the
+    translates, and so m_checked.
+    """
+
     base: GSet
     summand1: GSet
     summand2: GSet
@@ -289,14 +299,19 @@ def covering_certificate(
     of (A, B1, B2) and the budget (see groups._memoized), so each is built
     once there.
 
-    With check_m, m_checked is verify_incm up to check_m.  When B1 = B2 = A
-    a verified inclusion is 2(A-A) <= (A-A)+(T-T), which gives every m by
-    induction, so a shortfall there raises RuntimeError (a library fault).
+    With check_m, m_checked is verify_incm up to check_m, and the whole
+    call runs in a memo scope of its own when none is open, so T-T and the
+    chains of sums are formed once.  When B1 = B2 = A a verified inclusion
+    is 2(A-A) <= (A-A)+(T-T), which gives every m by induction, so a
+    shortfall there raises RuntimeError (a library fault).
     """
     if witness_budget < 0:
         raise ValueError(f"witness budget must be >= 0, got {witness_budget}")
     if check_m < 0:
         raise ValueError(f"check_m must be >= 0, got {check_m}")
+    if check_m > 0 and groups._SCOPE.get() is None:
+        with _memo_scope():
+            return covering_certificate(A, B1, B2, witness_budget, check_m)
     cert = _memoized((A, B1, B2), ("certificate", witness_budget), lambda: _certify(A, B1, B2, witness_budget))
     if check_m > 0:
         cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))
@@ -314,24 +329,23 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
     if not len(B1) or not len(B2):
         raise ValueError("summands must be nonempty")
     n = len(A)
-    k1 = Fraction(len(sumset(A, B1)), n)
-    k2 = Fraction(len(sumset(A, B2)), n)
+    s1, s2 = len(sumset(A, B1)), len(sumset(A, B2))
     sigma = sumset(B1, B2)
     if n <= witness_budget:
         found = pluennecke_witness(A, B1, B2, budget=witness_budget)
         core, ratio, optimal = found.subset, found.ratio, True
-        if ratio > k1 * k2:
+        # ratio <= K1*K2 = s1*s2/n^2, cross-multiplied
+        if ratio.numerator * n * n > s1 * s2 * ratio.denominator:
             raise RuntimeError(
-                f"witness ratio {ratio} exceeds K1*K2 = {k1 * k2}; this should be impossible"
+                f"witness ratio {ratio} exceeds K1*K2 = {Fraction(s1 * s2, n * n)}; this should be impossible"
             )
-        size_bound = math.floor(2 * k1 * k2 - 1)
+        size_bound = _witness_bound(n, s1, s2)
     else:
         core = A
-        ratio = Fraction(len(sumset(A, sigma)), n)
+        total = len(sumset(A, sigma))
+        ratio = Fraction(total, n)
         optimal = False
-        # first translate is wholly new, each later one adds >= |A|/2,
-        # so |A|(k+1)/2 <= |A + B1 + B2| and k <= 2*ratio - 1
-        size_bound = math.floor(2 * ratio - 1)
+        size_bound = _counting_bound(n, total)
     T = greedy_translates(core, sigma)
     if len(T) > size_bound:
         raise RuntimeError(
@@ -351,13 +365,27 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
         summand2=B2,
         witness=core,
         translates=T,
-        ratio1=k1,
-        ratio2=k2,
+        ratio1=Fraction(s1, n),
+        ratio2=Fraction(s2, n),
         witness_ratio=ratio,
         witness_is_optimal=optimal,
         size_bound=size_bound,
         inclusion_verified=_in_sumset(lhs, difference_set(A, A), T),
     )
+
+
+def _witness_bound(n: int, s1: int, s2: int) -> int:
+    """floor(2*K1*K2 - 1), Ki = si/n: the witness path's bound on |T|, for |A| = n and |A + Bi| = si."""
+    return (2 * s1 * s2 - n * n) // (n * n)
+
+
+def _counting_bound(n: int, total: int) -> int:
+    """floor(2*|A + B1 + B2|/|A| - 1), for |A| = n and |A + B1 + B2| = total: the bound past the witness budget.
+
+    The first translate is wholly new and each later one adds >= |A|/2, so
+    |A|(k+1)/2 <= |A + B1 + B2|.
+    """
+    return (2 * total - n) // n
 
 
 def verify_incm(A: GSet, T: GSet, m_max: int) -> int:
@@ -473,7 +501,7 @@ def growth_table(B: GSet, T: GSet, m_max: int) -> Tuple[GrowthBoundReport, ...]:
         j_ok = len(grown) <= len(B) * j
         if m >= k:
             bound = j_bound_report(k, m).bound
-            ratio_ok = len(grown) < bound * len(B)
+            ratio_ok = len(grown) * bound.denominator < bound.numerator * len(B)
         else:
             bound = ratio_ok = None
         rows.append(GrowthBoundReport(m, k, len(grown), j, j_ok, bound, ratio_ok))

@@ -259,7 +259,8 @@ def moment_chain(B: GSet, m_max: int) -> Tuple[MomentChainReport, ...]:
         sum_sq = int(np.dot(wide, wide))
         cs = R * sum_sq >= size ** (2 * m + 2)
         residual = abs(float(np.sum(mags ** (2 * m + 2))) - n * sum_sq) / (n * sum_sq)
-        rhs = float((Fraction(1, R) - Fraction(1, n)) * Fraction(size) ** (2 * m + 1))
+        # (1/R - 1/N) * |B|^(2m+1) as one correctly rounded division of integers
+        rhs = (n - R) * size ** (2 * m + 1) / (R * n)
         max_ok = max_mag ** (2 * m) >= rhs * (1.0 - _FLOAT_SLACK)
         rows.append(MomentChainReport(m, R, sum_sq, cs, residual, residual <= _FLOAT_SLACK, max_mag, rhs, max_ok))
     return tuple(rows)

@@ -297,7 +297,7 @@ def _gap_cover(A: GSet, D: GSet, b: int, l: int) -> GapCoverResult:
     b = b % N
     outside = int(np.count_nonzero((D.packed() - b) % N > l))
     threshold = Fraction(len(A), 2)
-    if outside >= threshold:
+    if 2 * outside >= len(A):
         return GapCoverResult(False, outside, threshold, l)
     start = int(_shortest_arcs(A.packed()[None, :], N)[1][0])
     span = int(((A.packed() - start) % N).max())

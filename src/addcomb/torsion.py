@@ -9,14 +9,13 @@ size bound into a subgroup size bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .covering import CoveringCertificate, covering_certificate
+from .covering import CoveringCertificate, _counting_bound, _witness_bound, covering_certificate
 from .groups import (
     Certificate,
     Element,
@@ -26,10 +25,9 @@ from .groups import (
     _minus,
     _pairwise,
     _require,
-    difference_ratio,
     difference_set,
-    doubling_ratio,
     is_subset,
+    sumset,
     translate,
 )
 
@@ -67,6 +65,11 @@ class SubgroupCosetCertificate(Certificate):
     difference ratio.  The *_raw fields are the exact uncapped values (they
     can exceed |G|); bound_a / bound_b are capped at the group order.  The
     *_holds flags compare subgroup_size against the raw bounds.
+
+    Invariant under isomorphisms of the group: route, doubling, diff_ratio,
+    subgroup_size, the bounds and every claim, and the covering's invariant
+    fields.  Presentation, tie-broken by element order: generators,
+    coset_rep and the covering's translates.
     """
 
     base: GSet
@@ -102,12 +105,19 @@ class SubgroupCosetCertificate(Certificate):
 
 
 def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate:
-    """Certified subgroup-coset cover of A in (Z/rZ)^n.
+    """Certified subgroup-coset cover of A in (Z/rZ)^n, from one covering certificate.
 
-    Runs the covering construction with summands A and, when A is not
-    symmetric, also -A, keeping the smaller translate set; 2(A-A) is inside
-    (A-A)+(T-T) either way, so gen(A-A) <= (A-A)+gen(T-T).  Every inclusion
-    and size comparison is re-verified on the actual sets.
+    The covering construction runs on one route: "sum", summands (A, A), or,
+    when A is not symmetric, "difference", summands (-A, -A); 2(A-A) is
+    inside (A-A)+(T-T) either way, so gen(A-A) <= (A-A)+gen(T-T).  The route
+    is chosen before any certificate is built, by the size bound each would
+    certify, from sumset sizes alone: floor(2s^2/|A|^2 - 1) with s = |A+A|
+    or |A-A| on the witness path, floor(2|A+sigma|/|A| - 1) with
+    sigma = A+A or -A-A past the witness budget.  The smaller bound wins and
+    a tie goes to "sum", so the route is an invariant of A under isomorphisms
+    and "sum" reads the (A, A, A) certificate of the scope.  Every inclusion
+    and size comparison is re-verified on the actual sets, each size
+    comparison in integers.
     """
     g = _require(A.group, "torsion")
     if not len(A):
@@ -115,17 +125,18 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     r = g.exponent
     n = len(A)
     D = difference_set(A, A)
-    k_double = doubling_ratio(A)
-    k_diff = difference_ratio(A)
+    s, d = len(sumset(A, A)), len(D)
     neg_a = _minus(A)
-    routes = [("sum", A)]
+    route, B = "sum", A
     if neg_a is not A:
-        routes.append(("difference", neg_a))
-    route, cert = None, None
-    for name, B in routes:
-        c = covering_certificate(A, B, B, witness_budget=witness_budget)
-        if cert is None or len(c.translates) < len(cert.translates):
-            route, cert = name, c
+        if n <= witness_budget:
+            plus, minus = _witness_bound(n, s, s), _witness_bound(n, d, d)
+        else:
+            plus = _counting_bound(n, len(sumset(A, sumset(A, A))))
+            minus = _counting_bound(n, len(sumset(A, sumset(neg_a, neg_a))))
+        if minus < plus:
+            route, B = "difference", neg_a
+    cert = covering_certificate(A, B, B, witness_budget=witness_budget)
     T = cert.translates
     t0 = T.elements[0]
     gens = tuple(g.add(t, g.neg(t0)) for t in T.elements[1:])
@@ -133,26 +144,27 @@ def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate
     h_t = subgroup_generated(GSet(g, gens))
     subgroup = subgroup_generated(D)
     size = len(subgroup)
-    e_a = math.floor(2 * k_double * k_double - 2)
-    e_b = math.floor(2 * k_diff * k_diff - 2)
-    raw_a = k_double * k_double * Fraction(r) ** e_a * n
-    raw_b = k_diff * Fraction(r) ** e_b * n
+    # e = floor(2K^2 - 2); bound_a_raw = s^2 r^e_a / n and bound_b_raw = d r^e_b, compared as integers
+    e_a = (2 * s * s - 2 * n * n) // (n * n)
+    e_b = (2 * d * d - 2 * n * n) // (n * n)
+    top_a = s * s * r ** e_a
+    raw_b = d * r ** e_b
     return SubgroupCosetCertificate(
         base=A,
         generators=gens,
         subgroup=subgroup,
         coset_rep=A.elements[0],
         subgroup_size=size,
-        doubling=k_double,
-        diff_ratio=k_diff,
-        bound_a_raw=raw_a,
-        bound_b_raw=raw_b,
-        bound_a=min(math.floor(raw_a), g.order),
-        bound_b=min(math.floor(raw_b), g.order),
+        doubling=Fraction(s, n),
+        diff_ratio=Fraction(d, n),
+        bound_a_raw=Fraction(top_a, n),
+        bound_b_raw=Fraction(raw_b),
+        bound_a=min(top_a // n, g.order),
+        bound_b=min(raw_b, g.order),
         contains_a=is_subset(A, translate(subgroup, A.elements[0])),
         gen_inclusion_holds=_in_sumset(subgroup, D, h_t),
-        size_factor_holds=size <= len(D) * r ** (len(T) - 1),
-        bound_a_holds=size <= raw_a,
+        size_factor_holds=size <= d * r ** (len(T) - 1),
+        bound_a_holds=size * n <= top_a,
         bound_b_holds=size <= raw_b,
         witness_used=cert.witness_is_optimal,
         route=route,

@@ -361,3 +361,58 @@ def loop_pluennecke(A, B1, B2, overlap_rule=True):
             if best_ratio is None or ratio < best_ratio:
                 best_ratio, best = ratio, combo
     return best, best_ratio, searched
+
+
+# The Fraction chains that the library's exact gates once ran, kept as
+# oracles for the integer comparisons that replaced them.
+
+
+def fraction_torsion_bounds(s, d, n, r, size, order):
+    """(e_a, e_b, bound_a_raw, bound_b_raw, bound_a, bound_b, bound_a_holds, bound_b_holds) in Fractions.
+
+    s = |A + A|, d = |A - A|, n = |A|, r the exponent, size = |gen(A - A)|,
+    order = |G|: e = floor(2K^2 - 2) for K = s/n and d/n, the raw bounds
+    K^2 r^e_a n and K r^e_b n, capped at the order.
+    """
+    k_double, k_diff = Fraction(s, n), Fraction(d, n)
+    e_a = math.floor(2 * k_double * k_double - 2)
+    e_b = math.floor(2 * k_diff * k_diff - 2)
+    raw_a = k_double * k_double * Fraction(r) ** e_a * n
+    raw_b = k_diff * Fraction(r) ** e_b * n
+    return (
+        e_a,
+        e_b,
+        raw_a,
+        raw_b,
+        min(math.floor(raw_a), order),
+        min(math.floor(raw_b), order),
+        size <= raw_a,
+        size <= raw_b,
+    )
+
+
+def fraction_size_bound(n, s1, s2, total, witness):
+    """floor(2 K1 K2 - 1) with Ki = si/n on the witness path, else floor(2 total/n - 1)."""
+    if witness:
+        return math.floor(2 * Fraction(s1, n) * Fraction(s2, n) - 1)
+    return math.floor(2 * Fraction(total, n) - 1)
+
+
+def fraction_witness_within(ratio, n, s1, s2):
+    """Whether a witness ratio is at most K1 K2 = (s1/n)(s2/n)."""
+    return not ratio > Fraction(s1, n) * Fraction(s2, n)
+
+
+def fraction_growth_ratio_holds(grown, base, bound):
+    """|(m+1)B| < bound * |B|, for the (14m/k)^k bound as a Fraction."""
+    return grown < bound * base
+
+
+def fraction_gap_hypothesis(outside, n):
+    """Fewer than |A|/2 differences outside the window."""
+    return not outside >= Fraction(n, 2)
+
+
+def fraction_max_power_bound(R, N, size, m):
+    """float((1/R - 1/N) * |B|^(2m+1))."""
+    return float((Fraction(1, R) - Fraction(1, N)) * Fraction(size) ** (2 * m + 1))

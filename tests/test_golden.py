@@ -51,6 +51,8 @@ CASES = {
     "rectify-window-rejected": "rectify --group window:0:50 --elements 0,1,5",
     "torsion-cover-sum": "torsion-cover --group torsion:2:4 --elements 0,0,0,0;1,0,0,0;0,1,0,0;1,1,0,1",
     "torsion-cover-difference": "torsion-cover --group torsion:3:3 --elements 0,0,0;1,0,0;0,1,2;2,2,1",
+    # 20 sums against 19 differences: the difference route certifies the smaller size bound, 13 against 15
+    "torsion-cover-difference-route": "torsion-cover --group torsion:7:2 --elements 1,2;2,2;2,5;3,2;3,5;5,5;6,2",
     "torsion-cover-chunked": "torsion-cover --group torsion:3:7 --elements "
     "0,0,0,0,0,0,0;1,0,0,0,0,2,1;0,1,2,0,0,1,1;2,2,1,0,0,0,2;1,1,1,0,0,2,0",
     "bounds-pipeline": "bounds --group cyclic:1009 --elements " + ",".join(map(str, range(12))),

@@ -376,6 +376,24 @@ def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeyp
     assert pairs.count({T.packed().tobytes(), negate(T).packed().tobytes()}) == formed
 
 
+@pytest.mark.parametrize("N, pairwise", [(101, 6), (1009, 9)])
+def test_check_m_opens_a_scope_of_its_own(monkeypatch, N, pairwise):
+    """Outside a memo scope, covering_certificate with check_m > 0 runs in one of its own.
+
+    T - T and the chains of sums are then formed once, as inside run_suite's
+    scope; without it {0, 1, 3, 7, 12, 20} took 20 and 24 _pairwise calls.
+    """
+    A = GSet(CyclicGroup(N), [0, 1, 3, 7, 12, 20])
+    calls = _pairwise_calls(monkeypatch)
+    cert = covering_certificate(A, A, A, check_m=3)
+    assert len(calls) == pairwise
+    assert groups_mod._SCOPE.get() is None
+    calls.clear()
+    with groups_mod._memo_scope():
+        assert covering_certificate(A, A, A, check_m=3) == cert
+    assert len(calls) == pairwise
+
+
 def test_cli_cover_scans_the_covering_inclusion_once(monkeypatch, capsys):
     """cover runs in one scope, so the certificate and incm's step m = 1 share one scan of 2(A-A) <= (A-A)+(T-T)."""
     argv = ["cover", "--group", "cyclic:101", "--elements", "0,1,3,7,12,20", "--check-m", "1"]
@@ -399,11 +417,7 @@ def test_cli_cover_scans_the_covering_inclusion_once(monkeypatch, capsys):
     ids=["torsion check", "pipeline"],
 )
 def test_the_growth_ratios_read_the_memo(monkeypatch, A, run):
-    """Reading |A+A|/|A| and |A-A|/|A| through doubling_ratio and difference_ratio builds A + A and A + (-A) once each.
-
-    The torsion check's difference route reads (-A) - (-A) = (-A) + A as the
-    same sum: the memo keys a sum by its unordered operands and -(-A) is A.
-    """
+    """Reading |A+A|/|A| and |A-A|/|A| for the growth ratios and the torsion route builds A + A and A + (-A) once each."""
     a, minus_a = A.packed().tobytes(), negate(A).packed().tobytes()
     assert a != minus_a
     pairs = []
@@ -416,10 +430,7 @@ def test_the_growth_ratios_read_the_memo(monkeypatch, A, run):
 
 
 def test_each_unordered_operand_pair_is_formed_once(monkeypatch):
-    """Every check on one instance forms each sum X + Y once, whichever operand comes first.
-
-    The torsion check's difference route meets (-A) - (-A), the same set as A - A.
-    """
+    """Every check on one instance forms each sum X + Y once, whichever operand comes first."""
     A = by_index(TorsionGroup(3, 3), [0, 1, 5, 13])
     pairs = []
     for mod in (groups_mod, torsion_mod):
@@ -427,6 +438,23 @@ def test_each_unordered_operand_pair_is_formed_once(monkeypatch):
         monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append(tuple(sorted((pa.tobytes(), pb.tobytes())))) or _real(g, pa, pb))
     assert run_suite([A]).ok
     assert pairs and len(pairs) == len(set(pairs))
+
+
+def test_the_difference_route_reads_a_minus_a_from_the_memo(monkeypatch):
+    """The torsion check's difference route meets (-A) - (-A), the same set as A - A, and forms it once.
+
+    The memo keys a sum by its unordered operands and -(-A) is A.  The set has
+    20 sums and 19 differences, so it takes that route.
+    """
+    A = GSet(TorsionGroup(7, 2), [(1, 2), (2, 2), (2, 5), (3, 2), (3, 5), (5, 5), (6, 2)])
+    pairs = []
+    for mod in (groups_mod, torsion_mod):
+        real_pairwise = mod._pairwise
+        monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append(tuple(sorted((pa.tobytes(), pb.tobytes())))) or _real(g, pa, pb))
+    assert torsion_mod.torsion_cover(A, witness_budget=SuiteConfig().witness_budget).route == "difference"
+    pairs.clear()
+    assert run_suite([A]).ok
+    assert pairs.count(tuple(sorted((A.packed().tobytes(), negate(A).packed().tobytes())))) == 1
 
 
 # ------------------------------------------------------------------ saturated sums

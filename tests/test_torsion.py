@@ -159,22 +159,32 @@ class TestTorsionCover:
         assert cert.gen_inclusion_holds
         assert cert.contains_a
 
-    def test_route_uses_smaller_t(self):
-        g = TorsionGroup(4, 2)
-        cases = [
-            ([(0, 0), (1, 0), (3, 1)], "sum"),  # both routes give 4 translates
-            ([(0, 0), (1, 1), (2, 1), (3, 3)], "difference"),  # 4 against 3
-        ]
-        for elems, route in cases:
-            A = GSet(g, elems)
-            cert = torsion_cover(A)
-            plus = covering_certificate(A, A, A, witness_budget=18)
-            minus = covering_certificate(A, negate(A), negate(A), witness_budget=18)
-            assert cert.route == route
-            assert cert.covering == (plus if route == "sum" else minus)
-            assert len(cert.covering.translates) <= len(minus.translates)
-            # the sum route is tried first and kept on a tie
-            assert (route == "sum") == (len(plus.translates) <= len(minus.translates))
+    @pytest.mark.parametrize(
+        "r, n, elems, budget, route, bounds",
+        [
+            # 6 sums against 7 differences on the witness path: size bound 7
+            # against 9; both greedy runs take 4 translates
+            (4, 2, [(0, 0), (1, 0), (3, 1)], 18, "sum", (7, 9)),
+            # 8 sums against 10 differences: bound 7 against 11, although the
+            # difference route's greedy takes 3 translates and the sum route's 4
+            (4, 2, [(0, 0), (1, 1), (2, 1), (3, 3)], 18, "sum", (7, 11)),
+            # 20 sums against 19 differences: bound 15 against 13
+            (7, 2, [(1, 2), (2, 2), (2, 5), (3, 2), (3, 5), (5, 5), (6, 2)], 18, "difference", (15, 13)),
+            # past the budget: |A+A+A| = 48 against |A-A-A| = 47, bound 11 against 10
+            (7, 2, [(0, 2), (0, 6), (2, 1), (4, 0), (5, 1), (5, 5), (6, 1), (6, 5)], 4, "difference", (11, 10)),
+        ],
+        ids=["sum", "sum-with-more-translates", "difference", "difference-past-budget"],
+    )
+    def test_route_uses_smaller_size_bound(self, r, n, elems, budget, route, bounds):
+        A = GSet(TorsionGroup(r, n), elems)
+        cert = torsion_cover(A, witness_budget=budget)
+        plus = covering_certificate(A, A, A, witness_budget=budget)
+        minus = covering_certificate(A, negate(A), negate(A), witness_budget=budget)
+        assert (plus.size_bound, minus.size_bound) == bounds
+        assert cert.route == route
+        assert cert.covering == (plus if route == "sum" else minus)
+        # the smaller bound wins, and "sum" a tie
+        assert (route == "sum") == (plus.size_bound <= minus.size_bound)
 
     def test_witness_flag_propagates(self):
         g = TorsionGroup(2, 3)
