@@ -6,17 +6,19 @@ to the union of A'+t_i, and at termination no candidate can.  Maximality
 alone forces B1-B1+B2-B2 to lie inside A-A+T-T, which the certificate
 re-verifies by exhaustive inclusion of sigma - sigma (sigma = B1+B2): x is
 in A-A+T-T exactly when x+T meets A-A+T, so it reads the marks of A-A+T,
-one point of each pair {x, -x}.  A' minimizes |A'+sigma|/|A'|, by a subset
-search that stops on two lower bounds for a union of translates of sigma.
+one point of each pair {x, -x}.  A' minimizes |A'+sigma|/|A'|, by a depth-
+first subset search over bitsets of the translates of sigma, which stops on
+two lower bounds for a union of them.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,7 +107,11 @@ def greedy_translates(core: GSet, candidates: GSet) -> GSet:
 
 @dataclass(frozen=True)
 class PluenneckeWitness:
-    """A nonempty A' <= A minimizing |A' + B1 + B2| / |A'|."""
+    """A nonempty A' <= A minimizing |A' + B1 + B2| / |A'|.
+
+    Invariant under isomorphisms: ratio, subsets_searched, and subset, which
+    maps to the image's witness (the largest subset of least ratio is unique).
+    """
 
     subset: GSet
     ratio: Fraction
@@ -124,10 +130,8 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
     first subset of least ratio wins.  It is the largest subset of least
     ratio, and the only one of its size: unions of translates are
     submodular, so the union of two least subsets is least.  Size n is A
-    itself, whose union is all of A + B1 + B2.  Each smaller size class is
-    evaluated in numpy by _class_minimum over bitsets of the translates,
-    and only once both bounds have let it through; M is read from the
-    unions of two translates when the first class is.
+    itself; each smaller class is one _least_union search over the
+    translates as Python-int bitsets, built with M for the first class.
     """
     n = len(A)
     if n == 0:
@@ -138,112 +142,67 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> Pluenne
         raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
     sigma = sumset(B1, B2)
     ids, best_bits, _ = _translate_ids(sigma, A)
-    # the least ratio so far is best_bits / best_size, first found at the
-    # subset whose positions are the set bits of best_key, position i at bit n-1-i
-    best_size, best_key = n, (1 << n) - 1
+    # the least ratio so far is best_bits / best_size, first found at the positions best
+    best_size, best = n, range(n)
     searched = 1
-    tables = None
+    masks = None
     for size in range(n - 1, 0, -1):
         if len(sigma) * best_size >= best_bits * size:
             break
-        if tables is None:
-            tables = _half_unions(ids, best_bits)
-            # two translates of sigma share 2|sigma| minus the size of their union
-            overlap = 2 * len(sigma) - min(int(bits.min()) for bits, _, _ in _class_unions(tables, n, 2))
+        if masks is None:
+            masks = _bitsets(ids, best_bits)
+            overlap = max((a & b).bit_count() for a, b in itertools.combinations(masks, 2))
         if (size * len(sigma) - math.comb(size, 2) * overlap) * best_size >= best_bits * size:
             break
-        bits, key = _class_minimum(tables, n, size)
+        # a union beats the ratio exactly when it is below ceil(best_bits * size / best_size)
+        found = _least_union(masks, size, -(-best_bits * size // best_size), len(sigma), overlap)
         searched += math.comb(n, size)
-        if bits * best_size < best_bits * size:
-            best_bits, best_size, best_key = bits, size, key
-    positions = [i for i in range(n) if best_key >> (n - 1 - i) & 1]
-    subset = GSet._from_indices(A.group, A.packed()[positions])
+        if found is not None:
+            (best_bits, best), best_size = found, size
+    subset = GSet._from_indices(A.group, A.packed()[list(best)])
     return PluenneckeWitness(subset, Fraction(best_bits, best_size), searched)
 
 
-# The witness search splits A's n positions into halves, the first n//2 and
-# the rest, and tabulates the union of every subset of each half.  Row h of a
-# half with k positions stands for the positions i with bit k-1-i of h set,
-# so a subset of A is a pair (h, l) of half rows with key h * 2^(n-n//2) + l,
-# bit n-1-i set for each of its positions i; its union is the OR of the two
-# rows.  Among subsets of one size, descending key is combinations order.
+def _bitsets(ids: np.ndarray, universe: int) -> List[int]:
+    """Row i of ids, ids into a universe of points, as one Python int with those bits set."""
+    marks = np.zeros((len(ids), universe), dtype=bool)
+    marks[np.arange(len(ids))[:, None], ids] = True
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(marks, axis=1, bitorder="little")]
 
 
-@functools.lru_cache(maxsize=None)
-def _split(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(members, first sizes, second sizes) of the two halves' rows (read-only).
+def _least_union(masks: List[int], size: int, limit: int, width: int, overlap: int) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(union size, positions) of the first least union of size masks in combinations order, or None if none is below limit.
 
-    members stacks both halves' rows, each listing its subset's positions
-    padded with n; the sizes are each row's subset size.
+    Each mask has width bits and shares at most overlap bits with any other,
+    so the k-th mask of a subset adds at least width - k*overlap new bits.
+    A depth-first search in combinations order drops a branch once its
+    union plus that floor for the positions still to fill is no less than
+    the least union so far (limit at first), which keeps the first least.
     """
-    width = n - n // 2
-    parts = []
-    for start, k in ((0, n // 2), (n // 2, width)):
-        has = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
-        rows = np.full((1 << k, width), n)
-        rows[:, :k] = np.where(has, np.arange(start, start + k), n)
-        parts.append((rows, has.sum(axis=1, dtype=np.int8)))
-    out = (np.concatenate([parts[0][0], parts[1][0]]), parts[0][1], parts[1][1])
-    for a in out:
-        a.flags.writeable = False
-    return out
+    floor = [0] * (size + 1)  # floor[d]: the fewest new bits of positions d, ..., size-1
+    for k in range(size - 1, -1, -1):
+        floor[k] = floor[k + 1] + max(0, width - overlap * k)
+    last = len(masks) - size
+    chosen = [0] * size
+    best, found = limit, None
 
+    def visit(depth: int, start: int, union: int) -> None:
+        # union holds the masks at chosen[:depth]; position depth takes each i from start on
+        nonlocal best, found
+        rest = floor[depth + 1]
+        for i in range(start, last + depth + 1):
+            joined = union | masks[i]
+            bits = joined.bit_count()
+            if bits + rest >= best:
+                continue
+            chosen[depth] = i
+            if depth + 1 < size:
+                visit(depth + 1, i + 1, joined)
+            else:
+                best, found = bits, tuple(chosen)
 
-@functools.lru_cache(maxsize=64)
-def _class_pairs(n: int, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The (first, second) half rows of the subsets of one size, in combinations order (read-only).
-
-    They take 16 bytes per subset; every class at n = 18 takes 4 MB.
-    """
-    _, first, second = _split(n)
-    # row-major over the grid with both axes reversed runs by descending key
-    r1, r2 = np.nonzero(first[::-1, None] + second[::-1] == size)
-    pairs = (len(first) - 1 - r1, len(second) - 1 - r2)
-    for a in pairs:
-        a.flags.writeable = False
-    return pairs
-
-
-def _half_unions(ids: np.ndarray, universe: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The two halves' union tables, as packed uint64 bitsets over the universe.
-
-    Row i of ids, the translate of A's i-th element, becomes a bitset, with
-    an empty one after them for the padding; a row's union is the OR of its
-    members' bitsets.
-    """
-    n = len(ids)
-    marks = np.zeros((n + 1, -(-universe // 64) * 64), dtype=bool)
-    marks[np.arange(n)[:, None], ids] = True
-    masks = np.packbits(marks, axis=1, bitorder="little").view(np.uint64)
-    members, first, _ = _split(n)
-    unions = np.bitwise_or.reduce(masks.take(members, axis=0), axis=1)
-    return unions[: len(first)], unions[len(first) :]
-
-
-def _class_unions(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Blocks (union sizes, first rows, second rows) over the subsets of A of one size, in combinations order.
-
-    At most _BLOCK bitset words of unions are formed at once, so a search's
-    memory stays bounded however large a size class is.
-    """
-    first, second = tables
-    words = first.shape[1]
-    step = max(1, groups._BLOCK // words)
-    rows1, rows2 = _class_pairs(n, size)
-    for start in range(0, len(rows1), step):
-        r1, r2 = rows1[start : start + step], rows2[start : start + step]
-        bits = np.bitwise_count(first.take(r1, axis=0) | second.take(r2, axis=0))
-        yield (bits.sum(axis=1) if words > 1 else bits[:, 0]), r1, r2
-
-
-def _class_minimum(tables: Tuple[np.ndarray, np.ndarray], n: int, size: int) -> Tuple[int, int]:
-    """(least union size, key) over the subsets of A of one size, the first least in combinations order."""
-    best_bits, best_key = None, 0
-    for bits, r1, r2 in _class_unions(tables, n, size):
-        i = int(bits.argmin())
-        if best_bits is None or bits[i] < best_bits:
-            best_bits, best_key = int(bits[i]), int(r1[i]) * len(tables[1]) + int(r2[i])
-    return best_bits, best_key
+    visit(0, 0, 0)
+    return None if found is None else (best, found)
 
 
 @dataclass(frozen=True)

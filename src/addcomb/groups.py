@@ -69,7 +69,7 @@ _DENSE_PAIR_FACTOR = 8
 _SORT_SETUP_PAIRS = 1024
 
 # Values formed at once by every blocked kernel (pair sums here, folds,
-# dilations, witness unions): 2 MB of int64, which stays in a 2 MB L2 cache.
+# dilations, inclusion gathers): 2 MB of int64, which stays in a 2 MB L2 cache.
 # Other modules read it as groups._BLOCK at call time, so one patch reaches all.
 _BLOCK = 1 << 18
 

@@ -57,7 +57,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DiameterWitness:
-    """Certified minimal progression cover: A <= {start, start+step, ..., start+length*step}."""
+    """Certified minimal progression cover: A <= {start, start+step, ..., start+length*step}.
+
+    Invariant under isomorphisms: length.  Presentation, tie-broken by the
+    order of the units visited: step, start, normalized and units_searched.
+    """
 
     length: int
     step: int
@@ -306,7 +310,12 @@ def _gap_cover(A: GSet, D: GSet, b: int, l: int) -> GapCoverResult:
 
 @dataclass(frozen=True)
 class SpectralDiameterResult(Certificate):
-    """Outcome of the dominant-frequency to short-progression implication."""
+    """Outcome of the dominant-frequency to short-progression implication.
+
+    Invariant under isomorphisms: hypothesis_met, diameter_upper and the
+    claim.  Presentation: frequency (fourier._dominant's mirror choice, the
+    smaller of +-r) and interval_start.
+    """
 
     hypothesis_met: bool
     threshold: float                 # |D| - 4 delta^2 |A|

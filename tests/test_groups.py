@@ -1362,7 +1362,6 @@ def _blocked_kernels():
 
     fourier_mod = importlib.import_module("addcomb.fourier")
     rectify_mod = importlib.import_module("addcomb.rectify")
-    covering_mod = importlib.import_module("addcomb.covering")
     z97 = GSet(CyclicGroup(97), range(0, 50, 5))
     z101 = GSet(CyclicGroup(101), [0, 3, 7, 12, 20, 31, 33, 58, 64, 90])
 
@@ -1378,10 +1377,6 @@ def _blocked_kernels():
         _record_shapes(mp, rectify_mod, "_shortest_arcs", shapes, arg=0)
         rectify_mod.diameter(GSet(CyclicGroup(1009), [0, 3, 4, 11, 40, 41]))
 
-    def witness(mp, shapes):
-        _record_shapes(mp, covering_mod.np, "bitwise_count", shapes, arg=0)
-        covering_mod.pluennecke_witness(z101, z101, z101)
-
     def inclusion(mp, shapes):
         X = sumset(z101, z101)
         _record_shapes(mp, groups_mod, "_index_add", shapes)
@@ -1391,12 +1386,11 @@ def _blocked_kernels():
         "pairwise": (pairwise, 1),
         "fold": (fold, 0),
         "diameter": (diameter, 1),
-        "witness": (witness, 1),
         "inclusion": (inclusion, 1),
     }
 
 
-@pytest.mark.parametrize("kernel", ["pairwise", "fold", "diameter", "witness", "inclusion"])
+@pytest.mark.parametrize("kernel", ["pairwise", "fold", "diameter", "inclusion"])
 @pytest.mark.parametrize("block", [1, 4, 7])
 def test_every_blocked_kernel_reads_the_one_block(monkeypatch, kernel, block):
     """A patched groups._BLOCK bounds each block of every kernel: at most max(block, one row) values."""

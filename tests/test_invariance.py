@@ -5,9 +5,10 @@ ambient group, so the invariant fields of a certificate must agree between
 A and its image, and a unique witness must map to the image's witness
 (metamorphic testing: Chen et al., "Metamorphic testing: a review of
 challenges and opportunities", ACM Comput. Surv. 51(1), 2018).  The maps
-are x -> Mx + t on (Z/r)^n with M in GL_n(F_r), r prime, and x -> ux + t on
-Z/N with u a unit.  Presentation fields, which break ties by element order
-(translates, generators, coset_rep), are not compared.
+are x -> Mx + t on (Z/r)^n with M in GL_n(F_r), r prime, x -> ux + t on
+Z/N with u a unit, and Z/p = (Z/p)^1.  Presentation fields, which break ties
+by element order (translates, generators, coset_rep, a diameter's step and
+start, a spectral frequency), are not compared.
 """
 
 import itertools
@@ -17,7 +18,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from addcomb import CyclicGroup, GSet, TorsionGroup, covering_certificate, negate, torsion_cover
+from addcomb import (
+    CyclicGroup,
+    GSet,
+    TorsionGroup,
+    covering_certificate,
+    diam_from_spectrum,
+    diameter,
+    negate,
+    rectify,
+    torsion_cover,
+)
 
 
 def rank_mod(M, r):
@@ -122,6 +133,56 @@ def cyclic_cases(draw):
 def test_covering_certificate_is_invariant_on_cyclic_groups(case):
     A, phi, budget = case
     assert_same_coverings(A, phi, budget)
+
+
+@st.composite
+def prime_cases(draw):
+    """(A, phi): a random set or an AP-subset in Z/p, and x -> ux + t with u a unit."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 17, 101, 211, 1009]))
+    if draw(st.booleans()):
+        elems = draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 9)))
+    else:
+        start, step = draw(st.integers(0, p - 1)), draw(st.integers(1, p - 1))
+        terms = draw(st.integers(1, min(p, 12)))
+        picked = draw(st.sets(st.integers(0, terms - 1), min_size=1, max_size=min(terms, 9)))
+        elems = {(start + i * step) % p for i in picked}
+    u, t = draw(st.integers(1, p - 1)), draw(st.integers(0, p - 1))
+    return GSet(CyclicGroup(p), elems), lambda x: (u * x + t) % p
+
+
+def rectify_invariants(A):
+    outs = [rectify(A, k) for k in (2, 3)]
+    return [(out.succeeded, out.required, out.witness and out.witness.verified) for out in outs]
+
+
+def spectral_invariants(A):
+    outs = [diam_from_spectrum(A, delta) for delta in (0.1, 0.2, 0.3)]
+    return [(out.hypothesis_met, out.diameter_upper) for out in outs]
+
+
+@given(prime_cases())
+@settings(max_examples=100, deadline=None)
+def test_diameter_spectrum_and_rectify_are_invariant_on_prime_cyclic_groups(case):
+    A, phi = case
+    B = image(A, phi)
+    assert diameter(A).length == diameter(B).length
+    assert spectral_invariants(A) == spectral_invariants(B)
+    assert rectify_invariants(A) == rectify_invariants(B)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17]).flatmap(lambda p: st.tuples(st.just(p), st.sets(st.integers(0, p - 1), min_size=1, max_size=min(p, 9)))))
+@settings(max_examples=60, deadline=None)
+def test_covering_certificate_agrees_on_z_p_and_its_rank_one_torsion_form(case):
+    p, elems = case
+    rank_one = lambda X: GSet(TorsionGroup(p, 1), [(x,) for x in X.elements])
+    A = GSet(CyclicGroup(p), elems)
+    A1 = rank_one(A)
+    for mine, theirs in (
+        (covering_certificate(A, A, A), covering_certificate(A1, A1, A1)),
+        (covering_certificate(A, negate(A), negate(A)), covering_certificate(A1, negate(A1), negate(A1))),
+    ):
+        assert covering_invariants(mine) == covering_invariants(theirs)
+        assert rank_one(mine.witness) == theirs.witness
 
 
 def general_linear(r, n):

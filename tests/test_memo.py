@@ -553,9 +553,9 @@ def _evaluated_sizes(n, searched):
 
 def _spy_classes(monkeypatch):
     sizes, tables = [], []
-    real_class, real_tables = covering_mod._class_minimum, covering_mod._half_unions
-    monkeypatch.setattr(covering_mod, "_class_minimum", lambda t, n, size: sizes.append(size) or real_class(t, n, size))
-    monkeypatch.setattr(covering_mod, "_half_unions", lambda ids, u: tables.append(1) or real_tables(ids, u))
+    real_class, real_bitsets = covering_mod._least_union, covering_mod._bitsets
+    monkeypatch.setattr(covering_mod, "_least_union", lambda masks, size, *rest: sizes.append(size) or real_class(masks, size, *rest))
+    monkeypatch.setattr(covering_mod, "_bitsets", lambda ids, u: tables.append(1) or real_bitsets(ids, u))
     return sizes, tables
 
 
@@ -622,27 +622,24 @@ class TestVectorizedWitness:
             assert (got.subset.elements, got.ratio, got.subsets_searched) == loop_pluennecke(A, b1, b2)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(2, 9), st.integers(1, 70), st.integers(0, 2**32), st.sampled_from([None, 1, 2, 5]))
-    def test_a_class_keeps_its_first_least_subset(self, n, universe, seed, block):
+    @given(st.integers(2, 9), st.integers(1, 70), st.integers(0, 2**32), st.sampled_from(["above", "at", "below", "loose"]))
+    def test_a_class_keeps_its_first_least_subset(self, n, universe, seed, where):
         # The search's answer is the unique largest subset of least ratio (the
         # union of two least subsets is least, as unions of translates are
         # submodular), so ties only show inside a class: evaluate each class
-        # against combinations order directly.  Small universes make ties common.
+        # against combinations order directly.  Small universes make ties common;
+        # a limit at the class minimum must find nothing.
         rng = random.Random(seed)
         width = rng.randint(1, universe)
         rows = [rng.sample(range(universe), width) for _ in range(n)]
-        ids = np.array(rows, dtype=np.int64)
-        with pytest.MonkeyPatch.context() as mp:
-            if block is not None:
-                mp.setattr(groups_mod, "_BLOCK", block)
-            tables = covering_mod._half_unions(ids, universe)
-            got = [covering_mod._class_minimum(tables, n, size) for size in range(1, n)]
-        want = []
+        masks = [sum(1 << c for c in row) for row in rows]
+        overlap = max((a & b).bit_count() for a, b in itertools.combinations(masks, 2))
         for size in range(1, n):
             unions = [(len(set().union(*(rows[i] for i in combo))), combo) for combo in itertools.combinations(range(n), size)]
             bits, combo = min(unions, key=lambda u: u[0])  # min keeps the first least
-            want.append((bits, sum(1 << (n - 1 - i) for i in combo)))
-        assert got == want
+            limit = {"above": bits + 1, "at": bits, "below": bits - 1, "loose": universe + 1}[where]
+            got = covering_mod._least_union(masks, size, limit, width, overlap)
+            assert got == (None if limit <= bits else (bits, combo))
 
     def test_a_search_stopped_after_size_n_builds_no_tables(self, monkeypatch):
         # a subgroup: every translate of A + A is A itself, so |A + A + A| / |A| = 1 cannot be beaten
@@ -663,3 +660,25 @@ class TestVectorizedWitness:
         # the overlap bound stops the search long before |sigma| / size alone would
         assert searched == 2_517
         assert loop_pluennecke(A, A, A, overlap_rule=False) == (subset, ratio, 65_399)
+
+    @pytest.mark.parametrize(
+        "g, n, k, seed",
+        [
+            (CyclicGroup(101), 18, 2, 1),
+            (CyclicGroup(101), 17, 3, 2),
+            (CyclicGroup(101), 18, 4, 3),
+            (TorsionGroup(2, 6), 18, 2, 4),
+            (TorsionGroup(2, 6), 17, 3, 5),
+            (TorsionGroup(2, 6), 18, 4, 6),
+        ],
+        ids=lambda v: str(v) if isinstance(v, int) else v.kind,
+    )
+    def test_the_budget_edge_matches_the_loop(self, g, n, k, seed):
+        # |A| at the default budget with a 2-4 point summand: the translates
+        # overlap heavily and A' is small, so neither bound closes the search
+        # early and each class's depth-first search does the most work
+        rng = random.Random(seed)
+        idx = rng.sample(range(g.order), n + k)
+        A, B = by_index(g, idx[:n]), by_index(g, idx[n:])
+        got = pluennecke_witness(A, B, B)
+        assert (got.subset.elements, got.ratio, got.subsets_searched) == loop_pluennecke(A, B, B)
