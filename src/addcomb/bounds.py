@@ -27,7 +27,7 @@ from numbers import Rational
 from typing import Dict, Optional, Tuple, Union
 
 from .fourier import _dominant, _eta, _magnitudes
-from .groups import Certificate, GSet, _memo_scope, _require, difference_ratio, difference_set, doubling_ratio
+from .groups import Certificate, GSet, _entry_scope, _require, difference_ratio, difference_set, doubling_ratio
 from .rectify import DiameterWitness, SpectralDiameterResult, diam_from_spectrum, diameter
 
 __all__ = [
@@ -197,50 +197,47 @@ def theorem1_pipeline(A: GSet, delta: Optional[float] = None) -> PipelineReport:
     fail and the report says so, while the unconditional parts (spectrum,
     concentration implication, true diameter) still run.  When delta is not
     given, the chain's own delta is used if it lands in (0, 1/3), else 0.3.
-    The run opens one memo scope, so A - A and its spectrum are formed once.
+    The run reads the open memo scope, or opens one of its own when none is
+    open, so A - A and its spectrum are formed once.
     """
-    with _memo_scope():
-        return _pipeline(A, delta)
-
-
-def _pipeline(A: GSet, delta: Optional[float]) -> PipelineReport:
     N = _require(A.group, "prime").modulus
     if not len(A):
         raise ValueError("pipeline needs a nonempty set")
-    n = len(A)
-    alpha = Fraction(n, N)
-    D = difference_set(A, A)
-    k_double = doubling_ratio(A)
-    k_diff = difference_ratio(A)
-    K = float(min(k_double, k_diff))
-    tau = Fraction(len(D), N)
-    bounds = bound_calculator(alpha, K) if alpha < 1 else None
-    gate_alpha = bounds.alpha_below_thm1 if bounds is not None else False
-    gate_tau, eta = _tau_step(_log_inv(tau), K)
-    eta = eta if gate_tau else None
-    holds = _dominant(_magnitudes(D))[1] >= (1 - eta) * len(D) if gate_tau else None
-    if delta is None:
-        delta = bounds.delta if bounds is not None and bounds.delta is not None else None
-        if delta is None or not 0 < delta < 1 / 3:
-            delta = 0.3
-    spectral = diam_from_spectrum(A, delta)
-    diam = diameter(A)
-    diam_bound = bounds.diam_bound_fraction * N if bounds is not None else None
-    return PipelineReport(
-        modulus=N,
-        size=n,
-        alpha=alpha,
-        doubling=k_double,
-        diff_ratio=k_diff,
-        K=K,
-        bounds=bounds,
-        tau=tau,
-        gate_alpha=gate_alpha,
-        gate_tau=gate_tau,
-        largecoeff_eta=eta,
-        largecoeff_holds=holds,
-        spectral=spectral,
-        diam=diam,
-        diam_bound=diam_bound,
-        diam_bound_holds=diam.length < diam_bound if diam_bound is not None else None,
-    )
+    with _entry_scope():
+        n = len(A)
+        alpha = Fraction(n, N)
+        D = difference_set(A, A)
+        k_double = doubling_ratio(A)
+        k_diff = difference_ratio(A)
+        K = float(min(k_double, k_diff))
+        tau = Fraction(len(D), N)
+        bounds = bound_calculator(alpha, K) if alpha < 1 else None
+        gate_alpha = bounds.alpha_below_thm1 if bounds is not None else False
+        gate_tau, eta = _tau_step(_log_inv(tau), K)
+        eta = eta if gate_tau else None
+        holds = _dominant(_magnitudes(D))[1] >= (1 - eta) * len(D) if gate_tau else None
+        if delta is None:
+            delta = bounds.delta if bounds is not None and bounds.delta is not None else None
+            if delta is None or not 0 < delta < 1 / 3:
+                delta = 0.3
+        spectral = diam_from_spectrum(A, delta)
+        diam = diameter(A)
+        diam_bound = bounds.diam_bound_fraction * N if bounds is not None else None
+        return PipelineReport(
+            modulus=N,
+            size=n,
+            alpha=alpha,
+            doubling=k_double,
+            diff_ratio=k_diff,
+            K=K,
+            bounds=bounds,
+            tau=tau,
+            gate_alpha=gate_alpha,
+            gate_tau=gate_tau,
+            largecoeff_eta=eta,
+            largecoeff_holds=holds,
+            spectral=spectral,
+            diam=diam,
+            diam_bound=diam_bound,
+            diam_bound_holds=diam.length < diam_bound if diam_bound is not None else None,
+        )

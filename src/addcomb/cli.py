@@ -15,6 +15,9 @@ or a flag the command would ignore: --alpha, --doubling, --order or
 calculator, and --alpha with --at-threshold; --elements for verify and
 enumerate, and --input for enumerate; --group and --elements (for verify,
 --group, --shape and --seed) next to --input.
+
+cover, torsion-cover and verify build their covering certificates at the
+library's one witness budget, covering._WITNESS_BUDGET; no flag sets it.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cover", help="translate-cover certificate for (A, B, B)")
     common(p)
     p.add_argument("--elements-b", help="summand; defaults to A")
-    p.add_argument("--budget", type=int, default=18, help="witness search size cap")
     p.add_argument("--check-m", type=int, default=0, help="also verify the iterated inclusion up to m")
 
     p = sub.add_parser("rectify", help="order-k isomorphism onto an integer set")
@@ -71,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion-cover", help="subgroup-coset certificate in (Z/r)^n")
     common(p)
-    p.add_argument("--budget", type=int, default=18)
 
     p = sub.add_parser("bounds", help="constant-chain calculator, or the full pipeline on a set")
     common(p)
@@ -86,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", help='generator, e.g. "exhaustive:3", "random:8:100"')
     p.add_argument("--checks", default="all", help=f'comma list from {",".join(CHECK_NAMES)}')
     p.add_argument("--seed", type=int, help="seed of a random --shape; unset, it reads as 0 (verify --input refuses it, 0 included)")
-    p.add_argument("--budget", type=int, default=12)
     p.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
 
     p = sub.add_parser("enumerate", help="materialize an instance stream")
@@ -162,9 +162,7 @@ def _cmd_spectrum(args):
 def _cmd_cover(args):
     A = _load_set(args)
     B = parse_elements(args.elements_b, A.group) if args.elements_b else A
-    cert = covering_certificate(
-        A, B, B, witness_budget=args.budget, check_m=args.check_m
-    )
+    cert = covering_certificate(A, B, B, check_m=args.check_m)
     lines = [
         f"translates T ({len(cert.translates)} of them, bound {cert.size_bound}): {_set_line(cert.translates)}",
         f"witness A' of size {len(cert.witness)} with ratio {cert.witness_ratio}"
@@ -196,7 +194,7 @@ def _cmd_rectify(args):
 
 def _cmd_torsion_cover(args):
     A = _load_set(args)
-    cert = torsion_cover(A, witness_budget=args.budget)
+    cert = torsion_cover(A)
     return cert, (
         f"subgroup of size {cert.subgroup_size} (doubling {cert.doubling}, "
         f"difference ratio {cert.diff_ratio}, route {cert.route})\n"
@@ -259,13 +257,7 @@ def _cmd_verify(args):
     else:
         raise ValueError("verify needs --input, or --group with --shape")
     checks = CHECK_NAMES if args.checks == "all" else tuple(args.checks.split(","))
-    config = SuiteConfig(
-        checks=checks,
-        seed=seed,
-        witness_budget=args.budget,
-        include_timing=args.timing,
-    )
-    report = run_suite(instances, config)
+    report = run_suite(instances, SuiteConfig(checks=checks, seed=seed, include_timing=args.timing))
     human_lines = [f"{len(report.counterexamples)} counterexamples over {report.instance_count} instances"]
     for name, tally in report.tallies.items():
         human_lines.append(

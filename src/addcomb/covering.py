@@ -27,9 +27,9 @@ from .groups import (
     BudgetError,
     Certificate,
     GSet,
+    _entry_scope,
     _in_sumset,
     _index_add,
-    _memo_scope,
     _memoized,
     difference_set,
     sumset,
@@ -50,6 +50,11 @@ __all__ = [
     "JBoundReport",
     "growth_table",
 ]
+
+
+# the largest |A| whose Plünnecke witness is searched exhaustively: the one
+# default of every witness budget; past it the counting bound applies
+_WITNESS_BUDGET = 18
 
 
 def _translate_ids(core: GSet, shifts: GSet) -> Tuple[np.ndarray, int, np.ndarray]:
@@ -118,7 +123,7 @@ class PluenneckeWitness:
     subsets_searched: int
 
 
-def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = 18) -> PluenneckeWitness:
+def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = _WITNESS_BUDGET) -> PluenneckeWitness:
     """Exhaustive search for the subset of A with least sumset expansion.
 
     Visits nonempty subsets by decreasing size, in combinations order within
@@ -239,14 +244,16 @@ def covering_certificate(
     A: GSet,
     B1: GSet,
     B2: GSet,
-    witness_budget: int = 18,
+    witness_budget: int = _WITNESS_BUDGET,
     check_m: int = 0,
 ) -> CoveringCertificate:
     """Build and verify a translate-cover certificate for (A, B1, B2).
 
-    With the witness path, |T| <= 2*K1*K2 - 1 where Ki = |A+Bi|/|A|; without
-    it the weaker counting bound 2*|A+B1+B2|/|A| - 1 applies.  The inclusion
-    B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way, by
+    Up to the witness budget, |A| <= witness_budget (by default
+    _WITNESS_BUDGET), the witness path gives |T| <= 2*K1*K2 - 1 where Ki =
+    |A+Bi|/|A|; past it the weaker counting bound 2*|A+B1+B2|/|A| - 1
+    applies; _size_bound gives that bound from sumset sizes alone.  The
+    inclusion B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way, by
     groups._in_sumset handed T: it forms T-T and A-A+T-T only when
     |A-A|*min(|T|^2, order) is at most groups._BLOCK (or in a group with no
     dense index space), and otherwise marks A-A+T once and strikes each
@@ -254,31 +261,28 @@ def covering_certificate(
     point of each pair {x, -x}, as A-A is symmetric.  The left side is
     formed as sigma - sigma (sigma = B1+B2) when |sigma|^2 < |B1-B1|*|B2-B2|,
     else as (B1-B1) + (B2-B2), and kept in the scope under the key of the
-    latter.  Inside a memo scope the certificate is memoized on the identity
-    of (A, B1, B2) and the budget (see groups._memoized), so each is built
-    once there.
+    latter.  The call runs in the open memo scope, or in one of its own
+    when none is open, so each sum is formed once; in the open scope the
+    certificate is memoized on the identity of (A, B1, B2) and the budget
+    (see groups._memoized), so each is built once there.
 
-    With check_m, m_checked is verify_incm up to check_m, and the whole
-    call runs in a memo scope of its own when none is open, so T-T and the
-    chains of sums are formed once.  When B1 = B2 = A a verified inclusion
-    is 2(A-A) <= (A-A)+(T-T), which gives every m by induction, so a
-    shortfall there raises RuntimeError (a library fault).
+    With check_m, m_checked is verify_incm up to check_m.  When B1 = B2 = A
+    a verified inclusion is 2(A-A) <= (A-A)+(T-T), which gives every m by
+    induction, so a shortfall there raises RuntimeError (a library fault).
     """
     if witness_budget < 0:
         raise ValueError(f"witness budget must be >= 0, got {witness_budget}")
     if check_m < 0:
         raise ValueError(f"check_m must be >= 0, got {check_m}")
-    if check_m > 0 and groups._SCOPE.get() is None:
-        with _memo_scope():
-            return covering_certificate(A, B1, B2, witness_budget, check_m)
-    cert = _memoized((A, B1, B2), ("certificate", witness_budget), lambda: _certify(A, B1, B2, witness_budget))
-    if check_m > 0:
-        cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))
-        if cert.inclusion_verified and cert.m_checked < check_m and B1 == A and B2 == A:
-            raise RuntimeError(
-                f"the iterated inclusion holds only up to m = {cert.m_checked} of {check_m}, "
-                "although 2(A-A) <= (A-A)+(T-T) was verified"
-            )
+    with _entry_scope():
+        cert = _memoized((A, B1, B2), ("certificate", witness_budget), lambda: _certify(A, B1, B2, witness_budget))
+        if check_m > 0:
+            cert = replace(cert, m_checked=verify_incm(A, cert.translates, check_m))
+            if cert.inclusion_verified and cert.m_checked < check_m and B1 == A and B2 == A:
+                raise RuntimeError(
+                    f"the iterated inclusion holds only up to m = {cert.m_checked} of {check_m}, "
+                    "although 2(A-A) <= (A-A)+(T-T) was verified"
+                )
     return cert
 
 
@@ -290,6 +294,7 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
     n = len(A)
     s1, s2 = len(sumset(A, B1)), len(sumset(A, B2))
     sigma = sumset(B1, B2)
+    size_bound = _size_bound(A, B1, B2, witness_budget)
     if n <= witness_budget:
         found = pluennecke_witness(A, B1, B2, budget=witness_budget)
         core, ratio, optimal = found.subset, found.ratio, True
@@ -298,13 +303,8 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
             raise RuntimeError(
                 f"witness ratio {ratio} exceeds K1*K2 = {Fraction(s1 * s2, n * n)}; this should be impossible"
             )
-        size_bound = _witness_bound(n, s1, s2)
     else:
-        core = A
-        total = len(sumset(A, sigma))
-        ratio = Fraction(total, n)
-        optimal = False
-        size_bound = _counting_bound(n, total)
+        core, ratio, optimal = A, Fraction(len(sumset(A, sigma)), n), False
     T = greedy_translates(core, sigma)
     if len(T) > size_bound:
         raise RuntimeError(
@@ -333,18 +333,18 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
     )
 
 
-def _witness_bound(n: int, s1: int, s2: int) -> int:
-    """floor(2*K1*K2 - 1), Ki = si/n: the witness path's bound on |T|, for |A| = n and |A + Bi| = si."""
-    return (2 * s1 * s2 - n * n) // (n * n)
+def _size_bound(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> int:
+    """The bound on |T| that covering_certificate(A, B1, B2, witness_budget) certifies, from sumset sizes alone.
 
-
-def _counting_bound(n: int, total: int) -> int:
-    """floor(2*|A + B1 + B2|/|A| - 1), for |A| = n and |A + B1 + B2| = total: the bound past the witness budget.
-
-    The first translate is wholly new and each later one adds >= |A|/2, so
+    Up to the budget it is the witness path's floor(2*K1*K2 - 1), Ki =
+    |A + Bi|/|A|; past it the counting bound floor(2*|A + B1 + B2|/|A| - 1):
+    the first translate is wholly new and each later one adds >= |A|/2, so
     |A|(k+1)/2 <= |A + B1 + B2|.
     """
-    return (2 * total - n) // n
+    n = len(A)
+    if n <= witness_budget:
+        return (2 * len(sumset(A, B1)) * len(sumset(A, B2)) - n * n) // (n * n)
+    return (2 * len(sumset(A, sumset(B1, B2))) - n) // n
 
 
 def verify_incm(A: GSet, T: GSet, m_max: int) -> int:

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Dict, Hashable, Iterable, Iterator, Optional, Tuple, TypeVar, Union
+from typing import Callable, ClassVar, ContextManager, Dict, Hashable, Iterable, Iterator, Optional, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -425,6 +425,11 @@ def _memo_scope() -> Iterator[None]:
         yield
     finally:
         _SCOPE.reset(token)
+
+
+def _entry_scope() -> ContextManager[None]:
+    """The scope of an entry point: the open memo scope, or a fresh one when none is open."""
+    return contextlib.nullcontext() if _SCOPE.get() is not None else _memo_scope()
 
 
 def _memoized(operands: tuple, tag: Hashable, make: Callable[[], _T]) -> _T:

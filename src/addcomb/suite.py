@@ -13,6 +13,10 @@ payload) counts as is, NotApplicable or BudgetError as skip, a RuntimeError
 (a library fault) as fail with payload {"error": message}, and any other
 ValueError (bad input) propagates.  The report is a certificate too, with
 one claim per selected check: that it failed on no instance.
+
+A check takes the instance alone: its parameters are the module constants
+below, and its certificates are built at the library's defaults, the
+witness budget covering._WITNESS_BUDGET among them.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import time
 from dataclasses import astuple, dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from .covering import CoveringCertificate, covering_certificate, growth_table, j_bound_report
+from .covering import covering_certificate, growth_table, j_bound_report
 from .fourier import moment_chain, spectrum
 from .groups import BudgetError, Certificate, GSet, NotApplicable, _memo_scope, _memoized, _require, difference_set
 from .rectify import _best_window, diam_from_spectrum, gap_cover, lev_interval, rectify
@@ -65,7 +69,6 @@ _ISO_ORDER = 2                   # iso rectifies at order k = 2
 class SuiteConfig:
     checks: Tuple[str, ...] = CHECK_NAMES
     seed: int = 0                 # echoed; the stream generator owns the randomness
-    witness_budget: int = 12
     include_timing: bool = False
 
 
@@ -113,30 +116,26 @@ def _verdict(
     return status, None
 
 
-def _cert(A: GSet, cfg: SuiteConfig) -> CoveringCertificate:
-    return covering_certificate(A, A, A, witness_budget=cfg.witness_budget)
-
-
-def _check_inc(A: GSet, cfg: SuiteConfig):
-    return _verdict([({}, _cert(A, cfg))], lambda cert: {
+def _check_inc(A: GSet):
+    return _verdict([({}, covering_certificate(A, A, A))], lambda cert: {
         "translates": gset_to_obj(cert.translates),
         "size_bound": cert.size_bound,
         "inclusion_verified": cert.inclusion_verified,
     })
 
 
-def _check_incm(A: GSet, cfg: SuiteConfig):
+def _check_incm(A: GSet):
     # a shortfall after a verified inclusion is a fault that covering_certificate raises
-    cert = covering_certificate(A, A, A, witness_budget=cfg.witness_budget, check_m=_M_MAX)
+    cert = covering_certificate(A, A, A, check_m=_M_MAX)
     return _verdict([({}, cert)], lambda cert: {"verified_m": cert.m_checked, "wanted_m": _M_MAX}, "inclusion")
 
 
-def _growth(A: GSet, cfg: SuiteConfig):
-    return _memoized((A,), ("growth", cfg.witness_budget), lambda: _growth_table(A, cfg))
+def _growth(A: GSet):
+    return _memoized((A,), "growth", lambda: _growth_table(A))
 
 
-def _growth_table(A: GSet, cfg: SuiteConfig):
-    cert = _cert(A, cfg)
+def _growth_table(A: GSet):
+    cert = covering_certificate(A, A, A)
     if not cert.checks["inclusion"]:
         # the growth bounds presuppose the inc claim, 2(A-A) <= (A-A)+(T-T)
         raise RuntimeError("the covering translates do not cover A-A: 2(A-A) is not inside (A-A)+(T-T)")
@@ -144,21 +143,21 @@ def _growth_table(A: GSet, cfg: SuiteConfig):
     return growth_table(difference_set(A, A), cert.translates, m_top)
 
 
-def _check_estjcov(A: GSet, cfg: SuiteConfig):
-    rows = (({}, r) for r in _growth(A, cfg))
+def _check_estjcov(A: GSet):
+    rows = (({}, r) for r in _growth(A))
     return _verdict(rows, lambda r: {"m": r.m, "grown_size": r.grown_size, "j": r.j_value}, "j_bound")
 
 
-def _check_estecov(A: GSet, cfg: SuiteConfig):
-    rows = (({}, r) for r in _growth(A, cfg))
+def _check_estecov(A: GSet):
+    rows = (({}, r) for r in _growth(A))
     return _verdict(rows, lambda r: {"m": r.m, "grown_size": r.grown_size}, "ratio_bound")
 
 
-def _check_parseval(A: GSet, cfg: SuiteConfig):
+def _check_parseval(A: GSet):
     return _verdict([({}, spectrum(A))], lambda rep: {"residual": rep.parseval_residual})
 
 
-def _check_moment(A: GSet, cfg: SuiteConfig):
+def _check_moment(A: GSet):
     rows = (({}, rep) for rep in moment_chain(A, _M_MAX))
     return _verdict(rows, lambda rep: {
         "m": rep.m,
@@ -168,7 +167,7 @@ def _check_moment(A: GSet, cfg: SuiteConfig):
     })
 
 
-def _check_cover(A: GSet, cfg: SuiteConfig):
+def _check_cover(A: GSet):
     N = _require(A.group, "cyclic").modulus
     D = difference_set(A, A)
 
@@ -179,7 +178,7 @@ def _check_cover(A: GSet, cfg: SuiteConfig):
     return _verdict(map(cover, _DELTA_GRID), lambda res: {"start": res.start, "length": res.length})
 
 
-def _check_lev(A: GSet, cfg: SuiteConfig):
+def _check_lev(A: GSet):
     grid = (
         ({"eps": eps, "delta": delta}, lev_interval(A, eps, delta))
         for eps in _EPS_GRID
@@ -188,18 +187,18 @@ def _check_lev(A: GSet, cfg: SuiteConfig):
     return _verdict(grid, lambda res: {"exceptions": res.exceptions, "bound": res.bound})
 
 
-def _check_diam(A: GSet, cfg: SuiteConfig):
+def _check_diam(A: GSet):
     grid = (({"delta": delta}, diam_from_spectrum(A, delta)) for delta in _DELTA_GRID)
     return _verdict(grid, lambda res: {"diameter": res.diameter_upper})
 
 
-def _check_iso(A: GSet, cfg: SuiteConfig):
+def _check_iso(A: GSet):
     # an undecided outcome is a multiset check over budget
     return _verdict([({}, rectify(A, _ISO_ORDER))], lambda out: out.checks)
 
 
-def _check_torsion(A: GSet, cfg: SuiteConfig):
-    return _verdict([({}, torsion_cover(A, witness_budget=cfg.witness_budget))], lambda cert: cert.checks)
+def _check_torsion(A: GSet):
+    return _verdict([({}, torsion_cover(A))], lambda cert: cert.checks)
 
 
 INSTANCE_CHECKS: Dict[str, Callable] = {
@@ -247,8 +246,6 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
     unknown = [c for c in config.checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    if config.witness_budget < 0:
-        raise ValueError(f"witness budget must be >= 0, got {config.witness_budget}")
     start = time.perf_counter()
     selected = [c for c in CHECK_NAMES if c in config.checks]
     tallies = {name: CheckTally() for name in selected}
@@ -264,7 +261,7 @@ def run_suite(instances: Iterable[GSet], config: SuiteConfig = SuiteConfig()) ->
         with _memo_scope():
             for name in per_instance:
                 try:
-                    status, payload = INSTANCE_CHECKS[name](A, config)
+                    status, payload = INSTANCE_CHECKS[name](A)
                 except (NotApplicable, BudgetError):
                     status, payload = SKIP, None
                 except RuntimeError as exc:

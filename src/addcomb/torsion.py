@@ -15,11 +15,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .covering import CoveringCertificate, _counting_bound, _witness_bound, covering_certificate
+from .covering import _WITNESS_BUDGET, CoveringCertificate, _size_bound, covering_certificate
 from .groups import (
     Certificate,
     Element,
     GSet,
+    _entry_scope,
     _in_sumset,
     _memoized,
     _minus,
@@ -104,69 +105,64 @@ class SubgroupCosetCertificate(Certificate):
         }
 
 
-def torsion_cover(A: GSet, witness_budget: int = 18) -> SubgroupCosetCertificate:
+def torsion_cover(A: GSet, witness_budget: int = _WITNESS_BUDGET) -> SubgroupCosetCertificate:
     """Certified subgroup-coset cover of A in (Z/rZ)^n, from one covering certificate.
 
     The covering construction runs on one route: "sum", summands (A, A), or,
     when A is not symmetric, "difference", summands (-A, -A); 2(A-A) is
     inside (A-A)+(T-T) either way, so gen(A-A) <= (A-A)+gen(T-T).  The route
     is chosen before any certificate is built, by the size bound each would
-    certify, from sumset sizes alone: floor(2s^2/|A|^2 - 1) with s = |A+A|
-    or |A-A| on the witness path, floor(2|A+sigma|/|A| - 1) with
-    sigma = A+A or -A-A past the witness budget.  The smaller bound wins and
-    a tie goes to "sum", so the route is an invariant of A under isomorphisms
-    and "sum" reads the (A, A, A) certificate of the scope.  Every inclusion
-    and size comparison is re-verified on the actual sets, each size
-    comparison in integers.
+    certify, covering._size_bound at witness_budget (by default
+    covering._WITNESS_BUDGET), from sumset sizes alone.  The smaller bound
+    wins and a tie goes to "sum", so the route is an invariant of A under
+    isomorphisms and "sum" reads the (A, A, A) certificate of the scope.
+    The call runs in the open memo scope, or in one of its own when none is
+    open.  Every inclusion and size comparison is re-verified on the actual
+    sets, each size comparison in integers.
     """
     g = _require(A.group, "torsion")
     if not len(A):
         raise ValueError("cover of the empty set is undefined")
-    r = g.exponent
-    n = len(A)
-    D = difference_set(A, A)
-    s, d = len(sumset(A, A)), len(D)
-    neg_a = _minus(A)
-    route, B = "sum", A
-    if neg_a is not A:
-        if n <= witness_budget:
-            plus, minus = _witness_bound(n, s, s), _witness_bound(n, d, d)
-        else:
-            plus = _counting_bound(n, len(sumset(A, sumset(A, A))))
-            minus = _counting_bound(n, len(sumset(A, sumset(neg_a, neg_a))))
-        if minus < plus:
+    with _entry_scope():
+        r = g.exponent
+        n = len(A)
+        D = difference_set(A, A)
+        s, d = len(sumset(A, A)), len(D)
+        neg_a = _minus(A)
+        route, B = "sum", A
+        if neg_a is not A and _size_bound(A, neg_a, neg_a, witness_budget) < _size_bound(A, A, A, witness_budget):
             route, B = "difference", neg_a
-    cert = covering_certificate(A, B, B, witness_budget=witness_budget)
-    T = cert.translates
-    t0 = T.elements[0]
-    gens = tuple(g.add(t, g.neg(t0)) for t in T.elements[1:])
-    # h_t - h_t = h_t, so _in_sumset handed h_t decides gen(A-A) <= (A-A) + h_t
-    h_t = subgroup_generated(GSet(g, gens))
-    subgroup = subgroup_generated(D)
-    size = len(subgroup)
-    # e = floor(2K^2 - 2); bound_a_raw = s^2 r^e_a / n and bound_b_raw = d r^e_b, compared as integers
-    e_a = (2 * s * s - 2 * n * n) // (n * n)
-    e_b = (2 * d * d - 2 * n * n) // (n * n)
-    top_a = s * s * r ** e_a
-    raw_b = d * r ** e_b
-    return SubgroupCosetCertificate(
-        base=A,
-        generators=gens,
-        subgroup=subgroup,
-        coset_rep=A.elements[0],
-        subgroup_size=size,
-        doubling=Fraction(s, n),
-        diff_ratio=Fraction(d, n),
-        bound_a_raw=Fraction(top_a, n),
-        bound_b_raw=Fraction(raw_b),
-        bound_a=min(top_a // n, g.order),
-        bound_b=min(raw_b, g.order),
-        contains_a=is_subset(A, translate(subgroup, A.elements[0])),
-        gen_inclusion_holds=_in_sumset(subgroup, D, h_t),
-        size_factor_holds=size <= d * r ** (len(T) - 1),
-        bound_a_holds=size * n <= top_a,
-        bound_b_holds=size <= raw_b,
-        witness_used=cert.witness_is_optimal,
-        route=route,
-        covering=cert,
-    )
+        cert = covering_certificate(A, B, B, witness_budget=witness_budget)
+        T = cert.translates
+        t0 = T.elements[0]
+        gens = tuple(g.add(t, g.neg(t0)) for t in T.elements[1:])
+        # h_t - h_t = h_t, so _in_sumset handed h_t decides gen(A-A) <= (A-A) + h_t
+        h_t = subgroup_generated(GSet(g, gens))
+        subgroup = subgroup_generated(D)
+        size = len(subgroup)
+        # e = floor(2K^2 - 2); bound_a_raw = s^2 r^e_a / n and bound_b_raw = d r^e_b, compared as integers
+        e_a = (2 * s * s - 2 * n * n) // (n * n)
+        e_b = (2 * d * d - 2 * n * n) // (n * n)
+        top_a = s * s * r ** e_a
+        raw_b = d * r ** e_b
+        return SubgroupCosetCertificate(
+            base=A,
+            generators=gens,
+            subgroup=subgroup,
+            coset_rep=A.elements[0],
+            subgroup_size=size,
+            doubling=Fraction(s, n),
+            diff_ratio=Fraction(d, n),
+            bound_a_raw=Fraction(top_a, n),
+            bound_b_raw=Fraction(raw_b),
+            bound_a=min(top_a // n, g.order),
+            bound_b=min(raw_b, g.order),
+            contains_a=is_subset(A, translate(subgroup, A.elements[0])),
+            gen_inclusion_holds=_in_sumset(subgroup, D, h_t),
+            size_factor_holds=size <= d * r ** (len(T) - 1),
+            bound_a_holds=size * n <= top_a,
+            bound_b_holds=size <= raw_b,
+            witness_used=cert.witness_is_optimal,
+            route=route,
+            covering=cert,
+        )

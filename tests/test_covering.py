@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import addcomb.covering as covering_mod
 import addcomb.groups as groups_mod
 from addcomb import (
     BudgetError,
@@ -30,7 +31,15 @@ from addcomb import (
     sumset,
     verify_incm,
 )
-from oracles import brute_greedy_translates, brute_j_count, brute_witness_ratio, chain_incm, sum_ratio
+from oracles import (
+    brute_greedy_translates,
+    brute_j_count,
+    brute_witness_ratio,
+    chain_incm,
+    fraction_size_bound,
+    naive_sumset_mod,
+    sum_ratio,
+)
 
 W = IntegerWindow(-2000, 2000)
 
@@ -270,6 +279,19 @@ class TestCertificate:
         assert len(cert.translates) <= 4
         assert cert.inclusion_verified
 
+    @pytest.mark.parametrize("size, witness", [(18, True), (19, False)])
+    def test_the_default_budget_edge(self, size, witness):
+        """At the default budget of 18 points an 18-point set takes the witness path and a 19-point set the counting bound."""
+        assert covering_mod._WITNESS_BUDGET == 18
+        g = CyclicGroup(1009)
+        A = GSet(g, random.Random(size).sample(range(g.modulus), size))
+        cert = covering_certificate(A, A, A)
+        assert cert.witness_is_optimal is witness
+        s = naive_sumset_mod(A.elements, A.elements, 1009)
+        total = naive_sumset_mod(A.elements, s, 1009)
+        assert cert.size_bound == fraction_size_bound(size, len(s), len(s), len(total), witness)
+        assert cert.ok
+
     def test_fallback_bound_never_below_one(self):
         g = CyclicGroup(7)
         A = GSet(g, [0])
@@ -342,6 +364,18 @@ class TestCertificate:
         for B1, B2 in ((E, A), (A, E), (E, E)):
             with pytest.raises(ValueError, match="summands must be nonempty"):
                 covering_certificate(A, B1, B2, witness_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [0, 4, 18])
+@pytest.mark.parametrize("g", [CyclicGroup(101), CyclicGroup(60), TorsionGroup(3, 3), TorsionGroup(2, 5)], ids=str)
+@pytest.mark.parametrize("negated", [False, True], ids=["(A, A)", "(-A, -A)"])
+def test_the_size_bound_is_the_certified_one(g, negated, budget):
+    """_size_bound reads from sumset sizes the bound that covering_certificate certifies, on either side of the budget."""
+    rng = random.Random(f"{g}{budget}{negated}")
+    for _ in range(15):
+        A = GSet(g, [g.element_at(i) for i in rng.sample(range(g.order), rng.randint(1, 9))])
+        B = negate(A) if negated else A
+        assert covering_mod._size_bound(A, B, B, budget) == covering_certificate(A, B, B, witness_budget=budget).size_bound
 
 
 INCM_TORSION = [TorsionGroup(2, 4), TorsionGroup(3, 3), TorsionGroup(5, 2)]

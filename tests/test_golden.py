@@ -43,7 +43,8 @@ CASES = {
     "spectrum-torsion": "spectrum --group torsion:2:4 --elements 0,0,0,1;1,1,0,0;0,1,1,0",
     "cover-cyclic": "cover --group cyclic:1009 --elements 0,1,2,3,4,5,6,7,8,9",
     "cover-cyclic-check-m": "cover --group cyclic:101 --elements 0,1,3,7,12 --check-m 2",
-    "cover-cyclic-fallback": "cover --group cyclic:211 --elements 0,2,3,7,11,19,30,31,50 --budget 4",
+    # 19 points, one past the witness budget: the counting bound applies
+    "cover-cyclic-fallback": "cover --group cyclic:211 --elements 0,2,3,7,11,19,30,31,50,58,64,77,85,99,112,130,141,160,177",
     "cover-window": "cover --group window:-50:50 --elements=-7,0,1,3,10,22 --elements-b 0,5,9",
     "cover-torsion": "cover --group torsion:3:3 --elements 0,0,0;1,0,0;0,1,2;1,1,2;2,2,0",
     "rectify-cyclic": "rectify --group cyclic:101 --elements 3,20,37,54,71 --order 3",

@@ -30,6 +30,11 @@ One place decides a verdict or an exit code: every check registered in
 certificates by ``ok``, and ``cli.main`` is the one function of the CLI that
 returns an exit code (is annotated ``int`` or returns an int literal).
 
+One witness budget, covering's: every check registered in
+``suite.INSTANCE_CHECKS`` takes the instance alone, ``SuiteConfig``'s fields
+are the checks, the seed and the timing switch, and no command of
+``cli._build_parser()`` defines ``--budget``.
+
 One place computes character magnitudes: ``np.fft`` is read in
 ``fourier._fft_magnitudes`` alone, and a complex exponential (an ``exp``
 call with an imaginary literal in its argument), the term of a direct
@@ -45,6 +50,7 @@ Object dtype only in named places: the name ``object`` is read as a dtype in
 root of an attribute (``object.__new__``) and an annotation are no such read.
 """
 
+import argparse
 import ast
 import re
 from collections import Counter
@@ -52,6 +58,7 @@ from pathlib import Path
 
 import pytest
 
+import addcomb.cli as cli_mod
 import addcomb.fourier as fourier_mod
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -172,7 +179,9 @@ def test_library_has_no_dead_private_helper():
 # ------------------------------------------------------------------ public surface
 
 # main(argv) is the CLI's test seam: the console script calls main() with none.
-OPTION_EXEMPT = {"cli.main(argv)"}
+# torsion_cover(witness_budget) is set by the tests alone; its default is the
+# one witness budget, covering._WITNESS_BUDGET (ROADMAP item 14 deletes it).
+OPTION_EXEMPT = {"cli.main(argv)", "torsion.torsion_cover(witness_budget)"}
 # dump_instances writes the instance files that load_instances reads.
 CALLER_EXEMPT = {"serialize.dump_instances"}
 
@@ -612,17 +621,30 @@ def _assigned(tree: ast.Module, name: str):
     return None
 
 
-def checks_without_a_verdict(source: str) -> list:
-    """The functions registered in INSTANCE_CHECKS of source with no return, or one that is not a _verdict(...) call."""
+def _registered_checks(source: str) -> dict:
+    """The module-level defs registered in INSTANCE_CHECKS of source, by name."""
     tree = ast.parse(source)
     defs = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    registered = [v.id for v in _assigned(tree, "INSTANCE_CHECKS").values]
+    return {v.id: defs[v.id] for v in _assigned(tree, "INSTANCE_CHECKS").values}
+
+
+def checks_without_a_verdict(source: str) -> list:
+    """The functions registered in INSTANCE_CHECKS of source with no return, or one that is not a _verdict(...) call."""
     return sorted(
         name
-        for name in registered
-        if not (returns := _own_returns(defs[name]))
+        for name, fn in _registered_checks(source).items()
+        if not (returns := _own_returns(fn))
         or not all(isinstance(r.value, ast.Call) and getattr(r.value.func, "id", None) == "_verdict" for r in returns)
     )
+
+
+def checks_not_on_the_instance_alone(source: str) -> list:
+    """The functions registered in INSTANCE_CHECKS of source that take anything but one parameter."""
+    def params(fn: ast.FunctionDef) -> int:
+        a = fn.args
+        return len(a.posonlyargs + a.args + a.kwonlyargs) + (a.vararg is not None) + (a.kwarg is not None)
+
+    return sorted(name for name, fn in _registered_checks(source).items() if params(fn) != 1)
 
 
 def _int_literal(node) -> bool:
@@ -647,10 +669,10 @@ def exit_code_functions(source: str) -> list:
 
 def test_detects_a_check_without_a_verdict():
     src = (
-        "def _a(A, cfg):\n    def one(d):\n        return {}, f(d)\n    return _verdict(map(one, G), str)\n\n"
-        "def _b(A, cfg):\n    g(A)\n    return PASS, None\n\n"
-        "def _c(A, cfg):\n    if A:\n        return _verdict([], str)\n    return suite._verdict([], str)\n\n"
-        "def _d(A, cfg):\n    g(A)\n\n"
+        "def _a(A):\n    def one(d):\n        return {}, f(d)\n    return _verdict(map(one, G), str)\n\n"
+        "def _b(A):\n    g(A)\n    return PASS, None\n\n"
+        "def _c(A):\n    if A:\n        return _verdict([], str)\n    return suite._verdict([], str)\n\n"
+        "def _d(A):\n    g(A)\n\n"
         "INSTANCE_CHECKS: Dict[str, Callable] = {'a': _a, 'b': _b, 'c': _c, 'd': _d}\n"
     )
     assert checks_without_a_verdict(src) == ["_b", "_c", "_d"]
@@ -660,6 +682,37 @@ def test_every_suite_check_returns_a_verdict():
     suite = _library()["suite"]
     assert len(_assigned(ast.parse(suite), "INSTANCE_CHECKS").values) == 11
     assert checks_without_a_verdict(suite) == []
+
+
+# ------------------------------------------------------------------ one witness budget
+
+def test_detects_a_check_with_a_config():
+    src = (
+        "def _a(A):\n    return _verdict([], str)\n\n"
+        "def _b(A, cfg):\n    return _verdict([], str)\n\n"
+        "def _c(A, *, budget=12):\n    return _verdict([], str)\n\n"
+        "def _d(*args):\n    return _verdict([], str)\n\n"
+        "INSTANCE_CHECKS = {'a': _a, 'b': _b, 'c': _c, 'd': _d}\n"
+    )
+    assert checks_not_on_the_instance_alone(src) == ["_b", "_c"]
+
+
+def test_every_suite_check_takes_the_instance_alone():
+    assert checks_not_on_the_instance_alone(_library()["suite"]) == []
+
+
+def test_the_suite_config_holds_no_budget():
+    tree = ast.parse(_library()["suite"])
+    config = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "SuiteConfig")
+    fields = [stmt.target.id for stmt in config.body if isinstance(stmt, ast.AnnAssign)]
+    assert fields == ["checks", "seed", "include_timing"]
+
+
+def test_no_command_defines_a_budget():
+    parser = cli_mod._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {"cover", "torsion-cover", "verify"} <= set(commands)
+    assert [name for name, sub in commands.items() if "--budget" in sub._option_string_actions] == []
 
 
 def test_detects_an_exit_code():

@@ -377,7 +377,7 @@ class TestSuite:
         assert a == b
 
     def test_corrupted_check_is_caught(self, monkeypatch):
-        def broken(A, cfg):
+        def broken(A):
             return "fail", {"planted": True}
 
         monkeypatch.setitem(suite_mod.INSTANCE_CHECKS, "inc", broken)
@@ -466,7 +466,7 @@ class TestSuite:
     def test_tiny_budget_falls_back_cleanly(self):
         # above the witness budget the counting bound takes over; no failure
         big = GSet(CyclicGroup(101), range(20))
-        report = run_suite([big], SuiteConfig(checks=("inc",), witness_budget=4))
+        report = run_suite([big], SuiteConfig(checks=("inc",)))
         assert report.tallies["inc"].passed == 1
         assert report.ok
 
@@ -829,7 +829,7 @@ class TestCli:
 
     def test_verify_corrupted_check_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setitem(
-            suite_mod.INSTANCE_CHECKS, "inc", lambda A, cfg: ("fail", {})
+            suite_mod.INSTANCE_CHECKS, "inc", lambda A: ("fail", {})
         )
         rc = main(
             ["verify", "--group", "cyclic:11", "--shape", "exhaustive:1",
@@ -864,14 +864,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, option",
         [
-            ("cover --group cyclic:31 --elements 0,1,5 --budget -3", "witness budget"),
             ("cover --group cyclic:31 --elements 0,1,5 --check-m -1", "check_m"),
-            ("torsion-cover --group torsion:2:4 --elements 0,0,0,0;1,0,0,0;0,1,1,0 --budget -1", "witness budget"),
-            ("verify --group cyclic:13 --shape exhaustive:2 --budget -5", "witness budget"),
-            ("verify --group cyclic:13 --shape exhaustive:2 --checks jbound --budget -5", "witness budget"),
             ("spectrum --group cyclic:31 --elements 0,1,5 --top -1", "top"),
         ],
-        ids=["cover-budget", "cover-check-m", "torsion-cover-budget", "verify-budget", "verify-jbound-budget", "spectrum-top"],
+        ids=["cover-check-m", "spectrum-top"],
     )
     def test_negative_budget_or_count_exits_two(self, capsys, argv, option):
         assert main(argv.split(" ")) == 2
@@ -882,16 +878,32 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            "cover --group cyclic:31 --elements 0,1,5 --budget 0",
             "cover --group cyclic:31 --elements 0,1,5 --check-m 0",
-            "torsion-cover --group torsion:2:4 --elements 0,0,0,0;1,0,0,0;0,1,1,0 --budget 0",
-            "verify --group cyclic:13 --shape exhaustive:2 --budget 0",
             "spectrum --group cyclic:31 --elements 0,1,5 --top 0",
         ],
     )
     def test_zero_budget_or_count_is_valid(self, capsys, argv):
         assert main(argv.split(" ")) == 0
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("size, searched", [(18, True), (19, False)])
+    def test_verify_inc_searches_the_witness_up_to_the_default_budget(self, capsys, monkeypatch, size, searched):
+        # verify builds its certificates at covering._WITNESS_BUDGET = 18: an
+        # 18-point set takes the witness path, a 19-point set the counting bound
+        sizes = []
+        real = covering_mod.pluennecke_witness
+        monkeypatch.setattr(covering_mod, "pluennecke_witness", lambda A, *a, **kw: sizes.append(len(A)) or real(A, *a, **kw))
+        argv = ["verify", "--group", "cyclic:1009", "--shape", f"random:{size}:1", "--seed", "1", "--checks", "inc"]
+        assert main(argv) == 0
+        assert sizes == ([size] if searched else [])
+        assert "inc: 1 pass, 0 fail, 0 skip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["cover", "torsion-cover", "verify"])
+    def test_no_command_takes_a_budget(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--group", "cyclic:31", "--elements", "0,1,5", "--budget", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 4" in capsys.readouterr().err
 
     def test_negative_budgets_are_rejected_by_the_library(self):
         A = GSet(CyclicGroup(31), [0, 1, 5])
@@ -902,7 +914,6 @@ class TestCli:
             lambda: covering_mod.pluennecke_witness(A, A, A, budget=-1),
             lambda: torsion_cover(T, witness_budget=-1),
             lambda: spectrum(A, top=-1),
-            lambda: run_suite([], SuiteConfig(witness_budget=-1)),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="must be >= 0"):

@@ -101,7 +101,7 @@ class TestMemoIsInvisible:
         assert gset_count() == before
 
     def test_a_fault_still_drops_the_memo(self, monkeypatch):
-        def fault(A, cfg):
+        def fault(A):
             covering_certificate(A, A, A)
             raise ValueError("planted")
 
@@ -357,7 +357,7 @@ def test_the_covering_inclusion_is_scanned_once_and_its_sum_never_formed(monkeyp
     A = GSet(CyclicGroup(101), [0, 1, 3, 7, 12, 20])
     monkeypatch.setattr(suite_mod, "_M_MAX", m_max)
     want = dumps(run_suite([A]))
-    T = covering_certificate(A, A, A, witness_budget=SuiteConfig().witness_budget).translates
+    T = covering_certificate(A, A, A).translates
     D, E = difference_set(A, A), difference_set(T, T)
     # D is symmetric, so the scan gets one point of each pair {x, -x} of 2(A-A): min(x, 101 - x)
     x = sumset(D, D).packed()
@@ -392,6 +392,58 @@ def test_check_m_opens_a_scope_of_its_own(monkeypatch, N, pairwise):
     with groups_mod._memo_scope():
         assert covering_certificate(A, A, A, check_m=3) == cert
     assert len(calls) == pairwise
+
+
+@pytest.mark.parametrize("size", [8, 16, 28])
+def test_a_certificate_forms_each_sum_once_outside_a_scope(monkeypatch, size):
+    """A (C, C, C) certificate at q = 1,000,003 makes as many _pairwise calls outside a scope as inside one.
+
+    Without a scope of its own it formed C + C, C - C and their sums with C
+    again at each step that needs them: 9 or 10 calls against 4 or 5.
+    """
+    C = GSet(CyclicGroup(1000003), random.Random(size).sample(range(1000003), size))
+    calls = _pairwise_calls(monkeypatch)
+    cert = covering_certificate(C, C, C)
+    outside = len(calls)
+    assert groups_mod._SCOPE.get() is None
+    calls.clear()
+    with groups_mod._memo_scope():
+        assert covering_certificate(C, C, C) == cert
+    assert outside == len(calls) <= 5
+
+
+@pytest.mark.parametrize("check_m", [0, 3])
+def test_one_call_is_one_certificate_call(monkeypatch, check_m):
+    """The scope of an entry point is opened inline, so a wrapper of covering_certificate sees each call once."""
+    seen = []
+    real = covering_mod.covering_certificate
+    monkeypatch.setattr(covering_mod, "covering_certificate", lambda *a, **kw: seen.append(1) or real(*a, **kw))
+    A = GSet(CyclicGroup(101), [0, 1, 3, 7, 12, 20])
+    covering_mod.covering_certificate(A, A, A, check_m=check_m)
+    assert seen == [1]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: torsion_mod.torsion_cover(by_index(TorsionGroup(3, 3), [0, 1, 5, 13])),
+        lambda: theorem1_pipeline(GSet(CyclicGroup(101), [0, 1, 3, 7])),
+        lambda: covering_certificate(*[GSet(CyclicGroup(101), [0, 1, 3, 7])] * 3),
+    ],
+    ids=["torsion_cover", "theorem1_pipeline", "covering_certificate"],
+)
+def test_an_entry_point_reads_an_open_scope(run):
+    """torsion_cover, theorem1_pipeline and covering_certificate open a scope only when none is open."""
+    scopes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups_mod, "_SCOPE", _SpyVar(groups_mod._SCOPE, scopes))
+        run()
+        assert len(scopes) == 1
+        with _memo_scope():
+            run()
+        # the one scope more is the outer one: run opened none inside it
+        assert len(scopes) == 2
+    assert groups_mod._SCOPE.get() is None
 
 
 def test_cli_cover_scans_the_covering_inclusion_once(monkeypatch, capsys):
@@ -451,7 +503,7 @@ def test_the_difference_route_reads_a_minus_a_from_the_memo(monkeypatch):
     for mod in (groups_mod, torsion_mod):
         real_pairwise = mod._pairwise
         monkeypatch.setattr(mod, "_pairwise", lambda g, pa, pb, _real=real_pairwise: pairs.append(tuple(sorted((pa.tobytes(), pb.tobytes())))) or _real(g, pa, pb))
-    assert torsion_mod.torsion_cover(A, witness_budget=SuiteConfig().witness_budget).route == "difference"
+    assert torsion_mod.torsion_cover(A).route == "difference"
     pairs.clear()
     assert run_suite([A]).ok
     assert pairs.count(tuple(sorted((A.packed().tobytes(), negate(A).packed().tobytes())))) == 1

@@ -186,6 +186,30 @@ class TestTorsionCover:
         # the smaller bound wins, and "sum" a tie
         assert (route == "sum") == (plus.size_bound <= minus.size_bound)
 
+    @pytest.mark.parametrize(
+        "size, cells, route, bound",
+        [
+            # witness path: 34 from 76 sums against 33 from 75 differences,
+            # although |A+A+A| = |A-A-A| = 110 would tie at 11 and pick "sum"
+            (18, [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 3), (4, 1), (4, 2), (5, 0), (5, 3), (6, 0),
+                  (6, 1), (6, 2), (6, 3), (7, 0), (7, 3), (8, 0)], "difference", 33),
+            # counting bound: |A+A+A| = |A-A-A| = 110 tie at 10, although the
+            # witness bounds from 76 sums and 75 differences, 31 against 30,
+            # would pick "difference"
+            (19, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3), (4, 0),
+                  (4, 2), (5, 0), (5, 1), (5, 3), (6, 0), (6, 1), (6, 3)], "sum", 10),
+        ],
+        ids=["18-witness", "19-counting"],
+    )
+    def test_the_default_budget_edge_decides_the_route(self, size, cells, route, bound):
+        """At the default budget the route rule and the covering read the witness bound up to 18 points, the counting bound at 19."""
+        A = GSet(TorsionGroup(11, 2), cells)
+        assert len(A) == size
+        cert = torsion_cover(A)
+        assert (cert.route, cert.covering.size_bound) == (route, bound)
+        assert cert.witness_used is (size <= 18)
+        assert cert.ok
+
     def test_witness_flag_propagates(self):
         g = TorsionGroup(2, 3)
         A = GSet(g, [(0, 0, 0), (1, 1, 0)])
