@@ -7,9 +7,10 @@ certificate whose ok is False, that is when a claim fails.  For spectrum
 the claim is Parseval's identity; for verify it is that a check found no
 counterexample (an implementation bug by definition).  An undecided claim
 exits 0.  Every command exits 1 on a library fault, such as a cover
---check-m shortfall with B = A.  Exit 2 is a budget violation, an ambient
-group the command does not apply to, a malformed --input file, a bounds
---doubling K (with --order k) whose constant chain leaves the float range,
+--check-m shortfall with B = A, or past m = 1 with any B.  Exit 2 is a
+budget violation, an ambient group the command does not apply to, a
+malformed --input file, a bounds --doubling K (with --order k) whose
+constant chain leaves the float range,
 or a flag the command would ignore: --alpha, --doubling, --order or
 --at-threshold for bounds on a set; --delta or --elements for the bounds
 calculator, and --alpha with --at-threshold; --elements for verify and

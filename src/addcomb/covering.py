@@ -8,7 +8,8 @@ re-verifies by exhaustive inclusion of sigma - sigma (sigma = B1+B2): x is
 in A-A+T-T exactly when x+T meets A-A+T, so it reads the marks of A-A+T,
 one point of each pair {x, -x}.  A' minimizes |A'+sigma|/|A'|, by a depth-
 first subset search over bitsets of the translates of sigma, which stops on
-two lower bounds for a union of them.
+two lower bounds for a union of them.  _WITNESS_BUDGET, read at call time, is
+the one cap on |A| for that search; past it the counting bound applies.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ __all__ = [
 ]
 
 
-# the largest |A| whose Plünnecke witness is searched exhaustively: the one
-# default of every witness budget; past it the counting bound applies
+# the largest |A| whose Plünnecke witness is searched exhaustively, read at
+# call time: the one cap of the search; past it the counting bound applies
 _WITNESS_BUDGET = 18
 
 
@@ -123,7 +124,7 @@ class PluenneckeWitness:
     subsets_searched: int
 
 
-def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = _WITNESS_BUDGET) -> PluenneckeWitness:
+def pluennecke_witness(A: GSet, B1: GSet, B2: GSet) -> PluenneckeWitness:
     """Exhaustive search for the subset of A with least sumset expansion.
 
     Visits nonempty subsets by decreasing size, in combinations order within
@@ -137,14 +138,13 @@ def pluennecke_witness(A: GSet, B1: GSet, B2: GSet, budget: int = _WITNESS_BUDGE
     submodular, so the union of two least subsets is least.  Size n is A
     itself; each smaller class is one _least_union search over the
     translates as Python-int bitsets, built with M for the first class.
+    A set of more than _WITNESS_BUDGET points raises BudgetError.
     """
     n = len(A)
     if n == 0:
         raise ValueError("witness search needs a nonempty base set")
-    if budget < 0:
-        raise ValueError(f"witness budget must be >= 0, got {budget}")
-    if n > budget:
-        raise BudgetError(f"witness search over {n} elements exceeds budget {budget}")
+    if n > _WITNESS_BUDGET:
+        raise BudgetError(f"witness search over {n} elements exceeds budget {_WITNESS_BUDGET}")
     sigma = sumset(B1, B2)
     ids, best_bits, _ = _translate_ids(sigma, A)
     # the least ratio so far is best_bits / best_size, first found at the positions best
@@ -244,14 +244,14 @@ def covering_certificate(
     A: GSet,
     B1: GSet,
     B2: GSet,
-    witness_budget: int = _WITNESS_BUDGET,
+    witness_budget: Optional[int] = None,
     check_m: int = 0,
 ) -> CoveringCertificate:
     """Build and verify a translate-cover certificate for (A, B1, B2).
 
-    Up to the witness budget, |A| <= witness_budget (by default
-    _WITNESS_BUDGET), the witness path gives |T| <= 2*K1*K2 - 1 where Ki =
-    |A+Bi|/|A|; past it the weaker counting bound 2*|A+B1+B2|/|A| - 1
+    Up to the witness budget, |A| <= witness_budget (by default and at
+    most _WITNESS_BUDGET), the witness path gives |T| <= 2*K1*K2 - 1 where
+    Ki = |A+Bi|/|A|; past it the weaker counting bound 2*|A+B1+B2|/|A| - 1
     applies; _size_bound gives that bound from sumset sizes alone.  The
     inclusion B1-B1+B2-B2 <= A-A+T-T is checked exhaustively either way, by
     groups._in_sumset handed T: it forms T-T and A-A+T-T only when
@@ -266,12 +266,15 @@ def covering_certificate(
     certificate is memoized on the identity of (A, B1, B2) and the budget
     (see groups._memoized), so each is built once there.
 
-    With check_m, m_checked is verify_incm up to check_m.  When B1 = B2 = A
-    a verified inclusion is 2(A-A) <= (A-A)+(T-T), which gives every m by
-    induction, so a shortfall there raises RuntimeError (a library fault).
+    With check_m, m_checked is verify_incm up to check_m, which raises on a
+    shortfall past m = 1.  When B1 = B2 = A a verified inclusion is
+    2(A-A) <= (A-A)+(T-T), which gives every m by induction, so a shortfall
+    at m = 1 raises RuntimeError too (a library fault).
     """
-    if witness_budget < 0:
-        raise ValueError(f"witness budget must be >= 0, got {witness_budget}")
+    if witness_budget is None:
+        witness_budget = _WITNESS_BUDGET
+    elif not 0 <= witness_budget <= _WITNESS_BUDGET:
+        raise ValueError(f"witness budget must be >= 0 and <= {_WITNESS_BUDGET}, got {witness_budget}")
     if check_m < 0:
         raise ValueError(f"check_m must be >= 0, got {check_m}")
     with _entry_scope():
@@ -296,7 +299,7 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
     sigma = sumset(B1, B2)
     size_bound = _size_bound(A, B1, B2, witness_budget)
     if n <= witness_budget:
-        found = pluennecke_witness(A, B1, B2, budget=witness_budget)
+        found = pluennecke_witness(A, B1, B2)
         core, ratio, optimal = found.subset, found.ratio, True
         # ratio <= K1*K2 = s1*s2/n^2, cross-multiplied
         if ratio.numerator * n * n > s1 * s2 * ratio.denominator:
@@ -333,27 +336,29 @@ def _certify(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> CoveringCertif
     )
 
 
-def _size_bound(A: GSet, B1: GSet, B2: GSet, witness_budget: int) -> int:
+def _size_bound(A: GSet, B1: GSet, B2: GSet, witness_budget: Optional[int] = None) -> int:
     """The bound on |T| that covering_certificate(A, B1, B2, witness_budget) certifies, from sumset sizes alone.
 
-    Up to the budget it is the witness path's floor(2*K1*K2 - 1), Ki =
-    |A + Bi|/|A|; past it the counting bound floor(2*|A + B1 + B2|/|A| - 1):
-    the first translate is wholly new and each later one adds >= |A|/2, so
-    |A|(k+1)/2 <= |A + B1 + B2|.
+    Up to the budget (by default _WITNESS_BUDGET) it is the witness path's
+    floor(2*K1*K2 - 1), Ki = |A + Bi|/|A|; past it the counting bound
+    floor(2*|A + B1 + B2|/|A| - 1): the first translate is wholly new and
+    each later one adds >= |A|/2, so |A|(k+1)/2 <= |A + B1 + B2|.
     """
     n = len(A)
-    if n <= witness_budget:
+    if n <= (_WITNESS_BUDGET if witness_budget is None else witness_budget):
         return (2 * len(sumset(A, B1)) * len(sumset(A, B2)) - n * n) // (n * n)
     return (2 * len(sumset(A, sumset(B1, B2))) - n) // n
 
 
 def verify_incm(A: GSet, T: GSet, m_max: int) -> int:
-    """Largest m <= m_max with (m+1)(A-A) contained in (A-A) + m(T-T).
+    """Largest m <= m_max with (m+1)(A-A) contained in (A-A) + m(T-T): 0 or m_max.
 
-    Returns 0 as soon as the m = 1 inclusion fails.  Step m decides
-    (m+1)(A-A) <= ((A-A) + (m-1)(T-T)) + (T-T) by _in_sumset handed T, so
-    T-T and the right side are formed only from m = 2 on, as the base of
-    step m, or when _in_sumset forms them.
+    Returns 0 when the m = 1 inclusion fails.  Once it holds, every m does
+    by induction, (m+2)(A-A) <= 2(A-A) + m(T-T) <= (A-A) + (m+1)(T-T), so a
+    later step that fails raises RuntimeError (a library fault).  Step m
+    decides (m+1)(A-A) <= ((A-A) + (m-1)(T-T)) + (T-T) by _in_sumset handed
+    T, so T-T and the right side are formed only from m = 2 on, as the base
+    of step m, or when _in_sumset forms them.
     """
     lhs = rhs = D = difference_set(A, A)
     for m in range(1, m_max + 1):
@@ -361,7 +366,9 @@ def verify_incm(A: GSet, T: GSet, m_max: int) -> int:
             rhs = sumset(rhs, difference_set(T, T))
         lhs = sumset(lhs, D)
         if not _in_sumset(lhs, rhs, T):
-            return m - 1
+            if m > 1:
+                raise RuntimeError(f"the iterated inclusion fails at m = {m} although it holds at m = 1")
+            return 0
     return m_max
 
 

@@ -182,13 +182,8 @@ def parse_elements(spec: str, group: Group) -> GSet:
     spec = spec.strip()
     if not spec:
         raise ValueError("empty element list")
-    if group.kind == "torsion":
-        elems: list = [
-            tuple(int(c) for c in chunk.split(",")) for chunk in spec.split(";")
-        ]
-    else:
-        elems = [int(c) for c in spec.split(",")]
-    return GSet(group, elems)
+    tokens = spec.split(";" if group.kind == "torsion" else ",")
+    return GSet(group, [_parse_one(token, group) for token in tokens])
 
 
 _SHAPE_FORMS = {

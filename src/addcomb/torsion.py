@@ -4,7 +4,7 @@ In (Z/rZ)^n a set with small doubling sits inside a coset of a subgroup not
 much larger than the set itself.  The subgroup is gen(A-A); the covering
 module supplies a translate set T whose differences generate everything
 gen(A-A) needs beyond A-A, and |gen(T-T)| <= r^(|T|-1) turns the covering
-size bound into a subgroup size bound.
+size bound into a subgroup size bound, at covering's one witness budget.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .covering import _WITNESS_BUDGET, CoveringCertificate, _size_bound, covering_certificate
+from .covering import CoveringCertificate, _size_bound, covering_certificate
 from .groups import (
     Certificate,
     Element,
     GSet,
     _entry_scope,
-    _in_sumset,
-    _memoized,
     _minus,
     _pairwise,
     _require,
@@ -42,7 +40,7 @@ def subgroup_generated(X: GSet) -> GSet:
     under adding elements of X.  The closure grows level by level: each level
     adds all of X to the elements the previous level first reached, in one
     call of the sumset kernel, and keeps the sums not reached before.  An
-    empty X generates {0}.  A memo scope records -H and H + H as H.
+    empty X generates {0}.
     """
     g = _require(X.group, "torsion")
     member = np.zeros(g.order, dtype=bool)
@@ -53,9 +51,7 @@ def subgroup_generated(X: GSet) -> GSet:
         reached = _pairwise(g, frontier, gens)
         frontier = reached[~member[reached]]
         member[frontier] = True
-    H = GSet._from_indices(g, np.flatnonzero(member))
-    _memoized((H,), "neg", lambda: H)
-    return _memoized((H, H), "sum", lambda: H)
+    return GSet._from_indices(g, np.flatnonzero(member))
 
 
 @dataclass(frozen=True)
@@ -105,20 +101,20 @@ class SubgroupCosetCertificate(Certificate):
         }
 
 
-def torsion_cover(A: GSet, witness_budget: int = _WITNESS_BUDGET) -> SubgroupCosetCertificate:
+def torsion_cover(A: GSet) -> SubgroupCosetCertificate:
     """Certified subgroup-coset cover of A in (Z/rZ)^n, from one covering certificate.
 
     The covering construction runs on one route: "sum", summands (A, A), or,
     when A is not symmetric, "difference", summands (-A, -A); 2(A-A) is
     inside (A-A)+(T-T) either way, so gen(A-A) <= (A-A)+gen(T-T).  The route
     is chosen before any certificate is built, by the size bound each would
-    certify, covering._size_bound at witness_budget (by default
-    covering._WITNESS_BUDGET), from sumset sizes alone.  The smaller bound
-    wins and a tie goes to "sum", so the route is an invariant of A under
-    isomorphisms and "sum" reads the (A, A, A) certificate of the scope.
-    The call runs in the open memo scope, or in one of its own when none is
-    open.  Every inclusion and size comparison is re-verified on the actual
-    sets, each size comparison in integers.
+    certify, covering._size_bound at covering's one witness budget, from
+    sumset sizes alone.  The smaller bound wins and a tie goes to "sum", so
+    the route is an invariant of A under isomorphisms and "sum" reads the
+    (A, A, A) certificate of the scope.  The call runs in the open memo
+    scope, or in one of its own when none is open.  Every inclusion and size
+    comparison is re-verified on the actual sets, each size comparison in
+    integers; gen(A-A) <= (A-A) + gen(T-T) by forming that sum.
     """
     g = _require(A.group, "torsion")
     if not len(A):
@@ -130,13 +126,12 @@ def torsion_cover(A: GSet, witness_budget: int = _WITNESS_BUDGET) -> SubgroupCos
         s, d = len(sumset(A, A)), len(D)
         neg_a = _minus(A)
         route, B = "sum", A
-        if neg_a is not A and _size_bound(A, neg_a, neg_a, witness_budget) < _size_bound(A, A, A, witness_budget):
+        if neg_a is not A and _size_bound(A, neg_a, neg_a) < _size_bound(A, A, A):
             route, B = "difference", neg_a
-        cert = covering_certificate(A, B, B, witness_budget=witness_budget)
+        cert = covering_certificate(A, B, B)
         T = cert.translates
         t0 = T.elements[0]
         gens = tuple(g.add(t, g.neg(t0)) for t in T.elements[1:])
-        # h_t - h_t = h_t, so _in_sumset handed h_t decides gen(A-A) <= (A-A) + h_t
         h_t = subgroup_generated(GSet(g, gens))
         subgroup = subgroup_generated(D)
         size = len(subgroup)
@@ -158,7 +153,7 @@ def torsion_cover(A: GSet, witness_budget: int = _WITNESS_BUDGET) -> SubgroupCos
             bound_a=min(top_a // n, g.order),
             bound_b=min(raw_b, g.order),
             contains_a=is_subset(A, translate(subgroup, A.elements[0])),
-            gen_inclusion_holds=_in_sumset(subgroup, D, h_t),
+            gen_inclusion_holds=is_subset(subgroup, sumset(D, h_t)),
             size_factor_holds=size <= d * r ** (len(T) - 1),
             bound_a_holds=size * n <= top_a,
             bound_b_holds=size <= raw_b,

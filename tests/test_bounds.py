@@ -165,6 +165,16 @@ class TestThresholdChain:
         # tau = alpha at K = 1
         assert rep.log_inv_tau == pytest.approx(12 * math.log(16))
 
+    def test_the_first_threshold_is_out_of_reach_past_the_cauchy_davenport_floor(self):
+        # |A + A| >= 2|A| - 1 in Z/p makes K >= 3/2, where the first threshold
+        # is 2^-123.8 and falls as K grows, so |A| < threshold * p needs
+        # p > 2^120, past every modulus the library holds (README, What is verified)
+        grid = [1.5 + i / 100 for i in range(51)] + [2.5, 3, 4, 8, 16, 100, 1e4]
+        logs = [threshold_chain(K).log_threshold_thm1 / math.log(2) for K in grid]
+        assert all(log > 120 for log in logs)
+        assert logs[0] == pytest.approx(123.794, abs=1e-3)
+        assert logs == sorted(logs)
+
     def test_boundary_is_inclusive(self):
         rep = threshold_chain(2.0)
         assert rep.alpha_below_thm1

@@ -214,10 +214,11 @@ class TestWitness:
         assert w.ratio == best
 
     def test_budget(self):
+        # the search reads its one cap, covering._WITNESS_BUDGET = 18
         g = CyclicGroup(101)
-        A = GSet(g, range(20))
-        with pytest.raises(BudgetError):
-            pluennecke_witness(A, A, A, budget=18)
+        A = GSet(g, range(19))
+        with pytest.raises(BudgetError, match="exceeds budget 18"):
+            pluennecke_witness(A, A, A)
 
     @given(st.sets(st.integers(0, 100), min_size=1, max_size=6))
     @settings(max_examples=50)

@@ -944,11 +944,17 @@ def inclusions_in_a_sum(src):
 
 
 def test_every_inclusion_in_a_sum_goes_through_the_one_kernel():
-    """Only groups._in_sumset calls is_subset on a formed sum: every X <= Y + Z decision is made in that one kernel."""
+    """Only groups._in_sumset calls is_subset on a formed sum: every X <= Y + (T - T) decision is made in that one kernel.
+
+    The one other is torsion_cover's gen(A-A) <= (A-A) + H with H = gen(T-T)
+    a subgroup: H - H = H, so the kernel's scan would mark (A-A) + H, the
+    very sum its formed path builds, and the decision is that formed path.
+    """
     import pathlib
 
     found = inclusions_in_a_sum(pathlib.Path(groups_mod.__file__).parent)
-    assert {f[:2] for f in found} == {("groups.py", "_in_sumset")}, found
+    assert {f[:2] for f in found} == {("groups.py", "_in_sumset"), ("torsion.py", "torsion_cover")}, found
+    assert len(found) == 2, found
 
 
 def digit_table_groups():

@@ -20,6 +20,10 @@ of ``fourier._FLOAT_SLACK``, the relative slack its float gates share.
 No undocumented refusal: every function of the package that raises
 ``BudgetError`` is named in the README's Budgets section.
 
+No unledgered claim: every claim name in the ``checks`` of a ``Certificate``
+subclass has a row in the README's "What is verified" table, and every row
+names such a claim.
+
 One place decides where an operation applies: ``NotApplicable`` is
 constructed in ``groups._require`` alone, and ``suite.py`` reads no group
 kind and names no ``is_prime``, so its checks skip only what the library
@@ -179,9 +183,7 @@ def test_library_has_no_dead_private_helper():
 # ------------------------------------------------------------------ public surface
 
 # main(argv) is the CLI's test seam: the console script calls main() with none.
-# torsion_cover(witness_budget) is set by the tests alone; its default is the
-# one witness budget, covering._WITNESS_BUDGET (ROADMAP item 14 deletes it).
-OPTION_EXEMPT = {"cli.main(argv)", "torsion.torsion_cover(witness_budget)"}
+OPTION_EXEMPT = {"cli.main(argv)"}
 # dump_instances writes the instance files that load_instances reads.
 CALLER_EXEMPT = {"serialize.dump_instances"}
 
@@ -452,6 +454,66 @@ def test_every_budget_refusal_is_in_the_readme():
         if not any(re.search(rf"(?<!\w){re.escape(name)}(?!\w)", span) for span in spans)
     ]
     assert section and missing == []
+
+
+# ------------------------------------------------------------------ ledger
+
+def certificate_claims(sources: dict) -> list:
+    """(class, claim) for every claim of the checks of each Certificate subclass in sources.
+
+    A claim is a constant key of a dict display or of a subscript store in
+    checks; a dict merged from self.<field>.checks adds the claims of the
+    field's annotated class, and a dict comprehension stands for one claim
+    per name, written <check>.
+    """
+    classes = {
+        stmt.name: stmt
+        for src in sources.values()
+        for stmt in ast.parse(src).body
+        if isinstance(stmt, ast.ClassDef) and any(getattr(base, "id", None) == "Certificate" for base in stmt.bases)
+    }
+
+    def claims(cls: ast.ClassDef) -> set:
+        fields = {s.target.id: ast.unparse(s.annotation) for s in cls.body if isinstance(s, ast.AnnAssign)}
+        checks = next(s for s in cls.body if isinstance(s, ast.FunctionDef) and s.name == "checks")
+        found = set()
+        for node in ast.walk(checks):
+            if isinstance(node, ast.Dict):
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Constant):
+                        found.add(key.value)
+                    elif key is None and isinstance(value, ast.Attribute) and isinstance(value.value, ast.Attribute):
+                        found |= claims(classes[fields[value.value.attr]])
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store) and isinstance(node.slice, ast.Constant):
+                found.add(node.slice.value)
+            elif isinstance(node, ast.DictComp):
+                found.add("<check>")
+        return found
+
+    return sorted((name, claim) for name, cls in classes.items() for claim in claims(cls))
+
+
+def ledger_rows(readme: str) -> list:
+    """(certificate, claim) of each row of the README's "What is verified" table that names both."""
+    _, _, rest = readme.partition("\n## What is verified\n")
+    return sorted(re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", rest.split("\n## ", 1)[0], flags=re.M))
+
+
+def test_detects_the_claims_of_a_certificate():
+    src = (
+        "class R(Certificate):\n    inner: S\n    def checks(self):\n"
+        "        c = {'a': 1} if x else {}\n        c['b'] = 2\n        return {**c, **self.inner.checks}\n"
+        "class S(Certificate):\n    def checks(self):\n        return {'s': 1}\n"
+        "class T(Certificate):\n    def checks(self):\n        return {n: 1 for n in self.names}\n"
+        "class U:\n    def checks(self):\n        return {'u': 1}\n"
+    )
+    assert certificate_claims({"m": src}) == [("R", "a"), ("R", "b"), ("R", "s"), ("S", "s"), ("T", "<check>")]
+    assert ledger_rows("x\n## What is verified\n| `R` | `a` | y |\n| (none) | — |\n## Next\n| `S` | `s` |\n") == [("R", "a")]
+
+
+def test_every_claim_has_a_row_in_the_readme():
+    rows = ledger_rows((ROOT / "README.md").read_text())
+    assert rows and certificate_claims(_library()) == rows
 
 
 # ------------------------------------------------------------------ applicability

@@ -44,7 +44,6 @@ from addcomb import (
     spectrum,
     subspace_coset,
     to_jsonable,
-    torsion_cover,
     translate,
     union_progressions,
 )
@@ -214,6 +213,35 @@ class TestParsers:
         assert set(B.elements) == {(0, 0, 1), (1, 0, 1)}
         with pytest.raises(ValueError):
             parse_elements("  ", CyclicGroup(11))
+
+    @pytest.mark.parametrize("group, spec", [
+        (CyclicGroup(11), " 0, 1,3 "),
+        (CyclicGroup(11), "4 ,-2"),
+        (CyclicGroup(11), "0,x"),
+        (CyclicGroup(11), "0,,1"),
+        (CyclicGroup(11), "0;1"),
+        (IntegerWindow(-5, 9), "-5,9"),
+        (IntegerWindow(-5, 9), "10"),
+        (TorsionGroup(2, 3), "0,0,1;1,0,1"),
+        (TorsionGroup(2, 3), "0,0;1,0,1"),
+        (TorsionGroup(3, 2), "1,y"),
+        (TorsionGroup(3, 2), "1,2;"),
+    ], ids=repr)
+    def test_elements_follow_the_written_grammar(self, group, spec):
+        # cyclic and window elements are ','-separated ints; torsion elements
+        # are ';'-separated tuples of ','-separated ints
+        def written():
+            if group.kind == "torsion":
+                return GSet(group, [tuple(int(c) for c in chunk.split(",")) for chunk in spec.strip().split(";")])
+            return GSet(group, [int(c) for c in spec.strip().split(",")])
+
+        def outcome(parse):
+            try:
+                return parse().elements
+            except ValueError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: parse_elements(spec, group)) == outcome(written)
 
     def test_shapes(self):
         g = CyclicGroup(11)
@@ -640,6 +668,23 @@ class TestCli:
         assert rc == 0
         assert "iterated inclusion verified up to m = 1" in capsys.readouterr().out
 
+    def test_cover_check_m_step_two_shortfall_with_other_b_exits_one(self, capsys, monkeypatch):
+        # A is a coset, so A-A is a subgroup and every step holds; failing the
+        # m = 2 step alone contradicts the induction from m = 1 for any B
+        calls = []
+        real = covering_mod._in_sumset
+
+        def fail_past_the_first_right_side(X, Y, T):
+            calls.append(Y)  # the certificate and the m = 1 step read A-A itself
+            return real(X, Y, T) and Y is calls[0]
+
+        monkeypatch.setattr(covering_mod, "_in_sumset", fail_past_the_first_right_side)
+        rc = main(["cover", "--group", "cyclic:30", "--elements", "1,11,21", "--elements-b", "0", "--check-m", "2"])
+        out, err = capsys.readouterr()
+        assert len(calls) == 3
+        assert rc == 1 and out == ""
+        assert err.startswith("check failed:") and "fails at m = 2" in err
+
     def test_cover_check_m_with_other_b_keeps_verdict(self, capsys):
         # with B != A the certificate does not imply 2(A-A) <= (A-A)+(T-T)
         rc = main(
@@ -907,17 +952,24 @@ class TestCli:
 
     def test_negative_budgets_are_rejected_by_the_library(self):
         A = GSet(CyclicGroup(31), [0, 1, 5])
-        T = GSet(TorsionGroup(2, 3), [(0, 0, 0), (1, 0, 0)])
         calls = [
             lambda: covering_mod.covering_certificate(A, A, A, witness_budget=-1),
             lambda: covering_mod.covering_certificate(A, A, A, check_m=-1),
-            lambda: covering_mod.pluennecke_witness(A, A, A, budget=-1),
-            lambda: torsion_cover(T, witness_budget=-1),
             lambda: spectrum(A, top=-1),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="must be >= 0"):
                 call()
+
+    def test_a_witness_budget_can_only_lower_the_cap(self, monkeypatch):
+        A = GSet(CyclicGroup(31), [0, 1, 5])
+        with pytest.raises(ValueError, match="<= 18, got 19"):
+            covering_mod.covering_certificate(A, A, A, witness_budget=19)
+        monkeypatch.setattr(covering_mod, "_WITNESS_BUDGET", 2)
+        with pytest.raises(ValueError, match="<= 2, got 3"):
+            covering_mod.covering_certificate(A, A, A, witness_budget=3)
+        assert not covering_mod.covering_certificate(A, A, A).witness_is_optimal
+        assert covering_mod.covering_certificate(A, A, A, witness_budget=2) == covering_mod.covering_certificate(A, A, A)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

@@ -77,7 +77,9 @@ WIDE = by_index(TorsionGroup(3, 4), [25, 28, 44, 49, 54, 56, 62, 78, 80])
 @example(WIDE, 12)
 @settings(max_examples=120, deadline=None)
 def test_torsion_bounds_match_the_fraction_chain(A, budget):
-    cert = torsion_cover(A, witness_budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering_mod, "_WITNESS_BUDGET", budget)
+        cert = torsion_cover(A)
     g, n = A.group, len(A)
     s, d = len(sumset(A, A)), len(difference_set(A, A))
     e_a, e_b, raw_a, raw_b, bound_a, bound_b, holds_a, holds_b = fraction_torsion_bounds(

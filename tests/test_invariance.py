@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import addcomb.covering as covering_mod
 from addcomb import (
     CyclicGroup,
     GSet,
@@ -76,7 +77,9 @@ def covering_invariants(cert):
 
 
 def assert_same_torsion_cover(A, phi, budget):
-    mine, theirs = torsion_cover(A, witness_budget=budget), torsion_cover(image(A, phi), witness_budget=budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering_mod, "_WITNESS_BUDGET", budget)
+        mine, theirs = torsion_cover(A), torsion_cover(image(A, phi))
     assert torsion_invariants(mine) == torsion_invariants(theirs)
     assert image(mine.covering.witness, phi) == theirs.covering.witness
 

@@ -1,21 +1,29 @@
 """Subgroup generation and coset covers in bounded-exponent groups."""
 
+import ast
 import dataclasses
+import inspect
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import addcomb.covering as covering_mod
+import addcomb.groups as groups_mod
+import addcomb.torsion as torsion_mod
 from addcomb import (
+    BudgetError,
     GSet,
     TorsionGroup,
     covering_certificate,
     difference_set,
     is_subset,
     negate,
+    pluennecke_witness,
     subgroup_generated,
     sumset,
     torsion_cover,
@@ -102,6 +110,36 @@ class TestSubgroupGenerated:
         # Lagrange: |H| divides 2^5
         assert (1 << 5) % len(H) == 0
 
+    def test_writes_no_memo_entry(self):
+        g = TorsionGroup(3, 3)
+        with groups_mod._memo_scope():
+            subgroup_generated(GSet(g, [(1, 0, 0), (0, 1, 2)]))
+            assert groups_mod._SCOPE.get() == {}
+
+    @pytest.mark.parametrize("block", [1, groups_mod._BLOCK])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_subgroup_sum_decides_what_in_sumset_decides(self, block, data):
+        # H - H = H, so X <= Y + H is the inclusion _in_sumset(X, Y, H) decides,
+        # on its scan path too: gen_inclusion may form Y + H in its place
+        g = TorsionGroup(*data.draw(st.sampled_from([(2, 5), (3, 3), (5, 2)])))
+        pool = st.sampled_from([g.element_at(i) for i in range(g.order)])
+        X, Y, gens = (GSet(g, data.draw(st.lists(pool, min_size=1, max_size=8))) for _ in range(3))
+        H = subgroup_generated(gens)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groups_mod, "_BLOCK", block)
+            assert groups_mod._in_sumset(X, Y, H) == is_subset(X, sumset(Y, H))
+
+
+def test_torsion_reads_no_memo_or_budget_internals():
+    """torsion decides gen_inclusion on a formed sum and leaves the witness budget to covering."""
+    tree = ast.parse(Path(torsion_mod.__file__).read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names.isdisjoint({"_memoized", "_in_sumset", "_WITNESS_BUDGET"})
+    assert list(inspect.signature(torsion_cover).parameters) == ["A"]
+
 
 class TestTorsionCover:
     def test_basis_plus_origin(self):
@@ -175,11 +213,18 @@ class TestTorsionCover:
         ],
         ids=["sum", "sum-with-more-translates", "difference", "difference-past-budget"],
     )
-    def test_route_uses_smaller_size_bound(self, r, n, elems, budget, route, bounds):
+    def test_route_uses_smaller_size_bound(self, monkeypatch, r, n, elems, budget, route, bounds):
+        # one cap, read at call time, moves the witness search, the
+        # certificate's default and the route rule together
+        monkeypatch.setattr(covering_mod, "_WITNESS_BUDGET", budget)
         A = GSet(TorsionGroup(r, n), elems)
-        cert = torsion_cover(A, witness_budget=budget)
-        plus = covering_certificate(A, A, A, witness_budget=budget)
-        minus = covering_certificate(A, negate(A), negate(A), witness_budget=budget)
+        cert = torsion_cover(A)
+        plus = covering_certificate(A, A, A)
+        minus = covering_certificate(A, negate(A), negate(A))
+        assert cert.witness_used is plus.witness_is_optimal is minus.witness_is_optimal is (len(A) <= budget)
+        if len(A) > budget:
+            with pytest.raises(BudgetError):
+                pluennecke_witness(A, A, A)
         assert (plus.size_bound, minus.size_bound) == bounds
         assert cert.route == route
         assert cert.covering == (plus if route == "sum" else minus)
